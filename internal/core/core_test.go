@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -49,6 +50,35 @@ func TestRunNativeMatchesDirect(t *testing.T) {
 	for e := range want {
 		if math.Abs(x[e]-want[e]) > 1e-9 {
 			t.Fatalf("x[%d] = %v, want %v", e, x[e], want[e])
+		}
+	}
+}
+
+// TestRunNativeBlockMatchesContribs: the block form gives the bits the
+// per-iteration form gives.
+func TestRunNativeBlockMatchesContribs(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	r := randReduction(rng, 1000, 67)
+	contribs := func(_, i int, out []float64) {
+		out[0] = float64(i)*0.3 + 1
+		out[1] = -0.7 * float64(i)
+	}
+	block := func(p int, iters []int32, out []float64) {
+		for j, it := range iters {
+			contribs(p, int(it), out[2*j:2*j+2])
+		}
+	}
+	want, err := r.RunNative(Strategy2C(4), contribs, nil, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := r.RunNativeBlock(context.Background(), Strategy2C(4), block, nil, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for e := range want {
+		if got[e] != want[e] {
+			t.Fatalf("x[%d]: block %v, per-iteration %v", e, got[e], want[e])
 		}
 	}
 }

@@ -263,3 +263,80 @@ func TestLJPotentialShape(t *testing.T) {
 		t.Fatalf("force at the LJ minimum = %v, want 0", f[0])
 	}
 }
+
+// blockEqualsContribs checks a kernel's block form against its
+// per-iteration form, bit for bit, over every iteration in blocks of
+// uneven length.
+func blockEqualsContribs(t *testing.T, n *rts.Native) {
+	t.Helper()
+	const stride = 6 // two references, three components
+	iters := make([]int32, n.Loop.Cfg.NumIters)
+	for i := range iters {
+		iters[i] = int32(len(iters) - 1 - i) // any order: a phase's list is not ascending after an update
+	}
+	want := make([]float64, stride)
+	got := make([]float64, 256*stride)
+	for lo, size := 0, 1; lo < len(iters); lo, size = lo+size, size%220+37 {
+		blk := iters[lo:min(lo+size, len(iters))]
+		n.ContribBlock(0, blk, got[:len(blk)*stride])
+		for j, it := range blk {
+			n.Contribs(0, int(it), want)
+			for s := range want {
+				if math.Float64bits(got[j*stride+s]) != math.Float64bits(want[s]) {
+					t.Fatalf("iteration %d slot %d: block %v, per-iteration %v", it, s, got[j*stride+s], want[s])
+				}
+			}
+		}
+	}
+}
+
+// sameRun checks that the engine gives the same bits driven by the block
+// form and by the adapter over Contribs.
+func sameRun(t *testing.T, steps int, build func() (*rts.Native, []float64)) {
+	t.Helper()
+	n1, s1 := build()
+	n2, s2 := build()
+	n2.ContribBlock = nil
+	for _, n := range []*rts.Native{n1, n2} {
+		if err := n.Run(steps); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := range s1 {
+		if math.Float64bits(s1[i]) != math.Float64bits(s2[i]) {
+			t.Fatalf("state[%d]: block %v, adapter %v", i, s1[i], s2[i])
+		}
+	}
+}
+
+func TestEulerBlockEqualsContribs(t *testing.T) {
+	e := NewEuler(mesh.Generate(400, 2400, 1), 2)
+	n, _, err := e.NewNative(3, 2, inspector.Cyclic)
+	if err != nil {
+		t.Fatal(err)
+	}
+	blockEqualsContribs(t, n)
+	sameRun(t, 4, func() (*rts.Native, []float64) {
+		n, q, err := e.NewNative(3, 2, inspector.Cyclic)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return n, q
+	})
+}
+
+func TestMoldynBlockEqualsContribs(t *testing.T) {
+	md := NewMoldyn(moldyn.Generate(4, 1, 0.02, 3))
+	n, _, _, err := md.NewNative(3, 2, inspector.Cyclic)
+	if err != nil {
+		t.Fatal(err)
+	}
+	blockEqualsContribs(t, n)
+	sameRun(t, 4, func() (*rts.Native, []float64) {
+		n, pos, _, err := md.NewNative(3, 2, inspector.Cyclic)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return n, pos
+	})
+}

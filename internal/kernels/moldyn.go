@@ -137,6 +137,16 @@ func (m *Moldyn) NewNativeFrom(scheds []*inspector.Schedule, p, k int, dist insp
 			out[3+c] = -fv[c]
 		}
 	}
+	// The block form the engine drives: the pair force goes straight into
+	// the block, no closure call or copy per interaction.
+	n.ContribBlock = func(_ int, iters []int32, out []float64) {
+		i1, i2, box := m.Sys.I1, m.Sys.I2, m.Sys.Box
+		for j, it := range iters {
+			o := out[6*j : 6*j+6 : 6*j+6]
+			ljForce(pos, box, int(i1[it]), int(i2[it]), o[:3])
+			o[3], o[4], o[5] = -o[0], -o[1], -o[2]
+		}
+	}
 	n.Update = func(proc, step int) {
 		lo, _ := l.Cfg.PortionBounds(l.Cfg.PortionAt(proc, 0))
 		_, hi := l.Cfg.PortionBounds(l.Cfg.PortionAt(proc, l.Cfg.K-1))

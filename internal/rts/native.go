@@ -3,7 +3,9 @@ package rts
 import (
 	"context"
 	"fmt"
+	"runtime"
 	"sync"
+	"sync/atomic"
 
 	"irred/internal/algebra"
 	"irred/internal/inspector"
@@ -14,6 +16,20 @@ import (
 // loop: out has NumRef*comp slots, reference-major. p is the executing
 // processor (for per-processor scratch state).
 type ContribFunc func(p, i int, out []float64)
+
+// ContribBlockFunc computes the contributions of a run of scheduled
+// iterations at once — the form the native engine drives. iters holds up to
+// 256 consecutive entries of one phase's iteration list; out is
+// iteration-major, NumRef*comp slots per iteration, each iteration's slots
+// laid out as a ContribFunc's out. The callee must write every slot and
+// must not retain out: it is the worker's arena, reused for the next block.
+// p is the executing processor.
+type ContribBlockFunc func(p int, iters []int32, out []float64)
+
+// blockIters is the most iterations one ContribBlockFunc call covers: long
+// enough that the call and the loop set-up vanish against the arithmetic,
+// short enough that a block's contributions are still in L1 when folded.
+const blockIters = 256
 
 // ConsumeFunc handles one gather-mode iteration: vals holds the comp
 // components of the rotated array at the iteration's reference.
@@ -38,9 +54,13 @@ type Native struct {
 	// vector.
 	X []float64
 
-	Contribs ContribFunc
-	Consume  ConsumeFunc
-	Update   UpdateFunc
+	// Contribs or ContribBlock supplies a reduce loop's contributions. The
+	// engine drives only the block form: a per-iteration Contribs is wrapped
+	// into one at Run start, and ContribBlock wins when both are set.
+	Contribs     ContribFunc
+	ContribBlock ContribBlockFunc
+	Consume      ConsumeFunc
+	Update       UpdateFunc
 
 	// Verify enables the debug execution mode: every access to the shared
 	// rotated array is checked against the ownership invariant — the target
@@ -54,23 +74,27 @@ type Native struct {
 	// Trace, when non-nil, records one span per unit of phase work — the
 	// rotation wait (obs.SpanWait), the copy loop (obs.SpanCopy), the main
 	// loop (obs.SpanCompute) and the Update hook (obs.SpanUpdate) — tagged
-	// with processor, phase, step and portion, on both the pipelined and
-	// the barrier paths. NewNativeFrom seeds it from Loop.Trace; callers
-	// may override before Run.
+	// with processor, phase, step and portion; the barrier waits around
+	// Update are obs.SpanWait spans of phase -1. NewNativeFrom seeds it
+	// from Loop.Trace; callers may override before Run.
 	Trace *obs.Tracer
 
 	// CheckTargets guards every rotated-array and remote-buffer write (and
-	// every gather read) with a range check against the processor's local
-	// image, so corrupted schedules — a truncated cache entry, a bad
-	// deserialization, hand-built phase programs — surface as a recorded
-	// violation after the run instead of an index panic mid-sweep. It
-	// defaults to on; NewNativeFrom turns it off when the loop carries a
-	// bounds proof covering the indirection contents (Loop.Proof.IndProven
-	// for this extent), which is what makes proof-carrying kernels
-	// measurably faster. Callers may override either way before Run.
+	// every gather read) against the processor's local image, so corrupted
+	// schedules — a truncated cache entry, a bad deserialization, hand-built
+	// phase programs — surface as a recorded violation after the run
+	// instead of an index panic mid-sweep. The guard is validate-once: Run
+	// scans Scheds before the workers start, clean schedules execute the
+	// unchecked loop, and a schedule with a target outside the image
+	// executes the guarded loop, which skips and records each offending
+	// access. It defaults to on; NewNativeFrom turns it off when the loop
+	// carries a bounds proof covering the indirection contents
+	// (Loop.Proof.IndProven for this extent), which skips the scan as well.
+	// Callers may override either way before Run.
 	CheckTargets bool
 
 	bufs       [][]float64  // per-processor remote buffers, len BufLen*comp
+	arenas     [][]float64  // per-processor contribution blocks (reduce mode)
 	chans      []chan token // chans[p]: portions arriving at processor p
 	verifyErrs []error      // first ownership violation per processor
 	checkErrs  []error      // first range violation per processor
@@ -123,12 +147,18 @@ func NewNativeFrom(l *Loop, scheds []*inspector.Schedule) (*Native, error) {
 		Trace:        l.Trace,
 		CheckTargets: !proven,
 		bufs:         make([][]float64, l.Cfg.P),
+		arenas:       make([][]float64, l.Cfg.P),
 		chans:        make([]chan token, l.Cfg.P),
+		verifyErrs:   make([]error, l.Cfg.P),
+		checkErrs:    make([]error, l.Cfg.P),
 	}
 	ident, _ := l.Combine.Identity()
 	for p := 0; p < l.Cfg.P; p++ {
 		n.bufs[p] = make([]float64, scheds[p].BufLen*comp)
 		fillIdent(n.bufs[p], ident)
+		if l.Mode == Reduce {
+			n.arenas[p] = make([]float64, blockIters*len(l.Ind)*comp)
+		}
 		n.chans[p] = make(chan token, l.Cfg.NumPhases()+1)
 	}
 	return n, nil
@@ -170,82 +200,127 @@ func (n *Native) Run(steps int) error {
 }
 
 // RunContext is Run with cancellation: when ctx is cancelled or its
-// deadline expires, every worker stops at its next phase boundary or
-// blocking portion receive and RunContext returns ctx.Err(). Cancellation
-// cannot deadlock the token protocol — portion sends are buffered and
-// never block, so a worker that exits early only starves receivers, which
-// themselves select on ctx. After a cancelled run the rotated array holds
-// partial sums and token positions are unspecified; the Native must not be
-// reused.
+// deadline expires, every worker stops at its next phase boundary, blocking
+// portion receive or barrier wait, and RunContext returns ctx.Err().
+// Cancellation cannot deadlock the token protocol — portion sends are
+// buffered and never block, so a worker that exits early only starves
+// receivers and barrier waiters, which themselves watch ctx. After a
+// cancelled run the rotated array holds partial sums and token positions
+// are unspecified; the Native must not be reused.
+//
+// One set of P workers serves the whole run. Without an Update hook sweeps
+// need no barrier between timesteps — portion tokens alone order every
+// access, so processors pipeline across sweeps exactly as EARTH fibers
+// would. With one, the workers meet at a barrier before and after it.
 func (n *Native) RunContext(ctx context.Context, steps int) error {
 	l := n.Loop
+	r := &nativeRun{
+		n:     n,
+		cfg:   l.Cfg,
+		comp:  l.Cost.comp(),
+		x:     n.X,
+		tr:    n.Trace,
+		done:  ctx.Done(),
+		steps: steps,
+	}
 	switch l.Mode {
 	case Reduce:
-		if n.Contribs == nil {
-			return fmt.Errorf("rts: reduce-mode native run needs Contribs")
+		r.block = n.ContribBlock
+		if r.block == nil {
+			if n.Contribs == nil {
+				return fmt.Errorf("rts: reduce-mode native run needs Contribs")
+			}
+			r.block = blockOf(n.Contribs, len(l.Ind)*r.comp)
 		}
 	case Gather:
 		if n.Consume == nil {
 			return fmt.Errorf("rts: gather-mode native run needs Consume")
 		}
 	}
-	P := l.Cfg.P
-	done := ctx.Done()
-	if n.Verify {
-		n.verifyErrs = make([]error, P)
-	}
+	clear(n.verifyErrs)
+	clear(n.checkErrs)
+
+	// Everything that is constant for the run is decided here, once: the
+	// unchecked bodies serve float-add loops whose schedules need no
+	// per-access guard, the guarded bodies everything else.
+	r.fast = !n.Verify && l.Combine.Kind == algebra.Add
 	if n.CheckTargets {
-		n.checkErrs = make([]error, P)
+		clean, err := n.scanTargets()
+		if err != nil {
+			return err
+		}
+		r.fast = r.fast && clean
 	}
+	if n.Update != nil {
+		r.bar = newBarrier(l.Cfg.P)
+	}
+
 	var wg sync.WaitGroup
-	if n.Update == nil {
-		// Pure accumulation: sweeps need no barrier between timesteps —
-		// portion tokens alone order every access, so processors pipeline
-		// across sweeps exactly as EARTH fibers would.
-		wg.Add(P)
-		for p := 0; p < P; p++ {
-			go func(p int) {
-				defer wg.Done()
-				for step := 0; step < steps; step++ {
-					if !n.sweep(p, step, done) {
-						return
-					}
-				}
-			}(p)
-		}
-		wg.Wait()
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		return n.verifyErr()
+	wg.Add(l.Cfg.P)
+	for p := 0; p < l.Cfg.P; p++ {
+		go func(p int) {
+			defer wg.Done()
+			r.work(p)
+		}(p)
 	}
-	for step := 0; step < steps; step++ {
-		wg.Add(P)
-		for p := 0; p < P; p++ {
-			go func(p int) {
-				defer wg.Done()
-				n.sweep(p, step, done)
-			}(p)
-		}
-		wg.Wait()
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		wg.Add(P)
-		for p := 0; p < P; p++ {
-			go func(p int) {
-				defer wg.Done()
-				us := n.Trace.Begin()
-				n.Update(p, step)
-				n.Trace.End(obs.SpanUpdate, p, -1, step, -1, us)
-			}(p)
-		}
-		wg.Wait()
-		if err := ctx.Err(); err != nil {
-			return err
-		}
+	wg.Wait()
+	if err := ctx.Err(); err != nil {
+		return err
 	}
 	return n.verifyErr()
+}
+
+// blockOf adapts a per-iteration contribution function to the block form;
+// stride is NumRef*comp.
+func blockOf(f ContribFunc, stride int) ContribBlockFunc {
+	return func(p int, iters []int32, out []float64) {
+		for j, it := range iters {
+			f(p, int(it), out[j*stride:(j+1)*stride:(j+1)*stride])
+		}
+	}
+}
+
+// scanTargets is CheckTargets' single pass over the schedules. It reports
+// whether every main-loop target and copy pair lies inside its processor's
+// local image (gather targets: inside the rotated array). A schedule whose
+// shape the loops cannot even index — a missing phase or reference, a
+// target list shorter than its iteration list — is an error at once.
+func (n *Native) scanTargets() (clean bool, err error) {
+	cfg := n.Loop.Cfg
+	clean = true
+	for p, s := range n.Scheds {
+		if len(s.Phases) != cfg.NumPhases() {
+			return false, fmt.Errorf("rts: target check: proc %d: schedule has %d phases, want %d", p, len(s.Phases), cfg.NumPhases())
+		}
+		localLen := s.LocalLen()
+		limit := localLen
+		if n.Loop.Mode == Gather {
+			limit = cfg.NumElems
+		}
+		for ph := range s.Phases {
+			prog := &s.Phases[ph]
+			if len(prog.Ind) != len(n.Loop.Ind) {
+				return false, fmt.Errorf("rts: target check: proc %d phase %d: %d references, loop has %d", p, ph, len(prog.Ind), len(n.Loop.Ind))
+			}
+			for r, ind := range prog.Ind {
+				if len(ind) != len(prog.Iters) {
+					return false, fmt.Errorf("rts: target check: proc %d phase %d: reference %d has %d targets for %d iterations", p, ph, r, len(ind), len(prog.Iters))
+				}
+				for _, tgt := range ind {
+					if int(tgt) < 0 || int(tgt) >= limit {
+						clean = false
+					}
+				}
+			}
+			for _, cp := range prog.Copies {
+				if int(cp.Elem) < 0 || int(cp.Elem) >= cfg.NumElems ||
+					int(cp.Buf) < cfg.NumElems || int(cp.Buf) >= localLen {
+					clean = false
+				}
+			}
+		}
+	}
+	return clean, nil
 }
 
 // verifyErr joins the per-processor violations after a run: ownership
@@ -265,34 +340,106 @@ func (n *Native) verifyErr() error {
 	return nil
 }
 
-// sweep runs processor p through timestep step's k*P phases. done, when
-// non-nil, aborts the sweep at the next phase boundary or blocked portion
-// receive; sweep reports whether it ran to completion.
-func (n *Native) sweep(p, step int, done <-chan struct{}) bool {
-	l := n.Loop
-	cfg := l.Cfg
-	comp := l.Cost.comp()
+// nativeRun holds what one RunContext call fixes for all of its workers.
+type nativeRun struct {
+	n     *Native
+	cfg   inspector.Config
+	comp  int
+	x     []float64
+	tr    *obs.Tracer
+	done  <-chan struct{} // nil when the context cannot be cancelled
+	steps int
+	block ContribBlockFunc // reduce mode
+	fast  bool             // unchecked bodies; else the guarded ones
+	bar   *barrier         // nil without an Update hook
+}
+
+// work is processor p's whole run.
+func (r *nativeRun) work(p int) {
+	for step := 0; step < r.steps; step++ {
+		if !r.sweep(p, step) {
+			return
+		}
+		if r.bar == nil {
+			continue
+		}
+		if !r.meet(p, step) {
+			return
+		}
+		us := r.tr.Begin()
+		r.n.Update(p, step)
+		r.tr.End(obs.SpanUpdate, p, -1, step, -1, us)
+		// After the last Update the run's own join is the barrier.
+		if step+1 < r.steps && !r.meet(p, step) {
+			return
+		}
+	}
+}
+
+// meet waits at the barrier, recording the wait; false means cancelled.
+func (r *nativeRun) meet(p, step int) bool {
+	ws := r.tr.Begin()
+	ok := r.bar.wait(p, r.done)
+	r.tr.End(obs.SpanWait, p, -1, step, -1, ws)
+	return ok
+}
+
+// recv takes the next portion arriving at processor p; false means
+// cancelled. The portion is usually there already or microseconds away, so
+// the channel is polled before the worker parks on it.
+func (r *nativeRun) recv(p int) (token, bool) {
+	ch := r.n.chans[p]
+	var tok token
+	if spinUntil(func() bool {
+		select {
+		case tok = <-ch:
+			return true
+		default:
+			return false
+		}
+	}) {
+		return tok, true
+	}
+	select {
+	case tok = <-ch:
+		return tok, true
+	case <-r.done:
+		return token{}, false
+	}
+}
+
+// spinUntil polls ready — busily at first, then yielding the thread
+// between polls — and reports whether it came true before the budget ran
+// out. Parking and waking a goroutine costs tens of microseconds, as much
+// as a phase of a fine-grained sweep; the workers' waits are mostly
+// shorter than that, so they park only after this.
+func spinUntil(ready func() bool) bool {
+	const busy, yielding = 128, 512
+	for i := 0; i < busy+yielding; i++ {
+		if ready() {
+			return true
+		}
+		if i >= busy {
+			runtime.Gosched()
+		}
+	}
+	return false
+}
+
+// sweep runs processor p through timestep step's k*P phases. It reports
+// whether it ran to completion; a cancelled context aborts it at the next
+// phase boundary or blocked portion receive.
+func (r *nativeRun) sweep(p, step int) bool {
+	n, cfg, tr := r.n, r.cfg, r.tr
 	s := n.Scheds[p]
-	buf := n.bufs[p]
 	kp := cfg.NumPhases()
 	prev := (p - 1 + cfg.P) % cfg.P
-	tr := n.Trace
+	reduce := n.Loop.Mode == Reduce
 
-	chk := n.CheckTargets
-	localLen := s.LocalLen()
-
-	// The fold operator. Float addition (the zero value) keeps the tight
-	// `+=` path; licensed non-Add combines fold through op.Fold with
-	// identity-seeded buffer slots.
-	op := l.Combine
-	add := op.Kind == algebra.Add
-	ident, _ := op.Identity()
-
-	scratch := make([]float64, len(l.Ind)*comp)
 	for ph := 0; ph < kp; ph++ {
-		if done != nil {
+		if r.done != nil {
 			select {
-			case <-done:
+			case <-r.done:
 				return false
 			default:
 			}
@@ -302,113 +449,36 @@ func (n *Native) sweep(p, step int, done <-chan struct{}) bool {
 		// phases receive their portion from processor p+1, in phase order.
 		if ph >= cfg.K {
 			ws := tr.Begin()
-			var tok token
-			if done == nil {
-				tok = <-n.chans[p]
-			} else {
-				select {
-				case tok = <-n.chans[p]:
-				case <-done:
-					return false
-				}
+			tok, ok := r.recv(p)
+			if !ok {
+				return false
 			}
 			tr.End(obs.SpanWait, p, ph, step, tok.portion, ws)
 		}
 
 		portion := cfg.PortionAt(p, ph)
 		prog := &s.Phases[ph]
-		cs := tr.Begin()
 		// Second (copy) loop: fold buffered contributions into the
 		// just-arrived portion and clear the slots for the next sweep.
-		for _, cp := range prog.Copies {
-			if n.Verify {
-				if int(cp.Buf) < cfg.NumElems || int(cp.Buf) >= localLen {
-					n.verifyFail(p, "proc %d phase %d: drain reads %d outside the buffer [%d,%d)", p, ph, cp.Buf, cfg.NumElems, localLen)
-					continue
-				}
-				if own := cfg.PhaseOf(p, int(cp.Elem)); own != ph {
-					n.verifyFail(p, "proc %d phase %d: drain writes element %d, whose portion is owned in phase %d", p, ph, cp.Elem, own)
-				}
-			}
-			if chk && (int(cp.Elem) < 0 || int(cp.Elem) >= cfg.NumElems ||
-				int(cp.Buf) < cfg.NumElems || int(cp.Buf) >= localLen) {
-				n.checkFail(p, "proc %d phase %d: drain %d -> %d outside image (elems %d, local %d)",
-					p, ph, cp.Buf, cp.Elem, cfg.NumElems, localLen)
-				continue
-			}
-			eb := int(cp.Elem) * comp
-			bb := (int(cp.Buf) - cfg.NumElems) * comp
-			for c := 0; c < comp; c++ {
-				if add {
-					n.X[eb+c] += buf[bb+c]
-					buf[bb+c] = 0
-				} else {
-					n.X[eb+c] = op.Fold(n.X[eb+c], buf[bb+c])
-					buf[bb+c] = ident
-				}
-			}
+		cs := tr.Begin()
+		if r.fast {
+			r.drainFast(p, prog)
+		} else {
+			r.drainGuarded(p, ph, prog)
 		}
 		tr.End(obs.SpanCopy, p, ph, step, portion, cs)
 
 		// Main loop.
 		ms := tr.Begin()
-		switch l.Mode {
-		case Reduce:
-			for j, it := range prog.Iters {
-				n.Contribs(p, int(it), scratch)
-				for r := range prog.Ind {
-					tgt := int(prog.Ind[r][j])
-					if chk && (tgt < 0 || tgt >= localLen) {
-						n.checkFail(p, "proc %d phase %d: iteration %d writes %d outside the local image [0,%d)", p, ph, it, tgt, localLen)
-						continue
-					}
-					if tgt < cfg.NumElems {
-						if n.Verify {
-							if own := cfg.PhaseOf(p, tgt); own != ph {
-								n.verifyFail(p, "proc %d phase %d: iteration %d writes element %d, whose portion is owned in phase %d", p, ph, it, tgt, own)
-							}
-						}
-						for c := 0; c < comp; c++ {
-							if add {
-								n.X[tgt*comp+c] += scratch[r*comp+c]
-							} else {
-								n.X[tgt*comp+c] = op.Fold(n.X[tgt*comp+c], scratch[r*comp+c])
-							}
-						}
-					} else {
-						if n.Verify && tgt >= localLen {
-							n.verifyFail(p, "proc %d phase %d: iteration %d writes %d outside the local image [0,%d)", p, ph, it, tgt, localLen)
-							continue
-						}
-						bb := (tgt - cfg.NumElems) * comp
-						for c := 0; c < comp; c++ {
-							if add {
-								buf[bb+c] += scratch[r*comp+c]
-							} else {
-								buf[bb+c] = op.Fold(buf[bb+c], scratch[r*comp+c])
-							}
-						}
-					}
-				}
-			}
-		case Gather:
-			for j, it := range prog.Iters {
-				tgt := int(prog.Ind[0][j])
-				if chk && (tgt < 0 || tgt >= cfg.NumElems) {
-					n.checkFail(p, "proc %d phase %d: iteration %d gathers %d outside the rotated array [0,%d)", p, ph, it, tgt, cfg.NumElems)
-					continue
-				}
-				if n.Verify {
-					if tgt >= cfg.NumElems {
-						n.verifyFail(p, "proc %d phase %d: iteration %d gathers %d outside the rotated array [0,%d)", p, ph, it, tgt, cfg.NumElems)
-						continue
-					}
-					if own := cfg.PhaseOf(p, tgt); own != ph {
-						n.verifyFail(p, "proc %d phase %d: iteration %d gathers element %d, whose portion is owned in phase %d", p, ph, it, tgt, own)
-					}
-				}
-				n.Consume(p, int(it), n.X[tgt*comp:tgt*comp+comp])
-			}
+		switch {
+		case reduce && r.fast:
+			r.reduceFast(p, prog)
+		case reduce:
+			r.reduceGuarded(p, ph, prog)
+		case r.fast:
+			r.gatherFast(p, prog)
+		default:
+			r.gatherGuarded(p, ph, prog)
 		}
 		tr.End(obs.SpanCompute, p, ph, step, portion, ms)
 
@@ -421,17 +491,276 @@ func (n *Native) sweep(p, step int, done <-chan struct{}) bool {
 	// only after all contributions to the home block have landed.
 	for i := 0; i < cfg.K; i++ {
 		ws := tr.Begin()
-		var tok token
-		if done == nil {
-			tok = <-n.chans[p]
-		} else {
-			select {
-			case tok = <-n.chans[p]:
-			case <-done:
-				return false
-			}
+		tok, ok := r.recv(p)
+		if !ok {
+			return false
 		}
 		tr.End(obs.SpanWait, p, -1, step, tok.portion, ws)
 	}
 	return true
+}
+
+// slot resolves local index tgt of a processor's image to the array that
+// holds it — the rotated array or the processor's remote buffer — and the
+// element's position there.
+func slot(x, buf []float64, tgt, numElems int) ([]float64, int) {
+	if tgt < numElems {
+		return x, tgt
+	}
+	return buf, tgt - numElems
+}
+
+// reduceFast is the main loop of a float-add phase whose targets need no
+// guard. Contributions arrive a block at a time; the fold stays
+// iteration-major, reference by reference, so the order in which sums meet
+// an element — and with it every bit of the result — is the sequential
+// phase program's.
+func (r *nativeRun) reduceFast(p int, prog *inspector.PhaseProgram) {
+	x, buf, arena := r.x, r.n.bufs[p], r.n.arenas[p]
+	comp, numElems := r.comp, r.cfg.NumElems
+	stride := len(prog.Ind) * comp
+	for lo := 0; lo < len(prog.Iters); lo += blockIters {
+		hi := min(lo+blockIters, len(prog.Iters))
+		out := arena[:(hi-lo)*stride]
+		r.block(p, prog.Iters[lo:hi], out)
+		if comp == 3 {
+			// Three-component elements (euler's residual, moldyn's force)
+			// fold without the component loop: on the 2k mesh the loop
+			// costs as much as the additions it controls.
+			for j := lo; j < hi; j++ {
+				for _, ind := range prog.Ind {
+					dst, e := slot(x, buf, int(ind[j]), numElems)
+					d, s := (*[3]float64)(dst[3*e:]), (*[3]float64)(out)
+					d[0] += s[0]
+					d[1] += s[1]
+					d[2] += s[2]
+					out = out[3:]
+				}
+			}
+			continue
+		}
+		for j := lo; j < hi; j++ {
+			for _, ind := range prog.Ind {
+				dst, e := slot(x, buf, int(ind[j]), numElems)
+				d := dst[e*comp:][:comp]
+				for c, v := range out[:comp] {
+					d[c] += v
+				}
+				out = out[comp:]
+			}
+		}
+	}
+}
+
+// reduceGuarded is the main loop for everything reduceFast does not take:
+// Verify runs, non-Add combines folding through op.Fold, and schedules the
+// target scan found dirty. Every access is checked as the flags ask; an
+// offending one is skipped and recorded.
+func (r *nativeRun) reduceGuarded(p, ph int, prog *inspector.PhaseProgram) {
+	n, cfg := r.n, r.cfg
+	x, buf, arena := r.x, n.bufs[p], n.arenas[p]
+	comp := r.comp
+	stride := len(prog.Ind) * comp
+	chk, verify := n.CheckTargets, n.Verify
+	localLen := n.Scheds[p].LocalLen()
+	op := n.Loop.Combine
+	add := op.Kind == algebra.Add
+
+	for lo := 0; lo < len(prog.Iters); lo += blockIters {
+		hi := min(lo+blockIters, len(prog.Iters))
+		out := arena[:(hi-lo)*stride]
+		r.block(p, prog.Iters[lo:hi], out)
+		for j := lo; j < hi; j++ {
+			it := prog.Iters[j]
+			scratch := out[(j-lo)*stride:][:stride]
+			for ref := range prog.Ind {
+				tgt := int(prog.Ind[ref][j])
+				if chk && (tgt < 0 || tgt >= localLen) {
+					n.checkFail(p, "proc %d phase %d: iteration %d writes %d outside the local image [0,%d)", p, ph, it, tgt, localLen)
+					continue
+				}
+				dst := x
+				db := tgt * comp
+				if tgt < cfg.NumElems {
+					if verify {
+						if own := cfg.PhaseOf(p, tgt); own != ph {
+							n.verifyFail(p, "proc %d phase %d: iteration %d writes element %d, whose portion is owned in phase %d", p, ph, it, tgt, own)
+						}
+					}
+				} else {
+					if verify && tgt >= localLen {
+						n.verifyFail(p, "proc %d phase %d: iteration %d writes %d outside the local image [0,%d)", p, ph, it, tgt, localLen)
+						continue
+					}
+					dst = buf
+					db = (tgt - cfg.NumElems) * comp
+				}
+				for c := 0; c < comp; c++ {
+					if add {
+						dst[db+c] += scratch[ref*comp+c]
+					} else {
+						dst[db+c] = op.Fold(dst[db+c], scratch[ref*comp+c])
+					}
+				}
+			}
+		}
+	}
+}
+
+// drainFast is the copy loop beside reduceFast: float add, pairs in range.
+func (r *nativeRun) drainFast(p int, prog *inspector.PhaseProgram) {
+	x, buf := r.x, r.n.bufs[p]
+	comp, numElems := r.comp, r.cfg.NumElems
+	for _, cp := range prog.Copies {
+		dst := x[int(cp.Elem)*comp:][:comp]
+		src := buf[(int(cp.Buf)-numElems)*comp:][:comp]
+		for c, v := range src {
+			dst[c] += v
+			src[c] = 0
+		}
+	}
+}
+
+// drainGuarded is the copy loop beside reduceGuarded.
+func (r *nativeRun) drainGuarded(p, ph int, prog *inspector.PhaseProgram) {
+	n, cfg := r.n, r.cfg
+	x, buf := r.x, n.bufs[p]
+	comp := r.comp
+	chk, verify := n.CheckTargets, n.Verify
+	localLen := n.Scheds[p].LocalLen()
+	op := n.Loop.Combine
+	add := op.Kind == algebra.Add
+	ident, _ := op.Identity()
+
+	for _, cp := range prog.Copies {
+		if verify {
+			if int(cp.Buf) < cfg.NumElems || int(cp.Buf) >= localLen {
+				n.verifyFail(p, "proc %d phase %d: drain reads %d outside the buffer [%d,%d)", p, ph, cp.Buf, cfg.NumElems, localLen)
+				continue
+			}
+			if own := cfg.PhaseOf(p, int(cp.Elem)); own != ph {
+				n.verifyFail(p, "proc %d phase %d: drain writes element %d, whose portion is owned in phase %d", p, ph, cp.Elem, own)
+			}
+		}
+		if chk && (int(cp.Elem) < 0 || int(cp.Elem) >= cfg.NumElems ||
+			int(cp.Buf) < cfg.NumElems || int(cp.Buf) >= localLen) {
+			n.checkFail(p, "proc %d phase %d: drain %d -> %d outside image (elems %d, local %d)",
+				p, ph, cp.Buf, cp.Elem, cfg.NumElems, localLen)
+			continue
+		}
+		eb := int(cp.Elem) * comp
+		bb := (int(cp.Buf) - cfg.NumElems) * comp
+		for c := 0; c < comp; c++ {
+			if add {
+				x[eb+c] += buf[bb+c]
+				buf[bb+c] = 0
+			} else {
+				x[eb+c] = op.Fold(x[eb+c], buf[bb+c])
+				buf[bb+c] = ident
+			}
+		}
+	}
+}
+
+// gatherFast is the gather-mode main loop over targets that need no guard.
+func (r *nativeRun) gatherFast(p int, prog *inspector.PhaseProgram) {
+	x, comp, consume := r.x, r.comp, r.n.Consume
+	ind := prog.Ind[0]
+	for j, it := range prog.Iters {
+		tb := int(ind[j]) * comp
+		consume(p, int(it), x[tb:tb+comp])
+	}
+}
+
+// gatherGuarded is the gather-mode main loop for Verify runs and schedules
+// the target scan found dirty.
+func (r *nativeRun) gatherGuarded(p, ph int, prog *inspector.PhaseProgram) {
+	n, cfg := r.n, r.cfg
+	comp := r.comp
+	chk, verify := n.CheckTargets, n.Verify
+	for j, it := range prog.Iters {
+		tgt := int(prog.Ind[0][j])
+		if chk && (tgt < 0 || tgt >= cfg.NumElems) {
+			n.checkFail(p, "proc %d phase %d: iteration %d gathers %d outside the rotated array [0,%d)", p, ph, it, tgt, cfg.NumElems)
+			continue
+		}
+		if verify {
+			if tgt >= cfg.NumElems {
+				n.verifyFail(p, "proc %d phase %d: iteration %d gathers %d outside the rotated array [0,%d)", p, ph, it, tgt, cfg.NumElems)
+				continue
+			}
+			if own := cfg.PhaseOf(p, tgt); own != ph {
+				n.verifyFail(p, "proc %d phase %d: iteration %d gathers element %d, whose portion is owned in phase %d", p, ph, it, tgt, own)
+			}
+		}
+		n.Consume(p, int(it), r.x[tgt*comp:tgt*comp+comp])
+	}
+}
+
+// barrier is a reusable barrier for a fixed set of workers. A sweep's
+// stragglers are microseconds apart, so a waiter first spins, then yields
+// its thread, and only then parks on its own wake channel, where a closed
+// done channel releases it too. All state is atomic: the last arrival's
+// generation bump is the happens-before edge from every worker's work
+// before the barrier to every worker's work after it.
+type barrier struct {
+	arrived atomic.Int32
+	gen     atomic.Uint32
+	slots   []barrierSlot // one per worker
+}
+
+type barrierSlot struct {
+	parked atomic.Bool
+	wake   chan struct{} // capacity 1: at most one release per parking
+	_      [48]byte      // keep neighbours' flags off this cache line
+}
+
+func newBarrier(workers int) *barrier {
+	b := &barrier{slots: make([]barrierSlot, workers)}
+	for i := range b.slots {
+		b.slots[i].wake = make(chan struct{}, 1)
+	}
+	return b
+}
+
+// wait blocks worker p until every worker has arrived, or done is closed;
+// it reports which. After a false return the barrier is broken for good.
+func (b *barrier) wait(p int, done <-chan struct{}) bool {
+	gen := b.gen.Load()
+	if int(b.arrived.Add(1)) == len(b.slots) {
+		b.arrived.Store(0)
+		b.gen.Add(1)
+		for i := range b.slots {
+			if s := &b.slots[i]; s.parked.CompareAndSwap(true, false) {
+				s.wake <- struct{}{}
+			}
+		}
+		return true
+	}
+	if spinUntil(func() bool { return b.gen.Load() != gen }) {
+		return true
+	}
+	s := &b.slots[p]
+	for {
+		s.parked.Store(true)
+		if b.gen.Load() != gen {
+			// Released between the last poll and parking. Whoever clears
+			// the flag owns the wake-up: if a releaser got there first its
+			// token is on the way and must not be left for the next barrier.
+			if !s.parked.CompareAndSwap(true, false) {
+				<-s.wake
+			}
+			return true
+		}
+		select {
+		case <-s.wake:
+			if b.gen.Load() != gen {
+				return true
+			}
+			// The previous generation's releaser, still walking the slots,
+			// took this parking for one of its own: park again.
+		case <-done:
+			return false
+		}
+	}
 }

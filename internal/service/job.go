@@ -13,6 +13,7 @@ import (
 
 	"irred/internal/fault"
 	"irred/internal/inspector"
+	"irred/internal/rts"
 )
 
 // State is a job's lifecycle position.
@@ -388,6 +389,40 @@ func (sp *JobSpec) contribFor(l int) func(p, i int, out []float64) {
 		return func(_, i int, out []float64) {
 			out[0] = w[i]
 			out[1] = -w[i]
+		}
+	}
+}
+
+// contribBlockFor is contribFor in the block form the native engine
+// drives: the contributions of a run of scheduled iterations written
+// straight into the engine's block, no closure call per iteration. Raw
+// jobs reduce scalars, so out holds numRef slots per iteration.
+func (sp *JobSpec) contribBlockFor(l int) rts.ContribBlockFunc {
+	numRef := len(sp.loopInd(l))
+	c := sp.loopContrib(l)
+	switch c.Kind {
+	case "ones":
+		return func(_ int, _ []int32, out []float64) {
+			for i := range out {
+				out[i] = 1
+			}
+		}
+	case "weights":
+		w := c.Weights
+		return func(_ int, iters []int32, out []float64) {
+			for j, it := range iters {
+				row := out[j*numRef : (j+1)*numRef]
+				for r := range row {
+					row[r] = w[it]
+				}
+			}
+		}
+	default: // "pair"
+		w := c.Weights
+		return func(_ int, iters []int32, out []float64) {
+			for j, it := range iters {
+				out[2*j], out[2*j+1] = w[it], -w[it]
+			}
 		}
 	}
 }

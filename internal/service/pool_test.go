@@ -23,13 +23,14 @@ func TestPoolSurvivesPanickingJobs(t *testing.T) {
 	var ran atomic.Int64
 	var wg sync.WaitGroup
 	p := newPool(workers, n*2, func(j *Job) {
-		defer wg.Done()
 		if j.Spec.Kernel == "boom" {
 			panic("poisoned job " + j.ID)
 		}
 		ran.Add(1)
+		wg.Done()
 	}, func(j *Job, v any, stack []byte) {
 		recovered.Add(1)
+		wg.Done()
 	})
 	defer p.close()
 
@@ -41,8 +42,8 @@ func TestPoolSurvivesPanickingJobs(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// The deferred wg.Done fires even on the panic path, so this waits for
-	// all panicking jobs to have been recovered.
+	// A panicking job is done once its panic has been recovered and
+	// counted, so this waits for all of them.
 	waitDone(t, &wg)
 	if got := recovered.Load(); got != n {
 		t.Fatalf("recovered %d panics, want %d", got, n)

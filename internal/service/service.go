@@ -682,7 +682,6 @@ func (s *Service) executeRaw(j *Job, dist inspector.Dist, steps int) (result []f
 	if err != nil {
 		return nil, hit, key, err
 	}
-	contrib := spec.contrib()
 	runCtx := j.ctx
 	var pmu sync.Mutex
 	var panicVal any
@@ -691,8 +690,10 @@ func (s *Service) executeRaw(j *Job, dist inspector.Dist, steps int) (result []f
 		ctx2, cancel := context.WithCancel(j.ctx)
 		defer cancel()
 		runCtx = ctx2
-		base := contrib
-		contrib = func(p, i int, out []float64) {
+		// A chaos job runs the per-iteration form: the injector rolls its
+		// kernel panics per (processor, iteration).
+		base := spec.contrib()
+		n.Contribs = func(p, i int, out []float64) {
 			defer func() {
 				if r := recover(); r != nil {
 					pmu.Lock()
@@ -709,8 +710,9 @@ func (s *Service) executeRaw(j *Job, dist inspector.Dist, steps int) (result []f
 			inj.KernelPanic(p, i)
 			base(p, i, out)
 		}
+	} else {
+		n.ContribBlock = spec.contribBlockFor(0)
 	}
-	n.Contribs = contrib
 	if seed != nil {
 		copy(n.X, seed)
 	}
@@ -786,7 +788,7 @@ func (s *Service) executeRawMulti(j *Job, dist inspector.Dist, steps int) (resul
 		if err != nil {
 			return nil, hit, key, err
 		}
-		n.Contribs = spec.contribFor(li)
+		n.ContribBlock = spec.contribBlockFor(li)
 		n.X = x
 		natives[li] = n
 	}

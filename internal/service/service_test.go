@@ -319,3 +319,42 @@ func TestFinishedJobPruning(t *testing.T) {
 		t.Fatal("newest finished job pruned")
 	}
 }
+
+// TestContribBlockMatchesContrib: every built-in contribution kind gives
+// the same values in block form as in per-iteration form, and the executor
+// — which drives the block form — reproduces the sequential oracle.
+func TestContribBlockMatchesContrib(t *testing.T) {
+	s := newTestService(t, Options{Workers: 2})
+	for _, kind := range []string{"ones", "weights", "pair"} {
+		spec := rawSpec(21, 3, 2, 700, 50, 2)
+		spec.Contrib = &ContribSpec{Kind: kind, Weights: spec.Contrib.Weights}
+		if kind == "ones" {
+			spec.Contrib.Weights = nil
+		}
+		per, block := spec.contribFor(0), spec.contribBlockFor(0)
+		iters := make([]int32, spec.NumIters)
+		for i := range iters {
+			iters[i] = int32(spec.NumIters - 1 - i)
+		}
+		got, want := make([]float64, 2*len(iters)), make([]float64, 2)
+		block(0, iters, got)
+		for j, it := range iters {
+			per(0, int(it), want)
+			if got[2*j] != want[0] || got[2*j+1] != want[1] {
+				t.Fatalf("%s iteration %d: block %v, per-iteration %v", kind, it, got[2*j:2*j+2], want)
+			}
+		}
+
+		oracle, err := spec.SequentialRaw()
+		if err != nil {
+			t.Fatal(err)
+		}
+		j, err := s.Submit(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st := waitJob(t, j); st.State != StateDone || st.ResultSHA256 != HashResult(oracle) {
+			t.Fatalf("%s: job %s (%s), sha %s, oracle %s", kind, st.State, st.Error, st.ResultSHA256, HashResult(oracle))
+		}
+	}
+}

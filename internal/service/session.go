@@ -530,9 +530,9 @@ func (s *Service) runSession(ctx context.Context, sess *Session) error {
 	}
 	scheds := sess.scheds
 	nLoops := spec.numLoops()
-	contribs := make([]rts.ContribFunc, nLoops)
+	contribs := make([]rts.ContribBlockFunc, nLoops)
 	for li := 0; li < nLoops; li++ {
-		contribs[li] = spec.contribFor(li)
+		contribs[li] = spec.contribBlockFor(li)
 	}
 	steps := spec.steps()
 	sess.mu.Unlock()
@@ -551,7 +551,7 @@ func (s *Service) runSession(ctx context.Context, sess *Session) error {
 		if err != nil {
 			return err
 		}
-		n.Contribs = contribs[li]
+		n.ContribBlock = contribs[li]
 		n.X = x
 		natives[li] = n
 	}
