@@ -1,0 +1,171 @@
+package cluster
+
+import (
+	"bytes"
+	"encoding/json"
+	"io"
+	"net/http"
+	"reflect"
+	"strings"
+	"testing"
+
+	"irred/internal/service"
+)
+
+// TestStampClusterUID: the splice leaves the client's bytes alone, decodes
+// to the same spec with only cluster_uid changed, and copes with every
+// shape of object tail the decoder accepts.
+func TestStampClusterUID(t *testing.T) {
+	full := string(mustJSON(t, clusterRawSpec(3, 40, 9, 2)))
+	for _, body := range []string{
+		`{}`,
+		"{ \n}",
+		`{"p":4,"k":2}`,
+		full,
+		full + " \r\n\t",
+		"  " + full + `{"p":1}`,
+		`{"p":4,"cluster_uid":""}`,
+		`{"cluster_uid":"","p":4}`,
+		`{"p":4,"cluster_uid":"client-chosen"}`,
+		`{"kernel":"}{"}`,
+	} {
+		want, end, err := decodeSpec([]byte(body))
+		if err != nil {
+			t.Fatalf("%s: %v", body, err)
+		}
+		stamped := stampClusterUID([]byte(body[:end]), "0123abcd")
+		if !bytes.HasPrefix(stamped, []byte(body[:end-1])) {
+			t.Fatalf("%s: stamp rewrote the spec's bytes: %s", body, stamped)
+		}
+		var got service.JobSpec
+		if err := json.Unmarshal(stamped, &got); err != nil {
+			t.Fatalf("%s: stamped body %s: %v", body, stamped, err)
+		}
+		want.ClusterUID = "0123abcd"
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: stamped body decodes to %+v, want %+v", body, got, want)
+		}
+	}
+	if got := stampClusterUID([]byte("null"), "0123abcd"); string(got) != "null" {
+		t.Fatalf("a body that is no object was stamped: %s", got)
+	}
+}
+
+func mustJSON(t *testing.T, v any) []byte {
+	t.Helper()
+	b, err := json.Marshal(v)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
+// post sends body and returns the status code and the response body.
+func post(t *testing.T, url string, body []byte) (int, []byte) {
+	t.Helper()
+	resp, err := http.Post(url, "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	raw, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return resp.StatusCode, raw
+}
+
+// TestClusterBadSpecAnswersJSON: encoding/json's message for an unknown
+// field quotes the field name; the router's 400 must still be JSON.
+func TestClusterBadSpecAnswersJSON(t *testing.T) {
+	fleet := startFleet(t, []string{"n1", "n2"}, nil, nil)
+	for _, path := range []string{"/v1/jobs", "/v1/cluster/route"} {
+		code, raw := post(t, fleet["n1"].url+path, []byte(`{"p":4,"k":2,"stesp":3}`))
+		var body struct {
+			Error string `json:"error"`
+		}
+		if err := json.Unmarshal(raw, &body); err != nil {
+			t.Fatalf("%s: 400 body is not JSON: %v: %s", path, err, raw)
+		}
+		if code != http.StatusBadRequest || !strings.Contains(body.Error, `unknown field "stesp"`) {
+			t.Fatalf("%s: HTTP %d %q", path, code, body.Error)
+		}
+	}
+}
+
+// TestSpecEndpointsAgree: a body is a job spec or it is not, whichever
+// endpoint reads it. The routing debug endpoint used to decode laxly, so a
+// typo'd spec routed and then failed to submit.
+func TestSpecEndpointsAgree(t *testing.T) {
+	fleet := startFleet(t, []string{"n1"}, nil, nil)
+	url := fleet["n1"].url
+	good := string(mustJSON(t, clusterRawSpec(5, 60, 11, 2)))
+	field := func(from, to string) string {
+		if !strings.Contains(good, from) {
+			t.Fatalf("spec has no %s", from)
+		}
+		return strings.Replace(good, from, to, 1)
+	}
+	indented := &bytes.Buffer{}
+	if err := json.Indent(indented, []byte(good), "", "\t"); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name, body string
+		ok         bool
+	}{
+		{"canonical", good, true},
+		{"indented", indented.String(), true},
+		{"upper-case key", field(`"ind":`, `"IND":`), true},
+		{"duplicate key", field(`"p":4`, `"p":1,"p":4`), true},
+		{"null scalar", field(`"p":4`, `"p":4,"timeout_ms":null`), true},
+		{"typo'd field", field(`"steps":`, `"stesp":`), false},
+		{"typo'd nested field", field(`"weights":`, `"wieghts":`), false},
+		{"string for int", field(`"p":4`, `"p":"4"`), false},
+		{"fraction in ind", field(`"ind":[[`, `"ind":[[0.5,`), false},
+		{"int32 overflow in ind", field(`"ind":[[`, `"ind":[[2147483648,`), false},
+		{"truncated", good[:len(good)/2], false},
+	} {
+		for _, path := range []string{"/v1/jobs", "/v1/cluster/route", "/v1/session?result=0"} {
+			code, raw := post(t, url+path, []byte(tc.body))
+			if ok := code < 300; ok != tc.ok || (!ok && code != http.StatusBadRequest) {
+				t.Errorf("%s: POST %s answered %d: %s", tc.name, path, code, raw)
+			}
+		}
+	}
+}
+
+// TestClusterForwardStampsClientBytes: a job forwarded by a non-owner
+// arrives at the owner carrying a router-minted cluster_uid — also when the
+// client sent an explicit empty one — and still computes the oracle.
+func TestClusterForwardStampsClientBytes(t *testing.T) {
+	fleet := startFleet(t, []string{"n1", "n2", "n3"}, nil, nil)
+	spec := clusterRawSpec(9, 900, 101, 2)
+	_, owner, _ := routeFor(t, fleet["n1"].url, spec)
+	via := "n1"
+	if owner == via {
+		via = "n2"
+	}
+	canonical := string(mustJSON(t, spec))
+	for _, body := range []string{
+		canonical,
+		`{"cluster_uid":"",` + canonical[1:],
+	} {
+		code, raw := post(t, fleet[via].url+"/v1/jobs?wait=1", []byte(body))
+		var st service.JobStatus
+		if err := json.Unmarshal(raw, &st); err != nil || code != http.StatusOK {
+			t.Fatalf("HTTP %d: %v: %s", code, err, raw)
+		}
+		checkResult(t, spec, st)
+		j, ok := fleet[owner].svc.Job(st.ID)
+		if !ok {
+			t.Fatalf("owner %s has no job %s", owner, st.ID)
+		}
+		if uid := j.Spec.ClusterUID; len(uid) != 24 || strings.Trim(uid, "0123456789abcdef") != "" {
+			t.Fatalf("owner-side cluster_uid = %q, want the router's 24 hex digits", uid)
+		}
+	}
+	if snap := fleet[via].node.ClusterSnapshot(); snap.Forwards != 2 || snap.Failovers != 0 {
+		t.Fatalf("forwards = %d, failovers = %d", snap.Forwards, snap.Failovers)
+	}
+}

@@ -372,28 +372,22 @@ func (n *Node) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	if ok, retry := n.tenants.Allow(r.Header.Get("X-Irred-Tenant")); !ok {
 		n.ctrs.tenantSheds.Add(1)
 		w.Header().Set("Retry-After", strconv.Itoa(retry))
-		http.Error(w, `{"error":"tenant rate limit"}`, http.StatusTooManyRequests)
+		writeError(w, http.StatusTooManyRequests, "tenant rate limit")
 		return
 	}
 	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxForwardBody))
 	if err != nil {
-		http.Error(w, `{"error":"reading job spec"}`, http.StatusBadRequest)
+		writeError(w, http.StatusBadRequest, "reading job spec: "+err.Error())
 		return
 	}
-	var spec service.JobSpec
-	dec := json.NewDecoder(bytes.NewReader(body))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&spec); err != nil {
-		http.Error(w, `{"error":"decoding job spec: `+err.Error()+`"}`, http.StatusBadRequest)
+	spec, end, err := decodeSpec(body)
+	if err != nil {
+		writeError(w, http.StatusBadRequest, "decoding job spec: "+err.Error())
 		return
 	}
 	key := spec.RoutingKey()
 	order := n.ring().Order(key)
-	if len(order) == 0 || (len(order) == 1 && order[0] == n.cfg.Self) {
-		n.serveLocal(w, r, body)
-		return
-	}
-	if order[0] == n.cfg.Self {
+	if len(order) == 0 || order[0] == n.cfg.Self {
 		n.serveLocal(w, r, body)
 		return
 	}
@@ -409,12 +403,40 @@ func (n *Node) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	// Stamp the idempotency UID before the first hop so every retry and
 	// every failover of this submission dedupes on the owner side.
 	if spec.ClusterUID == "" {
-		spec.ClusterUID = newClusterUID()
-		if stamped, err := json.Marshal(spec); err == nil {
-			body = stamped
-		}
+		body = stampClusterUID(body[:end], newClusterUID())
 	}
 	n.forward(w, r, order, body, key)
+}
+
+// decodeSpec decodes the job spec at the head of body — JobSpec's own
+// Unmarshaler, so exactly as strictly as the service will — and returns
+// where its JSON value ends.
+func decodeSpec(body []byte) (spec service.JobSpec, end int, err error) {
+	dec := json.NewDecoder(bytes.NewReader(body))
+	err = dec.Decode(&spec)
+	return spec, int(dec.InputOffset()), err
+}
+
+// stampClusterUID returns spec, the bytes of one JSON object, with a
+// cluster_uid member spliced in before its closing brace: the router has
+// decoded the spec once for its routing key and never encodes it again, so
+// the owner reads the client's own bytes. encoding/json lets the last of
+// two equal keys win, which overrides the empty cluster_uid a client may
+// have sent. uid is hex and needs no escaping. Bytes that are not an
+// object (null) go out as they are, for the owner to refuse.
+func stampClusterUID(spec []byte, uid string) []byte {
+	last := len(spec) - 1
+	if last < 1 || spec[last] != '}' {
+		return spec
+	}
+	out := make([]byte, 0, len(spec)+len(uid)+len(`,"cluster_uid":""`))
+	out = append(out, spec[:last]...)
+	if !bytes.HasSuffix(bytes.TrimRight(out, " \t\r\n"), []byte("{")) {
+		out = append(out, ',')
+	}
+	out = append(out, `"cluster_uid":"`...)
+	out = append(out, uid...)
+	return append(out, `"}`...)
 }
 
 // serveLocal runs the (possibly restamped) submission on the attached
@@ -434,7 +456,7 @@ func (n *Node) serveLocal(w http.ResponseWriter, r *http.Request, body []byte) {
 func (n *Node) handleRoute(w http.ResponseWriter, r *http.Request) {
 	var spec service.JobSpec
 	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxForwardBody)).Decode(&spec); err != nil {
-		http.Error(w, `{"error":"decoding job spec"}`, http.StatusBadRequest)
+		writeError(w, http.StatusBadRequest, "decoding job spec: "+err.Error())
 		return
 	}
 	key := spec.RoutingKey()
@@ -491,4 +513,11 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
 	json.NewEncoder(w).Encode(v)
+}
+
+// writeError answers with the service's error body, {"error": msg}.
+func writeError(w http.ResponseWriter, code int, msg string) {
+	writeJSON(w, code, struct {
+		Error string `json:"error"`
+	}{msg})
 }

@@ -213,9 +213,7 @@ func relayResponse(w http.ResponseWriter, resp *http.Response, target string) er
 }
 
 func writeGatewayError(w http.ResponseWriter, msg string) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(http.StatusBadGateway)
-	fmt.Fprintf(w, "{\"error\":%q}\n", msg)
+	writeError(w, http.StatusBadGateway, msg)
 }
 
 // backoff is the jittered retry delay for attempt n (1-based): equal

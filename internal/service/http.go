@@ -124,10 +124,8 @@ func (s *Service) handleTrace(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Service) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	var spec JobSpec
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxJobBody))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&spec); err != nil {
+	var spec JobSpec // its UnmarshalJSON rejects unknown fields itself
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxJobBody)).Decode(&spec); err != nil {
 		writeError(w, http.StatusBadRequest, "decoding job spec: "+err.Error())
 		return
 	}

@@ -1,6 +1,7 @@
 package service
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"io"
@@ -37,10 +38,8 @@ func writeSessionError(w http.ResponseWriter, err error) {
 }
 
 func (s *Service) handleSessionOpen(w http.ResponseWriter, r *http.Request) {
-	var spec JobSpec
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxJobBody))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&spec); err != nil {
+	var spec JobSpec // its UnmarshalJSON rejects unknown fields itself
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxJobBody)).Decode(&spec); err != nil {
 		writeError(w, http.StatusBadRequest, "decoding session spec: "+err.Error())
 		return
 	}
@@ -83,7 +82,7 @@ func (s *Service) handleSessionDelta(w http.ResponseWriter, r *http.Request) {
 		}
 	} else {
 		d = new(Delta)
-		dec := json.NewDecoder(strings.NewReader(string(body)))
+		dec := json.NewDecoder(bytes.NewReader(body))
 		dec.DisallowUnknownFields()
 		if err := dec.Decode(d); err != nil {
 			writeError(w, http.StatusBadRequest, "decoding delta: "+err.Error())

@@ -177,6 +177,28 @@ func (sp *JobSpec) RoutingKey() string {
 	}, sp.Ind...)
 }
 
+// releaseArrays drops the indirection and weight arrays and keeps every
+// scalar. The spec was handed over by value, so the caller still shares the
+// ContribSpec pointers and the Loops backing array: they are replaced, not
+// written through.
+func (sp *JobSpec) releaseArrays() {
+	kindOnly := func(c *ContribSpec) *ContribSpec {
+		if c == nil {
+			return nil
+		}
+		return &ContribSpec{Kind: c.Kind}
+	}
+	sp.Ind = nil
+	sp.Contrib = kindOnly(sp.Contrib)
+	if sp.Loops != nil {
+		loops := make([]LoopSpec, len(sp.Loops))
+		for l := range loops {
+			loops[l].Contrib = kindOnly(sp.Loops[l].Contrib)
+		}
+		sp.Loops = loops
+	}
+}
+
 // numLoops returns how many loops a raw job runs per sweep (at least 1:
 // a spec without Loops is the single-loop program it always was).
 func (sp *JobSpec) numLoops() int {

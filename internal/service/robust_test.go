@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math/rand"
 	"os"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -35,33 +36,40 @@ func robustSpec(seed int64, steps int) JobSpec {
 }
 
 // TestCheckpointRoundTrip pins the IRCJ file format: write, read back,
-// verify every field survives bit-exactly.
+// verify every field survives bit-exactly. The stored spec is JSON and is
+// read back by JobSpec's own decoder: a plain spec on its hand-written
+// path, one carrying a chaos spec through the encoding/json fallback.
 func TestCheckpointRoundTrip(t *testing.T) {
 	dir := t.TempDir()
-	spec := robustSpec(1, 6)
-	want, err := spec.SequentialRaw()
-	if err != nil {
-		t.Fatal(err)
-	}
-	ck := &jobCheckpoint{Spec: spec, Sweep: 4, X: want}
-	path := ckPath(dir, "j000042")
-	if err := writeJobCheckpoint(path, ck, nil); err != nil {
-		t.Fatal(err)
-	}
-	got, err := readJobCheckpoint(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Sweep != 4 || len(got.X) != len(want) {
-		t.Fatalf("read back sweep=%d len=%d", got.Sweep, len(got.X))
-	}
-	for i := range want {
-		if got.X[i] != want[i] {
-			t.Fatalf("X[%d] = %v, want %v", i, got.X[i], want[i])
+	plain := robustSpec(1, 6)
+	chaotic := robustSpec(3, 6)
+	chaotic.ClusterUID, chaotic.CheckpointEvery = "00c0ffee", 2
+	chaotic.Chaos = &fault.Spec{Seed: 5, DropRate: 0.25}
+	for _, spec := range []JobSpec{plain, chaotic} {
+		want, err := spec.SequentialRaw()
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	if got.Spec.NumIters != spec.NumIters || got.Spec.Steps != spec.Steps {
-		t.Fatalf("spec did not survive: %+v", got.Spec)
+		ck := &jobCheckpoint{Spec: spec, Sweep: 4, X: want}
+		path := ckPath(dir, "j000042")
+		if err := writeJobCheckpoint(path, ck, nil); err != nil {
+			t.Fatal(err)
+		}
+		got, err := readJobCheckpoint(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.Sweep != 4 || len(got.X) != len(want) {
+			t.Fatalf("read back sweep=%d len=%d", got.Sweep, len(got.X))
+		}
+		for i := range want {
+			if got.X[i] != want[i] {
+				t.Fatalf("X[%d] = %v, want %v", i, got.X[i], want[i])
+			}
+		}
+		if !reflect.DeepEqual(got.Spec, spec) {
+			t.Fatalf("spec did not survive:\n got  %+v\n want %+v", got.Spec, spec)
+		}
 	}
 }
 

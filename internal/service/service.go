@@ -489,6 +489,9 @@ func (s *Service) finishJob(j *Job, from State, result []float64, key string, hi
 		j.result = result
 		j.resultSum = HashResult(result)
 	}
+	// A terminal job is kept for status queries and uid dedupe, which read
+	// the spec's scalars; its arrays are most of a raw job's memory.
+	j.Spec.releaseArrays()
 	j.finished = time.Now()
 	total := j.finished.Sub(j.created)
 	ckSweep := j.ckSweep

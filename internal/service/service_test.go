@@ -358,3 +358,46 @@ func TestContribBlockMatchesContrib(t *testing.T) {
 		}
 	}
 }
+
+// TestFinishedJobReleasesSpecArrays: a terminal job keeps what status
+// queries and uid dedupe read — scalars and the result — and lets go of the
+// indirection and weight arrays, which the caller's own copy of the spec
+// must still hold.
+func TestFinishedJobReleasesSpecArrays(t *testing.T) {
+	s := newTestService(t, Options{Workers: 1})
+	spec := multiLoopSpec(21, 2, 2, 500, 61, 2)
+	spec.Loops = append(spec.Loops, LoopSpec{Ind: rawSpec(22, 2, 2, 500, 61, 1).Ind})
+	spec.ClusterUID = "uid-release"
+	want, err := spec.SequentialRaw()
+	if err != nil {
+		t.Fatal(err)
+	}
+	j, err := s.Submit(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := waitJob(t, j)
+	if st.State != StateDone || st.ResultSHA256 != HashResult(want) || len(st.Result) != len(want) {
+		t.Fatalf("status after release: %s %q, %d results", st.State, st.Error, len(st.Result))
+	}
+	js := &j.Spec
+	if js.Ind != nil || js.Contrib.Weights != nil || js.Contrib.Kind != "weights" {
+		t.Fatalf("finished job still holds base arrays: ind %d, contrib %+v", len(js.Ind), js.Contrib)
+	}
+	if len(js.Loops) != 3 || js.Loops[2].Ind != nil || js.Loops[1].Contrib.Kind != "ones" {
+		t.Fatalf("finished job's loops: %+v", js.Loops)
+	}
+	if js.NumIters != 500 || js.P != 2 || js.Steps != 2 || js.ClusterUID != "uid-release" {
+		t.Fatalf("finished job lost scalars: %+v", js)
+	}
+	if len(spec.Ind) != 2 || len(spec.Contrib.Weights) != 500 || len(spec.Loops[2].Ind) != 2 {
+		t.Fatal("release reached into the caller's spec")
+	}
+	again, err := s.Submit(spec)
+	if err != nil || again != j {
+		t.Fatalf("re-submitted cluster_uid did not attach to the finished job: %v, %v", again, err)
+	}
+	if st2 := again.Status(true); st2.ResultSHA256 != st.ResultSHA256 || st2.RunMS != st.RunMS {
+		t.Fatalf("status changed on re-attach: %+v", st2)
+	}
+}

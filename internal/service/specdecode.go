@@ -1,0 +1,459 @@
+package service
+
+import (
+	"bytes"
+	"encoding/json"
+	"reflect"
+	"strconv"
+)
+
+// Spec ingest. A raw job is ~100k array elements of JSON, and
+// encoding/json reflecting over them was four fifths of a served request.
+// UnmarshalJSON therefore decodes the canonical shape of a spec — what
+// json.Marshal of a JobSpec produces, and what every client in this
+// repository sends — by hand in one pass, and gives every other body to
+// encoding/json unchanged. Because it is the type's Unmarshaler, every
+// decode site gets it (HTTP handlers, the cluster router, IRCJ checkpoints)
+// and there is no second wire format to keep equal to the first.
+//
+// The fast grammar: objects with exact lower-case keys, each at most once;
+// strings of printable ASCII without escapes; integers as plain decimal
+// literals; true/false; ind as arrays of arrays of integers in int32 range;
+// weights as an array of JSON numbers. Everything else — duplicate or
+// case-variant keys, null, escapes, a fraction or exponent in an integer
+// position, overflow, chaos, unknown keys, malformed JSON — makes the fast
+// path give up and the whole body is decoded again by decodeSpecStd, so the
+// accepted language, the decoded value and the error text are
+// encoding/json's by construction. FuzzJobSpecDecode holds the two equal.
+
+// UnmarshalJSON implements json.Unmarshaler. It is strict: a body with a
+// field JobSpec does not have is an error at every decode site, whether or
+// not the caller asked for DisallowUnknownFields.
+func (sp *JobSpec) UnmarshalJSON(data []byte) error {
+	// encoding/json merges into a target that already holds values; only
+	// the fallback reproduces that, so the fast path takes empty targets.
+	if reflect.ValueOf(sp).Elem().IsZero() {
+		var out JobSpec
+		if fastDecodeSpec(data, &out) {
+			*sp = out
+			return nil
+		}
+	}
+	return decodeSpecStd(data, sp)
+}
+
+// jobSpecFields lets decodeSpecStd declare a local type that is also
+// called JobSpec.
+type jobSpecFields = JobSpec
+
+// decodeSpecStd is the reference decode: encoding/json, unknown fields
+// rejected, into a twin of JobSpec without the UnmarshalJSON method. The
+// twin keeps the name so that a type error still reads "Go struct field
+// JobSpec.p of type int".
+func decodeSpecStd(data []byte, sp *JobSpec) error {
+	type JobSpec jobSpecFields
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.DisallowUnknownFields()
+	return dec.Decode((*JobSpec)(sp))
+}
+
+// fastDecodeSpec decodes data into the zero *sp when data is exactly one
+// spec in the fast grammar. On false, *sp holds garbage.
+func fastDecodeSpec(data []byte, sp *JobSpec) bool {
+	p := specParser{b: data}
+	if !p.jobSpec(sp) {
+		return false
+	}
+	p.ws()
+	return p.i == len(p.b)
+}
+
+// specParser is a cursor over a spec body. Every method reports whether
+// the input stayed inside the fast grammar; after a false the cursor is
+// meaningless and the caller gives up.
+type specParser struct {
+	b []byte
+	i int
+	// numIters is the spec's num_iters once seen (json.Marshal emits it
+	// before the arrays): the size hint for ind and weights.
+	numIters int
+}
+
+func (p *specParser) ws() {
+	for p.i < len(p.b) {
+		switch p.b[p.i] {
+		case ' ', '\t', '\n', '\r':
+			p.i++
+		default:
+			return
+		}
+	}
+}
+
+// eat consumes c, after optional whitespace.
+func (p *specParser) eat(c byte) bool {
+	p.ws()
+	if p.i < len(p.b) && p.b[p.i] == c {
+		p.i++
+		return true
+	}
+	return false
+}
+
+// object walks {"key":value,...}: field is called once per member with the
+// cursor on the value and consumes it. once(n) is the member's duplicate
+// check: it fails the second time the object shows member n.
+func (p *specParser) object(field func(key []byte, once func(n uint) bool) bool) bool {
+	var seen uint
+	once := func(n uint) bool {
+		dup := seen&(1<<n) != 0
+		seen |= 1 << n
+		return !dup
+	}
+	if !p.eat('{') {
+		return false
+	}
+	if p.eat('}') {
+		return true
+	}
+	for {
+		key, ok := p.rawString()
+		if !ok || !p.eat(':') {
+			return false
+		}
+		p.ws()
+		if !field(key, once) {
+			return false
+		}
+		if !p.eat(',') {
+			return p.eat('}')
+		}
+	}
+}
+
+func (p *specParser) jobSpec(sp *JobSpec) bool {
+	return p.object(func(key []byte, once func(uint) bool) bool {
+		switch string(key) {
+		case "kernel":
+			return once(0) && p.str(&sp.Kernel)
+		case "dataset":
+			return once(1) && p.str(&sp.Dataset)
+		case "seed":
+			return once(2) && p.int64(&sp.Seed)
+		case "num_iters":
+			ok := once(3) && p.int(&sp.NumIters)
+			p.numIters = sp.NumIters
+			return ok
+		case "num_elems":
+			return once(4) && p.int(&sp.NumElems)
+		case "ind":
+			return once(5) && p.ind(&sp.Ind)
+		case "contrib":
+			sp.Contrib = new(ContribSpec)
+			return once(6) && p.contrib(sp.Contrib)
+		case "loops":
+			return once(7) && p.loops(&sp.Loops)
+		case "p":
+			return once(8) && p.int(&sp.P)
+		case "k":
+			return once(9) && p.int(&sp.K)
+		case "dist":
+			return once(10) && p.str(&sp.Dist)
+		case "steps":
+			return once(11) && p.int(&sp.Steps)
+		case "timeout_ms":
+			return once(12) && p.int64(&sp.TimeoutMS)
+		case "engine":
+			return once(13) && p.str(&sp.Engine)
+		case "checkpoint_every":
+			return once(14) && p.int(&sp.CheckpointEvery)
+		case "auto":
+			return once(15) && p.bool(&sp.Auto)
+		case "cluster_uid":
+			return once(16) && p.str(&sp.ClusterUID)
+		}
+		return false // chaos, a key in another case, an unknown key
+	})
+}
+
+func (p *specParser) contrib(c *ContribSpec) bool {
+	return p.object(func(key []byte, once func(uint) bool) bool {
+		switch string(key) {
+		case "kind":
+			return once(0) && p.str(&c.Kind)
+		case "weights":
+			return once(1) && p.float64s(&c.Weights)
+		}
+		return false
+	})
+}
+
+func (p *specParser) loops(out *[]LoopSpec) bool {
+	return p.array(func() bool {
+		*out = append(*out, LoopSpec{})
+		l := &(*out)[len(*out)-1]
+		return p.object(func(key []byte, once func(uint) bool) bool {
+			switch string(key) {
+			case "ind":
+				return once(0) && p.ind(&l.Ind)
+			case "contrib":
+				l.Contrib = new(ContribSpec)
+				return once(1) && p.contrib(l.Contrib)
+			}
+			return false
+		})
+	}) && nonNil(out)
+}
+
+func (p *specParser) ind(out *[][]int32) bool {
+	return p.array(func() bool {
+		a, ok := p.int32s()
+		*out = append(*out, a)
+		return ok
+	}) && nonNil(out)
+}
+
+// nonNil gives an array that had no elements encoding/json's value for
+// it: an empty slice, not nil.
+func nonNil[T any](s *[]T) bool {
+	if *s == nil {
+		*s = []T{}
+	}
+	return true
+}
+
+// array walks [elem,...], calling elem with the cursor on each element.
+func (p *specParser) array(elem func() bool) bool {
+	if !p.eat('[') {
+		return false
+	}
+	if p.eat(']') {
+		return true
+	}
+	for {
+		p.ws()
+		if !elem() {
+			return false
+		}
+		if !p.eat(',') {
+			return p.eat(']')
+		}
+	}
+}
+
+// rawString consumes a string of printable ASCII without escapes and
+// returns its bytes. Escapes and non-ASCII (where encoding/json unquotes
+// and repairs UTF-8) leave the fast grammar.
+func (p *specParser) rawString() ([]byte, bool) {
+	if !p.eat('"') {
+		return nil, false
+	}
+	start := p.i
+	for p.i < len(p.b) {
+		c := p.b[p.i]
+		if c == '"' {
+			p.i++
+			return p.b[start : p.i-1], true
+		}
+		if c < 0x20 || c > 0x7e || c == '\\' {
+			return nil, false
+		}
+		p.i++
+	}
+	return nil, false
+}
+
+func (p *specParser) str(out *string) bool {
+	s, ok := p.rawString()
+	*out = string(s)
+	return ok
+}
+
+func (p *specParser) bool(out *bool) bool {
+	rest := p.b[p.i:]
+	switch {
+	case bytes.HasPrefix(rest, []byte("true")):
+		*out = true
+		p.i += 4
+	case bytes.HasPrefix(rest, []byte("false")):
+		p.i += 5
+	default:
+		return false
+	}
+	return true
+}
+
+// digits consumes a run of decimal digits, at most 18 of them so that the
+// value fits a uint64 with room to spare, and refuses a leading zero on a
+// longer run (not JSON).
+func (p *specParser) digits() (v uint64, n int, ok bool) {
+	start := p.i
+	for p.i < len(p.b) {
+		c := p.b[p.i] - '0'
+		if c > 9 {
+			break
+		}
+		v = v*10 + uint64(c)
+		p.i++
+	}
+	n = p.i - start
+	return v, n, n >= 1 && n <= 18 && (n == 1 || p.b[start] != '0')
+}
+
+// integer consumes a plain decimal integer literal: an optional minus and
+// digits, with nothing after them that would continue a JSON number.
+func (p *specParser) integer() (int64, bool) {
+	neg := p.i < len(p.b) && p.b[p.i] == '-'
+	if neg {
+		p.i++
+	}
+	v, _, ok := p.digits()
+	if !ok || p.inNumber() {
+		return 0, false
+	}
+	if neg {
+		return -int64(v), true
+	}
+	return int64(v), true
+}
+
+// inNumber reports whether the byte at the cursor would continue a number:
+// a fraction or exponent, which an integer position does not take.
+func (p *specParser) inNumber() bool {
+	if p.i >= len(p.b) {
+		return false
+	}
+	c := p.b[p.i]
+	return c == '.' || c == 'e' || c == 'E'
+}
+
+func (p *specParser) int64(out *int64) bool {
+	v, ok := p.integer()
+	*out = v
+	return ok
+}
+
+func (p *specParser) int(out *int) bool {
+	v, ok := p.integer()
+	*out = int(v)
+	return ok && int64(int(v)) == v
+}
+
+// sizeHint is the capacity to start an array at: num_iters when the spec
+// has said it, but never more than the bytes that are left could spell
+// (an element costs at least a digit and a comma) — the rule ReadSchedule
+// follows, so a hostile num_iters allocates nothing the body does not back.
+func (p *specParser) sizeHint() int {
+	return max(0, min(p.numIters, (len(p.b)-p.i+1)/2))
+}
+
+// fit ends an array that began at sizeHint. A hint that turned out more
+// than twice too generous is dropped, and num_iters is not believed again:
+// many short arrays under one large num_iters then cost one body-sized
+// allocation in all, not one each.
+func fit[T any](p *specParser, s []T) []T {
+	if cap(s) > 2*len(s) {
+		p.numIters = 0
+		return append(make([]T, 0, len(s)), s...)
+	}
+	return s
+}
+
+// int32s consumes an array of integers in int32 range.
+func (p *specParser) int32s() ([]int32, bool) {
+	if !p.eat('[') {
+		return nil, false
+	}
+	out := make([]int32, 0, p.sizeHint())
+	if p.eat(']') {
+		return fit(p, out), true
+	}
+	for {
+		p.ws()
+		v, ok := p.integer()
+		if !ok || int64(int32(v)) != v {
+			return nil, false
+		}
+		out = append(out, int32(v))
+		if !p.eat(',') {
+			return fit(p, out), p.eat(']')
+		}
+	}
+}
+
+// float64s consumes an array of JSON numbers. An integral literal below
+// 2^53 converts exactly, so it is converted by hand; every other literal
+// goes through strconv.ParseFloat, which is what encoding/json calls, so
+// the values are bitwise its values.
+func (p *specParser) float64s(out *[]float64) bool {
+	if !p.eat('[') {
+		return false
+	}
+	w := make([]float64, 0, p.sizeHint())
+	if p.eat(']') {
+		*out = fit(p, w)
+		return true
+	}
+	for {
+		p.ws()
+		start := p.i
+		neg := p.i < len(p.b) && p.b[p.i] == '-'
+		if neg {
+			p.i++
+		}
+		v, n, ok := p.digits()
+		if !ok {
+			return false
+		}
+		var f float64
+		if n <= 15 && !p.inNumber() && !(neg && v == 0) {
+			f = float64(v)
+			if neg {
+				f = -f
+			}
+		} else {
+			if !p.fracExp() {
+				return false
+			}
+			var err error
+			if f, err = strconv.ParseFloat(string(p.b[start:p.i]), 64); err != nil {
+				return false
+			}
+		}
+		w = append(w, f)
+		if !p.eat(',') {
+			*out = fit(p, w)
+			return p.eat(']')
+		}
+	}
+}
+
+// fracExp consumes the optional fraction and exponent of a JSON number
+// whose integer part has been consumed.
+func (p *specParser) fracExp() bool {
+	if p.i < len(p.b) && p.b[p.i] == '.' {
+		p.i++
+		if !p.digitRun() {
+			return false
+		}
+	}
+	if p.i < len(p.b) && (p.b[p.i] == 'e' || p.b[p.i] == 'E') {
+		p.i++
+		if p.i < len(p.b) && (p.b[p.i] == '+' || p.b[p.i] == '-') {
+			p.i++
+		}
+		if !p.digitRun() {
+			return false
+		}
+	}
+	return true
+}
+
+// digitRun consumes one or more digits.
+func (p *specParser) digitRun() bool {
+	start := p.i
+	for p.i < len(p.b) && p.b[p.i]-'0' <= 9 {
+		p.i++
+	}
+	return p.i > start
+}

@@ -1,0 +1,282 @@
+package service
+
+import (
+	"encoding/json"
+	"math"
+	"reflect"
+	"strings"
+	"testing"
+
+	"irred/internal/fault"
+)
+
+// weightBits flattens every weights array of a spec to its float bits:
+// reflect.DeepEqual holds -0 and +0 equal, the decode contract does not.
+func weightBits(sp *JobSpec) []uint64 {
+	var bits []uint64
+	add := func(c *ContribSpec) {
+		if c != nil {
+			for _, w := range c.Weights {
+				bits = append(bits, math.Float64bits(w))
+			}
+		}
+	}
+	add(sp.Contrib)
+	for _, l := range sp.Loops {
+		add(l.Contrib)
+	}
+	return bits
+}
+
+// checkSpecDecode holds json.Unmarshal into a JobSpec — the entry every
+// decode site uses — to the reference: both fail with the same text, or
+// both succeed with equal values, weights compared bit for bit.
+func checkSpecDecode(t *testing.T, data []byte) {
+	t.Helper()
+	var got, want JobSpec
+	gotErr := json.Unmarshal(data, &got)
+	if !json.Valid(data) {
+		// encoding/json rejects the body before UnmarshalJSON sees it.
+		if gotErr == nil {
+			t.Fatalf("invalid JSON accepted: %q", data)
+		}
+		return
+	}
+	wantErr := decodeSpecStd(data, &want)
+	if (gotErr == nil) != (wantErr == nil) || (gotErr != nil && gotErr.Error() != wantErr.Error()) {
+		t.Fatalf("decoding %q:\n got error  %v\n want error %v", data, gotErr, wantErr)
+	}
+	if gotErr != nil {
+		return
+	}
+	if !reflect.DeepEqual(got, want) || !reflect.DeepEqual(weightBits(&got), weightBits(&want)) {
+		t.Fatalf("decoding %q:\n got  %+v\n want %+v", data, got, want)
+	}
+}
+
+func mustMarshal(t testing.TB, v any) []byte {
+	t.Helper()
+	b, err := json.Marshal(v)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
+// TestJobSpecDecodeFastPath: what json.Marshal emits for a spec — the
+// body every client here sends — stays on the hand-written path and
+// decodes to the reference value.
+func TestJobSpecDecodeFastPath(t *testing.T) {
+	own := multiLoopSpec(3, 2, 2, 64, 16, 2)
+	own.Loops = append(own.Loops, LoopSpec{Ind: rawSpec(4, 2, 2, 64, 16, 1).Ind})
+	scalars := rawSpec(5, 4, 1, 8, 4, 7)
+	scalars.Dist, scalars.Engine, scalars.TimeoutMS = "block", "distributed", 1500
+	scalars.CheckpointEvery, scalars.ClusterUID, scalars.Seed = 3, "00ff17", -9
+	fractional := rawSpec(6, 2, 2, 5, 4, 1)
+	fractional.Contrib.Weights = []float64{0.1, -2.5e-7, 1e21, 12345678901234567, math.Copysign(0, -1)}
+	empty := JobSpec{Ind: [][]int32{{}}, Contrib: &ContribSpec{Kind: "ones"}, Loops: []LoopSpec{{}}}
+
+	bodies := map[string][]byte{
+		"raw":        mustMarshal(t, rawSpec(1, 2, 2, 300, 40, 4)),
+		"multi-loop": mustMarshal(t, own),
+		"scalars":    mustMarshal(t, scalars),
+		"fractional": mustMarshal(t, fractional),
+		"named":      mustMarshal(t, JobSpec{Kernel: "euler", Dataset: "2k", Seed: 7, P: 2, K: 2, Auto: true}),
+		"empty":      mustMarshal(t, empty),
+		"zero":       []byte(`{}`),
+		"spaced":     []byte(" {\n\t\"p\" : 2 ,\r\n \"ind\" : [ [ 1 , -0 ] , [ ] ] , \"auto\" : false } \n"),
+	}
+	indented, err := json.MarshalIndent(own, "", "  ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	bodies["indented"] = indented
+	for name, body := range bodies {
+		var sp JobSpec
+		if !fastDecodeSpec(body, &sp) {
+			t.Errorf("%s: left the fast path: %s", name, body)
+		}
+		checkSpecDecode(t, body)
+	}
+}
+
+const chaosBody = `{"chaos":{"seed":1,"drop":0.5}}`
+
+// offGrammar is one body per way of leaving the fast grammar. Each must
+// fall back, and the fallback is the reference, so each decodes — or fails
+// — exactly as encoding/json says. Also FuzzJobSpecDecode's seed corpus.
+var offGrammar = []string{
+	`{"p":1,"p":2}`,
+	`{"contrib":{"kind":"pair"},"contrib":{"weights":[1,2]}}`,
+	`{"contrib":{"kind":"pair","kind":"ones"}}`,
+	`{"IND":[[1,2]],"P":2}`,
+	`{"Contrib":{"Kind":"ones"}}`,
+	`{"ind":null,"contrib":null,"loops":null}`,
+	`{"ind":[null,[1]]}`,
+	`{"ind":[[1,null]]}`,
+	`{"contrib":{"weights":null}}`,
+	`{"p":null,"dist":null,"auto":null}`,
+	`null`,
+	`{"ind":[[1e3]]}`,
+	`{"ind":[[1.0]]}`,
+	`{"ind":[[2147483648]]}`,
+	`{"ind":[[-2147483649]]}`,
+	`{"ind":[[1.5]]}`,
+	`{"num_iters":1e3}`,
+	`{"seed":9223372036854775808}`,
+	`{"seed":123456789012345678901}`,
+	`{"dist":"bl\u006fck"}`,
+	`{"dist":"bl\"ock"}`,
+	`{"kernel":"mölder"}`,
+	"{\"kernel\":\"\xff\"}",
+	`{"contrib":{"weights":[1e999]}}`,
+	`{"contrib":{"weights":["1"]}}`,
+	chaosBody,
+	`{"chaos":null}`,
+	`{"bogus":1}`,
+	`{"contrib":{"bogus":1}}`,
+	`{"loops":[{"bogus":1}]}`,
+	`{"loops":[null,{}]}`,
+	`{"loops":[{"ind":[[1]],"ind":[[2]]}]}`,
+	`{"p":"2"}`,
+	`{"p":2.0}`,
+	`{"auto":1}`,
+	`{"ind":[1,2]}`,
+	`{"ind":{}}`,
+	`{"loops":{}}`,
+	`[]`,
+	`7`,
+	`"spec"`,
+}
+
+func TestJobSpecDecodeFallback(t *testing.T) {
+	for _, body := range offGrammar {
+		var sp JobSpec
+		if fastDecodeSpec([]byte(body), &sp) {
+			t.Errorf("fast path accepted %s", body)
+		}
+		checkSpecDecode(t, []byte(body))
+	}
+	// A chaos spec is outside the fast grammar but must still arrive.
+	var sp JobSpec
+	if err := json.Unmarshal([]byte(chaosBody), &sp); err != nil || !reflect.DeepEqual(sp.Chaos, &fault.Spec{Seed: 1, DropRate: 0.5}) {
+		t.Fatalf("chaos spec through the fallback: %+v, %v", sp.Chaos, err)
+	}
+}
+
+// TestJobSpecDecodeMerge: encoding/json merges into a target that already
+// holds values, and so does a JobSpec.
+func TestJobSpecDecodeMerge(t *testing.T) {
+	got := JobSpec{P: 4, Dist: "block", Contrib: &ContribSpec{Kind: "pair"}}
+	want := got
+	want.Contrib = &ContribSpec{Kind: "pair"}
+	body := []byte(`{"k":2,"contrib":{"weights":[1,2]}}`)
+	if err := json.Unmarshal(body, &got); err != nil {
+		t.Fatal(err)
+	}
+	if err := decodeSpecStd(body, &want); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) || got.P != 4 || got.K != 2 || got.Contrib.Kind != "pair" || len(got.Contrib.Weights) != 2 {
+		t.Fatalf("merge:\n got  %+v %+v\n want %+v %+v", got, got.Contrib, want, want.Contrib)
+	}
+}
+
+// TestJobSpecDecodeStrict: an unknown field is an error at every decode
+// site, including the ones that never asked for DisallowUnknownFields, and
+// the text is encoding/json's.
+func TestJobSpecDecodeStrict(t *testing.T) {
+	var sp JobSpec
+	err := json.Unmarshal([]byte(`{"p":2,"stesp":4}`), &sp)
+	if err == nil || err.Error() != `json: unknown field "stesp"` {
+		t.Fatalf("unknown field: %v", err)
+	}
+	err = json.Unmarshal([]byte(`{"p":"two"}`), &sp)
+	if err == nil || !strings.Contains(err.Error(), "Go struct field JobSpec.p of type int") {
+		t.Fatalf("type error text: %v", err)
+	}
+}
+
+// TestJobSpecDecodeHostileSize: num_iters is only a hint. A body that
+// claims a billion iterations allocates what its bytes back, and many
+// short arrays under a large hint do not each keep the hint alive.
+func TestJobSpecDecodeHostileSize(t *testing.T) {
+	var sp JobSpec
+	body := `{"num_iters":1000000000000,"ind":[[1,2,3]],"contrib":{"kind":"weights","weights":[1]}}`
+	if err := json.Unmarshal([]byte(body), &sp); err != nil {
+		t.Fatal(err)
+	}
+	if c := cap(sp.Ind[0]); c > len(body) {
+		t.Fatalf("ind[0] has capacity %d from a %d-byte body", c, len(body))
+	}
+	if c := cap(sp.Contrib.Weights); c > len(body) {
+		t.Fatalf("weights has capacity %d from a %d-byte body", c, len(body))
+	}
+
+	many := `{"num_iters":1000000000,"ind":[` + strings.Repeat(`[1],`, 4095) + `[1]]}`
+	sp = JobSpec{}
+	if !fastDecodeSpec([]byte(many), &sp) {
+		t.Fatal("left the fast path")
+	}
+	total := 0
+	for _, a := range sp.Ind {
+		total += cap(a)
+	}
+	if total > len(many) {
+		t.Fatalf("%d short arrays keep %d elements of capacity from a %d-byte body", len(sp.Ind), total, len(many))
+	}
+}
+
+// FuzzJobSpecDecode: for every input, the JobSpec Unmarshaler and strict
+// encoding/json into the method-less twin agree — the same error, or equal
+// values bit for bit. The fallback being the reference, a divergence is
+// always a fast-path bug.
+func FuzzJobSpecDecode(f *testing.F) {
+	for _, body := range offGrammar {
+		f.Add([]byte(body))
+	}
+	f.Add(mustMarshal(f, rawSpec(1, 2, 2, 40, 9, 2)))
+	f.Add(mustMarshal(f, multiLoopSpec(2, 2, 2, 20, 5, 2)))
+	f.Add(mustMarshal(f, JobSpec{Kernel: "mvm", Dataset: "S", Seed: 3, P: 2, K: 1, ClusterUID: "ab12"}))
+	for _, body := range []string{
+		`{"ind":[[-0,0,1,-1,2147483647,-2147483648]]}`,
+		`{"ind":[[00]]}`, `{"ind":[[-]]}`, `{"ind":[[1,]]}`, `{"ind":[[1],]}`, `{"p":1,}`, `{,}`,
+		`{"contrib":{"kind":"pair","weights":[-0,0.0,1e0,1E+2,1e-2,0.5,123456789012345678,1.7976931348623157e308,5e-324,01,1.,.5,-]}}`,
+		`{"num_iters":99999999999999999,"ind":[[1]],"contrib":{"weights":[1]}}`,
+		`{"num_iters":-5,"ind":[[1]]}`,
+		`{"loops":[{"ind":[[1,2],[3,4]],"contrib":{"kind":"ones"}},{},{"contrib":{"kind":"weights","weights":[2,3]}}]}`,
+		" \n\t\r{ \n\t\r\"p\" \n\t\r: \n\t\r1 \n\t\r} \n\t\r",
+		`{"p":1} x`, `{"p":1}{"p":2}`, `{"auto":truex}`, `{"auto":tru}`, `{"dist":"block`, `{"p"`,
+	} {
+		f.Add([]byte(body))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		checkSpecDecode(t, data)
+	})
+}
+
+// BenchmarkJobSpecDecode is the spec-ingest primitive on the benchmark's
+// job shape (32,768 iterations × 2 references, pair weights): the
+// hand-written decoder alone, the reference it falls back to, and the
+// hand-written decoder reached the way the daemon reaches it, through
+// encoding/json's own two scanner passes.
+func BenchmarkJobSpecDecode(b *testing.B) {
+	spec := rawSpec(1, 2, 2, 32768, 4096, 4)
+	spec.Contrib.Kind = "pair"
+	body := mustMarshal(b, spec)
+	run := func(name string, decode func(*JobSpec) error) {
+		b.Run(name, func(b *testing.B) {
+			b.SetBytes(int64(len(body)))
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				var sp JobSpec
+				if err := decode(&sp); err != nil || len(sp.Ind) != 2 || len(sp.Contrib.Weights) != 32768 {
+					b.Fatalf("decode: %v", err)
+				}
+			}
+		})
+	}
+	run("fast", func(sp *JobSpec) error { return sp.UnmarshalJSON(body) })
+	run("alias-fallback", func(sp *JobSpec) error { return decodeSpecStd(body, sp) })
+	run("via-json", func(sp *JobSpec) error { return json.Unmarshal(body, sp) })
+}

@@ -139,7 +139,7 @@ func TestIntnBounds(t *testing.T) {
 func TestGenerateProperty(t *testing.T) {
 	prop := func(seed uint64, nRaw, dRaw uint8) bool {
 		n := 10 + int(nRaw)
-		nnz := n + int(dRaw)*n/16
+		nnz := min(n+int(dRaw)*n/16, n*n) // Generate refuses a class denser than full
 		m := Generate(Class{Name: "q", N: n, NNZ: nnz}, seed)
 		return m.Check() == nil && m.NNZ() == nnz
 	}
