@@ -103,16 +103,16 @@ func scenarioParams(maxP, maxK int) (ne, n int, params map[string]int) {
 	return ne, n, map[string]int{"ne": ne, "n": n, "nb": ne / 2}
 }
 
-// inspectAll runs the light inspector per processor and serializes the
-// result — the byte-level identity the runtime's content-addressed
+// inspectAll runs the light inspector for every processor and serializes
+// the result — the byte-level identity the runtime's content-addressed
 // schedule sharing relies on.
 func inspectAll(cfg inspector.Config, ind [][]int32) ([]byte, error) {
+	scheds, err := inspector.LightAll(cfg, nil, ind...)
+	if err != nil {
+		return nil, err
+	}
 	var buf bytes.Buffer
-	for p := 0; p < cfg.P; p++ {
-		s, err := inspector.Light(cfg, p, ind...)
-		if err != nil {
-			return nil, err
-		}
+	for _, s := range scheds {
 		if _, err := s.WriteTo(&buf); err != nil {
 			return nil, err
 		}

@@ -340,3 +340,35 @@ func TestMoldynBlockEqualsContribs(t *testing.T) {
 		return n, pos
 	})
 }
+
+// TestMVMConsumeBlockEqualsConsume: the kernel's gather block and the
+// engine's adapter over its per-iteration Consume give the same bits, over
+// several sweeps with the vector update between them.
+func TestMVMConsumeBlockEqualsConsume(t *testing.T) {
+	mv := NewMVM(sparse.Generate(sparse.Class{Name: "t", N: 300, NNZ: 3000}, 2))
+	for _, p := range []int{1, 2, 3} {
+		for _, k := range []int{1, 2, 4} {
+			for _, dist := range []inspector.Dist{inspector.Block, inspector.Cyclic} {
+				run := func(block bool) []float64 {
+					n, err := mv.NewNative(p, k, dist)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !block {
+						n.ConsumeBlock = nil
+					}
+					if err := n.Run(3); err != nil {
+						t.Fatal(err)
+					}
+					return n.X
+				}
+				got, want := run(true), run(false)
+				for i := range want {
+					if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+						t.Fatalf("P=%d k=%d %v: x[%d] block %v, per-iteration %v", p, k, dist, i, got[i], want[i])
+					}
+				}
+			}
+		}
+	}
+}

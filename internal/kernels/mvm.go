@@ -85,7 +85,8 @@ func (m *MVM) RunSequential(steps int) (x []float64) {
 // NewNative wires the kernel onto the native engine. Native.X is the
 // rotated x vector (initialised to ones); each processor accumulates into
 // a private partial-y, and the update folds partials into the home rows
-// before the vector op.
+// before the vector op. It sets both gather hooks: ConsumeBlock, the tight
+// loop the engine runs, and Consume, the same arithmetic per iteration.
 func (m *MVM) NewNative(p, k int, dist inspector.Dist) (*rts.Native, error) {
 	return m.NewNativeFrom(nil, p, k, dist)
 }
@@ -107,6 +108,13 @@ func (m *MVM) NewNativeFrom(scheds []*inspector.Schedule, p, k int, dist inspect
 	}
 	n.Consume = func(proc, i int, vals []float64) {
 		partial[proc][m.Rows[i]] += m.A.Val[i] * vals[0]
+	}
+	rows, val := m.Rows, m.A.Val
+	n.ConsumeBlock = func(proc int, iters, cols []int32) {
+		y, x := partial[proc], n.X
+		for j, i := range iters {
+			y[rows[i]] += val[i] * x[cols[j]]
+		}
 	}
 	n.Update = func(proc, step int) {
 		lo, _ := l.Cfg.PortionBounds(l.Cfg.PortionAt(proc, 0))

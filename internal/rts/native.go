@@ -35,6 +35,14 @@ const blockIters = 256
 // components of the rotated array at the iteration's reference.
 type ConsumeFunc func(p, i int, vals []float64)
 
+// ConsumeBlockFunc handles a run of scheduled gather-mode iterations at
+// once — the form the native engine drives. iters holds consecutive
+// entries of one phase's iteration list (the whole list unless the guarded
+// loop skipped an access) and targets the rotated-array element each reads:
+// its comp components start at targets[j]*comp of Native.X. The callee
+// consumes them in order. p is the executing processor.
+type ConsumeBlockFunc func(p int, iters, targets []int32)
+
 // UpdateFunc runs the regular between-sweep loop for processor p (position
 // updates, vector ops over the processor's home elements). It runs under a
 // full barrier: all sweep work is complete and no sweep work has started.
@@ -59,7 +67,12 @@ type Native struct {
 	// into one at Run start, and ContribBlock wins when both are set.
 	Contribs     ContribFunc
 	ContribBlock ContribBlockFunc
+	// Consume or ConsumeBlock handles a gather loop's iterations, on the
+	// same terms: the engine drives only ConsumeBlock, a per-iteration
+	// Consume is wrapped into one at Run start, and ConsumeBlock wins when
+	// both are set.
 	Consume      ConsumeFunc
+	ConsumeBlock ConsumeBlockFunc
 	Update       UpdateFunc
 
 	// Verify enables the debug execution mode: every access to the shared
@@ -233,8 +246,12 @@ func (n *Native) RunContext(ctx context.Context, steps int) error {
 			r.block = blockOf(n.Contribs, len(l.Ind)*r.comp)
 		}
 	case Gather:
-		if n.Consume == nil {
-			return fmt.Errorf("rts: gather-mode native run needs Consume")
+		r.consume = n.ConsumeBlock
+		if r.consume == nil {
+			if n.Consume == nil {
+				return fmt.Errorf("rts: gather-mode native run needs Consume")
+			}
+			r.consume = consumeBlockOf(n.Consume, r.x, r.comp)
 		}
 	}
 	clear(n.verifyErrs)
@@ -276,6 +293,17 @@ func blockOf(f ContribFunc, stride int) ContribBlockFunc {
 	return func(p int, iters []int32, out []float64) {
 		for j, it := range iters {
 			f(p, int(it), out[j*stride:(j+1)*stride:(j+1)*stride])
+		}
+	}
+}
+
+// consumeBlockOf adapts a per-iteration gather function to the block form
+// over the rotated array x of comp-component elements.
+func consumeBlockOf(f ConsumeFunc, x []float64, comp int) ConsumeBlockFunc {
+	return func(p int, iters, targets []int32) {
+		for j, it := range iters {
+			tb := int(targets[j]) * comp
+			f(p, int(it), x[tb:tb+comp])
 		}
 	}
 }
@@ -342,16 +370,17 @@ func (n *Native) verifyErr() error {
 
 // nativeRun holds what one RunContext call fixes for all of its workers.
 type nativeRun struct {
-	n     *Native
-	cfg   inspector.Config
-	comp  int
-	x     []float64
-	tr    *obs.Tracer
-	done  <-chan struct{} // nil when the context cannot be cancelled
-	steps int
-	block ContribBlockFunc // reduce mode
-	fast  bool             // unchecked bodies; else the guarded ones
-	bar   *barrier         // nil without an Update hook
+	n       *Native
+	cfg     inspector.Config
+	comp    int
+	x       []float64
+	tr      *obs.Tracer
+	done    <-chan struct{} // nil when the context cannot be cancelled
+	steps   int
+	block   ContribBlockFunc // reduce mode
+	consume ConsumeBlockFunc // gather mode
+	fast    bool             // unchecked bodies; else the guarded ones
+	bar     *barrier         // nil without an Update hook
 }
 
 // work is processor p's whole run.
@@ -662,38 +691,44 @@ func (r *nativeRun) drainGuarded(p, ph int, prog *inspector.PhaseProgram) {
 	}
 }
 
-// gatherFast is the gather-mode main loop over targets that need no guard.
+// gatherFast is the gather-mode main loop over targets that need no guard:
+// the whole phase is one block.
 func (r *nativeRun) gatherFast(p int, prog *inspector.PhaseProgram) {
-	x, comp, consume := r.x, r.comp, r.n.Consume
-	ind := prog.Ind[0]
-	for j, it := range prog.Iters {
-		tb := int(ind[j]) * comp
-		consume(p, int(it), x[tb:tb+comp])
-	}
+	r.consume(p, prog.Iters, prog.Ind[0])
 }
 
 // gatherGuarded is the gather-mode main loop for Verify runs and schedules
-// the target scan found dirty.
+// the target scan found dirty. Each run of iterations between two skipped
+// ones is one block, so every other iteration is consumed in phase order.
 func (r *nativeRun) gatherGuarded(p, ph int, prog *inspector.PhaseProgram) {
 	n, cfg := r.n, r.cfg
-	comp := r.comp
 	chk, verify := n.CheckTargets, n.Verify
-	for j, it := range prog.Iters {
-		tgt := int(prog.Ind[0][j])
-		if chk && (tgt < 0 || tgt >= cfg.NumElems) {
+	iters, targets := prog.Iters, prog.Ind[0]
+	from := 0 // first iteration not yet consumed or skipped
+	for j, it := range iters {
+		tgt := int(targets[j])
+		skip := false
+		switch {
+		case chk && (tgt < 0 || tgt >= cfg.NumElems):
 			n.checkFail(p, "proc %d phase %d: iteration %d gathers %d outside the rotated array [0,%d)", p, ph, it, tgt, cfg.NumElems)
-			continue
-		}
-		if verify {
-			if tgt >= cfg.NumElems {
-				n.verifyFail(p, "proc %d phase %d: iteration %d gathers %d outside the rotated array [0,%d)", p, ph, it, tgt, cfg.NumElems)
-				continue
-			}
+			skip = true
+		case verify && tgt >= cfg.NumElems:
+			n.verifyFail(p, "proc %d phase %d: iteration %d gathers %d outside the rotated array [0,%d)", p, ph, it, tgt, cfg.NumElems)
+			skip = true
+		case verify:
 			if own := cfg.PhaseOf(p, tgt); own != ph {
 				n.verifyFail(p, "proc %d phase %d: iteration %d gathers element %d, whose portion is owned in phase %d", p, ph, it, tgt, own)
 			}
 		}
-		n.Consume(p, int(it), r.x[tgt*comp:tgt*comp+comp])
+		if skip {
+			if from < j {
+				r.consume(p, iters[from:j], targets[from:j])
+			}
+			from = j + 1
+		}
+	}
+	if from < len(iters) {
+		r.consume(p, iters[from:], targets[from:len(iters)])
 	}
 }
 

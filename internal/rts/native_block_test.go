@@ -360,3 +360,83 @@ func TestRunAllocatesNothingPerSweep(t *testing.T) {
 		}
 	}
 }
+
+// TestGatherGuardedViolations: on a dirty schedule (CheckTargets), and on
+// Verify runs with an ownership or a range violation, a kernel-supplied
+// ConsumeBlock and the adapter over a per-iteration Consume record the same
+// violation, word for word, and are handed the same iterations in phase
+// order: every one but a skipped access.
+func TestGatherGuardedViolations(t *testing.T) {
+	rng := rand.New(rand.NewSource(47))
+	for _, c := range []struct {
+		name          string
+		verify, check bool
+	}{{"check", false, true}, {"verify-owner", true, true}, {"verify-range", true, false}} {
+		l := randLoop(rng, 3, 2, 400, 60, 1, inspector.Cyclic, 1)
+		l.Mode = Gather
+		scheds, err := l.Schedules()
+		if err != nil {
+			t.Fatal(err)
+		}
+		prog := &scheds[1].Phases[1]
+		j := len(prog.Iters) / 2
+		it := prog.Iters[j]
+		var want string
+		skipped := true
+		switch c.name {
+		case "check":
+			prog.Ind[0][j] = int32(l.Cfg.NumElems + 5)
+			want = fmt.Sprintf("rts: target check: proc 1 phase 1: iteration %d gathers %d outside the rotated array [0,%d)",
+				it, l.Cfg.NumElems+5, l.Cfg.NumElems)
+		case "verify-owner":
+			bad := (prog.Ind[0][j] + int32(l.Cfg.PortionSize())) % int32(l.Cfg.NumElems)
+			prog.Ind[0][j] = bad
+			want = fmt.Sprintf("rts: verify: proc 1 phase 1: iteration %d gathers element %d, whose portion is owned in phase %d",
+				it, bad, l.Cfg.PhaseOf(1, int(bad)))
+			skipped = false
+		case "verify-range":
+			prog.Ind[0][j] = int32(l.Cfg.NumElems)
+			want = fmt.Sprintf("rts: verify: proc 1 phase 1: iteration %d gathers %d outside the rotated array [0,%d)",
+				it, l.Cfg.NumElems, l.Cfg.NumElems)
+		}
+		expect := make([][]int32, l.Cfg.P)
+		for p, s := range scheds {
+			for ph := range s.Phases {
+				for _, i := range s.Phases[ph].Iters {
+					if !skipped || i != it {
+						expect[p] = append(expect[p], i)
+					}
+				}
+			}
+		}
+
+		for _, block := range []bool{false, true} {
+			n, err := NewNativeFrom(l, scheds)
+			if err != nil {
+				t.Fatal(err)
+			}
+			n.Verify, n.CheckTargets = c.verify, c.check
+			seen := make([][]int32, l.Cfg.P)
+			if block {
+				n.ConsumeBlock = func(p int, iters, targets []int32) {
+					if len(targets) != len(iters) {
+						t.Errorf("block of %d iterations with %d targets", len(iters), len(targets))
+					}
+					seen[p] = append(seen[p], iters...)
+				}
+			} else {
+				n.Consume = func(p, i int, _ []float64) { seen[p] = append(seen[p], int32(i)) }
+			}
+			err = n.Run(1)
+			shape := fmt.Sprintf("%s block=%v", c.name, block)
+			if err == nil || err.Error() != want {
+				t.Fatalf("%s: err = %v, want %s", shape, err, want)
+			}
+			for p := range expect {
+				if fmt.Sprint(seen[p]) != fmt.Sprint(expect[p]) {
+					t.Fatalf("%s: processor %d consumed %v, want %v", shape, p, seen[p], expect[p])
+				}
+			}
+		}
+	}
+}

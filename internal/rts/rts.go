@@ -146,20 +146,13 @@ func (l *Loop) Validate() error {
 	return nil
 }
 
-// Schedules runs the LightInspector for every processor.
+// Schedules runs the LightInspector for every processor, the P
+// inspections in parallel.
 func (l *Loop) Schedules() ([]*inspector.Schedule, error) {
 	if err := l.Validate(); err != nil {
 		return nil, err
 	}
-	out := make([]*inspector.Schedule, l.Cfg.P)
-	for p := 0; p < l.Cfg.P; p++ {
-		s, err := inspector.LightTraced(l.Cfg, p, l.Trace, l.Ind...)
-		if err != nil {
-			return nil, err
-		}
-		out[p] = s
-	}
-	return out, nil
+	return inspector.LightAll(l.Cfg, l.Trace, l.Ind...)
 }
 
 // PortionBytes reports the wire size of one rotated portion.

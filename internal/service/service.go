@@ -498,6 +498,9 @@ func (s *Service) finishJob(j *Job, from State, result []float64, key string, hi
 	preempted := j.preempted
 	j.mu.Unlock()
 	j.cancel() // release the context's timer resources
+	// Counted before it is signalled: whoever sees the job done sees it in
+	// the metrics too.
+	s.met.finishJob(from, to, total)
 	close(j.done)
 	if s.jobsDir != "" && ckSweep > 0 && !(preempted && to == StateCancelled) {
 		// A terminal job's checkpoint is dead weight: done jobs are done,
@@ -506,7 +509,6 @@ func (s *Service) finishJob(j *Job, from State, result []float64, key string, hi
 		// whole point, it is how the next daemon picks the job back up.
 		os.Remove(ckPath(s.jobsDir, j.ID))
 	}
-	s.met.finishJob(from, to, total)
 	s.pruneFinished(j.ID)
 }
 

@@ -473,17 +473,15 @@ func (s *Service) ApplyDelta(ctx context.Context, id string, d *Delta, includeRe
 			NumIters: spec.NumIters, NumElems: spec.NumElems,
 			Dist: dist,
 		}
-		fresh := make([]*inspector.Schedule, spec.P)
-		for p := 0; p < spec.P; p++ {
-			sc, err := inspector.LightTraced(cfg, p, s.trace, spec.Ind...)
-			if err != nil {
-				sess.mu.Unlock()
-				s.sessions.drop(sess)
-				sess.markClosed()
-				return nil, fmt.Errorf("service: re-inspection failed, session closed: %w", err)
-			}
+		fresh, err := inspector.LightAll(cfg, s.trace, spec.Ind...)
+		if err != nil {
+			sess.mu.Unlock()
+			s.sessions.drop(sess)
+			sess.markClosed()
+			return nil, fmt.Errorf("service: re-inspection failed, session closed: %w", err)
+		}
+		for _, sc := range fresh {
 			sc.BeginIncremental()
-			fresh[p] = sc
 		}
 		sess.scheds = fresh
 		s.trace.Event("session/fallback", -1, -1, -1, -1)

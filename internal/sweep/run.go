@@ -378,16 +378,14 @@ func adaptiveRunner(c Cell, opt *Options, dist inspector.Dist) (runFunc, error) 
 	if !incr && c.Adapt != AdaptFull {
 		return nil, fmt.Errorf("sweep: adaptive cell has unknown maintenance mode %q", c.Adapt)
 	}
-	scheds := make([]*inspector.Schedule, c.P)
-	for p := range scheds {
-		s, err := inspector.Light(cfg, p, ind...)
-		if err != nil {
-			return nil, err
-		}
-		if incr {
+	scheds, err := inspector.LightAll(cfg, nil, ind...)
+	if err != nil {
+		return nil, err
+	}
+	if incr {
+		for _, s := range scheds {
 			s.BeginIncremental()
 		}
-		scheds[p] = s
 	}
 	step := 0
 	steps := opt.Steps
@@ -404,12 +402,9 @@ func adaptiveRunner(c Cell, opt *Options, dist inspector.Dist) (runFunc, error) 
 					}
 				}
 			} else {
-				for p := range scheds {
-					s, err := inspector.Light(cfg, p, ind...)
-					if err != nil {
-						return 0, 0, err
-					}
-					scheds[p] = s
+				var err error
+				if scheds, err = inspector.LightAll(cfg, nil, ind...); err != nil {
+					return 0, 0, err
 				}
 			}
 			total += time.Since(start)
