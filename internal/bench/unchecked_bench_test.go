@@ -108,7 +108,7 @@ func BenchmarkUncheckedKernels(b *testing.B) {
 					b.Fatal(err)
 				}
 				plan := u.Plans[0]
-				loop, contribs, err := plan.BuildLoopOpts(env, p, k, inspector.Cyclic,
+				loop, block, err := plan.BuildLoopOpts(env, p, k, inspector.Cyclic,
 					codegen.BuildOpts{ForceChecked: mode.checked})
 				if err != nil {
 					b.Fatal(err)
@@ -120,7 +120,7 @@ func BenchmarkUncheckedKernels(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				nat.Contribs = contribs
+				nat.ContribBlock = block
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
 					if err := nat.Run(1); err != nil {

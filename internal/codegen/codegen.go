@@ -221,7 +221,8 @@ type BuildOpts struct {
 // `procs` processors with unrolling factor k: it extracts the indirection
 // columns from the environment, estimates the kernel cost from the loop
 // body, and returns the rts loop plus the contribution hook that evaluates
-// the body per iteration.
+// the body for one iteration — the one-iteration view of BuildLoopOpts's
+// block form, for engines and callers that take a ContribFunc.
 //
 // BuildLoop is proof-carrying: it runs the dataflow interval analysis
 // seeded with the environment's concrete parameters and a one-pass min/max
@@ -233,13 +234,28 @@ type BuildOpts struct {
 // indirection contents are proven in range.
 //
 // Multiple reduction arrays in one group are packed as components of the
-// rotated array; component c of element e holds array c's element e.
+// rotated array; component c of element e holds array c's element e, with
+// one rts reference per indirection section (see references).
 func (p *Plan) BuildLoop(env *interp.Env, procs, k int, dist inspector.Dist) (*rts.Loop, rts.ContribFunc, error) {
-	return p.BuildLoopOpts(env, procs, k, dist, BuildOpts{})
+	loop, b, err := p.build(env, procs, k, dist, BuildOpts{})
+	if err != nil {
+		return nil, nil, err
+	}
+	return loop, b.one, nil
 }
 
-// BuildLoopOpts is BuildLoop with explicit optimization control.
-func (p *Plan) BuildLoopOpts(env *interp.Env, procs, k int, dist inspector.Dist, bopts BuildOpts) (*rts.Loop, rts.ContribFunc, error) {
+// BuildLoopOpts is BuildLoop with explicit optimization control, returning
+// the block form the engines drive: the body evaluated a block of
+// iterations at a time, signs applied.
+func (p *Plan) BuildLoopOpts(env *interp.Env, procs, k int, dist inspector.Dist, bopts BuildOpts) (*rts.Loop, rts.ContribBlockFunc, error) {
+	loop, b, err := p.build(env, procs, k, dist, bopts)
+	if err != nil {
+		return nil, nil, err
+	}
+	return loop, b.block, nil
+}
+
+func (p *Plan) build(env *interp.Env, procs, k int, dist inspector.Dist, bopts BuildOpts) (*rts.Loop, *contribution, error) {
 	if p.Kind != Irregular {
 		return nil, nil, fmt.Errorf("codegen: %s is a regular loop", p.Name)
 	}
@@ -255,10 +271,6 @@ func (p *Plan) BuildLoopOpts(env *interp.Env, procs, k int, dist inspector.Dist,
 		return nil, nil, fmt.Errorf("codegen: %s: loops must start at 0 (got %d)", p.Name, lo)
 	}
 	arrays := p.ReductionArrays()
-	compOf := map[string]int{}
-	for c, a := range arrays {
-		compOf[a] = c
-	}
 	nElems, err := env.Size(arrays[0])
 	if err != nil {
 		return nil, nil, err
@@ -273,14 +285,12 @@ func (p *Plan) BuildLoopOpts(env *interp.Env, procs, k int, dist inspector.Dist,
 		}
 	}
 
-	reds := p.Info.Reductions
-	ind := make([][]int32, len(reds))
-	for r, red := range reds {
-		col, err := indColumn(env, red.Ind, hi)
-		if err != nil {
+	refs, b := p.references()
+	ind := make([][]int32, len(refs))
+	for r, ref := range refs {
+		if ind[r], err = indColumn(env, ref, hi); err != nil {
 			return nil, nil, err
 		}
-		ind[r] = col
 	}
 
 	// Prove what we can about the loop's subscripts from the concrete
@@ -308,19 +318,18 @@ func (p *Plan) BuildLoopOpts(env *interp.Env, procs, k int, dist inspector.Dist,
 		loop.Proof = facts
 	}
 
+	reds := p.Info.Reductions
 	exprs := make([]lang.Expr, len(reds))
-	signs := make([]float64, len(reds))
 	for r, red := range reds {
 		exprs[r] = red.RHS
-		signs[r] = 1
-		if red.Negate {
-			signs[r] = -1
+		if red.Negate { // -1 * RHS: the product the engine folds
+			exprs[r] = &lang.BinExpr{Op: '*', L: &lang.Num{Val: -1}, R: red.RHS}
 		}
 	}
-	// Compile the body to bytecode once; each simulated processor gets an
-	// independent evaluator (private register/stack state) plus a private
-	// scratch buffer. Range checks are elided per reference exactly where
-	// the proof covers the access.
+	// Compile the body to bytecode once; each processor gets an independent
+	// evaluator (private column arena) plus a private result block. Range
+	// checks are elided per reference exactly where the proof covers the
+	// access.
 	copts := interp.CompileOpts{}
 	if !bopts.ForceChecked {
 		copts.Unchecked = facts.RefProven
@@ -329,32 +338,79 @@ func (p *Plan) BuildLoopOpts(env *interp.Env, procs, k int, dist inspector.Dist,
 	if err != nil {
 		return nil, nil, err
 	}
-	comp := len(arrays)
-	type evalState struct {
-		code *interp.Code
-		vals []float64
+	b.ident, _ = p.Combine.Identity()
+	b.codes = make([]*interp.Code, procs)
+	b.vals = make([][]float64, procs)
+	for q := range b.codes {
+		b.codes[q] = code.Clone()
+		b.vals[q] = make([]float64, len(reds)*interp.BlockLen)
 	}
-	states := make([]evalState, procs)
-	p.codes = p.codes[:0]
-	for q := range states {
-		states[q] = evalState{code: code.Clone(), vals: make([]float64, len(reds))}
-		p.codes = append(p.codes, states[q].code)
+	p.codes = b.codes
+	return loop, b, nil
+}
+
+// references lowers the plan's reference group to rts references by
+// dataflow.SectionRefs, one per indirection section (euler's six reductions
+// over ia(*,0), ia(*,1) become two), and lays out the contributions: since
+// each component still receives its contributions in body order, results
+// are bitwise those of one reference per reduction.
+func (p *Plan) references() ([]analysis.IndRef, *contribution) {
+	arrays, reds := p.ReductionArrays(), p.Info.Reductions
+	secs, targets := make([]analysis.IndRef, len(reds)), make([]string, len(reds))
+	for r, red := range reds {
+		secs[r], targets[r] = red.Ind, red.Array
 	}
-	// Unwritten scratch slots must hold the combine's identity, not zero:
-	// with packed components, reference r contributes nothing to the other
-	// components, and "nothing" is the identity of the fold.
-	ident, _ := p.Combine.Identity()
-	contribs := func(proc, i int, out []float64) {
-		st := &states[proc]
-		st.code.Eval(i, st.vals)
-		for j := range out {
-			out[j] = ident
+	refs, refOf := dataflow.SectionRefs(secs, targets)
+	b := &contribution{comp: len(arrays), stride: len(refs) * len(arrays)}
+	for r, red := range reds {
+		b.slot = append(b.slot, refOf[r]*b.comp+sort.SearchStrings(arrays, red.Array))
+	}
+	return refs, b
+}
+
+// contribution evaluates a plan's body for the engines: result r is
+// reduction r's signed contribution, placed in its reference's slot.
+type contribution struct {
+	codes  []*interp.Code // per processor
+	vals   [][]float64    // per processor: the results of one block, column-major
+	slot   []int          // out slot of reduction r: reference*comp + component
+	ident  float64        // what a slot no reduction writes holds: "contributes nothing"
+	comp   int            // components per reference: the reduction arrays
+	stride int            // NumRef*comp slots per iteration
+}
+
+// block is the rts.ContribBlockFunc, evaluated interp.BlockLen iterations
+// at a time whatever length the engine passes.
+func (b *contribution) block(proc int, iters []int32, out []float64) {
+	for len(iters) > 0 {
+		n := min(len(iters), interp.BlockLen)
+		vals := b.vals[proc][:len(b.slot)*n]
+		b.codes[proc].EvalBlock(iters[:n], vals)
+		b.place(vals, n, out)
+		iters, out = iters[n:], out[n*b.stride:]
+	}
+}
+
+// one is the rts.ContribFunc: one iteration through Code.Eval.
+func (b *contribution) one(proc, i int, out []float64) {
+	vals := b.vals[proc][:len(b.slot)]
+	b.codes[proc].Eval(i, vals)
+	b.place(vals, 1, out)
+}
+
+// place moves n iterations' results from vals (column-major) into out
+// (iteration-major, stride slots each).
+func (b *contribution) place(vals []float64, n int, out []float64) {
+	if len(b.slot) < b.stride {
+		for j := range out[:n*b.stride] {
+			out[j] = b.ident
 		}
-		for r, red := range reds {
-			out[r*comp+compOf[red.Array]] = signs[r] * st.vals[r]
+	}
+	for r, s := range b.slot {
+		for j, v := range vals[r*n : (r+1)*n] {
+			out[j*b.stride+s] = v
 		}
 	}
-	return loop, contribs, nil
 }
 
 // BuildTreeFold wires an irregular plan onto the privatized tree-fold
@@ -363,7 +419,7 @@ func (p *Plan) BuildLoopOpts(env *interp.Env, procs, k int, dist inspector.Dist,
 // to reach the reordering execution path without a machine-checked proof
 // that the combine tolerates it.
 func (p *Plan) BuildTreeFold(env *interp.Env, workers int) (*rts.TreeFold, error) {
-	loop, contribs, err := p.BuildLoopOpts(env, workers, 1, inspector.Block, BuildOpts{})
+	loop, block, err := p.BuildLoopOpts(env, workers, 1, inspector.Block, BuildOpts{})
 	if err != nil {
 		return nil, err
 	}
@@ -371,7 +427,7 @@ func (p *Plan) BuildTreeFold(env *interp.Env, workers int) (*rts.TreeFold, error
 	if err != nil {
 		return nil, err
 	}
-	tf.Contribs = contribs
+	tf.ContribBlock = block
 	return tf, nil
 }
 

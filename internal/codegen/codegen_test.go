@@ -8,6 +8,7 @@ import (
 
 	"irred/internal/inspector"
 	"irred/internal/interp"
+	"irred/internal/kernels"
 	"irred/internal/rts"
 )
 
@@ -278,6 +279,28 @@ loop i = 0, n { a[i] = 1 }
 	s := u.Plans[0].ThreadedC()
 	if !strings.Contains(s, "regular loop") {
 		t.Fatalf("regular listing wrong:\n%s", s)
+	}
+}
+
+// TestThreadedCReferences: the listing inspects one indirection per rts
+// reference, and each reduction writes through its reference's slot.
+func TestThreadedCReferences(t *testing.T) {
+	u, err := Compile(kernels.EulerIRL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := u.Plans[0].ThreadedC()
+	for _, want := range []string{
+		"LIGHTINSPECTOR(ia(*,0), ia(*,1), /* iterations */",
+		"r1[indir1_out[phase][j]] +=", "r1[indir2_out[phase][j]] -=",
+		"r3[indir1_out[phase][j]] +=", "r3[indir2_out[phase][j]] -=",
+	} {
+		if !strings.Contains(s, want) {
+			t.Fatalf("listing lacks %q:\n%s", want, s)
+		}
+	}
+	if strings.Contains(s, "indir3_out") {
+		t.Fatalf("listing has a third indirection:\n%s", s)
 	}
 }
 

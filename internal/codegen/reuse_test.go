@@ -1,6 +1,7 @@
 package codegen
 
 import (
+	"math"
 	"math/rand"
 	"strings"
 	"testing"
@@ -43,6 +44,80 @@ loop i = 0, ne {
     q[row[i]] += y[i]
 }
 `
+
+// Three sweeps whose statements traverse ia(*,0), ia(*,1), ia(*,0),
+// ia(*,1) alike but lower to different references: the first and last
+// share two (y joins x's), the middle one's y through ia(*,0) follows its
+// own ia(*,1) reference, so it opens a third.
+const patternTestSrc = `
+param ne, n
+array ia[ne, 2] int
+array w[ne]
+array x[n]
+array y[n]
+loop i = 0, ne {
+    x[ia[i, 0]] += w[i]
+    x[ia[i, 1]] -= w[i]
+    y[ia[i, 0]] += w[i] * 2
+    y[ia[i, 1]] += w[i]
+}
+loop i = 0, ne {
+    x[ia[i, 0]] += w[i]
+    y[ia[i, 1]] += w[i] * 3
+    y[ia[i, 0]] -= w[i]
+    x[ia[i, 1]] += w[i]
+}
+loop i = 0, ne {
+    x[ia[i, 0]] -= w[i] * 5
+    x[ia[i, 1]] += w[i]
+    y[ia[i, 0]] += w[i]
+    y[ia[i, 1]] -= w[i]
+}
+`
+
+// TestReuseFollowsReferenceLayout: schedule reuse is granted by the
+// columns codegen extracts, not by the statements' sections — the middle
+// loop must inspect for itself, the last reuse the first's schedules (its
+// content key hits under VerifyReuse), and the run equals reuse-off.
+func TestReuseFollowsReferenceLayout(t *testing.T) {
+	u, err := Compile(patternTestSrc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, want := range []int{2, 3, 2} {
+		if refs, _ := u.Plans[i].references(); len(refs) != want {
+			t.Fatalf("plan %d: %d references (%v), want %d", i, len(refs), refs, want)
+		}
+	}
+	if a, b := u.Reuse.ReuseOf(1), u.Reuse.ReuseOf(2); a != -1 || b != 0 {
+		t.Fatalf("ReuseOf(1), ReuseOf(2) = %d, %d; want -1, 0\n%s", a, b, u.Reuse.Report())
+	}
+	const ne, n = 400, 53
+	on, err := u.NewRunnerOpts(bindRandom(t, u, ne, n, 4), 3, 2, inspector.Cyclic, RunnerOpts{VerifyReuse: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if on.Inspections() != 2 || on.Reuses() != 1 {
+		t.Fatalf("inspections = %d, reuses = %d; want 2 and 1", on.Inspections(), on.Reuses())
+	}
+	off, err := u.NewRunnerOpts(bindRandom(t, u, ne, n, 4), 3, 2, inspector.Cyclic, RunnerOpts{NoReuse: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := on.Run(2); err != nil {
+		t.Fatal(err)
+	}
+	if err := off.Run(2); err != nil {
+		t.Fatal(err)
+	}
+	for _, a := range []string{"x", "y"} {
+		for i, v := range off.Env.Floats[a] {
+			if g := on.Env.Floats[a][i]; math.Float64bits(g) != math.Float64bits(v) {
+				t.Fatalf("array %s[%d]: reuse-on %v, reuse-off %v", a, i, g, v)
+			}
+		}
+	}
+}
 
 func cgEnv(t *testing.T, u *Unit, ne, n int, seed int64) *interp.Env {
 	t.Helper()

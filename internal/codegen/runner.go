@@ -76,7 +76,7 @@ func (u *Unit) NewRunnerOpts(env *interp.Env, procs, k int, dist inspector.Dist,
 	for i, p := range u.Plans {
 		rp := runnerPlan{plan: p}
 		if p.Kind == Irregular {
-			loop, contribs, err := p.BuildLoop(env, procs, k, dist)
+			loop, block, err := p.BuildLoopOpts(env, procs, k, dist, BuildOpts{})
 			if err != nil {
 				return nil, err
 			}
@@ -103,7 +103,7 @@ func (u *Unit) NewRunnerOpts(env *interp.Env, procs, k int, dist inspector.Dist,
 			if err != nil {
 				return nil, err
 			}
-			nat.Contribs = contribs
+			nat.ContribBlock = block
 			rp.native = nat
 		}
 		r.plans = append(r.plans, rp)

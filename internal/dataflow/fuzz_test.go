@@ -1,7 +1,9 @@
 package dataflow_test
 
 import (
+	"fmt"
 	"math"
+	"math/rand"
 	"testing"
 
 	"irred/internal/algebra"
@@ -37,6 +39,7 @@ func FuzzDataflow(f *testing.F) {
 	f.Add("param n\narray w[8]\narray x[8]\narray ia[n] int\nloop i = 0, 4 {\n    w[i] = i * 2.0\n}\nloop i = 0, n {\n    x[ia[i]] += w[0] * 3 + 1\n}\n")
 	f.Add("loop i = 0, 3 {\n    x[i] = 1\n}\n")
 	f.Add("param n\narray x[n]\nloop i = n, 0 {\n    x[i] = sqrt(abs(x[i]))\n}\n")
+	f.Add("array x[8]\narray w[8]\nloop i = 4294967296, 4294967300 {\n    x[i - 4294967296] = w[i * 0 + 3] + i\n}\n")
 	f.Add("param n, m\narray e[n] int\narray best[m]\narray w[n]\nloop i = 0, n {\n    best[e[i]] min= w[i]\n}\n")
 	f.Add("param n, m\narray ia[n] int\narray x[m]\narray w[n]\nloop i = 0, n {\n    x[ia[i]] *= w[i]\n    x[ia[i]] max= 0 - w[i]\n}\n")
 	f.Add("param n, m\narray ia[n] int\narray x[m]\narray w[n]\nloop i = 0, n {\n    x[ia[i]] = x[ia[i]] * w[i] + x[ia[i]] + w[i]\n}\n")
@@ -110,7 +113,11 @@ func FuzzDataflow(f *testing.F) {
 
 		// Property 2: run each loop's right-hand sides with checks elided
 		// exactly where proven. An unsound proof panics the evaluator on
-		// a raw out-of-range slice index.
+		// a raw out-of-range slice index. Where the iterations fit the
+		// int32 EvalBlock takes, the same iterations evaluated in random
+		// block splits must give the same bits and the same first fault as
+		// one at a time.
+		rng := rand.New(rand.NewSource(int64(len(src))))
 		for li, l := range prog.Loops {
 			lf := res.Loops[li]
 			lo, hi, ok := constBounds(env, l)
@@ -126,7 +133,9 @@ func FuzzDataflow(f *testing.F) {
 			if err != nil {
 				continue
 			}
-			out := make([]float64, len(exprs))
+			nr, block := len(exprs), code.Clone()
+			want := make([]float64, nr*(hi-lo)) // iteration-major
+			iters := make([]int32, hi-lo)
 			func() {
 				defer func() {
 					if r := recover(); r != nil {
@@ -134,7 +143,29 @@ func FuzzDataflow(f *testing.F) {
 					}
 				}()
 				for i := lo; i < hi; i++ {
-					code.Eval(i, out)
+					code.Eval(i, want[(i-lo)*nr:])
+				}
+				if lo < math.MinInt32 || hi-1 > math.MaxInt32 {
+					return // one at a time only: Eval is exact for any int
+				}
+				for i := range iters {
+					iters[i] = int32(lo + i)
+				}
+				for pos := 0; pos < len(iters); {
+					blk := iters[pos:min(pos+1+rng.Intn(12), len(iters))]
+					got := make([]float64, nr*len(blk))
+					block.EvalBlock(blk, got)
+					for j := range blk {
+						for r := 0; r < nr; r++ {
+							if g, w := got[r*len(blk)+j], want[(pos+j)*nr+r]; math.Float64bits(g) != math.Float64bits(w) {
+								t.Fatalf("loop %d iteration %d result %d: block %v, one at a time %v\nsource:\n%s", li, blk[j], r, g, w, src)
+							}
+						}
+					}
+					pos += len(blk)
+				}
+				if fmt.Sprint(block.Err()) != fmt.Sprint(code.Err()) {
+					t.Fatalf("loop %d: block evaluation faults %v, one at a time %v\nsource:\n%s", li, block.Err(), code.Err(), src)
 				}
 			}()
 		}

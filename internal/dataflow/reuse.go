@@ -57,7 +57,7 @@ func (s IndSig) String() string {
 // bitwise-identical schedules from the (deterministic) inspector.
 type ReuseSig struct {
 	Loop int      // program loop index
-	Refs []IndSig // indirection columns, body reference order
+	Refs []IndSig // indirection columns, in reference order (SectionRefs)
 	Lo   string   // iteration space, rendered bounds
 	Hi   string
 	// Elems is the reduction arrays' element extent (all reduction
@@ -146,14 +146,44 @@ func (rl *ReuseLicense) ReuseOf(idx int) int {
 	return -1
 }
 
+// SectionRefs lowers a loop's irregular updates, in body order, to the
+// runtime's references: update u reduces into arrays[u] through section
+// secs[u]. Sections shared by several reduction arrays share one
+// reference, the paper's reference group: u joins the earliest reference
+// through secs[u] that comes after every reference already carrying
+// arrays[u], and opens a new one when there is none, so each array still
+// receives its contributions in body order. refOf[u] is u's reference.
+// codegen lays out its columns by this rule, and the reuse signature
+// carries its references, so equal signatures mean equal columns.
+func SectionRefs[S comparable](secs []S, arrays []string) (refs []S, refOf []int) {
+	var carries []map[string]bool
+	for u, s := range secs {
+		q := -1
+		for r := len(refs) - 1; r >= 0 && !carries[r][arrays[u]]; r-- {
+			if refs[r] == s {
+				q = r
+			}
+		}
+		if q < 0 {
+			q = len(refs)
+			refs = append(refs, s)
+			carries = append(carries, map[string]bool{})
+		}
+		carries[q][arrays[u]] = true
+		refOf = append(refOf, q)
+	}
+	return refs, refOf
+}
+
 // loopSig extracts the schedule-identity signature of one loop, or nil
 // when the loop has no irregular reduction in the inspectable shape
 // (target subscripted by ind[i] or ind[i, lit] with i the loop
-// variable). The reference order matches codegen's column extraction:
-// body order, one column per irregular update.
+// variable). Its references are the columns codegen extracts: the body's
+// irregular updates lowered by SectionRefs.
 func loopSig(prog *lang.Program, idx int, l *lang.Loop, opts Options) *ReuseSig {
 	sig := &ReuseSig{Loop: idx, Lo: l.Lo.String(), Hi: l.Hi.String()}
 	reds := map[string]bool{}
+	var targets []string
 	for _, st := range l.Body {
 		if st.Target == nil {
 			continue
@@ -173,11 +203,13 @@ func loopSig(prog *lang.Program, idx int, l *lang.Loop, opts Options) *ReuseSig 
 			return nil // analysis refuses the loop; nothing to reuse
 		}
 		sig.Refs = append(sig.Refs, ref)
+		targets = append(targets, st.Target.Array)
 		reds[st.Target.Array] = true
 	}
 	if len(sig.Refs) == 0 {
 		return nil
 	}
+	sig.Refs, _ = SectionRefs(sig.Refs, targets)
 
 	// All reduction arrays of one loop must share an extent for the loop
 	// to build; the signature carries that common extent. Disagreement

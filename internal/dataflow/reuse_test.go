@@ -1,6 +1,7 @@
 package dataflow
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -82,6 +83,41 @@ func TestProveReuseGrantsChain(t *testing.T) {
 		if !strings.Contains(rep, want) {
 			t.Errorf("Report missing %q:\n%s", want, rep)
 		}
+	}
+}
+
+// TestReuseSigCoalescesSections: a signature's references are codegen's
+// (SectionRefs), so two loops whose updates traverse the same sections in
+// the same order but reduce into different arrays can differ — y joins x's
+// ia(*,0) reference, a third update of x cannot — and are not granted reuse.
+func TestReuseSigCoalescesSections(t *testing.T) {
+	rl := ProveReuse(mustParse(t, `param ne, n
+array ia[ne, 2] int
+array w[ne]
+array x[n]
+array y[n]
+loop i = 0, ne {
+    x[ia[i, 0]] += w[i]
+    x[ia[i, 1]] += w[i]
+    y[ia[i, 0]] += w[i]
+}
+loop i = 0, ne {
+    x[ia[i, 0]] += w[i]
+    x[ia[i, 1]] += w[i]
+    x[ia[i, 0]] += w[i]
+}`), Options{})
+	for i, want := range []string{"ia(*,0);ia(*,1);", "ia(*,0);ia(*,1);ia(*,0);"} {
+		if got := rl.Sigs[i].refsKey(); got != want {
+			t.Errorf("loop %d references %q, want %q", i, got, want)
+		}
+	}
+	if len(rl.Grants) != 0 {
+		t.Fatalf("loops with different references granted reuse\n%s", rl.Report())
+	}
+
+	refs, refOf := SectionRefs([]string{"a", "b", "a", "b", "a"}, []string{"x", "x", "y", "y", "y"})
+	if fmt.Sprint(refs, refOf) != "[a b a] [0 1 0 1 2]" {
+		t.Fatalf("SectionRefs = %v %v, want [a b a] [0 1 0 1 2]", refs, refOf)
 	}
 }
 

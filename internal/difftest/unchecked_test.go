@@ -47,7 +47,7 @@ func buildAndRun(t *testing.T, c mvmCase, p, k, steps int, forceChecked bool) ([
 	}
 	env := bindMVM(t, u, c)
 	plan := u.Plans[0]
-	loop, contribs, err := plan.BuildLoopOpts(env, p, k, inspector.Cyclic, codegen.BuildOpts{ForceChecked: forceChecked})
+	loop, block, err := plan.BuildLoopOpts(env, p, k, inspector.Cyclic, codegen.BuildOpts{ForceChecked: forceChecked})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,7 +58,7 @@ func buildAndRun(t *testing.T, c mvmCase, p, k, steps int, forceChecked bool) ([
 	if forceChecked && !nat.CheckTargets {
 		t.Fatal("ForceChecked build must keep native target checks")
 	}
-	nat.Contribs = contribs
+	nat.ContribBlock = block
 	if err := nat.Run(steps); err != nil {
 		t.Fatalf("native run: %v", err)
 	}

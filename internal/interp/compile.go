@@ -7,11 +7,12 @@ import (
 	"irred/internal/lang"
 )
 
-// This file compiles IRL expressions to a small stack bytecode so that
-// per-iteration evaluation inside the phase runtime runs without AST
-// walking or map lookups — the role the EARTH-C backend's code generation
-// played. A Code object evaluates a loop's scalar definitions and a set of
-// result expressions for one iteration.
+// This file compiles IRL expressions to a small stack bytecode, then lowers
+// that to column code whose every instruction runs across a whole block of
+// iterations: dispatch is paid once per instruction per block, and the
+// inner loops are tight loops over columns — the role the EARTH-C backend's
+// code generation played. A Code object evaluates a loop's scalar
+// definitions and a set of result expressions for a block of iterations.
 
 type opcode uint8
 
@@ -37,6 +38,11 @@ const (
 	opRange  // validate top of stack against checks[a]; fault + clamp to 0 on failure
 	opLoad1C // opLoad1 with the index validated against checks[a] first
 	opLoadIC // opLoadI with the index validated against checks[a] first
+
+	// Fused loads of an index chain i*w+off, in column code only (see chain).
+	opDirect   // push f64[a][i*w+off]
+	opGather   // push i32[a][i*w+off] as float64
+	opIndirect // push f64[a][i32[src][i*w+off]]
 )
 
 type instr struct {
@@ -52,18 +58,32 @@ type check struct {
 	msg string // "pos: ref" used in fault reports
 }
 
-// Code is a compiled per-iteration evaluator.
+// BlockLen is the most iterations one column pass covers — the native
+// engine's block (rts.ContribBlockFunc). EvalBlock splits longer runs.
+const BlockLen = 256
+
+// cinstr is one column instruction: its opcode's stack effect, applied to
+// a block of iterations — operands and result are column slots.
+type cinstr struct {
+	op               opcode
+	d, x, y          int32 // column slots
+	arr, src, w, off int32 // array, check or result index; opIndirect's int array; chain i*w+off
+}
+
+// Code is a compiled block evaluator.
 type Code struct {
-	prog   []instr
-	consts []float64
+	prog   []cinstr
 	f64    [][]float64 // referenced float arrays, resolved at compile time
 	i32    [][]int32   // referenced int arrays
 	checks []check
-	nRegs  int
+	consts []float64 // constant columns 0..len-1 hold these values
 	nOut   int
-	stack  []float64
-	regs   []float64
-	err    error // first range fault, nil while clean
+	arena  []float64 // columns of BlockLen values, private to this Code
+	err    error     // first range fault, nil while clean
+	// The block's first fault so far: lowest position, then earliest site.
+	faultJ  int
+	faultCk *check
+	faultV  float64
 }
 
 // CompileOpts controls bounds-check emission.
@@ -110,27 +130,22 @@ func (e *Env) CompileIterOpts(l *lang.Loop, results []lang.Expr, opts CompileOpt
 		}
 		c.emit(instr{op: opResult, a: int32(j)})
 	}
-	code := &Code{
-		prog:   c.prog,
-		consts: c.consts,
-		f64:    c.f64,
-		i32:    c.i32,
-		checks: c.checks,
-		nRegs:  len(c.regOf),
-		nOut:   len(results),
-	}
-	code.stack = make([]float64, 0, 16)
-	code.regs = make([]float64, code.nRegs)
-	return code, nil
+	prog, nCols := c.lower()
+	code := &Code{prog: prog, f64: c.f64, i32: c.i32, checks: c.checks, consts: c.consts, nOut: len(results),
+		arena: make([]float64, nCols*BlockLen)}
+	return code.Clone(), nil
 }
 
 // Clone returns an independent evaluator sharing the immutable program and
 // array bindings, for concurrent use from several goroutines. The clone
-// starts with a clean fault state.
+// starts with a clean fault state and allocates its own column arena — a
+// multiple of 64 B, so clones on different processors share no cache line.
 func (c *Code) Clone() *Code {
 	out := *c
-	out.stack = make([]float64, 0, 16)
-	out.regs = make([]float64, c.nRegs)
+	out.arena = make([]float64, len(c.arena))
+	for i := range out.arena[:len(c.consts)*BlockLen] {
+		out.arena[i] = c.consts[i/BlockLen]
+	}
 	out.err = nil
 	return &out
 }
@@ -144,96 +159,246 @@ func (c *Code) NumChecks() int { return len(c.checks) }
 
 // Err reports the first range fault recorded by checked execution, or nil.
 // A faulting access clamps to a safe value and evaluation continues, so a
-// run always completes; callers inspect Err afterwards. Clones fault
-// independently.
+// run always completes; callers inspect Err afterwards. The first fault is
+// the one evaluating the iterations one at a time, in order, would meet.
+// Clones fault independently.
 func (c *Code) Err() error { return c.err }
 
-// fault records the first out-of-range access.
-func (c *Code) fault(ck *check, v float64) {
-	if c.err == nil {
-		c.err = fmt.Errorf("interp: %s: subscript %v out of range [0, %d)", ck.msg, v, ck.ext)
+// fault records an out-of-range value at block position j; the lowest
+// position wins, and for one position the earliest site, because sites are
+// visited in program order.
+func (c *Code) fault(j int, ck *check, v float64) {
+	if j < c.faultJ {
+		c.faultJ, c.faultCk, c.faultV = j, ck, v
 	}
 }
 
 // Eval runs the program for iteration i, writing the results into out
-// (len >= NumResults). Index bounds are checked by the slice accesses.
+// (len >= NumResults): a one-iteration block based at i, so any int i is
+// evaluated exactly, not only those an int32 holds.
 func (c *Code) Eval(i int, out []float64) {
-	s := c.stack[:0]
-	fi := float64(i)
-	for _, in := range c.prog {
+	var zero [1]int32
+	c.run(zero[:], i, out, 1, 0)
+}
+
+// EvalBlock runs the program for every iteration of iters, writing result r
+// of iters[j] to out[r*len(iters)+j]: each instruction runs across up to
+// BlockLen iterations before the next starts, with results bitwise those of
+// one iteration at a time. Unchecked accesses are bounds-checked by Go.
+func (c *Code) EvalBlock(iters []int32, out []float64) {
+	for lo := 0; lo < len(iters); lo += BlockLen {
+		c.run(iters[lo:min(lo+BlockLen, len(iters))], 0, out, len(iters), lo)
+	}
+}
+
+func (c *Code) col(s int32, n int) []float64 { return c.arena[int(s)*BlockLen:][:n] }
+
+// run evaluates one block of at most BlockLen iterations, base+its[j]; the
+// result r of its j'th iteration lands at out[r*stride+off+j].
+func (c *Code) run(its []int32, base int, out []float64, stride, off int) {
+	n := len(its)
+	c.faultJ = n
+	for i := range c.prog {
+		in := &c.prog[i]
+		d, x, y := c.col(in.d, n), c.col(in.x, n), c.col(in.y, n)
 		switch in.op {
-		case opConst:
-			s = append(s, c.consts[in.a])
 		case opIter:
-			s = append(s, fi)
+			for j, it := range its {
+				d[j] = float64(base + int(it))
+			}
+		case opDirect: // (base+it)*w+off, the chain's value, with base*w+off hoisted
+			a, w, o := c.f64[in.arr], int(in.w), base*int(in.w)+int(in.off)
+			for j, it := range its {
+				d[j] = a[int(it)*w+o]
+			}
+		case opGather:
+			a, w, o := c.i32[in.arr], int(in.w), base*int(in.w)+int(in.off)
+			for j, it := range its {
+				d[j] = float64(a[int(it)*w+o])
+			}
+		case opIndirect:
+			a, ind, w, o := c.f64[in.arr], c.i32[in.src], int(in.w), base*int(in.w)+int(in.off)
+			for j, it := range its {
+				d[j] = a[ind[int(it)*w+o]]
+			}
 		case opLoad1:
-			idx := int(s[len(s)-1])
-			s[len(s)-1] = c.f64[in.a][idx]
+			a := c.f64[in.arr]
+			for j, v := range x {
+				d[j] = a[int(v)]
+			}
 		case opLoadI:
-			idx := int(s[len(s)-1])
-			s[len(s)-1] = float64(c.i32[in.a][idx])
-		case opReg:
-			s = append(s, c.regs[in.a])
+			a := c.i32[in.arr]
+			for j, v := range x {
+				d[j] = float64(a[int(v)])
+			}
 		case opAdd:
-			s[len(s)-2] += s[len(s)-1]
-			s = s[:len(s)-1]
+			for j, v := range x {
+				d[j] = v + y[j]
+			}
 		case opSub:
-			s[len(s)-2] -= s[len(s)-1]
-			s = s[:len(s)-1]
+			for j, v := range x {
+				d[j] = v - y[j]
+			}
 		case opMul:
-			s[len(s)-2] *= s[len(s)-1]
-			s = s[:len(s)-1]
+			for j, v := range x {
+				d[j] = v * y[j]
+			}
 		case opDiv:
-			s[len(s)-2] /= s[len(s)-1]
-			s = s[:len(s)-1]
+			for j, v := range x {
+				d[j] = v / y[j]
+			}
+		case opMin, opMax:
+			f := math.Min
+			if in.op == opMax {
+				f = math.Max
+			}
+			for j, v := range x {
+				d[j] = f(v, y[j])
+			}
 		case opNeg:
-			s[len(s)-1] = -s[len(s)-1]
+			for j, v := range x {
+				d[j] = -v
+			}
 		case opSqrt:
-			s[len(s)-1] = math.Sqrt(s[len(s)-1])
+			for j, v := range x {
+				d[j] = math.Sqrt(v)
+			}
 		case opAbs:
-			s[len(s)-1] = math.Abs(s[len(s)-1])
-		case opMin:
-			s[len(s)-2] = math.Min(s[len(s)-2], s[len(s)-1])
-			s = s[:len(s)-1]
-		case opMax:
-			s[len(s)-2] = math.Max(s[len(s)-2], s[len(s)-1])
-			s = s[:len(s)-1]
-		case opStore:
-			c.regs[in.a] = s[len(s)-1]
-			s = s[:len(s)-1]
-		case opResult:
-			out[in.a] = s[len(s)-1]
-			s = s[:len(s)-1]
+			for j, v := range x {
+				d[j] = math.Abs(v)
+			}
 		case opRange:
-			ck := &c.checks[in.a]
-			v := s[len(s)-1]
-			if !(v >= 0 && v < float64(ck.ext)) || v != math.Trunc(v) {
-				c.fault(ck, v)
-				s[len(s)-1] = 0
+			ck := &c.checks[in.arr]
+			for j, v := range x {
+				if !(v >= 0 && v < float64(ck.ext)) || v != math.Trunc(v) {
+					c.fault(j, ck, v)
+					v = 0
+				}
+				d[j] = v
 			}
-		case opLoad1C:
-			ck := &c.checks[in.a]
-			arr := c.f64[ck.arr]
-			idx := int(s[len(s)-1])
-			if idx < 0 || idx >= len(arr) {
-				c.fault(ck, s[len(s)-1])
-				s[len(s)-1] = 0
-			} else {
-				s[len(s)-1] = arr[idx]
+		case opLoad1C, opLoadIC:
+			ck := &c.checks[in.arr] // ext is the array's length
+			for j, v := range x {
+				switch idx := int(v); {
+				case idx < 0 || idx >= int(ck.ext):
+					c.fault(j, ck, v)
+					d[j] = 0
+				case in.op == opLoad1C:
+					d[j] = c.f64[ck.arr][idx]
+				default:
+					d[j] = float64(c.i32[ck.arr][idx])
+				}
 			}
-		case opLoadIC:
-			ck := &c.checks[in.a]
-			arr := c.i32[ck.arr]
-			idx := int(s[len(s)-1])
-			if idx < 0 || idx >= len(arr) {
-				c.fault(ck, s[len(s)-1])
-				s[len(s)-1] = 0
-			} else {
-				s[len(s)-1] = float64(arr[idx])
-			}
+		case opResult:
+			copy(out[int(in.arr)*stride+off:][:n], x)
 		}
 	}
-	c.stack = s[:0]
+	if c.faultJ < n && c.err == nil {
+		c.err = fmt.Errorf("interp: %s: subscript %v out of range [0, %d)", c.faultCk.msg, c.faultV, c.faultCk.ext)
+	}
+}
+
+// lower rewrites the stack program for column execution: every stack value
+// becomes a column slot. Constant k is column k, filled once per arena, and
+// a register is the column its definition left, so a binary op reads both
+// in place, at no pass of their own. Index chains become fused loads (see
+// chain), and a consumed temporary's slot is reused at once.
+func (c *compiler) lower() (prog []cinstr, nCols int) {
+	type val struct {
+		s    int32
+		temp bool // owned by the stack: its slot frees once consumed
+	}
+	var (
+		stack []val
+		free  []int32
+		regs  = make([]val, len(c.regOf))
+	)
+	nCols = len(c.consts)
+	pop := func() val {
+		v := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		return v
+	}
+	take := func(v val) int32 {
+		if v.temp {
+			free = append(free, v.s)
+		}
+		return v.s
+	}
+	push := func(in cinstr) {
+		if len(free) > 0 {
+			in.d, free = free[len(free)-1], free[:len(free)-1]
+		} else {
+			in.d, nCols = int32(nCols), nCols+1
+		}
+		prog = append(prog, in)
+		stack = append(stack, val{s: in.d, temp: true})
+	}
+	for pc := 0; pc < len(c.prog); pc++ {
+		in := c.prog[pc]
+		if n, fused, ok := c.chain(c.prog[pc:]); ok {
+			push(fused)
+			pc += n - 1
+			continue
+		}
+		switch in.op {
+		case opConst:
+			stack = append(stack, val{s: in.a})
+		case opReg:
+			stack = append(stack, regs[in.a])
+		case opStore:
+			v := pop()
+			v.temp = false
+			regs[in.a] = v
+		case opResult:
+			prog = append(prog, cinstr{op: opResult, x: take(pop()), arr: in.a})
+		case opIter:
+			push(cinstr{op: opIter})
+		case opAdd, opSub, opMul, opDiv, opMin, opMax:
+			y, x := pop(), pop()
+			push(cinstr{op: in.op, x: take(x), y: take(y)})
+		default: // unary ops, loads and checks
+			push(cinstr{op: in.op, x: take(pop()), arr: in.a})
+		}
+	}
+	return prog, nCols
+}
+
+// chain matches an unchecked index chain iter [const w, mul] [const off,
+// add] ending in a load at the head of p — ia[i, c] or a[i] — and returns
+// the one pass replacing it and how many instructions that covers: a gather,
+// a direct load, or an indirect one for a float load through the gathered
+// value (q[ia[i, c]]). With integral w, off below 2^21 and |i| < 2^32,
+// i*w+off stays below 2^53, so the chain's float arithmetic is exact and
+// equals the pass's; past 2^32 only w = 0 keeps the index inside an array,
+// and then both give off.
+func (c *compiler) chain(p []instr) (int, cinstr, bool) {
+	if len(p) < 2 || p[0].op != opIter {
+		return 0, cinstr{}, false
+	}
+	n, w, off := 1, 1.0, 0.0
+	if len(p) > n+2 && p[n].op == opConst && p[n+1].op == opMul {
+		w, n = c.consts[p[n].a], n+2
+	}
+	if len(p) > n+2 && p[n].op == opConst && p[n+1].op == opAdd {
+		off, n = c.consts[p[n].a], n+2
+	}
+	if w != math.Trunc(w) || off != math.Trunc(off) || math.Abs(w) >= 1<<21 || math.Abs(off) >= 1<<21 {
+		return 0, cinstr{}, false
+	}
+	in := cinstr{arr: p[n].a, w: int32(w), off: int32(off)}
+	switch {
+	case p[n].op == opLoad1:
+		in.op = opDirect
+	case p[n].op != opLoadI:
+		return 0, cinstr{}, false
+	case len(p) > n+1 && p[n+1].op == opLoad1:
+		in.op, in.src, in.arr = opIndirect, in.arr, p[n+1].a
+		n++
+	default:
+		in.op = opGather
+	}
+	return n + 1, in, true
 }
 
 type compiler struct {

@@ -1,7 +1,7 @@
 // Package interp evaluates IRL programs against concrete data. It provides
 // the sequential reference semantics (what the original loop computes) and
-// the per-iteration evaluation hooks that let compiled loops execute on the
-// phase runtime.
+// the block evaluator (Code) that lets compiled loops execute on the phase
+// runtime.
 package interp
 
 import (
@@ -304,30 +304,6 @@ func (e *Env) Run() error {
 		if err := e.RunLoop(l); err != nil {
 			return err
 		}
-	}
-	return nil
-}
-
-// IterEval evaluates, for iteration i of loop l, the values of the given
-// expressions after executing the loop's scalar definitions. It is the hook
-// the compiled phase executor uses to compute per-iteration contributions.
-func (e *Env) IterEval(l *lang.Loop, i int, exprs []lang.Expr, out []float64) error {
-	f := &frame{loopVar: l.Var, i: i, temps: map[string]float64{}}
-	for _, st := range l.Body {
-		if st.Scalar != "" {
-			v, err := e.evalExpr(st.RHS, f)
-			if err != nil {
-				return err
-			}
-			f.temps[st.Scalar] = v
-		}
-	}
-	for j, x := range exprs {
-		v, err := e.evalExpr(x, f)
-		if err != nil {
-			return err
-		}
-		out[j] = v
 	}
 	return nil
 }

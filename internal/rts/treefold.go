@@ -31,8 +31,13 @@ type TreeFold struct {
 	// rotation engine's accumulate-on-top semantics.
 	X []float64
 
-	Contribs ContribFunc
-	Update   UpdateFunc
+	// Contribs or ContribBlock supplies the contributions, as for Native:
+	// the workers drive only the block form, called on up to 256
+	// consecutive iterations of their chunk; a per-iteration Contribs is
+	// wrapped into one at Run start, and ContribBlock wins when both are set.
+	Contribs     ContribFunc
+	ContribBlock ContribBlockFunc
+	Update       UpdateFunc
 
 	// CheckTargets range-checks every private-image write, mirroring the
 	// native engine: on by default, elided when the loop carries a bounds
@@ -40,6 +45,8 @@ type TreeFold struct {
 	CheckTargets bool
 
 	accs      [][]float64 // per-worker private images, identity-seeded
+	iters     [][]int32   // per-worker block of iteration numbers
+	arenas    [][]float64 // per-worker contribution blocks
 	checkErrs []error
 }
 
@@ -71,9 +78,13 @@ func NewTreeFold(l *Loop, lic *dataflow.License) (*TreeFold, error) {
 		X:            make([]float64, l.Cfg.NumElems*comp),
 		CheckTargets: !proven,
 		accs:         make([][]float64, l.Cfg.P),
+		iters:        make([][]int32, l.Cfg.P),
+		arenas:       make([][]float64, l.Cfg.P),
 	}
 	for p := range t.accs {
 		t.accs[p] = make([]float64, l.Cfg.NumElems*comp)
+		t.iters[p] = make([]int32, blockIters)
+		t.arenas[p] = make([]float64, blockIters*len(l.Ind)*comp)
 	}
 	return t, nil
 }
@@ -92,11 +103,16 @@ func (t *TreeFold) checkFail(p int, format string, args ...any) {
 // under a full barrier.
 func (t *TreeFold) Run(steps int) error {
 	l := t.Loop
-	if t.Contribs == nil {
-		return fmt.Errorf("rts: tree-fold run needs Contribs")
-	}
 	P := l.Cfg.P
 	comp := l.Cost.comp()
+	stride := len(l.Ind) * comp
+	block := t.ContribBlock
+	if block == nil {
+		if t.Contribs == nil {
+			return fmt.Errorf("rts: tree-fold run needs Contribs")
+		}
+		block = blockOf(t.Contribs, stride)
+	}
 	op := l.Combine
 	ident, _ := op.Identity()
 	nelems := l.Cfg.NumElems
@@ -119,19 +135,24 @@ func (t *TreeFold) Run(steps int) error {
 				for i := range acc {
 					acc[i] = ident
 				}
-				scratch := make([]float64, len(l.Ind)*comp)
-				lo := p * chunk
-				hi := min(lo+chunk, niters)
-				for i := lo; i < hi; i++ {
-					t.Contribs(p, i, scratch)
-					for r := range l.Ind {
-						tgt := int(l.Ind[r][i])
-						if t.CheckTargets && (tgt < 0 || tgt >= nelems) {
-							t.checkFail(p, "worker %d: iteration %d writes %d outside the reduction array [0,%d)", p, i, tgt, nelems)
-							continue
-						}
-						for c := 0; c < comp; c++ {
-							acc[tgt*comp+c] = op.Fold(acc[tgt*comp+c], scratch[r*comp+c])
+				iters, arena := t.iters[p], t.arenas[p]
+				for lo, hi := p*chunk, min((p+1)*chunk, niters); lo < hi; lo += blockIters {
+					its := iters[:min(hi-lo, blockIters)]
+					for j := range its {
+						its[j] = int32(lo + j)
+					}
+					block(p, its, arena[:len(its)*stride])
+					for j, it := range its {
+						scratch := arena[j*stride:]
+						for r := range l.Ind {
+							tgt := int(l.Ind[r][it])
+							if t.CheckTargets && (tgt < 0 || tgt >= nelems) {
+								t.checkFail(p, "worker %d: iteration %d writes %d outside the reduction array [0,%d)", p, it, tgt, nelems)
+								continue
+							}
+							for c := 0; c < comp; c++ {
+								acc[tgt*comp+c] = op.Fold(acc[tgt*comp+c], scratch[r*comp+c])
+							}
 						}
 					}
 				}

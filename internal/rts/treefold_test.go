@@ -216,3 +216,55 @@ func TestValidateCombineRules(t *testing.T) {
 		t.Fatal("non-add combine on a gather loop must not validate")
 	}
 }
+
+// TestTreeFoldBlockEqualsContribs: the block form, called on runs of at
+// most 256 consecutive iterations of each worker's chunk, folds the same
+// bits as a per-iteration Contribs (wrapped once per Run) — non-integral
+// weights, two references, two components, chunks spanning several blocks.
+func TestTreeFoldBlockEqualsContribs(t *testing.T) {
+	const nIters, nElems, comp = 2100, 37, 2
+	rng := rand.New(rand.NewSource(5))
+	ind := [][]int32{make([]int32, nIters), make([]int32, nIters)}
+	w := make([]float64, nIters)
+	for i := range w {
+		ind[0][i], ind[1][i] = int32(rng.Intn(nElems)), int32(rng.Intn(nElems))
+		w[i] = rng.NormFloat64()
+	}
+	contrib := func(i int, out []float64) {
+		out[0], out[1], out[2], out[3] = w[i], -w[i], w[i]*w[i], 0.5*w[i]
+	}
+	run := func(set func(tf *TreeFold)) []float64 {
+		l := treefoldLoop(algebra.Add, nIters, nElems, nil)
+		l.Ind, l.Cost.Comp = ind, comp
+		tf, err := NewTreeFold(l, licenseFor(t, treefoldAddSrc))
+		if err != nil {
+			t.Fatal(err)
+		}
+		set(tf)
+		if err := tf.Run(2); err != nil {
+			t.Fatal(err)
+		}
+		return tf.X
+	}
+	want := run(func(tf *TreeFold) {
+		tf.Contribs = func(_, i int, out []float64) { contrib(i, out) }
+	})
+	got := run(func(tf *TreeFold) {
+		tf.ContribBlock = func(_ int, iters []int32, out []float64) {
+			if len(iters) == 0 || len(iters) > 256 {
+				t.Errorf("block of %d iterations", len(iters))
+			}
+			for j, it := range iters {
+				if j > 0 && it != iters[j-1]+1 {
+					t.Errorf("non-consecutive block %v", iters)
+				}
+				contrib(int(it), out[j*2*comp:])
+			}
+		}
+	})
+	for e := range want {
+		if math.Float64bits(got[e]) != math.Float64bits(want[e]) {
+			t.Fatalf("X[%d]: block %v, per-iteration %v", e, got[e], want[e])
+		}
+	}
+}
