@@ -135,13 +135,13 @@ func main() {
 		return
 	}
 
-	// The serving path executes native and distributed only, so the tuner
-	// is built with that allowlist: picks measured on tree-fold or the
-	// interpreter never reach the pool.
+	// The serving path executes native only, so the tuner is built with
+	// that allowlist: picks measured on any other engine never reach the
+	// pool.
 	var tuner *rts.Tuner
 	if *benchDir != "" {
 		tn, path, err := rts.NewTunerFromDir(*benchDir, rts.TunerOptions{
-			Engines: []string{"native", "distributed"},
+			Engines: []string{"native"},
 		})
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "irredd: -bench %s: %v\n", *benchDir, err)

@@ -26,12 +26,12 @@
 // corrupts a job under failover fails the run exactly like a single node
 // would.
 //
-// With -chaos it becomes the chaos soak: workers submit raw reduction jobs
-// on the distributed engine carrying deterministic fault-injection specs
-// (drops, corruptions, delays, duplicates at -chaos-rate), and every result
-// SHA is checked against the sequential reduction computed locally — the
-// server must recover to the bitwise-exact answer under fire. The daemon
-// must be started with -chaos to accept these jobs.
+// With -chaos it becomes the chaos soak: workers submit checkpointed raw
+// reduction jobs whose checkpoint writes fail at -chaos-rate (deterministic
+// disk faults), and every result SHA is checked against the sequential
+// reduction computed locally — a lost resume point must never cost the
+// bitwise-exact answer. The daemon must be started with -chaos to accept
+// these jobs, and with -cache-dir for them to checkpoint.
 //
 // With -deltas it becomes the streaming soak: each worker opens one
 // session, keeps a local mirror of its indirection arrays, and streams
@@ -86,15 +86,14 @@ func (k jobKey) spec() service.JobSpec {
 	}
 }
 
-// rawChaosSpec draws a deterministic raw reduction from seed: integral
-// weights keep every partial sum exactly representable, so the expected
-// result (and its SHA) is computable locally with SequentialRaw and any
-// fault-recovery divergence shows up as a hash mismatch, not a tolerance
-// question. Strategy, steps, and the chaos spec are filled in by the
-// caller; the data depends only on seed.
-func rawChaosSpec(seed int64) service.JobSpec {
+// rawChaosSpec draws a deterministic raw reduction of iters iterations
+// over elems elements from seed: integral weights keep every partial sum
+// exactly representable, so the expected result (and its SHA) is
+// computable locally with SequentialRaw and any fault-recovery divergence
+// shows up as a hash mismatch, not a tolerance question. Strategy, steps,
+// and the chaos spec are filled in by the caller.
+func rawChaosSpec(seed int64, iters, elems int) service.JobSpec {
 	rng := rand.New(rand.NewSource(seed*2654435761 + 97))
-	iters, elems := 240, 64
 	ind := make([][]int32, 2)
 	for r := range ind {
 		ind[r] = make([]int32, iters)
@@ -110,6 +109,25 @@ func rawChaosSpec(seed int64) service.JobSpec {
 		NumIters: iters, NumElems: elems, Ind: ind,
 		Contrib: &service.ContribSpec{Kind: "weights", Weights: w},
 	}
+}
+
+// Shape of the -emit-chaos-job spec. Its run time is iterations × steps,
+// so -steps sizes it; at these extents the JSON stays near 100 KB, and a
+// checkpoint every longJobCkEvery sweeps lands several times a second.
+const (
+	longJobIters, longJobElems = 8192, 2048
+	longJobCkEvery             = 10
+)
+
+// longChaosJob is the job the CI TERM/resume and owner-kill checks submit:
+// a checkpointed native raw reduction whose checkpoint writes fail at
+// diskRate.
+func longChaosJob(steps int, diskRate float64) service.JobSpec {
+	spec := rawChaosSpec(0, longJobIters, longJobElems)
+	spec.P, spec.K, spec.Steps = 3, 2, steps
+	spec.CheckpointEvery = longJobCkEvery
+	spec.Chaos = &fault.Spec{Seed: 42, DiskRate: diskRate}
+	return spec
 }
 
 // streamDelta draws a sparse delta rewiring n of the spec's iterations to
@@ -255,9 +273,9 @@ func main() {
 	jsonOut := flag.Bool("json", false, "print the summary as JSON (for CI assertions)")
 	deltasMode := flag.Bool("deltas", false, "drive streaming sessions: one session per worker, sparse indirection deltas verified against the local sequential oracle every round")
 	deltaFrac := flag.Float64("delta-frac", 0.05, "fraction of iterations each -deltas round rewires")
-	chaosMode := flag.Bool("chaos", false, "drive raw chaos jobs on the distributed engine (server must run with -chaos); results are verified against the locally computed sequential SHA")
-	chaosRate := flag.Float64("chaos-rate", 0.05, "per-payload drop/corrupt/delay/dup probability for -chaos jobs")
-	emitChaosJob := flag.Bool("emit-chaos-job", false, "print a long checkpointed chaos job spec as JSON and exit (for the CI TERM/resume check)")
+	chaosMode := flag.Bool("chaos", false, "drive checkpointed raw chaos jobs (server must run with -chaos and -cache-dir); results are verified against the locally computed sequential SHA")
+	chaosRate := flag.Float64("chaos-rate", 0.05, "per-write checkpoint disk failure probability for -chaos jobs and -emit-chaos-job")
+	emitChaosJob := flag.Bool("emit-chaos-job", false, "print a long checkpointed chaos job spec as JSON and exit (for the CI TERM/resume check); -steps sizes its run time")
 	emitChaosSHA := flag.Bool("emit-chaos-sha", false, "print the sequential-oracle SHA for the -emit-chaos-job spec and exit")
 	emitSessionJob := flag.Bool("emit-session-job", false, "print a session-openable raw job spec as JSON and exit (for the CI restart/410 check)")
 	version := flag.Bool("version", false, "print build information and exit")
@@ -272,13 +290,14 @@ func main() {
 	// the same deterministic long job and its oracle hash, printable without
 	// a server, so CI can submit with curl, kill the daemon mid-run, and
 	// compare the resumed result against ground truth.
-	if *emitChaosJob || *emitChaosSHA || *emitSessionJob {
-		spec := rawChaosSpec(0)
+	if *emitSessionJob {
+		spec := rawChaosSpec(0, 240, 64)
 		spec.P, spec.K, spec.Steps = 3, 2, *steps
-		if *emitSessionJob {
-			json.NewEncoder(os.Stdout).Encode(spec)
-			return
-		}
+		json.NewEncoder(os.Stdout).Encode(spec)
+		return
+	}
+	if *emitChaosJob || *emitChaosSHA {
+		spec := longChaosJob(*steps, *chaosRate)
 		if *emitChaosSHA {
 			x, err := spec.SequentialRaw()
 			if err != nil {
@@ -288,12 +307,6 @@ func main() {
 			fmt.Println(service.HashResult(x))
 			return
 		}
-		spec.Engine = "distributed"
-		spec.CheckpointEvery = 5
-		// Mostly stalls (pacing without recovery replays) plus a sprinkle of
-		// real payload faults, so the job is slow enough to TERM mid-run but
-		// still finishes in CI time.
-		spec.Chaos = &fault.Spec{Seed: 42, StallRate: 0.4, StallMS: 10, DropRate: *chaosRate, CorruptRate: *chaosRate}
 		json.NewEncoder(os.Stdout).Encode(spec)
 		return
 	}
@@ -430,7 +443,7 @@ func main() {
 	chaosWant := map[int64]string{}
 	if *chaosMode {
 		for s := 0; s < *seeds; s++ {
-			spec := rawChaosSpec(int64(s))
+			spec := rawChaosSpec(int64(s), 240, 64)
 			spec.P, spec.K, spec.Steps = 2, 1, *steps // strategy doesn't affect the oracle
 			x, err := spec.SequentialRaw()
 			if err != nil {
@@ -459,7 +472,7 @@ func main() {
 		// Sessions are node-resident: each delta worker pins one node
 		// (spread across the fleet in cluster mode) instead of round-robin.
 		c := clients[w%len(clients)]
-		spec := rawChaosSpec(int64(w))
+		spec := rawChaosSpec(int64(w), 240, 64)
 		spec.P = 1 + rng.Intn(*maxP)
 		spec.K = 1 + rng.Intn(*maxK)
 		spec.Steps = *steps
@@ -583,22 +596,12 @@ func main() {
 				)
 				if *chaosMode {
 					seed := int64(rng.Intn(*seeds))
-					spec = rawChaosSpec(seed)
-					pmax := *maxP
-					if pmax < 2 {
-						pmax = 2
-					}
-					spec.P = 2 + rng.Intn(pmax-1) // rotation needs a real ring
+					spec = rawChaosSpec(seed, 240, 64)
+					spec.P = 1 + rng.Intn(*maxP)
 					spec.K = 1 + rng.Intn(*maxK)
 					spec.Steps = *steps
-					spec.Engine = "distributed"
-					spec.Chaos = &fault.Spec{
-						Seed:        seed + int64(w+1)*1000003,
-						DropRate:    *chaosRate,
-						CorruptRate: *chaosRate,
-						DelayRate:   *chaosRate,
-						DupRate:     *chaosRate,
-					}
+					spec.CheckpointEvery = 1
+					spec.Chaos = &fault.Spec{Seed: seed + int64(w+1)*1000003, DiskRate: *chaosRate}
 					wantSHA = chaosWant[seed]
 				} else {
 					kernel := pick(mix, rng)

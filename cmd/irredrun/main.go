@@ -394,13 +394,15 @@ func runServer(base, kernel, dataset string, p, k int, distName string, steps in
 // runAuto loads the latest BENCH trajectory, asks the tuner for the
 // measured-fastest strategy for this workload under the kernel's compiled
 // schedule license, and executes the picked cell through the sweep
-// harness — which can run every engine the trajectory may name (native,
-// distributed, tree-fold, interpreter), not just the flag-selectable ones.
+// harness — which can run every engine it knows (native, tree-fold,
+// interpreter), not just the flag-selectable ones. Cells of engines the
+// harness does not know, which older trajectories may hold, never back a
+// pick.
 func runAuto(kernel, dataset, benchDir string, steps int, seed int64, jsonOut bool) {
 	// Proof-elided picks are allowed: the sweep harness only elides checks
 	// on loops carrying dataflow bounds proofs, so an unchecked cell is as
 	// safe here as it was when it was measured.
-	tn, path, err := rts.NewTunerFromDir(benchDir, rts.TunerOptions{AllowUnchecked: true})
+	tn, path, err := rts.NewTunerFromDir(benchDir, rts.TunerOptions{AllowUnchecked: true, Engines: sweep.Engines})
 	if err != nil {
 		fail("-auto: %v (run irredsweep first to persist a trajectory)", err)
 	}

@@ -1,6 +1,6 @@
 // Command irredsweep is the auto-tuning benchmark harness: it expands a
-// grid of (kernel, class, engine, P, k, distribution, checked, chaos)
-// cells, measures every legal cell through the matching execution
+// grid of (kernel, class, engine, P, k, distribution, checked) cells,
+// measures every legal cell through the matching execution
 // engine, and persists the results as a BENCH_<date>.json trajectory
 // (plus CSV and JSONL artifacts) stamped with the commit, toolchain and
 // machine that produced it.
@@ -47,9 +47,8 @@ func main() {
 	pFlag := flag.String("p", "", "comma-separated processor counts (override grid)")
 	kFlag := flag.String("k", "", "comma-separated unrolling factors (override grid)")
 	distsFlag := flag.String("dists", "", "comma-separated distributions: block,cyclic (override grid)")
-	enginesFlag := flag.String("engines", "", "comma-separated engines: native,distributed,treefold,interp,sim (override grid)")
+	enginesFlag := flag.String("engines", "", "comma-separated engines: native,treefold,interp,sim (override grid)")
 	checkedFlag := flag.String("checked", "", "bounds-check modes: both | checked | unchecked (override grid)")
-	chaosFlag := flag.String("chaos", "", `fault spec to add as a chaos dimension, e.g. "seed=7,drop=0.02" (distributed engine only)`)
 	deltaFlag := flag.String("delta-fracs", "", "comma-separated delta fractions for the adaptive kernel, e.g. 0.01,0.05,0.2 (override grid)")
 
 	steps := flag.Int("steps", 3, "timesteps per measured run")
@@ -82,7 +81,7 @@ func main() {
 		return
 	}
 
-	g, err := buildGrid(*gridName, *kernelsFlag, *classesFlag, *pFlag, *kFlag, *distsFlag, *enginesFlag, *checkedFlag, *chaosFlag, *deltaFlag)
+	g, err := buildGrid(*gridName, *kernelsFlag, *classesFlag, *pFlag, *kFlag, *distsFlag, *enginesFlag, *checkedFlag, *deltaFlag)
 	if err != nil {
 		fail("%v", err)
 	}
@@ -194,7 +193,7 @@ func shortCommit(c string) string {
 
 // buildGrid starts from the named base grid and applies any dimension
 // overrides from flags.
-func buildGrid(name, kernels, classes, ps, ks, dists, engines, checked, chaos, deltas string) (sweep.Grid, error) {
+func buildGrid(name, kernels, classes, ps, ks, dists, engines, checked, deltas string) (sweep.Grid, error) {
 	var g sweep.Grid
 	switch name {
 	case "default":
@@ -251,13 +250,6 @@ func buildGrid(name, kernels, classes, ps, ks, dists, engines, checked, chaos, d
 		g.Checked = []bool{false}
 	default:
 		return g, fmt.Errorf("checked: %q (both | checked | unchecked)", checked)
-	}
-	if chaos != "" {
-		g.Chaos = append(g.Chaos, chaos)
-		if len(g.Chaos) == 1 {
-			// No base entries: keep the clean dimension alongside chaos.
-			g.Chaos = []string{"", chaos}
-		}
 	}
 	if deltas != "" {
 		g.DeltaFracs = g.DeltaFracs[:0]

@@ -93,14 +93,14 @@ func goldenSummary() *Summary {
 				SimSeconds: 0.0875,
 			},
 			{
-				ID: "raw/small/distributed/p3/k2/block/checked", Kernel: "raw", Class: "small",
-				Engine: "distributed", P: 3, K: 2, Dist: "block", Checked: true,
+				ID: "raw/small/native/p3/k2/block/checked", Kernel: "raw", Class: "small",
+				Engine: "native", P: 3, K: 2, Dist: "block", Checked: true,
 				Steps: 3, Warmup: 1, Repeats: 3,
 				Error: "injected: example of an errored cell",
 			},
 		},
 		Skipped: []Skip{
-			{ID: "mvm/S/distributed/p2/k1/cyclic/checked", Reason: "engine distributed needs a reduce-mode kernel; mvm is gather"},
+			{ID: "mvm/S/interp/p2/k1/cyclic/checked", Reason: "interp is sequential; its canonical cell is P=1 k=1 block"},
 			{ID: "euler/2k/interp/p4/k1/cyclic/checked", Reason: "engine interp is sequential; needs P=1 and k=1"},
 		},
 	}

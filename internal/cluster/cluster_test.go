@@ -8,6 +8,8 @@ import (
 	"math/rand"
 	"net"
 	"net/http"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -237,14 +239,32 @@ func TestClusterRoutesToOwner(t *testing.T) {
 // The client sees one successful response and the exact sequential
 // result; the only traces are the failover/replay counters.
 func TestClusterOwnerKillFailoverReplay(t *testing.T) {
-	fleet := startFleet(t, []string{"n1", "n2", "n3"}, nil, nil)
+	// The owner's third checkpoint frame blocks in Replicate until the test
+	// has killed the owner, so the kill lands mid-job with two frames
+	// already on the successor — deterministically, whatever the host's
+	// speed. The gate names its node only once routing has picked the owner.
+	var gated atomic.Value // the owner's name
+	gated.Store("")
+	blocked, release := make(chan struct{}), make(chan struct{})
+	var frames atomic.Int64
+	fleet := startFleet(t, []string{"n1", "n2", "n3"}, nil, func(name string, opt *service.Options) {
+		replicate := opt.Replicate
+		opt.Replicate = func(uid, routingKey string, frame []byte) {
+			if gated.Load() == name && frames.Add(1) == 3 {
+				close(blocked)
+				<-release
+			}
+			replicate(uid, routingKey, frame)
+		}
+	})
+	var releaseOnce sync.Once
+	unblock := func() { releaseOnce.Do(func() { close(release) }) }
+	t.Cleanup(unblock) // registered after startFleet's: runs before the nodes close
 	spec := clusterRawSpec(11, 3000, 257, 40)
-	spec.Engine = "distributed"
 	spec.CheckpointEvery = 1
-	// Stall chaos paces the job so the kill reliably lands mid-flight.
-	spec.Chaos = &fault.Spec{StallRate: 0.5, StallMS: 5, Seed: 11}
 
 	_, owner, order := routeFor(t, fleet["n1"].url, spec)
+	gated.Store(owner)
 	// Route via a non-owner so the kill severs a real inter-node forward.
 	router := ""
 	for _, name := range []string{"n1", "n2", "n3"} {
@@ -271,23 +291,22 @@ func TestClusterOwnerKillFailoverReplay(t *testing.T) {
 		done <- outcome{st, resp}
 	}()
 
-	// Wait until the owner has streamed at least two checkpoint frames to
-	// the successor: the job is provably mid-sweep with a replica in place.
-	deadline := time.Now().Add(30 * time.Second)
-	for {
-		if jobs, _, stored, _ := fleet[successor].node.reps.statsSnapshot(); jobs >= 1 && stored >= 2 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("no checkpoint replicas reached the successor")
-		}
-		time.Sleep(10 * time.Millisecond)
+	// The owner holds its third frame: the job is provably mid-sweep, and
+	// Replicate is synchronous, so the first two frames are on the successor.
+	select {
+	case <-blocked:
+	case <-time.After(30 * time.Second):
+		t.Fatal("the owner never reached its third checkpoint frame")
+	}
+	if jobs, _, stored, _ := fleet[successor].node.reps.statsSnapshot(); jobs != 1 || stored < 2 {
+		t.Fatalf("successor holds %d replica jobs, %d frames stored; want 1 and >= 2", jobs, stored)
 	}
 
 	// SIGKILL the owner: snap the listener and every live connection.
 	fleet[owner].srv.Close()
 
 	out := <-done
+	unblock()
 	checkResult(t, spec, out.st)
 	if got := out.resp.Header.Get("X-Irred-Node"); got == owner {
 		t.Fatalf("served by the killed owner %q", got)

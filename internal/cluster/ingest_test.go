@@ -113,22 +113,27 @@ func TestSpecEndpointsAgree(t *testing.T) {
 	for _, tc := range []struct {
 		name, body string
 		ok         bool
+		why        string // substring a refusal must carry
 	}{
-		{"canonical", good, true},
-		{"indented", indented.String(), true},
-		{"upper-case key", field(`"ind":`, `"IND":`), true},
-		{"duplicate key", field(`"p":4`, `"p":1,"p":4`), true},
-		{"null scalar", field(`"p":4`, `"p":4,"timeout_ms":null`), true},
-		{"typo'd field", field(`"steps":`, `"stesp":`), false},
-		{"typo'd nested field", field(`"weights":`, `"wieghts":`), false},
-		{"string for int", field(`"p":4`, `"p":"4"`), false},
-		{"fraction in ind", field(`"ind":[[`, `"ind":[[0.5,`), false},
-		{"int32 overflow in ind", field(`"ind":[[`, `"ind":[[2147483648,`), false},
-		{"truncated", good[:len(good)/2], false},
+		{"canonical", good, true, ""},
+		{"indented", indented.String(), true, ""},
+		{"upper-case key", field(`"ind":`, `"IND":`), true, ""},
+		{"duplicate key", field(`"p":4`, `"p":1,"p":4`), true, ""},
+		{"null scalar", field(`"p":4`, `"p":4,"timeout_ms":null`), true, ""},
+		{"typo'd field", field(`"steps":`, `"stesp":`), false, ""},
+		{"typo'd nested field", field(`"weights":`, `"wieghts":`), false, ""},
+		{"string for int", field(`"p":4`, `"p":"4"`), false, ""},
+		{"fraction in ind", field(`"ind":[[`, `"ind":[[0.5,`), false, ""},
+		{"int32 overflow in ind", field(`"ind":[[`, `"ind":[[2147483648,`), false, ""},
+		{"truncated", good[:len(good)/2], false, ""},
+		{"removed engine", field(`"p":4`, `"p":4,"engine":"distributed"`), false,
+			`engine \"distributed\" was removed; jobs run on the native engine`},
+		{"removed chaos key", field(`"p":4`, `"p":4,"chaos":{"seed":1,"drop":0.5}`), false,
+			`unknown field \"drop\"`},
 	} {
 		for _, path := range []string{"/v1/jobs", "/v1/cluster/route", "/v1/session?result=0"} {
 			code, raw := post(t, url+path, []byte(tc.body))
-			if ok := code < 300; ok != tc.ok || (!ok && code != http.StatusBadRequest) {
+			if ok := code < 300; ok != tc.ok || (!ok && code != http.StatusBadRequest) || !bytes.Contains(raw, []byte(tc.why)) {
 				t.Errorf("%s: POST %s answered %d: %s", tc.name, path, code, raw)
 			}
 		}

@@ -452,12 +452,20 @@ func (n *Node) serveLocal(w http.ResponseWriter, r *http.Request, body []byte) {
 
 // handleRoute is the routing debug endpoint: POST a JobSpec, get back the
 // routing key, the owner, and the full failover order under the current
-// membership view. CI uses it to find which node to kill.
+// membership view. CI uses it to find which node to kill. A spec that
+// POST /v1/jobs would refuse is refused here too; an Auto spec is checked
+// only for decoding, because its strategy is filled in at submission.
 func (n *Node) handleRoute(w http.ResponseWriter, r *http.Request) {
 	var spec service.JobSpec
 	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxForwardBody)).Decode(&spec); err != nil {
 		writeError(w, http.StatusBadRequest, "decoding job spec: "+err.Error())
 		return
+	}
+	if !spec.Auto {
+		if err := spec.Validate(); err != nil {
+			writeError(w, http.StatusBadRequest, "invalid job: "+err.Error())
+			return
+		}
 	}
 	key := spec.RoutingKey()
 	ring := n.ring()

@@ -181,10 +181,9 @@ func TestCoalescedMatchesPerReduction(t *testing.T) {
 	}
 }
 
-// eulerRunner compiles kernels.EulerIRL onto the paper's 10k mesh at P
-// processors (k = 2, cyclic), bound to the hand-written kernel's data,
-// which it also returns.
-func eulerRunner(tb testing.TB, procs int) (*Runner, *kernels.Euler) {
+// eulerEnv compiles kernels.EulerIRL and binds it to the paper's 10k mesh
+// and the hand-written kernel's data, which it also returns.
+func eulerEnv(tb testing.TB) (*Unit, *interp.Env, *kernels.Euler) {
 	tb.Helper()
 	nodes, edges := mesh.Paper10K()
 	m := mesh.Generate(nodes, edges, 1)
@@ -211,6 +210,14 @@ func eulerRunner(tb testing.TB, procs int) (*Runner, *kernels.Euler) {
 	if err := env.Alloc(); err != nil {
 		tb.Fatal(err)
 	}
+	return u, env, eu
+}
+
+// eulerRunner is eulerEnv's program on a Runner at P processors (k = 2,
+// cyclic).
+func eulerRunner(tb testing.TB, procs int) (*Runner, *kernels.Euler) {
+	tb.Helper()
+	u, env, eu := eulerEnv(tb)
 	r, err := u.NewRunner(env, procs, 2, inspector.Cyclic)
 	if err != nil {
 		tb.Fatal(err)
@@ -260,5 +267,74 @@ func BenchmarkRunnerStep(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// BenchmarkEngines times one sweep of a compiled irregular plan at P = 2 on
+// the two engines a TreeFold-licensed plan can run: rts.Native over its
+// LightInspector schedules and rts.TreeFold, both driving the plan's block
+// form over the same loop. TreeFold has no k or distribution, so that loop
+// is its canonical k = 1 block; native-k2-cyclic adds the shape
+// compiled.euler runs. euler-10k folds with +=; minred-10k folds with min=
+// over the same extents (euler's edges and nodes, seeded data), the
+// non-Add combine TreeFold's licence exists for.
+func BenchmarkEngines(b *testing.B) {
+	const procs = 2
+	nodes, edges := mesh.Paper10K()
+	eu, euEnv, _ := eulerEnv(b)
+	mr, err := Compile(kernels.MinredIRL)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, w := range []struct {
+		name string
+		u    *Unit
+		env  *interp.Env
+	}{
+		{"euler-10k", eu, euEnv},
+		{"minred-10k", mr, bindRandom(b, mr, edges, nodes, 1)},
+	} {
+		var p *Plan
+		for _, q := range w.u.Plans {
+			if q.Kind == Irregular {
+				p = q
+				break
+			}
+		}
+		for _, eng := range []string{"native", "native-k2-cyclic", "treefold"} {
+			b.Run(w.name+"/"+eng, func(b *testing.B) {
+				var run func(int) error
+				switch eng {
+				case "treefold":
+					tf, err := p.BuildTreeFold(w.env, procs)
+					if err != nil {
+						b.Fatal(err)
+					}
+					run = tf.Run
+				default:
+					k, dist := 1, inspector.Block
+					if eng == "native-k2-cyclic" {
+						k, dist = 2, inspector.Cyclic
+					}
+					loop, block, err := p.BuildLoopOpts(w.env, procs, k, dist, BuildOpts{})
+					if err != nil {
+						b.Fatal(err)
+					}
+					nat, err := rts.NewNative(loop)
+					if err != nil {
+						b.Fatal(err)
+					}
+					nat.ContribBlock = block
+					run = nat.Run
+				}
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if err := run(1); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+		}
 	}
 }

@@ -141,37 +141,10 @@ func (c reuseCase) native(p, k int, dist inspector.Dist, steps int, reuse bool) 
 	return x, inspections, nil
 }
 
-// distributedML runs the multi-loop program on the message-passing engine,
-// chaining the array between loops via Seed.
-func (c reuseCase) distributedML(p, k int, dist inspector.Dist, steps int, reuse bool) ([]float64, int, error) {
-	sets, inspections, err := c.schedules(p, k, dist, reuse)
-	if err != nil {
-		return nil, inspections, err
-	}
-	x := make([]float64, c.n)
-	for s := 0; s < steps; s++ {
-		for l := range c.w {
-			d, err := rts.NewDistributedFrom(c.loop(p, k, dist), sets[l])
-			if err != nil {
-				return nil, inspections, err
-			}
-			d.Contribs = c.contrib(l)
-			if err := d.Seed(x); err != nil {
-				return nil, inspections, err
-			}
-			x, err = d.Run(1)
-			if err != nil {
-				return nil, inspections, err
-			}
-		}
-	}
-	return x, inspections, nil
-}
-
 // TestReuseOnOffAgreeAcrossEnginesAndStrategies is the raw-loop half of
-// the oracle: native and distributed execution of a 3-loop program with
-// schedule reuse on and off, over every ownership strategy, against the
-// sequential reference. Integral cases demand bitwise equality;
+// the oracle: native execution of a 3-loop program with schedule reuse on
+// and off, over every ownership strategy, against the sequential
+// reference. Integral cases demand bitwise equality;
 // float cases tolerance. Reuse-on must pay exactly 1 inspection,
 // reuse-off exactly one per loop.
 func TestReuseOnOffAgreeAcrossEnginesAndStrategies(t *testing.T) {
@@ -191,15 +164,6 @@ func TestReuseOnOffAgreeAcrossEnginesAndStrategies(t *testing.T) {
 					t.Fatalf("%s native reuse=%v paid %d inspections, want %d", label, reuse, insp, wantInsp)
 				}
 				compare(t, label+fmt.Sprintf(" native reuse=%v", reuse), got, want, integral)
-
-				got, insp, err = c.distributedML(st.p, st.k, st.dist, steps, reuse)
-				if err != nil {
-					t.Fatalf("%s distributed reuse=%v: %v", label, reuse, err)
-				}
-				if wantInsp := map[bool]int{true: 1, false: loops}[reuse]; insp != wantInsp {
-					t.Fatalf("%s distributed reuse=%v paid %d inspections, want %d", label, reuse, insp, wantInsp)
-				}
-				compare(t, label+fmt.Sprintf(" distributed reuse=%v", reuse), got, want, integral)
 			}
 		}
 	}
@@ -247,38 +211,11 @@ func cgDiffEnv(t *testing.T, u *codegen.Unit, ne, n int, seed int64) *interp.Env
 	return env
 }
 
-// distributedExec runs one irregular plan on the message-passing engine,
-// seeding from and scattering back to the environment.
-func distributedExec(procs, k int, dist inspector.Dist) func(p *codegen.Plan, env *interp.Env) error {
-	return func(p *codegen.Plan, env *interp.Env) error {
-		loop, contribs, err := p.BuildLoop(env, procs, k, dist)
-		if err != nil {
-			return err
-		}
-		d, err := rts.NewDistributed(loop)
-		if err != nil {
-			return err
-		}
-		d.Contribs = contribs
-		seed := make([]float64, loop.Cfg.NumElems*len(p.ReductionArrays()))
-		if err := p.Pack(env, seed); err != nil {
-			return err
-		}
-		if err := d.Seed(seed); err != nil {
-			return err
-		}
-		x, err := d.Run(1)
-		if err != nil {
-			return err
-		}
-		return p.Scatter(env, x)
-	}
-}
-
 // TestCompiledReuseAgreesAcrossEngines runs the compiled CG program with
 // the runner's licensed reuse on and off, and cross-checks both against
-// the distributed and tree-fold executions of the same plans — bitwise,
-// for every ownership strategy.
+// the sequential interpreter, a per-plan rotation over each plan's own
+// one-iteration view, and the tree-fold execution of the same plans —
+// bitwise, for every ownership strategy.
 func TestCompiledReuseAgreesAcrossEngines(t *testing.T) {
 	u, err := codegen.Compile(cgDiffSrc)
 	if err != nil {
@@ -286,10 +223,14 @@ func TestCompiledReuseAgreesAcrossEngines(t *testing.T) {
 	}
 	const ne, n, steps, seed = 600, 71, 3, 33
 
-	// The tree-fold and distributed references are strategy-independent
-	// checks of the same program; compute the tree-fold one once.
+	// The sequential and tree-fold references are strategy-independent;
+	// compute them once.
+	seqEnv := cgDiffEnv(t, u, ne, n, seed)
 	tfEnv := cgDiffEnv(t, u, ne, n, seed)
 	for s := 0; s < steps; s++ {
+		if err := seqEnv.Run(); err != nil {
+			t.Fatal(err)
+		}
 		if err := runPlans(u, tfEnv, treeFoldExec(4)); err != nil {
 			t.Fatal(err)
 		}
@@ -319,17 +260,18 @@ func TestCompiledReuseAgreesAcrossEngines(t *testing.T) {
 			t.Fatalf("%s reuse-off: %v", label, err)
 		}
 
-		dEnv := cgDiffEnv(t, u, ne, n, seed)
+		rEnv := cgDiffEnv(t, u, ne, n, seed)
 		for s := 0; s < steps; s++ {
-			if err := runPlans(u, dEnv, distributedExec(st.p, st.k, st.dist)); err != nil {
-				t.Fatalf("%s distributed: %v", label, err)
+			if err := runPlans(u, rEnv, rotationExec(st.p, st.k, st.dist)); err != nil {
+				t.Fatalf("%s per-plan rotation: %v", label, err)
 			}
 		}
 
 		for _, a := range []string{"q", "z"} {
 			ref := off.Env.Floats[a]
 			compare(t, label+" reuse-on vs reuse-off "+a, on.Env.Floats[a], ref, true)
-			compare(t, label+" distributed vs reuse-off "+a, dEnv.Floats[a], ref, true)
+			compare(t, label+" sequential vs reuse-off "+a, seqEnv.Floats[a], ref, true)
+			compare(t, label+" per-plan rotation vs reuse-off "+a, rEnv.Floats[a], ref, true)
 			compare(t, label+" tree-fold vs reuse-off "+a, tfEnv.Floats[a], ref, true)
 		}
 	}

@@ -1,12 +1,9 @@
-// Package fault is the runtime's deterministic chaos injector.
-//
-// The paper's rotation schedule is independent of the indirection
-// contents, so every processor knows exactly which portion it must
-// receive in every phase — which makes loss, delay, duplication,
-// corruption and peer death *detectable from purely local information*.
-// This package supplies the faults that the hardened runtime
-// (rts.Distributed's acknowledged rotation protocol, the service's
-// supervised jobs, the cache's disk writes) must detect and recover from.
+// Package fault is the runtime's deterministic chaos injector. It supplies
+// the faults the serving stack must detect and survive: kernel panics in a
+// job's contribution function (the service fails the job with its stack),
+// failed checkpoint and cache writes (a lost resume point, never a lost
+// job), and dropped, delayed or partitioned inter-node hops (the cluster's
+// retry, failover and gossip paths).
 //
 // Every decision is a pure function of (seed, fault class, coordinates):
 // an injected run is bit-reproducible regardless of goroutine
@@ -19,7 +16,6 @@ package fault
 import (
 	"fmt"
 	"math"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -27,60 +23,44 @@ import (
 	"time"
 )
 
-// Class enumerates the injectable fault classes.
+// Class enumerates the injectable fault classes. The values are written
+// out because Target.Class travels as an integer in job specs and IRCJ
+// checkpoints; a class number is never reused.
 type Class int
 
 const (
-	// Drop loses a rotation payload in transit (the channel send is
-	// suppressed; the sender's retransmit buffer still holds it).
-	Drop Class = iota
-	// Delay delivers a rotation payload late, possibly after the
-	// receiver's watchdog has already recovered it from the sender.
-	Delay
-	// Duplicate delivers a rotation payload twice; the receiver must
-	// discard the stale copy by its sweep/portion tag.
-	Duplicate
-	// Corrupt flips bits in a rotation payload in transit; the checksum
-	// must catch it and trigger a resend.
-	Corrupt
-	// Stall suspends a processor at a phase boundary for StallMS.
-	Stall
 	// Panic makes a kernel contribution panic (a poisoned iteration).
-	Panic
-	// Kill permanently removes a processor mid-sweep: the surviving
-	// processors must degrade to a P-1 schedule.
-	Kill
+	Panic Class = 5
 	// DiskFail makes a cache/checkpoint disk write fail.
-	DiskFail
+	DiskFail Class = 7
 	// NetDrop loses an inter-node cluster hop (forward, gossip, replica
 	// push): the HTTP request errors before it is sent, so retry/backoff
 	// on the sender is the only recovery path.
-	NetDrop
+	NetDrop Class = 8
 	// NetDelay delivers an inter-node hop late by NetDelayMS.
-	NetDelay
+	NetDelay Class = 9
 	// Partition blocks every hop between two named nodes until healed —
 	// the structural network fault; it is configured by pair, not rolled.
-	Partition
+	Partition Class = 10
 
-	numClasses
+	numClasses = 11 // one past the largest class value
 )
 
-var classNames = [numClasses]string{
-	"drop", "delay", "dup", "corrupt", "stall", "panic", "kill", "disk",
-	"net_drop", "net_delay", "partition",
+var classNames = map[Class]string{
+	Panic: "panic", DiskFail: "disk", NetDrop: "net_drop", NetDelay: "net_delay", Partition: "partition",
 }
 
 func (c Class) String() string {
-	if c < 0 || int(c) >= len(classNames) {
-		return fmt.Sprintf("Class(%d)", int(c))
+	if name, ok := classNames[c]; ok {
+		return name
 	}
-	return classNames[c]
+	return fmt.Sprintf("Class(%d)", int(c))
 }
 
 // Target is a one-shot fault pinned to exact coordinates: it fires the
 // first time the runtime reaches (Proc, Phase, Sweep) — Phase and Sweep
-// may be -1 to match any — and never again. Targets are how the
-// differential tests stage exactly one fault per run.
+// may be -1 to match any — and never again. Targets are how tests stage
+// exactly one fault per run.
 type Target struct {
 	Class Class `json:"class"`
 	Proc  int   `json:"proc"`
@@ -95,24 +75,11 @@ type Target struct {
 type Spec struct {
 	Seed int64 `json:"seed"`
 
-	// Per-payload probabilities, evaluated once per rotation send.
-	DropRate    float64 `json:"drop,omitempty"`
-	DelayRate   float64 `json:"delay,omitempty"`
-	DupRate     float64 `json:"dup,omitempty"`
-	CorruptRate float64 `json:"corrupt,omitempty"`
-
-	// Per-(proc,phase) stall probability and duration.
-	StallRate float64 `json:"stall,omitempty"`
-	StallMS   int64   `json:"stall_ms,omitempty"` // default 20
-
 	// Per-iteration kernel panic probability.
 	PanicRate float64 `json:"panic,omitempty"`
 
 	// Per-write disk failure probability.
 	DiskRate float64 `json:"disk,omitempty"`
-
-	// DelayMS is how late a delayed payload is delivered (default 20).
-	DelayMS int64 `json:"delay_ms,omitempty"`
 
 	// Per-hop inter-node network fault probabilities (cluster transport).
 	NetDropRate  float64 `json:"net_drop,omitempty"`
@@ -138,10 +105,8 @@ type PartitionPair struct {
 
 // Enabled reports whether the spec injects anything at all.
 func (s Spec) Enabled() bool {
-	return s.DropRate > 0 || s.DelayRate > 0 || s.DupRate > 0 ||
-		s.CorruptRate > 0 || s.StallRate > 0 || s.PanicRate > 0 ||
-		s.DiskRate > 0 || s.NetDropRate > 0 || s.NetDelayRate > 0 ||
-		len(s.Partitions) > 0 || len(s.Targets) > 0
+	return s.PanicRate > 0 || s.DiskRate > 0 || s.NetDropRate > 0 ||
+		s.NetDelayRate > 0 || len(s.Partitions) > 0 || len(s.Targets) > 0
 }
 
 // Validate rejects out-of-range rates (an injector is a test instrument;
@@ -151,8 +116,6 @@ func (s Spec) Validate() error {
 		name string
 		v    float64
 	}{
-		{"drop", s.DropRate}, {"delay", s.DelayRate}, {"dup", s.DupRate},
-		{"corrupt", s.CorruptRate}, {"stall", s.StallRate},
 		{"panic", s.PanicRate}, {"disk", s.DiskRate},
 		{"net_drop", s.NetDropRate}, {"net_delay", s.NetDelayRate},
 	} {
@@ -160,7 +123,7 @@ func (s Spec) Validate() error {
 			return fmt.Errorf("fault: %s rate %v outside [0,1]", r.name, r.v)
 		}
 	}
-	if s.StallMS < 0 || s.DelayMS < 0 || s.NetDelayMS < 0 {
+	if s.NetDelayMS < 0 {
 		return fmt.Errorf("fault: negative duration")
 	}
 	for i, p := range s.Partitions {
@@ -169,7 +132,7 @@ func (s Spec) Validate() error {
 		}
 	}
 	for i, t := range s.Targets {
-		if t.Class < 0 || t.Class >= numClasses {
+		if _, ok := classNames[t.Class]; !ok {
 			return fmt.Errorf("fault: target %d has unknown class %d", i, int(t.Class))
 		}
 	}
@@ -185,21 +148,10 @@ func (s Spec) String() string {
 			parts = append(parts, fmt.Sprintf("%s=%g", k, v))
 		}
 	}
-	add("drop", s.DropRate)
-	add("delay", s.DelayRate)
-	add("dup", s.DupRate)
-	add("corrupt", s.CorruptRate)
-	add("stall", s.StallRate)
 	add("panic", s.PanicRate)
 	add("disk", s.DiskRate)
 	add("net_drop", s.NetDropRate)
 	add("net_delay", s.NetDelayRate)
-	if s.StallMS > 0 {
-		parts = append(parts, fmt.Sprintf("stall_ms=%d", s.StallMS))
-	}
-	if s.DelayMS > 0 {
-		parts = append(parts, fmt.Sprintf("delay_ms=%d", s.DelayMS))
-	}
 	if s.NetDelayMS > 0 {
 		parts = append(parts, fmt.Sprintf("net_delay_ms=%d", s.NetDelayMS))
 	}
@@ -210,8 +162,8 @@ func (s Spec) String() string {
 }
 
 // ParseSpec parses the -chaos flag syntax: comma-separated key=value
-// pairs, e.g. "seed=7,drop=0.02,corrupt=0.02,stall=0.01,panic=0.005".
-// The bare word "all" expands to a moderate dose of every fault class.
+// pairs, e.g. "seed=7,panic=0.005,disk=0.05,net_drop=0.02". The bare word
+// "all" expands to a moderate dose of every job-level fault class.
 func ParseSpec(s string) (Spec, error) {
 	var spec Spec
 	for _, part := range strings.Split(s, ",") {
@@ -220,8 +172,6 @@ func ParseSpec(s string) (Spec, error) {
 			continue
 		}
 		if part == "all" {
-			spec.DropRate, spec.DelayRate, spec.DupRate = 0.02, 0.02, 0.02
-			spec.CorruptRate, spec.StallRate = 0.02, 0.01
 			spec.PanicRate, spec.DiskRate = 0.002, 0.05
 			continue
 		}
@@ -230,19 +180,14 @@ func ParseSpec(s string) (Spec, error) {
 			return Spec{}, fmt.Errorf("fault: %q is not key=value", part)
 		}
 		switch key {
-		case "seed", "stall_ms", "delay_ms", "net_delay_ms":
+		case "seed", "net_delay_ms":
 			n, err := strconv.ParseInt(val, 10, 64)
 			if err != nil {
 				return Spec{}, fmt.Errorf("fault: bad %s %q", key, val)
 			}
-			switch key {
-			case "seed":
+			if key == "seed" {
 				spec.Seed = n
-			case "stall_ms":
-				spec.StallMS = n
-			case "delay_ms":
-				spec.DelayMS = n
-			case "net_delay_ms":
+			} else {
 				spec.NetDelayMS = n
 			}
 		case "partition":
@@ -257,16 +202,6 @@ func ParseSpec(s string) (Spec, error) {
 				return Spec{}, fmt.Errorf("fault: bad rate %q for %s", val, key)
 			}
 			switch key {
-			case "drop":
-				spec.DropRate = f
-			case "delay":
-				spec.DelayRate = f
-			case "dup":
-				spec.DupRate = f
-			case "corrupt":
-				spec.CorruptRate = f
-			case "stall":
-				spec.StallRate = f
 			case "panic":
 				spec.PanicRate = f
 			case "disk":
@@ -288,25 +223,16 @@ func ParseSpec(s string) (Spec, error) {
 
 // Counters is a snapshot of how many faults of each class actually fired.
 type Counters struct {
-	Drops      int64 `json:"drops"`
-	Delays     int64 `json:"delays"`
-	Dups       int64 `json:"dups"`
-	Corrupts   int64 `json:"corrupts"`
-	Stalls     int64 `json:"stalls"`
 	Panics     int64 `json:"panics"`
-	Kills      int64 `json:"kills"`
 	DiskFails  int64 `json:"disk_fails"`
 	NetDrops   int64 `json:"net_drops"`
 	NetDelays  int64 `json:"net_delays"`
 	Partitions int64 `json:"partition_blocks"` // hops blocked by a live partition
-	Recoveries int64 `json:"recoveries"`       // incremented by the runtime, not the injector
 }
 
-// Total sums the injected-fault counters (recoveries excluded).
+// Total sums the injected-fault counters.
 func (c Counters) Total() int64 {
-	return c.Drops + c.Delays + c.Dups + c.Corrupts + c.Stalls +
-		c.Panics + c.Kills + c.DiskFails + c.NetDrops + c.NetDelays +
-		c.Partitions
+	return c.Panics + c.DiskFails + c.NetDrops + c.NetDelays + c.Partitions
 }
 
 // Injector makes deterministic fault decisions. All methods are safe on a
@@ -325,7 +251,6 @@ type Injector struct {
 	parts map[[2]string]bool // live partitions, key = sorted pair
 
 	counts [numClasses]atomic.Int64
-	recov  atomic.Int64
 	hopSeq atomic.Int64 // per-process hop counter, a rolling coordinate
 }
 
@@ -401,67 +326,6 @@ func (in *Injector) count(class Class) {
 	in.counts[class].Add(1)
 }
 
-// PayloadFault describes what happens to one rotation payload in transit.
-type PayloadFault struct {
-	Drop      bool
-	Duplicate bool
-	Corrupt   bool
-	Delay     time.Duration
-}
-
-// Payload decides the fate of the payload processor proc sends for
-// (portion, phase, sweep). At most one destructive fault (drop XOR
-// corrupt) fires per payload so single-fault recovery stays analyzable;
-// delay and duplicate may ride along.
-func (in *Injector) Payload(proc, phase, sweep, portion int) PayloadFault {
-	if in == nil {
-		return PayloadFault{}
-	}
-	var f PayloadFault
-	switch {
-	case in.target(Drop, proc, phase, sweep, -1) || in.roll(Drop, in.spec.DropRate, proc, phase, sweep, portion):
-		f.Drop = true
-		in.count(Drop)
-	case in.target(Corrupt, proc, phase, sweep, -1) || in.roll(Corrupt, in.spec.CorruptRate, proc, phase, sweep, portion):
-		f.Corrupt = true
-		in.count(Corrupt)
-	}
-	if in.target(Duplicate, proc, phase, sweep, -1) || in.roll(Duplicate, in.spec.DupRate, proc, phase, sweep, portion) {
-		f.Duplicate = true
-		in.count(Duplicate)
-	}
-	if in.target(Delay, proc, phase, sweep, -1) || in.roll(Delay, in.spec.DelayRate, proc, phase, sweep, portion) {
-		f.Delay = in.delayDur()
-		in.count(Delay)
-	}
-	return f
-}
-
-func (in *Injector) delayDur() time.Duration {
-	ms := in.spec.DelayMS
-	if ms <= 0 {
-		ms = 20
-	}
-	return time.Duration(ms) * time.Millisecond
-}
-
-// Stall reports how long processor proc should stall at (phase, sweep);
-// zero means no stall.
-func (in *Injector) Stall(proc, phase, sweep int) time.Duration {
-	if in == nil {
-		return 0
-	}
-	if in.target(Stall, proc, phase, sweep, -1) || in.roll(Stall, in.spec.StallRate, proc, phase, sweep, 0) {
-		in.count(Stall)
-		ms := in.spec.StallMS
-		if ms <= 0 {
-			ms = 20
-		}
-		return time.Duration(ms) * time.Millisecond
-	}
-	return 0
-}
-
 // PanicErr is the value an injected kernel panic carries, so supervisors
 // can tell an injected panic from an organic one in logs.
 type PanicErr struct{ Proc, Iter int }
@@ -480,21 +344,6 @@ func (in *Injector) KernelPanic(proc, iter int) {
 		in.count(Panic)
 		panic(PanicErr{Proc: proc, Iter: iter})
 	}
-}
-
-// Killed reports whether processor proc dies permanently at (phase,
-// sweep). Only Targets can kill — a rate-based permanent kill would
-// eventually erase the whole machine. A kill target fires once; after the
-// runtime degrades to P-1 the survivors are left alone.
-func (in *Injector) Killed(proc, phase, sweep int) bool {
-	if in == nil {
-		return false
-	}
-	if in.target(Kill, proc, phase, sweep, -1) {
-		in.count(Kill)
-		return true
-	}
-	return false
 }
 
 // DiskWrite returns an injected error for a disk write of name, or nil.
@@ -607,59 +456,16 @@ func (in *Injector) Hop(from, to string, attempt int) HopFault {
 	return f
 }
 
-// Recovered lets the runtime count a successful recovery against the
-// injector, so a soak can assert faults fired AND were recovered.
-func (in *Injector) Recovered() {
-	if in == nil {
-		return
-	}
-	in.recov.Add(1)
-}
-
 // Counters snapshots the fired-fault counts (zero value when nil).
 func (in *Injector) Counters() Counters {
 	if in == nil {
 		return Counters{}
 	}
 	return Counters{
-		Drops:      in.counts[Drop].Load(),
-		Delays:     in.counts[Delay].Load(),
-		Dups:       in.counts[Duplicate].Load(),
-		Corrupts:   in.counts[Corrupt].Load(),
-		Stalls:     in.counts[Stall].Load(),
 		Panics:     in.counts[Panic].Load(),
-		Kills:      in.counts[Kill].Load(),
 		DiskFails:  in.counts[DiskFail].Load(),
 		NetDrops:   in.counts[NetDrop].Load(),
 		NetDelays:  in.counts[NetDelay].Load(),
 		Partitions: in.counts[Partition].Load(),
-		Recoveries: in.recov.Load(),
 	}
-}
-
-// Summary renders the non-zero counters, sorted by class name — the line
-// a soak run prints next to its latency report.
-func (c Counters) Summary() string {
-	m := map[string]int64{
-		"drop": c.Drops, "delay": c.Delays, "dup": c.Dups,
-		"corrupt": c.Corrupts, "stall": c.Stalls, "panic": c.Panics,
-		"kill": c.Kills, "disk": c.DiskFails, "net_drop": c.NetDrops,
-		"net_delay": c.NetDelays, "partition": c.Partitions,
-		"recovered": c.Recoveries,
-	}
-	keys := make([]string, 0, len(m))
-	for k, v := range m {
-		if v > 0 {
-			keys = append(keys, k)
-		}
-	}
-	sort.Strings(keys)
-	parts := make([]string, len(keys))
-	for i, k := range keys {
-		parts[i] = fmt.Sprintf("%s=%d", k, m[k])
-	}
-	if len(parts) == 0 {
-		return "none"
-	}
-	return strings.Join(parts, " ")
 }

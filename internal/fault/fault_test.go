@@ -1,29 +1,33 @@
 package fault
 
 import (
-	"strings"
 	"testing"
 	"time"
 )
+
+// panics reports whether the injector poisons iteration iter on proc.
+func panics(t *testing.T, in *Injector, proc, iter int) (fired bool) {
+	t.Helper()
+	defer func() {
+		if r := recover(); r != nil {
+			if _, ok := r.(PanicErr); !ok {
+				t.Fatalf("panic carried %T, want PanicErr", r)
+			}
+			fired = true
+		}
+	}()
+	in.KernelPanic(proc, iter)
+	return false
+}
 
 // TestNilInjectorIsInert pins the zero-cost-when-disabled contract: every
 // method on a nil *Injector returns the no-fault answer.
 func TestNilInjectorIsInert(t *testing.T) {
 	var in *Injector
-	if f := in.Payload(0, 0, 0, 0); f != (PayloadFault{}) {
-		t.Fatalf("nil injector injected %+v", f)
-	}
-	if d := in.Stall(0, 0, 0); d != 0 {
-		t.Fatalf("nil injector stalled %v", d)
-	}
 	in.KernelPanic(0, 0) // must not panic
-	if in.Killed(0, 0, 0) {
-		t.Fatal("nil injector killed a processor")
-	}
 	if err := in.DiskWrite("x", 0); err != nil {
 		t.Fatalf("nil injector failed a write: %v", err)
 	}
-	in.Recovered()
 	if c := in.Counters(); c.Total() != 0 {
 		t.Fatalf("nil injector counted faults: %+v", c)
 	}
@@ -38,7 +42,7 @@ func TestNewDisabledSpecReturnsNil(t *testing.T) {
 	if New(Spec{Seed: 42}) != nil {
 		t.Fatal("New returned a live injector for a no-fault spec")
 	}
-	if New(Spec{DropRate: 0.1}) == nil {
+	if New(Spec{DiskRate: 0.1}) == nil {
 		t.Fatal("New returned nil for an enabled spec")
 	}
 }
@@ -46,24 +50,22 @@ func TestNewDisabledSpecReturnsNil(t *testing.T) {
 // TestDeterminism: the same seed and coordinates yield the same decisions
 // across injector instances; a different seed yields a different stream.
 func TestDeterminism(t *testing.T) {
-	spec := Spec{Seed: 7, DropRate: 0.3, CorruptRate: 0.2, DelayRate: 0.25, DupRate: 0.25, StallRate: 0.3}
+	spec := Spec{Seed: 7, PanicRate: 0.3, DiskRate: 0.3}
 	a, b := New(spec), New(spec)
+	other := New(Spec{Seed: 8, PanicRate: 0.3, DiskRate: 0.3})
 	diff := 0
-	other := New(Spec{Seed: 8, DropRate: 0.3, CorruptRate: 0.2, DelayRate: 0.25, DupRate: 0.25, StallRate: 0.3})
 	for proc := 0; proc < 4; proc++ {
-		for phase := 0; phase < 8; phase++ {
-			for sweep := 0; sweep < 8; sweep++ {
-				fa := a.Payload(proc, phase, sweep, phase)
-				fb := b.Payload(proc, phase, sweep, phase)
-				if fa != fb {
-					t.Fatalf("same seed diverged at (%d,%d,%d): %+v vs %+v", proc, phase, sweep, fa, fb)
-				}
-				if sa, sb := a.Stall(proc, phase, sweep), b.Stall(proc, phase, sweep); sa != sb {
-					t.Fatalf("stall decisions diverged at (%d,%d,%d)", proc, phase, sweep)
-				}
-				if fa != other.Payload(proc, phase, sweep, phase) {
-					diff++
-				}
+		for iter := 0; iter < 64; iter++ {
+			pa := panics(t, a, proc, iter)
+			if pa != panics(t, b, proc, iter) {
+				t.Fatalf("same seed diverged at (%d,%d)", proc, iter)
+			}
+			if pa != panics(t, other, proc, iter) {
+				diff++
+			}
+			name := string(rune('a' + proc))
+			if (a.DiskWrite(name, iter) == nil) != (b.DiskWrite(name, iter) == nil) {
+				t.Fatalf("disk decisions diverged at (%s,%d)", name, iter)
 			}
 		}
 	}
@@ -75,16 +77,16 @@ func TestDeterminism(t *testing.T) {
 // TestRatesApproximatelyHold: with rate r over N independent coordinates
 // about r*N faults fire — the hash stream is uniform enough to trust.
 func TestRatesApproximatelyHold(t *testing.T) {
-	in := New(Spec{Seed: 3, DropRate: 0.25})
-	n, drops := 20000, 0
+	in := New(Spec{Seed: 3, DiskRate: 0.25})
+	n, fails := 20000, 0
 	for i := 0; i < n; i++ {
-		if in.Payload(i, i%64, i%97, i%13).Drop {
-			drops++
+		if in.DiskWrite("ck", i) != nil {
+			fails++
 		}
 	}
-	got := float64(drops) / float64(n)
+	got := float64(fails) / float64(n)
 	if got < 0.22 || got > 0.28 {
-		t.Fatalf("drop rate 0.25 realized as %.3f", got)
+		t.Fatalf("disk rate 0.25 realized as %.3f", got)
 	}
 }
 
@@ -92,70 +94,56 @@ func TestRatesApproximatelyHold(t *testing.T) {
 // once and never again, wildcards included.
 func TestTargetsFireExactlyOnce(t *testing.T) {
 	in := New(Spec{Targets: []Target{
-		{Class: Drop, Proc: 1, Phase: 2, Sweep: 0},
-		{Class: Kill, Proc: 2, Phase: -1, Sweep: 1},
+		{Class: DiskFail, Proc: 2, Phase: -1, Sweep: -1, Iter: -1},
 		{Class: Panic, Proc: 0, Phase: -1, Sweep: -1, Iter: 5},
 	}})
-	if f := in.Payload(1, 1, 0, 0); f.Drop {
-		t.Fatal("target fired at the wrong phase")
+	if in.DiskWrite("x", 1) != nil {
+		t.Fatal("disk target fired at the wrong attempt")
 	}
-	if f := in.Payload(1, 2, 0, 0); !f.Drop {
-		t.Fatal("drop target did not fire at its coordinates")
+	if in.DiskWrite("x", 2) == nil {
+		t.Fatal("disk target did not fire at its attempt")
 	}
-	if f := in.Payload(1, 2, 0, 0); f.Drop {
-		t.Fatal("drop target fired twice")
+	if in.DiskWrite("x", 2) != nil {
+		t.Fatal("disk target fired twice")
 	}
-	if in.Killed(2, 0, 0) {
-		t.Fatal("kill target fired at the wrong sweep")
+	if panics(t, in, 0, 4) {
+		t.Fatal("panic target fired at the wrong iteration")
 	}
-	if !in.Killed(2, 3, 1) {
-		t.Fatal("kill target did not fire (wildcard phase)")
-	}
-	if in.Killed(2, 3, 1) {
-		t.Fatal("kill target fired twice")
-	}
-	fired := func() (fired bool) {
-		defer func() {
-			if r := recover(); r != nil {
-				if _, ok := r.(PanicErr); !ok {
-					t.Fatalf("panic carried %T, want PanicErr", r)
-				}
-				fired = true
-			}
-		}()
-		in.KernelPanic(0, 5)
-		return false
-	}
-	if !fired() {
+	if !panics(t, in, 0, 5) {
 		t.Fatal("panic target did not fire")
 	}
-	if fired() {
+	if panics(t, in, 0, 5) {
 		t.Fatal("panic target fired twice")
 	}
 	c := in.Counters()
-	if c.Drops != 1 || c.Kills != 1 || c.Panics != 1 || c.Total() != 3 {
-		t.Fatalf("counters %+v, want exactly one drop, kill, panic", c)
+	if c.DiskFails != 1 || c.Panics != 1 || c.Total() != 2 {
+		t.Fatalf("counters %+v, want exactly one disk failure and one panic", c)
 	}
 }
 
-// TestKillRequiresTarget: rate-based kills do not exist (a rate would
-// eventually erase the whole machine).
-func TestKillRequiresTarget(t *testing.T) {
-	in := New(Spec{Seed: 1, DropRate: 1, CorruptRate: 1, StallRate: 1, PanicRate: 1, DiskRate: 1})
-	for p := 0; p < 8; p++ {
-		if in.Killed(p, 0, 0) {
-			t.Fatal("rate-based spec killed a processor")
+// TestTargetClassValues pins the wire values of the classes: Target.Class
+// is an integer in job specs and checkpoints, so a class keeps its number.
+func TestTargetClassValues(t *testing.T) {
+	for c, want := range map[Class]int{Panic: 5, DiskFail: 7, NetDrop: 8, NetDelay: 9, Partition: 10} {
+		if int(c) != want {
+			t.Fatalf("%s = %d, want %d", c, int(c), want)
+		}
+	}
+	for _, gone := range []Class{0, 1, 2, 3, 4, 6} {
+		spec := Spec{Targets: []Target{{Class: gone}}}
+		if err := spec.Validate(); err == nil {
+			t.Fatalf("target class %d accepted", int(gone))
 		}
 	}
 }
 
 // TestParseSpecRoundTrip: flag syntax -> Spec -> String -> Spec is stable.
 func TestParseSpecRoundTrip(t *testing.T) {
-	spec, err := ParseSpec("seed=9,drop=0.02,corrupt=0.01,stall=0.05,stall_ms=5,panic=0.001,disk=0.5,delay=0.03,dup=0.04,delay_ms=7")
+	spec, err := ParseSpec("seed=9,panic=0.001,disk=0.5,net_drop=0.02,net_delay=0.03,net_delay_ms=7")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if spec.Seed != 9 || spec.DropRate != 0.02 || spec.StallMS != 5 || spec.DelayMS != 7 {
+	if spec.Seed != 9 || spec.DiskRate != 0.5 || spec.NetDelayMS != 7 {
 		t.Fatalf("parsed %+v", spec)
 	}
 	again, err := ParseSpec(spec.String())
@@ -167,39 +155,40 @@ func TestParseSpecRoundTrip(t *testing.T) {
 	}
 }
 
-// TestParseSpecAll: the "all" shorthand enables every class.
+// TestParseSpecAll: the "all" shorthand enables every job-level class.
 func TestParseSpecAll(t *testing.T) {
 	spec, err := ParseSpec("seed=4,all")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !spec.Enabled() || spec.DropRate == 0 || spec.PanicRate == 0 || spec.DiskRate == 0 {
+	if !spec.Enabled() || spec.PanicRate == 0 || spec.DiskRate == 0 {
 		t.Fatalf("all expanded to %+v", spec)
 	}
 }
 
-// TestParseSpecRejects: bad keys, bad values, out-of-range rates.
+// TestParseSpecRejects: bad keys, bad values, out-of-range rates, and the
+// keys of the rotation-payload classes, which no longer exist.
 func TestParseSpecRejects(t *testing.T) {
-	for _, bad := range []string{"frobnicate=1", "drop=banana", "drop", "drop=1.5", "seed=x"} {
+	for _, bad := range []string{
+		"frobnicate=1", "disk=banana", "disk", "disk=1.5", "seed=x",
+		"drop=0.1", "delay=0.1", "dup=0.1", "corrupt=0.1", "stall=0.1", "stall_ms=5", "delay_ms=5",
+	} {
 		if _, err := ParseSpec(bad); err == nil {
 			t.Fatalf("ParseSpec(%q) accepted", bad)
 		}
 	}
 }
 
-// TestStallAndDelayDurations: configured durations are honored and
+// TestNetDelayDurations: the configured hop delay is honored and
 // defaulted.
-func TestStallAndDelayDurations(t *testing.T) {
-	in := New(Spec{Seed: 2, StallRate: 1, StallMS: 3, DelayRate: 1, DelayMS: 4})
-	if d := in.Stall(0, 0, 0); d != 3*time.Millisecond {
-		t.Fatalf("stall = %v, want 3ms", d)
-	}
-	if f := in.Payload(0, 0, 0, 0); f.Delay != 4*time.Millisecond {
+func TestNetDelayDurations(t *testing.T) {
+	in := New(Spec{Seed: 2, NetDelayRate: 1, NetDelayMS: 4})
+	if f := in.Hop("n1", "n2", 0); f.Delay != 4*time.Millisecond {
 		t.Fatalf("delay = %v, want 4ms", f.Delay)
 	}
-	def := New(Spec{Seed: 2, StallRate: 1, DelayRate: 1})
-	if d := def.Stall(0, 0, 0); d != 20*time.Millisecond {
-		t.Fatalf("default stall = %v, want 20ms", d)
+	def := New(Spec{Seed: 2, NetDelayRate: 1})
+	if f := def.Hop("n1", "n2", 0); f.Delay != 10*time.Millisecond {
+		t.Fatalf("default delay = %v, want 10ms", f.Delay)
 	}
 }
 
@@ -217,19 +206,5 @@ func TestDiskWriteDeterminism(t *testing.T) {
 	always := New(Spec{Seed: 5, DiskRate: 1})
 	if err := always.DiskWrite("x", 0); err == nil {
 		t.Fatal("rate-1 disk injector let a write through")
-	}
-}
-
-// TestCountersSummary renders fired classes only.
-func TestCountersSummary(t *testing.T) {
-	c := Counters{Drops: 2, Panics: 1, Recoveries: 3}
-	s := c.Summary()
-	for _, want := range []string{"drop=2", "panic=1", "recovered=3"} {
-		if !strings.Contains(s, want) {
-			t.Fatalf("summary %q missing %q", s, want)
-		}
-	}
-	if (Counters{}).Summary() != "none" {
-		t.Fatal("empty summary should be none")
 	}
 }

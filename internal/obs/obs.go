@@ -41,13 +41,6 @@ const (
 	SpanUpdate = "update"
 	// SpanInspect is one LightInspector pass for one processor.
 	SpanInspect = "inspect"
-	// SpanResend is a rotation payload recovered from the sender's
-	// retransmit buffer after a watchdog timeout or checksum mismatch.
-	SpanResend = "resend"
-	// SpanRecover is a whole-sweep recovery: the engine restoring state
-	// from the last good checkpoint after a transient fault, or degrading
-	// the machine shape after a permanent peer loss.
-	SpanRecover = "recover"
 	// SpanCheckpoint is one checkpoint write (sweep state persisted so a
 	// restart can resume instead of recompute).
 	SpanCheckpoint = "checkpoint"

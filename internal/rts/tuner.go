@@ -42,8 +42,8 @@ type TunerOptions struct {
 	// host's NumCPU.
 	MaxP int
 	// Engines, when non-empty, restricts picks to engines the consumer
-	// can execute (the irredd serving path runs native and distributed
-	// only; irredrun -auto can execute any engine).
+	// can execute (the irredd serving path runs native only; irredrun
+	// -auto can execute every engine the sweep harness knows).
 	Engines []string
 	// AllowUnchecked permits proof-elided cells. Consumers that cannot
 	// guarantee the bounds proof at execution time leave it false and

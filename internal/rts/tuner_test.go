@@ -37,8 +37,8 @@ func tunerTrajectory() *benchfmt.Summary {
 		tunerCell("euler", "2k", "treefold", 2, 1, "block", false, 1.5),
 		tunerCell("euler", "2k", "native", 4, 2, "cyclic", false, 4.0),
 		tunerCell("euler", "2k", "native", 1, 1, "block", true, 9.0),
-		// raw/small: distributed P=2 k=1 wins.
-		tunerCell("raw", "small", "distributed", 2, 1, "cyclic", true, 0.8),
+		// raw/small: native P=2 k=1 wins.
+		tunerCell("raw", "small", "native", 2, 1, "cyclic", true, 0.8),
 		tunerCell("raw", "small", "native", 2, 2, "cyclic", true, 1.1),
 	}
 	// Decoys that must never win: a modeled sim cell faster than
@@ -49,7 +49,7 @@ func tunerTrajectory() *benchfmt.Summary {
 	bad := tunerCell("euler", "2k", "native", 4, 1, "block", false, 0.001)
 	bad.Error = "boom"
 	s.Cells = append(s.Cells, bad)
-	chaos := tunerCell("raw", "small", "distributed", 2, 2, "cyclic", true, 0.001)
+	chaos := tunerCell("raw", "small", "native", 2, 2, "cyclic", true, 0.001)
 	chaos.Chaos = "drop=0.1"
 	chaos.ID += "/chaos=drop=0.1"
 	s.Cells = append(s.Cells, chaos)
@@ -72,7 +72,7 @@ func TestTunerPicksDifferPerClass(t *testing.T) {
 		t.Fatalf("euler/2k pick = %+v", euler)
 	}
 	raw := tn.Pick("raw", "small", nil)
-	if raw.Engine != "distributed" || raw.P != 2 || raw.K != 1 {
+	if raw.Engine != "native" || raw.P != 2 || raw.K != 1 {
 		t.Fatalf("raw/small pick = %+v", raw)
 	}
 	if mvm.Engine == euler.Engine && mvm.P == euler.P && mvm.K == euler.K {
@@ -125,10 +125,10 @@ func TestTunerRespectsMaxP(t *testing.T) {
 }
 
 // The engine allowlist models consumers that can only execute a subset
-// (the irredd serving path: native + distributed).
+// (the irredd serving path: native only).
 func TestTunerEngineAllowlist(t *testing.T) {
 	tn := NewTuner(tunerTrajectory(), TunerOptions{
-		MaxP: 8, AllowUnchecked: true, Engines: []string{"native", "distributed"},
+		MaxP: 8, AllowUnchecked: true, Engines: []string{"native"},
 	})
 	p := tn.Pick("euler", "2k", treeFoldLic)
 	if p.Engine != "native" {
@@ -210,7 +210,7 @@ func TestNewTunerFromDirBlendsNewestWins(t *testing.T) {
 	old := &benchfmt.Summary{Stamp: benchfmt.Stamp{Schema: benchfmt.Schema, Date: "2026-08-01"}}
 	old.Cells = []benchfmt.Cell{
 		// Only the old sweep covered moldyn: the blend must keep it.
-		tunerCell("moldyn", "10k", "distributed", 4, 1, "block", true, 3.0),
+		tunerCell("moldyn", "10k", "native", 4, 1, "block", true, 3.0),
 		// Both sweeps cover this mvm cell; old says 1ms — stale.
 		tunerCell("mvm", "S", "native", 4, 2, "cyclic", true, 1.0),
 	}
@@ -237,7 +237,7 @@ func TestNewTunerFromDirBlendsNewestWins(t *testing.T) {
 	if filepath.Base(path) != "BENCH_2026-08-08.json" {
 		t.Fatalf("blend reported %s, want the newest file as provenance", path)
 	}
-	if p := tn.Pick("moldyn", "10k", nil); p.Engine != "distributed" || p.ScoreMS != 3.0 {
+	if p := tn.Pick("moldyn", "10k", nil); p.Source == "heuristic" || p.ScoreMS != 3.0 {
 		t.Fatalf("cell unique to the older sweep lost in the blend: %+v", p)
 	}
 	if p := tn.Pick("mvm", "S", nil); p.P != 2 || p.ScoreMS != 2.0 {

@@ -93,15 +93,15 @@ type JobSpec struct {
 	// TimeoutMS bounds the job's wall-clock run; 0 means no deadline.
 	TimeoutMS int64 `json:"timeout_ms,omitempty"`
 
-	// Engine selects the executor for raw jobs: "native" (default, the
-	// shared-array engine) or "distributed" (the message-passing engine
-	// with the hardened rotation protocol — the one that can absorb
-	// injected payload faults). Named kernels always run native.
+	// Engine names the executor. Every job runs on the native rotation
+	// engine, so only "" and "native" validate.
 	Engine string `json:"engine,omitempty"`
 
 	// Chaos, when non-nil, runs the job under the deterministic fault
-	// injector. The server rejects it unless started with chaos enabled —
-	// fault injection is a test instrument, not a tenant-facing feature.
+	// injector: kernel panics in the contribution function and failed
+	// checkpoint writes. The server rejects it unless started with chaos
+	// enabled — fault injection is a test instrument, not a tenant-facing
+	// feature.
 	Chaos *fault.Spec `json:"chaos,omitempty"`
 
 	// CheckpointEvery persists the reduction array and sweep counter every
@@ -238,9 +238,6 @@ func (sp *JobSpec) dist() (inspector.Dist, error) {
 	}
 }
 
-// distributed reports whether the job runs on the message-passing engine.
-func (sp *JobSpec) distributed() bool { return strings.ToLower(sp.Engine) == "distributed" }
-
 // steps returns the run length, defaulting to 1.
 func (sp *JobSpec) steps() int {
 	if sp.Steps <= 0 {
@@ -267,11 +264,9 @@ func (sp *JobSpec) Validate() error {
 	switch strings.ToLower(sp.Engine) {
 	case "", "native":
 	case "distributed":
-		if !sp.IsRaw() {
-			return fmt.Errorf("engine %q supports raw reduction jobs only", sp.Engine)
-		}
+		return fmt.Errorf("engine %q was removed; jobs run on the native engine", sp.Engine)
 	default:
-		return fmt.Errorf("unknown engine %q (native | distributed)", sp.Engine)
+		return fmt.Errorf("unknown engine %q (native)", sp.Engine)
 	}
 	if sp.Chaos != nil {
 		if err := sp.Chaos.Validate(); err != nil {
@@ -317,14 +312,10 @@ func (sp *JobSpec) Validate() error {
 		return sp.validateLoop(sp.Ind, sp.Contrib)
 	}
 	// Multi-loop program: shared extents and strategy, per-loop traversal
-	// and contribution. The executor for chained loops is native-only and
-	// runs in one pass — no wire to inject faults into, no per-loop sweep
+	// and contribution. Chained loops run in one pass — no per-loop sweep
 	// counter a checkpoint could name.
 	if len(sp.Loops) > 8 {
 		return fmt.Errorf("multi-loop job has %d loops, max 8", len(sp.Loops))
-	}
-	if sp.distributed() {
-		return fmt.Errorf("multi-loop jobs run on the native engine only")
 	}
 	if sp.Chaos != nil {
 		return fmt.Errorf("multi-loop jobs do not accept chaos specs")

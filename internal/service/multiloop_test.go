@@ -99,7 +99,7 @@ func TestMultiLoopValidation(t *testing.T) {
 		mutate  func(*JobSpec)
 		wantSub string
 	}{
-		{"distributed engine", func(sp *JobSpec) { sp.Engine = "distributed" }, "native engine only"},
+		{"distributed engine", func(sp *JobSpec) { sp.Engine = "distributed" }, "was removed"},
 		{"checkpointing", func(sp *JobSpec) { sp.CheckpointEvery = 2 }, "do not checkpoint"},
 		{"too many loops", func(sp *JobSpec) { sp.Loops = make([]LoopSpec, 9) }, "max 8"},
 		{"pair contrib arity", func(sp *JobSpec) {
@@ -190,7 +190,7 @@ func TestMultiLoopSessionRejectsPrivateInd(t *testing.T) {
 // spec.
 func TestMultiLoopChaosRejected(t *testing.T) {
 	sp := multiLoopSpec(7, 2, 1, 100, 32, 1)
-	sp.Chaos = &fault.Spec{Seed: 1, DropRate: 0.1}
+	sp.Chaos = &fault.Spec{Seed: 1, DiskRate: 0.1}
 	err := sp.Validate()
 	if err == nil || !strings.Contains(err.Error(), "chaos") {
 		t.Fatalf("Validate() = %v, want chaos rejection", err)

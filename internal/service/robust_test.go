@@ -1,9 +1,13 @@
 package service
 
 import (
+	"bytes"
+	"encoding/binary"
 	"errors"
+	"hash/fnv"
 	"math/rand"
 	"os"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
@@ -44,7 +48,7 @@ func TestCheckpointRoundTrip(t *testing.T) {
 	plain := robustSpec(1, 6)
 	chaotic := robustSpec(3, 6)
 	chaotic.ClusterUID, chaotic.CheckpointEvery = "00c0ffee", 2
-	chaotic.Chaos = &fault.Spec{Seed: 5, DropRate: 0.25}
+	chaotic.Chaos = &fault.Spec{Seed: 5, DiskRate: 0.25}
 	for _, spec := range []JobSpec{plain, chaotic} {
 		want, err := spec.SequentialRaw()
 		if err != nil {
@@ -271,23 +275,24 @@ func TestChaosRequiresOptIn(t *testing.T) {
 	}
 	defer s.Close()
 	spec := robustSpec(5, 2)
-	spec.Chaos = &fault.Spec{Seed: 1, DropRate: 0.1}
+	spec.Chaos = &fault.Spec{Seed: 1, DiskRate: 0.1}
 	if _, err := s.Submit(spec); !errors.Is(err, ErrChaosDisabled) {
 		t.Fatalf("err = %v, want ErrChaosDisabled", err)
 	}
 }
 
-// TestChaosJobRecoversOnDistributedEngine: payload faults against the
-// hardened engine recover and the job's result is bitwise sequential.
-func TestChaosJobRecoversOnDistributedEngine(t *testing.T) {
-	s, err := New(Options{Workers: 1, TraceSpans: -1, AllowChaos: true})
+// TestChaosDiskFaultsLoseOnlyResumePoints: a native job whose checkpoint
+// writes fail half the time still finishes with the bitwise-sequential
+// result — an injected disk fault costs a resume point, never the job.
+func TestChaosDiskFaultsLoseOnlyResumePoints(t *testing.T) {
+	s, err := New(Options{Workers: 1, CacheDir: t.TempDir(), AllowChaos: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	spec := robustSpec(6, 3)
-	spec.Engine = "distributed"
-	spec.Chaos = &fault.Spec{Seed: 3, DropRate: 0.05, CorruptRate: 0.05}
+	spec := robustSpec(6, 12)
+	spec.CheckpointEvery = 1
+	spec.Chaos = &fault.Spec{Seed: 3, DiskRate: 0.5}
 	want, err := spec.SequentialRaw()
 	if err != nil {
 		t.Fatal(err)
@@ -304,6 +309,76 @@ func TestChaosJobRecoversOnDistributedEngine(t *testing.T) {
 		if st.Result[i] != want[i] {
 			t.Fatalf("chaos result[%d] = %v, want %v", i, st.Result[i], want[i])
 		}
+	}
+	var failed int
+	spans, _ := s.Trace().Snapshot()
+	for _, sp := range spans {
+		if sp.Name == "checkpoint/fail" {
+			failed++
+		}
+	}
+	if failed == 0 || failed == 11 {
+		t.Fatalf("%d of 11 checkpoint writes failed at rate 0.5", failed)
+	}
+}
+
+// TestCheckpointWithRemovedChaosKeyIsDropped: an IRCJ file whose stored
+// spec carries a fault class the injector no longer has fails the strict
+// spec decode, so a starting service deletes it instead of resuming it.
+func TestCheckpointWithRemovedChaosKeyIsDropped(t *testing.T) {
+	dir := t.TempDir()
+	jobsDir := filepath.Join(dir, ckJobsDir)
+	if err := os.MkdirAll(jobsDir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	spec := robustSpec(10, 4)
+	spec.CheckpointEvery = 1
+	spec.Chaos = &fault.Spec{Seed: 5, DiskRate: 0.25}
+	half := spec
+	half.Steps = 2
+	x, err := half.SequentialRaw()
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := ckPath(jobsDir, "j000007")
+	if err := writeJobCheckpoint(path, &jobCheckpoint{Spec: spec, Sweep: 2, X: x}, nil); err != nil {
+		t.Fatal(err)
+	}
+	// Rename the key in place ("disk" and "drop" have one length, so the
+	// spec's length prefix holds) and re-seal the frame's checksum.
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	body := raw[:len(raw)-8]
+	if bytes.Count(body, []byte(`"disk":`)) != 1 {
+		t.Fatalf("checkpoint spec has no single disk key: %s", body)
+	}
+	body = bytes.Replace(body, []byte(`"disk":`), []byte(`"drop":`), 1)
+	sum := fnv.New64a()
+	sum.Write(body)
+	if err := os.WriteFile(path, binary.LittleEndian.AppendUint64(body, sum.Sum64()), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	// Backdate it, so the scan does not take it for a concurrent write.
+	old := time.Now().Add(-time.Minute)
+	if err := os.Chtimes(path, old, old); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := readJobCheckpoint(path); err == nil || !strings.Contains(err.Error(), `unknown field "drop"`) {
+		t.Fatalf("read = %v, want an unknown-field error", err)
+	}
+
+	s, err := New(Options{Workers: 1, CacheDir: dir, TraceSpans: -1, AllowChaos: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	if _, ok := s.Job("j000001"); ok {
+		t.Fatal("restart resumed a checkpoint with a removed chaos key")
+	}
+	if _, err := os.Stat(path); !errors.Is(err, os.ErrNotExist) {
+		t.Fatal("the undecodable checkpoint was left on disk")
 	}
 }
 

@@ -68,17 +68,17 @@ type Options struct {
 	TraceSpans int
 	// AllowChaos accepts job specs carrying a fault.Spec. Off by default:
 	// fault injection is a test instrument, and a tenant must not be able
-	// to stall or panic a shared daemon unless it was started for that.
+	// to panic a shared daemon's jobs unless it was started for that.
 	AllowChaos bool
 	// CheckpointEvery is the default checkpoint interval (sweeps) for raw
 	// multi-sweep jobs that do not set their own; 0 disables checkpointing
 	// for jobs that do not ask for it. Checkpoints need CacheDir.
 	CheckpointEvery int
-	// Tuner resolves jobs submitted with Auto: their (engine, P, k, dist)
-	// come from the measured-fastest usable cell of a persisted BENCH
-	// trajectory. Build it with an engine allowlist matching what this
-	// serving path can execute (native + distributed). Nil still accepts
-	// Auto jobs — they get the paper's heuristic defaults.
+	// Tuner resolves jobs submitted with Auto: their (P, k, dist) come
+	// from the measured-fastest usable cell of a persisted BENCH
+	// trajectory. Build it with the engine allowlist {"native"}, the one
+	// engine this serving path runs, so only native cells back a pick. Nil
+	// still accepts Auto jobs — they get the paper's heuristic defaults.
 	Tuner *rts.Tuner
 	// MaxSessions bounds the resident streaming sessions (each keeps a
 	// cloned schedule set and its indirection arrays in memory). Beyond it
@@ -311,11 +311,10 @@ func (s *Service) submitJob(spec JobSpec, ck *jobCheckpoint) (*Job, error) {
 
 // applyAuto resolves an Auto spec against the configured tuner: the
 // measured-fastest usable strategy for the job's workload overwrites the
-// spec's (engine, P, k, dist). The service path has no schedule-license
-// information at submission time, so the tuner is consulted with a nil
-// license (tree-fold cells never back service picks — the pool cannot run
-// them anyway) and any pick the pool cannot execute falls back to its
-// native shape.
+// spec's (P, k, dist), and the job runs native. The service path has no
+// schedule-license information at submission time, so the tuner is
+// consulted with a nil license (tree-fold cells never back service picks),
+// and a pick measured on another engine lends only its shape.
 func (s *Service) applyAuto(spec JobSpec) (JobSpec, string) {
 	tn := s.opt.Tuner
 	if tn == nil {
@@ -323,14 +322,8 @@ func (s *Service) applyAuto(spec JobSpec) (JobSpec, string) {
 	}
 	kernel, class := spec.workload()
 	pick := tn.Pick(kernel, class, nil)
-	if pick.Engine != "native" && !(pick.Engine == "distributed" && spec.IsRaw()) {
-		pick.Engine = "native"
-	}
 	spec.P, spec.K, spec.Dist = pick.P, pick.K, pick.Dist
 	spec.Engine = ""
-	if pick.Engine == "distributed" {
-		spec.Engine = "distributed"
-	}
 	return spec, pick.Source
 }
 
@@ -501,14 +494,15 @@ func (s *Service) finishJob(j *Job, from State, result []float64, key string, hi
 	// Counted before it is signalled: whoever sees the job done sees it in
 	// the metrics too.
 	s.met.finishJob(from, to, total)
-	close(j.done)
 	if s.jobsDir != "" && ckSweep > 0 && !(preempted && to == StateCancelled) {
 		// A terminal job's checkpoint is dead weight: done jobs are done,
 		// and failed/cancelled jobs would only repeat their fate on resume.
 		// The one exception is shutdown preemption — that checkpoint is the
 		// whole point, it is how the next daemon picks the job back up.
+		// Removed before the job is signalled, so a waiter never finds it.
 		os.Remove(ckPath(s.jobsDir, j.ID))
 	}
+	close(j.done)
 	s.pruneFinished(j.ID)
 }
 
@@ -567,11 +561,10 @@ func (s *Service) execute(j *Job) (result []float64, hit bool, key string, err e
 	return s.executeNamed(j, dist, steps)
 }
 
-// executeRaw runs a raw reduction job: engine selection (native or the
-// hardened distributed engine), per-job chaos injection, and — for
-// multi-sweep jobs on a disk-backed service — periodic checkpoints of the
-// reduction array and sweep counter, so a daemon restart resumes the job
-// instead of recomputing it.
+// executeRaw runs a raw reduction job on the native engine, with per-job
+// chaos injection and — for multi-sweep jobs on a disk-backed service —
+// periodic checkpoints of the reduction array and sweep counter, so a
+// daemon restart resumes the job instead of recomputing it.
 func (s *Service) executeRaw(j *Job, dist inspector.Dist, steps int) (result []float64, hit bool, key string, err error) {
 	spec := &j.Spec
 	if len(spec.Loops) > 0 {
@@ -638,51 +631,11 @@ func (s *Service) executeRaw(j *Job, dist inspector.Dist, steps int) (result []f
 		}
 	}
 
-	if spec.distributed() {
-		d, err := rts.NewDistributedFrom(l, scheds)
-		if err != nil {
-			return nil, hit, key, err
-		}
-		d.Contribs = spec.contrib()
-		d.Trace = s.trace
-		d.Inject = inj
-		if inj != nil {
-			// Chaos jobs are soak instruments: a dropped payload should cost
-			// milliseconds, not the conservative default watchdog, or the
-			// soak spends its whole budget waiting on injected faults.
-			d.Watchdog = 25 * time.Millisecond
-		}
-		if seed != nil {
-			if err := d.Seed(seed); err != nil {
-				return nil, hit, key, err
-			}
-		}
-		if ckOn {
-			base := done
-			d.CheckpointEvery = every
-			d.Checkpoint = func(sweep int, x []float64) error {
-				writeCk(base+sweep, x)
-				return nil
-			}
-		}
-		out, err := d.RunContext(j.ctx, steps-done)
-		if err != nil {
-			var pe *rts.PanicError
-			if errors.As(err, &pe) {
-				j.mu.Lock()
-				j.stack = pe.Stack
-				j.mu.Unlock()
-			}
-			return nil, hit, key, err
-		}
-		return out, hit, key, nil
-	}
-
-	// Native engine. Chaos here is limited to kernel panics (payload
-	// faults need a wire; the native engine's token rotation has none).
-	// The panic is caught in the contribution wrapper itself — a panic on
-	// an engine-internal goroutine would crash the process — and turned
-	// into a cancelled run plus a structured job failure with the stack.
+	// Chaos reaches the run as kernel panics (and, through writeCk, as
+	// failed checkpoint writes). The panic is caught in the contribution
+	// wrapper itself — a panic on an engine-internal goroutine would crash
+	// the process — and turned into a cancelled run plus a structured job
+	// failure with the stack.
 	n, err := rts.NewNativeFrom(l, scheds)
 	if err != nil {
 		return nil, hit, key, err

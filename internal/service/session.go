@@ -5,7 +5,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"strings"
 	"sync"
 	"time"
 
@@ -282,9 +281,6 @@ func (sess *Session) markClosed() {
 func validateSessionSpec(spec *JobSpec) error {
 	if !spec.IsRaw() {
 		return fmt.Errorf("service: sessions accept raw reduction jobs only (named kernels regenerate their data per job)")
-	}
-	if strings.ToLower(spec.Engine) == "distributed" {
-		return fmt.Errorf("service: sessions run on the native engine only")
 	}
 	if spec.Chaos != nil {
 		return fmt.Errorf("service: sessions do not accept chaos specs")

@@ -221,7 +221,7 @@ func TestSessionSpecValidation(t *testing.T) {
 	named := JobSpec{Kernel: "mvm", Dataset: "S", P: 2, K: 1, Steps: 1}
 	raw := rawSpec(1, 2, 1, 100, 16, 1)
 	chaotic := raw
-	chaotic.Chaos = &fault.Spec{Seed: 1, DropRate: 0.1}
+	chaotic.Chaos = &fault.Spec{Seed: 1, DiskRate: 0.1}
 	dist := raw
 	dist.Engine = "distributed"
 	auto := raw

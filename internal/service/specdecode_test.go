@@ -70,7 +70,7 @@ func TestJobSpecDecodeFastPath(t *testing.T) {
 	own := multiLoopSpec(3, 2, 2, 64, 16, 2)
 	own.Loops = append(own.Loops, LoopSpec{Ind: rawSpec(4, 2, 2, 64, 16, 1).Ind})
 	scalars := rawSpec(5, 4, 1, 8, 4, 7)
-	scalars.Dist, scalars.Engine, scalars.TimeoutMS = "block", "distributed", 1500
+	scalars.Dist, scalars.Engine, scalars.TimeoutMS = "block", "native", 1500
 	scalars.CheckpointEvery, scalars.ClusterUID, scalars.Seed = 3, "00ff17", -9
 	fractional := rawSpec(6, 2, 2, 5, 4, 1)
 	fractional.Contrib.Weights = []float64{0.1, -2.5e-7, 1e21, 12345678901234567, math.Copysign(0, -1)}
@@ -100,7 +100,10 @@ func TestJobSpecDecodeFastPath(t *testing.T) {
 	}
 }
 
-const chaosBody = `{"chaos":{"seed":1,"drop":0.5}}`
+const chaosBody = `{"chaos":{"seed":1,"disk":0.5}}`
+
+// removedChaosBody carries a fault class the injector no longer has.
+const removedChaosBody = `{"chaos":{"seed":1,"drop":0.5}}`
 
 // offGrammar is one body per way of leaving the fast grammar. Each must
 // fall back, and the fallback is the reference, so each decodes — or fails
@@ -132,6 +135,7 @@ var offGrammar = []string{
 	`{"contrib":{"weights":[1e999]}}`,
 	`{"contrib":{"weights":["1"]}}`,
 	chaosBody,
+	removedChaosBody,
 	`{"chaos":null}`,
 	`{"bogus":1}`,
 	`{"contrib":{"bogus":1}}`,
@@ -159,8 +163,16 @@ func TestJobSpecDecodeFallback(t *testing.T) {
 	}
 	// A chaos spec is outside the fast grammar but must still arrive.
 	var sp JobSpec
-	if err := json.Unmarshal([]byte(chaosBody), &sp); err != nil || !reflect.DeepEqual(sp.Chaos, &fault.Spec{Seed: 1, DropRate: 0.5}) {
+	if err := json.Unmarshal([]byte(chaosBody), &sp); err != nil || !reflect.DeepEqual(sp.Chaos, &fault.Spec{Seed: 1, DiskRate: 0.5}) {
 		t.Fatalf("chaos spec through the fallback: %+v, %v", sp.Chaos, err)
+	}
+	// A removed fault class is an unknown field on both decode paths.
+	const want = `json: unknown field "drop"`
+	if err := json.Unmarshal([]byte(removedChaosBody), &JobSpec{}); err == nil || err.Error() != want {
+		t.Fatalf("removed chaos key through JobSpec: %v, want %s", err, want)
+	}
+	if err := decodeSpecStd([]byte(removedChaosBody), &JobSpec{}); err == nil || err.Error() != want {
+		t.Fatalf("removed chaos key through encoding/json: %v, want %s", err, want)
 	}
 }
 

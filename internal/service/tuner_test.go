@@ -18,8 +18,9 @@ func trajectoryCell(kernel, class, engine string, p, k int, dist string, ms floa
 	}
 }
 
-// serviceTrajectory measures raw/tiny fastest on the distributed engine
-// and mvm/S fastest at native P=2 k=2 cyclic.
+// serviceTrajectory measures mvm/S fastest at native P=2 k=2 cyclic and
+// raw/tiny fastest on an engine the service does not run — old
+// trajectories carry such cells — ahead of its native P=4 k=2 block cell.
 func serviceTrajectory() *benchfmt.Summary {
 	return &benchfmt.Summary{
 		Stamp: benchfmt.Stamp{Schema: benchfmt.Schema, Date: "2026-08-08"},
@@ -34,13 +35,14 @@ func serviceTrajectory() *benchfmt.Summary {
 
 func serviceTuner() *rts.Tuner {
 	return rts.NewTuner(serviceTrajectory(), rts.TunerOptions{
-		MaxP: 8, Engines: []string{"native", "distributed"},
+		MaxP: 8, Engines: []string{"native"},
 	})
 }
 
-// An Auto job's strategy comes from the trajectory: the raw job lands on
-// the measured-fastest distributed cell, the named kernel on its native
-// winner — and both still produce correct results.
+// An Auto job's strategy comes from the trajectory's native cells: the raw
+// job passes over the faster cell of a removed engine for its native
+// winner, the named kernel lands on its own — and both still produce
+// correct results.
 func TestAutoJobPicksFromTrajectory(t *testing.T) {
 	s := newTestService(t, Options{Workers: 2, Tuner: serviceTuner()})
 
@@ -61,10 +63,10 @@ func TestAutoJobPicksFromTrajectory(t *testing.T) {
 	if st.State != StateDone {
 		t.Fatalf("raw auto job: %s: %s", st.State, st.Error)
 	}
-	if j.Spec.P != 2 || j.Spec.K != 1 || j.Spec.Engine != "distributed" || j.Spec.Dist != "cyclic" {
+	if j.Spec.P != 4 || j.Spec.K != 2 || j.Spec.Engine != "" || j.Spec.Dist != "block" {
 		t.Fatalf("raw auto strategy = engine %q P=%d k=%d %s", j.Spec.Engine, j.Spec.P, j.Spec.K, j.Spec.Dist)
 	}
-	if !strings.HasPrefix(st.TunedFrom, "raw/tiny/distributed") {
+	if st.TunedFrom != "raw/tiny/native/p4/k2/block/checked" {
 		t.Fatalf("tuned_from = %q", st.TunedFrom)
 	}
 	if st.ResultSHA256 != HashResult(want) {
@@ -88,7 +90,7 @@ func TestAutoJobPicksFromTrajectory(t *testing.T) {
 	}
 
 	// The two workloads were tuned to demonstrably different strategies.
-	if j.Spec.Engine == nj.Spec.Engine && j.Spec.K == nj.Spec.K {
+	if j.Spec.P == nj.Spec.P && j.Spec.Dist == nj.Spec.Dist {
 		t.Fatal("auto picks do not differ across workload classes")
 	}
 }
@@ -115,9 +117,9 @@ func TestAutoJobHeuristicWithoutTuner(t *testing.T) {
 	}
 }
 
-// A trajectory whose best cell the pool cannot execute for this job shape
-// (distributed never runs named kernels) falls back to the pick's native
-// shape instead of admitting an unrunnable job.
+// A tuner built without an engine allowlist may pick a cell of an engine
+// the service does not run; the job takes that pick's shape and still runs
+// native instead of being admitted on an engine that is gone.
 func TestAutoNamedNeverDistributed(t *testing.T) {
 	s := &benchfmt.Summary{
 		Stamp: benchfmt.Stamp{Schema: benchfmt.Schema, Date: "2026-08-08"},
@@ -125,7 +127,7 @@ func TestAutoNamedNeverDistributed(t *testing.T) {
 			trajectoryCell("mvm", "S", "distributed", 2, 1, "cyclic", 0.1),
 		},
 	}
-	tn := rts.NewTuner(s, rts.TunerOptions{MaxP: 8, Engines: []string{"native", "distributed"}})
+	tn := rts.NewTuner(s, rts.TunerOptions{MaxP: 8})
 	svc := newTestService(t, Options{Workers: 1, Tuner: tn})
 	j, err := svc.Submit(JobSpec{Kernel: "mvm", Dataset: "S", Seed: 1, Steps: 1, Auto: true})
 	if err != nil {
@@ -135,8 +137,8 @@ func TestAutoNamedNeverDistributed(t *testing.T) {
 	if st.State != StateDone {
 		t.Fatalf("job %s: %s", st.State, st.Error)
 	}
-	if j.Spec.Engine == "distributed" {
-		t.Fatal("named kernel admitted on the distributed engine")
+	if j.Spec.Engine != "" || j.Spec.P != 2 || j.Spec.K != 1 || j.Spec.Dist != "cyclic" {
+		t.Fatalf("auto strategy = engine %q P=%d k=%d %s", j.Spec.Engine, j.Spec.P, j.Spec.K, j.Spec.Dist)
 	}
 }
 

@@ -33,7 +33,7 @@ func emitSummary() *benchfmt.Summary {
 				SimSeconds: 0.0123,
 				Wall:       benchfmt.NewStats([]float64{9}, 0),
 			},
-			{ID: "raw/tiny/distributed/p2/k1/cyclic/checked", Error: "boom"},
+			{ID: "raw/tiny/native/p4/k1/cyclic/checked", Error: "boom"},
 		},
 	}
 }

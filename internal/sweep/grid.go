@@ -6,7 +6,6 @@ import (
 	"irred/internal/benchfmt"
 	"irred/internal/codegen"
 	"irred/internal/dataflow"
-	"irred/internal/fault"
 	"irred/internal/kernels"
 )
 
@@ -19,10 +18,7 @@ type kernelDef struct {
 	irl     string
 }
 
-// kernelRegistry is the harness's workload catalogue. The distributed
-// engine appears only under raw: it executes bare pair reductions (the
-// service's raw job shape) and has no hook for the named kernels'
-// between-sweep state updates.
+// kernelRegistry is the harness's workload catalogue.
 var kernelRegistry = map[string]*kernelDef{
 	"mvm": {
 		classes: []string{"S", "W", "A", "B"},
@@ -41,7 +37,7 @@ var kernelRegistry = map[string]*kernelDef{
 	},
 	"raw": {
 		classes: []string{"tiny", "small", "large"},
-		engines: set(EngineNative, EngineDistributed),
+		engines: set(EngineNative),
 	},
 	// adaptive is the streaming workload family: an euler-shaped mesh
 	// absorbing deterministic refinement steps. Its cells time schedule
@@ -91,11 +87,6 @@ type Grid struct {
 	// target validation forced on, false = proof-elided execution.
 	Checked []bool
 
-	// Chaos lists fault-injection specs (fault.ParseSpec syntax); the
-	// empty string means no injection. Non-empty specs only apply to the
-	// distributed engine — everywhere else they are recorded as skips.
-	Chaos []string
-
 	// DeltaFracs is the delta-fraction axis of the "adaptive" kernel:
 	// each fraction expands into an incr/full cell pair timing the two
 	// schedule-maintenance paths. Other kernels ignore it. Empty defaults
@@ -105,7 +96,7 @@ type Grid struct {
 
 // DefaultGrid is the documented full sweep: every engine over the paper's
 // small-to-medium workloads, P up to 4, k up to 2, both distributions,
-// both check modes, no fault injection.
+// both check modes.
 func DefaultGrid() Grid {
 	return Grid{
 		Kernels: Kernels(),
@@ -120,7 +111,6 @@ func DefaultGrid() Grid {
 		Dists:   []string{"block", "cyclic"},
 		Engines: Engines,
 		Checked: []bool{true, false},
-		Chaos:   []string{""},
 	}
 }
 
@@ -139,7 +129,6 @@ func SmallGrid() Grid {
 		Dists:   []string{"block", "cyclic"},
 		Engines: Engines,
 		Checked: []bool{true, false},
-		Chaos:   []string{""},
 	}
 }
 
@@ -162,24 +151,12 @@ func AdaptiveGrid() Grid {
 // Expand produces the runnable cells of the grid's cartesian product, in
 // deterministic order, plus a skip record for every grid point an engine
 // cannot legally execute. Malformed dimensions (unknown kernel, engine,
-// class, distribution, unparsable chaos spec, out-of-range P or k) are
+// class, distribution, out-of-range P or k) are
 // configuration errors, not skips.
 func (g Grid) Expand() ([]Cell, []benchfmt.Skip, error) {
 	if len(g.Kernels) == 0 || len(g.Ps) == 0 || len(g.Ks) == 0 ||
 		len(g.Dists) == 0 || len(g.Engines) == 0 || len(g.Checked) == 0 {
 		return nil, nil, fmt.Errorf("sweep: grid has an empty dimension")
-	}
-	chaos := g.Chaos
-	if len(chaos) == 0 {
-		chaos = []string{""}
-	}
-	for _, spec := range chaos {
-		if spec == "" {
-			continue
-		}
-		if _, err := fault.ParseSpec(spec); err != nil {
-			return nil, nil, fmt.Errorf("sweep: chaos spec %q: %w", spec, err)
-		}
 	}
 	for _, e := range g.Engines {
 		if !knownEngine(e) {
@@ -238,20 +215,18 @@ func (g Grid) Expand() ([]Cell, []benchfmt.Skip, error) {
 					for _, k := range g.Ks {
 						for _, dist := range g.Dists {
 							for _, checked := range g.Checked {
-								for _, spec := range chaos {
-									for _, frac := range fracs {
-										for _, mode := range modes {
-											c := Cell{
-												Kernel: kernel, Class: class, Engine: engine,
-												P: p, K: k, Dist: dist, Checked: checked, Chaos: spec,
-												DeltaFrac: frac, Adapt: mode,
-											}
-											if reason := skipReason(c, def); reason != "" {
-												skipped = append(skipped, benchfmt.Skip{ID: c.ID(), Reason: reason})
-												continue
-											}
-											cells = append(cells, c)
+								for _, frac := range fracs {
+									for _, mode := range modes {
+										c := Cell{
+											Kernel: kernel, Class: class, Engine: engine,
+											P: p, K: k, Dist: dist, Checked: checked,
+											DeltaFrac: frac, Adapt: mode,
 										}
+										if reason := skipReason(c, def); reason != "" {
+											skipped = append(skipped, benchfmt.Skip{ID: c.ID(), Reason: reason})
+											continue
+										}
+										cells = append(cells, c)
 									}
 								}
 							}
@@ -289,20 +264,10 @@ func skipReason(c Cell, def *kernelDef) string {
 	if !def.engines[c.Engine] {
 		return fmt.Sprintf("kernel %s does not support engine %s", c.Kernel, c.Engine)
 	}
-	if c.Chaos != "" && c.Engine != EngineDistributed {
-		return "fault injection requires the distributed engine"
-	}
 	if c.Kernel == "adaptive" && !c.Checked {
 		return "adaptive cells time schedule maintenance; the checked dimension does not apply"
 	}
 	switch c.Engine {
-	case EngineDistributed:
-		if c.P < 2 {
-			return "distributed rotation needs P >= 2"
-		}
-		if !c.Checked {
-			return "engine distributed has no proof-elided (unchecked) mode"
-		}
 	case EngineTreeFold:
 		if c.K != 1 || c.Dist != "block" {
 			return "tree-fold has no k/dist dimension; its canonical cell is k=1 block"

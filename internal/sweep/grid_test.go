@@ -50,14 +50,8 @@ func TestDefaultGridExpands(t *testing.T) {
 		}
 	}
 	for _, c := range cells {
-		if c.Engine == EngineDistributed && c.Kernel != "raw" {
-			t.Fatalf("distributed cell on named kernel: %s", c.ID())
-		}
 		if c.Engine == EngineInterp && (c.P != 1 || c.K != 1) {
 			t.Fatalf("parallel interp cell: %s", c.ID())
-		}
-		if c.Chaos != "" && c.Engine != EngineDistributed {
-			t.Fatalf("chaos outside distributed: %s", c.ID())
 		}
 	}
 }
@@ -96,14 +90,13 @@ func skipOf(t *testing.T, g Grid, wantCells int) string {
 }
 
 func TestExpandSkipRules(t *testing.T) {
-	one := func(kernel, class, engine string, p, k int, dist string, checked bool, chaos string) Grid {
+	one := func(kernel, class, engine string, p, k int, dist string, checked bool) Grid {
 		return Grid{
 			Kernels: []string{kernel},
 			Classes: map[string][]string{kernel: {class}},
 			Ps:      []int{p}, Ks: []int{k}, Dists: []string{dist},
 			Engines: []string{engine},
 			Checked: []bool{checked},
-			Chaos:   []string{chaos},
 		}
 	}
 	cases := []struct {
@@ -111,18 +104,13 @@ func TestExpandSkipRules(t *testing.T) {
 		g    Grid
 		want string // substring of the skip reason; "" = cell must run
 	}{
-		{"treefold_needs_k1", one("mvm", "S", EngineTreeFold, 2, 2, "block", false, ""), "tree-fold has no k/dist"},
-		{"treefold_needs_block", one("mvm", "S", EngineTreeFold, 2, 1, "cyclic", false, ""), "tree-fold has no k/dist"},
-		{"treefold_canonical_runs", one("mvm", "S", EngineTreeFold, 2, 1, "block", false, ""), ""},
-		{"raw_has_no_treefold", one("raw", "tiny", EngineTreeFold, 2, 1, "block", false, ""), "does not support engine treefold"},
-		{"interp_is_sequential", one("mvm", "S", EngineInterp, 2, 1, "block", true, ""), "interp is sequential"},
-		{"interp_checked_only", one("mvm", "S", EngineInterp, 1, 1, "block", false, ""), "no proof-elided"},
-		{"distributed_needs_p2", one("raw", "tiny", EngineDistributed, 1, 1, "cyclic", true, ""), "needs P >= 2"},
-		{"distributed_checked_only", one("raw", "tiny", EngineDistributed, 2, 1, "cyclic", false, ""), "no proof-elided"},
-		{"sim_checked_only", one("euler", "2k", EngineSim, 2, 1, "block", false, ""), "checked dimension does not apply"},
-		{"chaos_needs_distributed", one("mvm", "S", EngineNative, 2, 1, "block", true, "drop=0.1"), "fault injection requires the distributed engine"},
-		{"chaos_distributed_runs", one("raw", "tiny", EngineDistributed, 2, 1, "cyclic", true, "drop=0.1"), ""},
-		{"named_kernel_no_distributed", one("euler", "2k", EngineDistributed, 2, 1, "block", true, ""), "does not support engine distributed"},
+		{"treefold_needs_k1", one("mvm", "S", EngineTreeFold, 2, 2, "block", false), "tree-fold has no k/dist"},
+		{"treefold_needs_block", one("mvm", "S", EngineTreeFold, 2, 1, "cyclic", false), "tree-fold has no k/dist"},
+		{"treefold_canonical_runs", one("mvm", "S", EngineTreeFold, 2, 1, "block", false), ""},
+		{"raw_has_no_treefold", one("raw", "tiny", EngineTreeFold, 2, 1, "block", false), "does not support engine treefold"},
+		{"interp_is_sequential", one("mvm", "S", EngineInterp, 2, 1, "block", true), "interp is sequential"},
+		{"interp_checked_only", one("mvm", "S", EngineInterp, 1, 1, "block", false), "no proof-elided"},
+		{"sim_checked_only", one("euler", "2k", EngineSim, 2, 1, "block", false), "checked dimension does not apply"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -198,8 +186,8 @@ func TestExpandConfigErrors(t *testing.T) {
 		"unknown_kernel": func(g *Grid) { g.Kernels = []string{"fft"} },
 		"unknown_class":  func(g *Grid) { g.Classes = map[string][]string{"mvm": {"XXL"}} },
 		"unknown_engine": func(g *Grid) { g.Engines = []string{"quantum"} },
+		"removed_engine": func(g *Grid) { g.Engines = []string{"distributed"} },
 		"unknown_dist":   func(g *Grid) { g.Dists = []string{"diagonal"} },
-		"bad_chaos":      func(g *Grid) { g.Chaos = []string{"drop=lots"} },
 		"p_out_of_range": func(g *Grid) { g.Ps = []int{0} },
 		"k_out_of_range": func(g *Grid) { g.Ks = []int{65} },
 		"empty_dim":      func(g *Grid) { g.Engines = nil },
@@ -216,14 +204,17 @@ func TestExpandConfigErrors(t *testing.T) {
 }
 
 func TestCellID(t *testing.T) {
-	c := Cell{Kernel: "raw", Class: "tiny", Engine: "distributed", P: 3, K: 2, Dist: "block", Checked: true, Chaos: "drop=0.1"}
-	want := "raw/tiny/distributed/p3/k2/block/checked/chaos=drop=0.1"
+	c := Cell{Kernel: "raw", Class: "tiny", Engine: "native", P: 3, K: 2, Dist: "block", Checked: true}
+	want := "raw/tiny/native/p3/k2/block/checked"
 	if c.ID() != want {
 		t.Fatalf("ID = %q, want %q", c.ID(), want)
 	}
-	c.Chaos = ""
 	c.Checked = false
-	if c.ID() != "raw/tiny/distributed/p3/k2/block/unchecked" {
+	if c.ID() != "raw/tiny/native/p3/k2/block/unchecked" {
 		t.Fatalf("ID = %q", c.ID())
+	}
+	a := Cell{Kernel: "adaptive", Class: "2k", Engine: "native", P: 2, K: 2, Dist: "cyclic", Checked: true, DeltaFrac: 0.05, Adapt: AdaptIncr}
+	if a.ID() != "adaptive/2k/native/p2/k2/cyclic/checked/delta=0.05/incr" {
+		t.Fatalf("ID = %q", a.ID())
 	}
 }

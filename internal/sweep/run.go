@@ -1,14 +1,12 @@
 package sweep
 
 import (
-	"context"
 	"fmt"
 	"time"
 
 	"irred/internal/benchfmt"
 	"irred/internal/buildinfo"
 	"irred/internal/codegen"
-	"irred/internal/fault"
 	"irred/internal/inspector"
 	"irred/internal/kernels"
 	"irred/internal/mesh"
@@ -33,9 +31,9 @@ type Options struct {
 	// Seed makes dataset generation deterministic.
 	Seed int64
 
-	// Cache serves LightInspector schedules to the native and distributed
-	// engines, exactly as the irredd serving path does; the per-cell hit/
-	// miss delta lands in the BENCH cell. Nil runs a private cache.
+	// Cache serves LightInspector schedules to the native engine, exactly
+	// as the irredd serving path does; the per-cell hit/miss delta lands
+	// in the BENCH cell. Nil runs a private cache.
 	Cache *service.Cache
 
 	// Stamp is the identity block of the emitted summary (see NewStamp).
@@ -130,7 +128,7 @@ func RunCell(c Cell, opt Options) benchfmt.Cell {
 	opt.fill()
 	bc := benchfmt.Cell{
 		ID: c.ID(), Kernel: c.Kernel, Class: c.Class, Engine: c.Engine,
-		P: c.P, K: c.K, Dist: c.Dist, Checked: c.Checked, Chaos: c.Chaos,
+		P: c.P, K: c.K, Dist: c.Dist, Checked: c.Checked,
 		DeltaFrac: c.DeltaFrac, Adapt: c.Adapt,
 		Steps: opt.Steps, Warmup: opt.Warmup, Repeats: opt.Repeats,
 	}
@@ -210,8 +208,6 @@ func newRunner(c Cell, opt *Options, tracer *obs.Tracer) (runFunc, error) {
 	switch c.Engine {
 	case EngineNative:
 		return nativeRunner(c, opt, dist, tracer)
-	case EngineDistributed:
-		return distributedRunner(c, opt, dist, tracer)
 	case EngineTreeFold:
 		return treeFoldRunner(c, opt)
 	case EngineInterp:
@@ -410,47 +406,6 @@ func adaptiveRunner(c Cell, opt *Options, dist inspector.Dist) (runFunc, error) 
 			total += time.Since(start)
 		}
 		return float64(total) / 1e6, 0, nil
-	}, nil
-}
-
-func distributedRunner(c Cell, opt *Options, dist inspector.Dist, tracer *obs.Tracer) (runFunc, error) {
-	if c.Kernel != "raw" {
-		return nil, fmt.Errorf("sweep: engine distributed runs raw reductions only, not %q", c.Kernel)
-	}
-	r, err := rawData(c.Class, opt.Seed)
-	if err != nil {
-		return nil, err
-	}
-	var spec fault.Spec
-	if c.Chaos != "" {
-		if spec, err = fault.ParseSpec(c.Chaos); err != nil {
-			return nil, err
-		}
-	}
-	steps := opt.Steps
-	cache := opt.Cache
-	return func() (float64, float64, error) {
-		l := r.loop(c.P, c.K, dist)
-		l.Trace = tracer
-		scheds, err := schedules(l, cache)
-		if err != nil {
-			return 0, 0, err
-		}
-		d, err := rts.NewDistributedFrom(l, scheds)
-		if err != nil {
-			return 0, 0, err
-		}
-		d.Contribs = r.contribs
-		d.Trace = tracer
-		if spec.Enabled() {
-			d.Inject = fault.New(spec)
-			// Injected losses should recover in milliseconds, not at the
-			// production watchdog's pace.
-			d.Watchdog = 30 * time.Millisecond
-		}
-		start := time.Now()
-		_, err = d.RunContext(context.Background(), steps)
-		return float64(time.Since(start)) / 1e6, 0, err
 	}, nil
 }
 

@@ -54,7 +54,7 @@ func TestRunCellEngines(t *testing.T) {
 		{Kernel: "mvm", Class: "S", Engine: EngineTreeFold, P: 2, K: 1, Dist: "block", Checked: true},
 		{Kernel: "mvm", Class: "S", Engine: EngineInterp, P: 1, K: 1, Dist: "block", Checked: true},
 		{Kernel: "mvm", Class: "S", Engine: EngineSim, P: 2, K: 1, Dist: "cyclic", Checked: true},
-		{Kernel: "raw", Class: "tiny", Engine: EngineDistributed, P: 2, K: 2, Dist: "cyclic", Checked: true},
+		{Kernel: "raw", Class: "tiny", Engine: EngineNative, P: 2, K: 2, Dist: "cyclic", Checked: true},
 	}
 	opt := testOpts(t)
 	opt.Steps, opt.Warmup, opt.Repeats = 1, 0, 1
@@ -71,28 +71,6 @@ func TestRunCellEngines(t *testing.T) {
 				t.Fatalf("sim cell recorded no modeled seconds: %+v", bc)
 			}
 		})
-	}
-}
-
-// A chaos cell must survive injected faults through the distributed
-// engine's recovery machinery and still record clean statistics.
-func TestRunCellChaos(t *testing.T) {
-	opt := testOpts(t)
-	opt.Warmup, opt.Repeats = 0, 2
-	c := Cell{
-		Kernel: "raw", Class: "tiny", Engine: EngineDistributed,
-		P: 2, K: 2, Dist: "cyclic", Checked: true,
-		Chaos: "seed=7,drop=0.05,dup=0.05",
-	}
-	bc := RunCell(c, opt)
-	if bc.Error != "" {
-		t.Fatalf("chaos cell error: %s", bc.Error)
-	}
-	if bc.Wall.Count != 2 {
-		t.Fatalf("Wall.Count = %d, want 2", bc.Wall.Count)
-	}
-	if bc.Chaos == "" {
-		t.Fatal("chaos spec not recorded on the cell")
 	}
 }
 
@@ -115,7 +93,7 @@ func TestRunSummary(t *testing.T) {
 		Ps:      []int{1, 2},
 		Ks:      []int{1},
 		Dists:   []string{"cyclic"},
-		Engines: []string{EngineNative, EngineDistributed},
+		Engines: []string{EngineNative, EngineTreeFold},
 		Checked: []bool{true},
 	}
 	opt := testOpts(t)
@@ -125,12 +103,12 @@ func TestRunSummary(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// native p1, native p2, distributed p2; distributed p1 skipped.
-	if len(s.Cells) != 3 {
-		t.Fatalf("cells = %d, want 3: %+v", len(s.Cells), s.Cells)
+	// native p1 and p2 run; raw has no tree-fold path, so both are skipped.
+	if len(s.Cells) != 2 {
+		t.Fatalf("cells = %d, want 2: %+v", len(s.Cells), s.Cells)
 	}
-	if len(s.Skipped) != 1 {
-		t.Fatalf("skips = %d, want 1: %v", len(s.Skipped), s.Skipped)
+	if len(s.Skipped) != 2 {
+		t.Fatalf("skips = %d, want 2: %v", len(s.Skipped), s.Skipped)
 	}
 	for _, c := range s.Cells {
 		if c.Error != "" {
@@ -140,7 +118,7 @@ func TestRunSummary(t *testing.T) {
 	if s.Schema == "" {
 		t.Fatal("summary carries no schema")
 	}
-	if lines != 3 {
-		t.Fatalf("progress lines = %d, want 3", lines)
+	if lines != 2 {
+		t.Fatalf("progress lines = %d, want 2", lines)
 	}
 }

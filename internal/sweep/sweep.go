@@ -1,5 +1,5 @@
 // Package sweep is the auto-tuning benchmark harness: it expands a grid
-// of (kernel, class, engine, P, k, distribution, checked, chaos) points,
+// of (kernel, class, engine, P, k, distribution, checked) points,
 // runs every legal cell through the matching execution engine, and
 // aggregates wall time, per-phase span budgets, schedule-cache traffic
 // and latency percentiles into a benchfmt.Summary — the persisted BENCH
@@ -11,9 +11,9 @@
 // are served through the internal/service schedule cache, tree-fold and
 // interpreter cells go through the codegen/interp pipeline, and sim
 // cells run the EARTH machine model. Grid points an engine cannot
-// legally execute (tree-fold without a license grant, chaos outside the
-// distributed engine, ...) are recorded as skips with the rule that
-// refused them, never silently dropped.
+// legally execute (tree-fold without a license grant, a parallel
+// interpreter, ...) are recorded as skips with the rule that refused them,
+// never silently dropped.
 package sweep
 
 import (
@@ -25,15 +25,14 @@ import (
 
 // Engine names, matching the benchfmt cell vocabulary.
 const (
-	EngineNative      = "native"      // rts.Native: goroutines + rotation schedule
-	EngineDistributed = "distributed" // rts.Distributed: message passing, chaos-capable
-	EngineTreeFold    = "treefold"    // rts.TreeFold via the codegen license path
-	EngineInterp      = "interp"      // sequential tree-walking interpreter
-	EngineSim         = "sim"         // EARTH machine model (modeled MANNA seconds)
+	EngineNative   = "native"   // rts.Native: goroutines + rotation schedule
+	EngineTreeFold = "treefold" // rts.TreeFold via the codegen license path
+	EngineInterp   = "interp"   // sequential tree-walking interpreter
+	EngineSim      = "sim"      // EARTH machine model (modeled MANNA seconds)
 )
 
 // Engines lists every engine the harness knows, in canonical order.
-var Engines = []string{EngineNative, EngineDistributed, EngineTreeFold, EngineInterp, EngineSim}
+var Engines = []string{EngineNative, EngineTreeFold, EngineInterp, EngineSim}
 
 // Adaptation modes of the "adaptive" kernel: which schedule-maintenance
 // path an adaptive cell measures after each mesh refinement step.
@@ -43,8 +42,7 @@ const (
 )
 
 // Cell is one grid point: a workload (kernel + class) bound to an
-// execution strategy (engine, P, k, distribution, bounds-check mode,
-// optional fault-injection spec).
+// execution strategy (engine, P, k, distribution, bounds-check mode).
 type Cell struct {
 	Kernel  string
 	Class   string
@@ -53,7 +51,6 @@ type Cell struct {
 	K       int
 	Dist    string // "block" | "cyclic"
 	Checked bool   // true: per-write target validation on; false: proof-elided
-	Chaos   string // fault.ParseSpec syntax; "" = no injection
 
 	// DeltaFrac and Adapt apply to the "adaptive" kernel only: the
 	// fraction of edges each adaptation step rewires, and which
@@ -63,17 +60,13 @@ type Cell struct {
 }
 
 // ID renders the canonical cell key used across BENCH files:
-// kernel/class/engine/pN/kN/dist/checked|unchecked[/chaos=spec]
-// [/delta=frac/incr|full].
+// kernel/class/engine/pN/kN/dist/checked|unchecked[/delta=frac/incr|full].
 func (c Cell) ID() string {
 	chk := "unchecked"
 	if c.Checked {
 		chk = "checked"
 	}
 	id := fmt.Sprintf("%s/%s/%s/p%d/k%d/%s/%s", c.Kernel, c.Class, c.Engine, c.P, c.K, c.Dist, chk)
-	if c.Chaos != "" {
-		id += "/chaos=" + c.Chaos
-	}
 	if c.Adapt != "" {
 		id += "/delta=" + strconv.FormatFloat(c.DeltaFrac, 'g', -1, 64) + "/" + c.Adapt
 	}
