@@ -8,6 +8,7 @@ import (
 	"irred/internal/kernels"
 	"irred/internal/mesh"
 	"irred/internal/rts"
+	"irred/internal/sparse"
 )
 
 // BenchmarkNativeSweep times one native sweep — the "one native phase"
@@ -21,6 +22,11 @@ import (
 //	raw-pair          a random two-reference comp=1 loop, no Update
 //	                  (pipelined sweeps), no proof: CheckTargets scans once
 //	                  per Run and the unchecked body runs
+//	mvm-A/block       NAS CG class A (1,853,104 nonzeros) in gather mode, the
+//	                  repo benchmark's native.coarse: the kernel's block loop
+//	                  over its packed copy of the matrix
+//	mvm-A/adapter     the same over the per-iteration Consume, which reads
+//	                  Val and Rows where the matrix keeps them
 func BenchmarkNativeSweep(b *testing.B) {
 	const P, K, batch = 2, 2, 64
 
@@ -47,6 +53,22 @@ func BenchmarkNativeSweep(b *testing.B) {
 	b.Run("euler-2k/block", func(b *testing.B) { euler(b, func(*rts.Native) {}) })
 	b.Run("euler-2k/adapter", func(b *testing.B) { euler(b, func(n *rts.Native) { n.ContribBlock = nil }) })
 	b.Run("euler-2k/guarded", func(b *testing.B) { euler(b, func(n *rts.Native) { n.Verify = true }) })
+
+	mv := kernels.NewMVM(sparse.Generate(sparse.ClassA, 1))
+	mvm := func(b *testing.B, prepare func(n *rts.Native)) {
+		n, err := mv.NewNative(P, K, inspector.Cyclic)
+		if err != nil {
+			b.Fatal(err)
+		}
+		prepare(n)
+		b.ReportAllocs()
+		b.ResetTimer()
+		if err := n.Run(b.N); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.Run("mvm-A/block", func(b *testing.B) { mvm(b, func(*rts.Native) {}) })
+	b.Run("mvm-A/adapter", func(b *testing.B) { mvm(b, func(n *rts.Native) { n.ConsumeBlock = nil }) })
 
 	b.Run("raw-pair", func(b *testing.B) {
 		const iters, elems = 32768, 4096

@@ -40,8 +40,11 @@ type ConsumeFunc func(p, i int, vals []float64)
 // entries of one phase's iteration list (the whole list unless the guarded
 // loop skipped an access) and targets the rotated-array element each reads:
 // its comp components start at targets[j]*comp of Native.X. The callee
-// consumes them in order. p is the executing processor.
-type ConsumeBlockFunc func(p int, iters, targets []int32)
+// consumes them in order. p is the executing processor, and pos the
+// schedule position of iters[0]: its index in p's phase iteration lists
+// laid end to end in phase order. A kernel that copies its per-iteration
+// operands into that order once reads them as one stream, at pos+j.
+type ConsumeBlockFunc func(p, pos int, iters, targets []int32)
 
 // UpdateFunc runs the regular between-sweep loop for processor p (position
 // updates, vector ops over the processor's home elements). It runs under a
@@ -300,7 +303,7 @@ func blockOf(f ContribFunc, stride int) ContribBlockFunc {
 // consumeBlockOf adapts a per-iteration gather function to the block form
 // over the rotated array x of comp-component elements.
 func consumeBlockOf(f ConsumeFunc, x []float64, comp int) ConsumeBlockFunc {
-	return func(p int, iters, targets []int32) {
+	return func(p, _ int, iters, targets []int32) {
 		for j, it := range iters {
 			tb := int(targets[j]) * comp
 			f(p, int(it), x[tb:tb+comp])
@@ -464,6 +467,7 @@ func (r *nativeRun) sweep(p, step int) bool {
 	kp := cfg.NumPhases()
 	prev := (p - 1 + cfg.P) % cfg.P
 	reduce := n.Loop.Mode == Reduce
+	pos := 0 // schedule position of the phase's first iteration
 
 	for ph := 0; ph < kp; ph++ {
 		if r.done != nil {
@@ -505,11 +509,12 @@ func (r *nativeRun) sweep(p, step int) bool {
 		case reduce:
 			r.reduceGuarded(p, ph, prog)
 		case r.fast:
-			r.gatherFast(p, prog)
+			r.gatherFast(p, pos, prog)
 		default:
-			r.gatherGuarded(p, ph, prog)
+			r.gatherGuarded(p, ph, pos, prog)
 		}
 		tr.End(obs.SpanCompute, p, ph, step, portion, ms)
+		pos += len(prog.Iters)
 
 		// Pass the portion on to processor p-1.
 		n.chans[prev] <- token{portion: portion}
@@ -692,15 +697,15 @@ func (r *nativeRun) drainGuarded(p, ph int, prog *inspector.PhaseProgram) {
 }
 
 // gatherFast is the gather-mode main loop over targets that need no guard:
-// the whole phase is one block.
-func (r *nativeRun) gatherFast(p int, prog *inspector.PhaseProgram) {
-	r.consume(p, prog.Iters, prog.Ind[0])
+// the whole phase is one block, starting at schedule position pos.
+func (r *nativeRun) gatherFast(p, pos int, prog *inspector.PhaseProgram) {
+	r.consume(p, pos, prog.Iters, prog.Ind[0])
 }
 
 // gatherGuarded is the gather-mode main loop for Verify runs and schedules
 // the target scan found dirty. Each run of iterations between two skipped
 // ones is one block, so every other iteration is consumed in phase order.
-func (r *nativeRun) gatherGuarded(p, ph int, prog *inspector.PhaseProgram) {
+func (r *nativeRun) gatherGuarded(p, ph, pos int, prog *inspector.PhaseProgram) {
 	n, cfg := r.n, r.cfg
 	chk, verify := n.CheckTargets, n.Verify
 	iters, targets := prog.Iters, prog.Ind[0]
@@ -722,13 +727,13 @@ func (r *nativeRun) gatherGuarded(p, ph int, prog *inspector.PhaseProgram) {
 		}
 		if skip {
 			if from < j {
-				r.consume(p, iters[from:j], targets[from:j])
+				r.consume(p, pos+from, iters[from:j], targets[from:j])
 			}
 			from = j + 1
 		}
 	}
 	if from < len(iters) {
-		r.consume(p, iters[from:], targets[from:len(iters)])
+		r.consume(p, pos+from, iters[from:], targets[from:len(iters)])
 	}
 }
 

@@ -399,10 +399,12 @@ func TestGatherGuardedViolations(t *testing.T) {
 			want = fmt.Sprintf("rts: verify: proc 1 phase 1: iteration %d gathers %d outside the rotated array [0,%d)",
 				it, l.Cfg.NumElems, l.Cfg.NumElems)
 		}
-		expect := make([][]int32, l.Cfg.P)
+		// order[p] is p's schedule order, the frame of a block's position.
+		expect, order := make([][]int32, l.Cfg.P), make([][]int32, l.Cfg.P)
 		for p, s := range scheds {
 			for ph := range s.Phases {
 				for _, i := range s.Phases[ph].Iters {
+					order[p] = append(order[p], i)
 					if !skipped || i != it {
 						expect[p] = append(expect[p], i)
 					}
@@ -418,9 +420,12 @@ func TestGatherGuardedViolations(t *testing.T) {
 			n.Verify, n.CheckTargets = c.verify, c.check
 			seen := make([][]int32, l.Cfg.P)
 			if block {
-				n.ConsumeBlock = func(p int, iters, targets []int32) {
+				n.ConsumeBlock = func(p, pos int, iters, targets []int32) {
 					if len(targets) != len(iters) {
 						t.Errorf("block of %d iterations with %d targets", len(iters), len(targets))
+					}
+					if want := order[p][pos : pos+len(iters)]; fmt.Sprint(iters) != fmt.Sprint(want) {
+						t.Errorf("processor %d: block at schedule position %d is %v, the schedule has %v there", p, pos, iters, want)
 					}
 					seen[p] = append(seen[p], iters...)
 				}
