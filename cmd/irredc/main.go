@@ -21,8 +21,8 @@
 // named file (it accepts several) and prints each loop's schedule license
 // with its machine-checked justification ledger: which fold operators were
 // inferred, which algebraic properties were proven or disproven (with
-// counterexamples), and which parallel schedules — rotation, tiling,
-// tree-fold — the loop is licensed for. The legality pass is total, so the
+// counterexamples), and which parallel schedules — rotation, tiling — the
+// loop is licensed for. The legality pass is total, so the
 // report covers programs the Section 4 analysis would reject.
 // -reuse-report runs the inter-loop schedule-reuse prover instead: it
 // prints, per program, which loops are licensed to execute against an

@@ -14,8 +14,8 @@
 // k <= 4) strategy — exhaustively verifying the rotation, single-writer
 // and bijection invariants the runtime relies on — and additionally
 // proves the fold-schedule equivalence W6: for every builtin reduction
-// operator, the rotation-order and tree-order folds are bitwise-equal to
-// the sequential fold over the same strategy space. It also discharges
+// operator, the rotation-order fold is bitwise-equal to the sequential
+// fold over the same strategy space. It also discharges
 // the reuse soundness check W8: every inter-loop schedule-reuse grant of
 // a scenario family is compared against brute-force per-loop inspection
 // for every strategy, and every stale refusal is confirmed to actually

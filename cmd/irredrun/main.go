@@ -15,8 +15,8 @@
 //
 // -auto ignores the strategy flags: it loads the latest BENCH_*.json
 // trajectory from -bench (written by irredsweep), picks the
-// measured-fastest (engine, P, k, dist) for the workload under the
-// kernel's compiled schedule license, and executes that cell.
+// measured-fastest (engine, P, k, dist) for the workload among the
+// engines the sweep harness runs, and executes that cell.
 //
 // -json emits one machine-readable object on stdout (timings, result hash)
 // so tooling can diff local vs server runs.
@@ -392,10 +392,9 @@ func runServer(base, kernel, dataset string, p, k int, distName string, steps in
 }
 
 // runAuto loads the latest BENCH trajectory, asks the tuner for the
-// measured-fastest strategy for this workload under the kernel's compiled
-// schedule license, and executes the picked cell through the sweep
-// harness — which can run every engine it knows (native, tree-fold,
-// interpreter), not just the flag-selectable ones. Cells of engines the
+// measured-fastest strategy for this workload, and executes the picked
+// cell through the sweep harness — which can run every engine it knows
+// (native, interpreter), not just the flag-selectable ones. Cells of engines the
 // harness does not know, which older trajectories may hold, never back a
 // pick.
 func runAuto(kernel, dataset, benchDir string, steps int, seed int64, jsonOut bool) {
@@ -410,7 +409,7 @@ func runAuto(kernel, dataset, benchDir string, steps int, seed int64, jsonOut bo
 	if kernel == "mvm" {
 		class = strings.ToUpper(dataset)
 	}
-	pick := tn.Pick(kernel, class, sweep.KernelLicense(kernel))
+	pick := tn.Pick(kernel, class)
 	cell := sweep.Cell{
 		Kernel: kernel, Class: class, Engine: pick.Engine,
 		P: pick.P, K: pick.K, Dist: pick.Dist, Checked: pick.Checked,

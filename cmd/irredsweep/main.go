@@ -47,7 +47,7 @@ func main() {
 	pFlag := flag.String("p", "", "comma-separated processor counts (override grid)")
 	kFlag := flag.String("k", "", "comma-separated unrolling factors (override grid)")
 	distsFlag := flag.String("dists", "", "comma-separated distributions: block,cyclic (override grid)")
-	enginesFlag := flag.String("engines", "", "comma-separated engines: native,treefold,interp,sim (override grid)")
+	enginesFlag := flag.String("engines", "", "comma-separated engines: native,interp,sim (override grid)")
 	checkedFlag := flag.String("checked", "", "bounds-check modes: both | checked | unchecked (override grid)")
 	deltaFlag := flag.String("delta-fracs", "", "comma-separated delta fractions for the adaptive kernel, e.g. 0.01,0.05,0.2 (override grid)")
 

@@ -1,9 +1,10 @@
 // Package algebra infers algebraic properties of reduction operators:
 // associativity, commutativity, identity elements, idempotence and
 // float-reorder sensitivity. The properties are what legalize schedules
-// beyond the paper's single k*P rotation — tree folds and tiled
-// regroupings are sound exactly when the combine operator provably
-// carries the right algebra (cf. reduction-aware polyhedral scheduling).
+// beyond the paper's single k*P rotation — tiled regroupings are sound
+// exactly when the combine operator provably carries the right algebra
+// (cf. reduction-aware polyhedral scheduling), and a proven identity is
+// what seeds a custom combine's rotation buffers.
 //
 // Builtin operators (+, *, min, max) are table-driven. Compound update
 // expressions (x[ia[i]] = f(x[ia[i]], contribution)) are normalized by

@@ -271,13 +271,11 @@ func BenchmarkRunnerStep(b *testing.B) {
 }
 
 // BenchmarkEngines times one sweep of a compiled irregular plan at P = 2 on
-// the two engines a TreeFold-licensed plan can run: rts.Native over its
-// LightInspector schedules and rts.TreeFold, both driving the plan's block
-// form over the same loop. TreeFold has no k or distribution, so that loop
-// is its canonical k = 1 block; native-k2-cyclic adds the shape
+// rts.Native over its LightInspector schedules, driving the plan's block
+// form: native is the k = 1 block shape, native-k2-cyclic the shape
 // compiled.euler runs. euler-10k folds with +=; minred-10k folds with min=
-// over the same extents (euler's edges and nodes, seeded data), the
-// non-Add combine TreeFold's licence exists for.
+// over the same extents (euler's edges and nodes, seeded data), a non-Add
+// combine the rotation runs through Op.Fold.
 func BenchmarkEngines(b *testing.B) {
 	const procs = 2
 	nodes, edges := mesh.Paper10K()
@@ -301,36 +299,25 @@ func BenchmarkEngines(b *testing.B) {
 				break
 			}
 		}
-		for _, eng := range []string{"native", "native-k2-cyclic", "treefold"} {
+		for _, eng := range []string{"native", "native-k2-cyclic"} {
 			b.Run(w.name+"/"+eng, func(b *testing.B) {
-				var run func(int) error
-				switch eng {
-				case "treefold":
-					tf, err := p.BuildTreeFold(w.env, procs)
-					if err != nil {
-						b.Fatal(err)
-					}
-					run = tf.Run
-				default:
-					k, dist := 1, inspector.Block
-					if eng == "native-k2-cyclic" {
-						k, dist = 2, inspector.Cyclic
-					}
-					loop, block, err := p.BuildLoopOpts(w.env, procs, k, dist, BuildOpts{})
-					if err != nil {
-						b.Fatal(err)
-					}
-					nat, err := rts.NewNative(loop)
-					if err != nil {
-						b.Fatal(err)
-					}
-					nat.ContribBlock = block
-					run = nat.Run
+				k, dist := 1, inspector.Block
+				if eng == "native-k2-cyclic" {
+					k, dist = 2, inspector.Cyclic
 				}
+				loop, block, err := p.BuildLoopOpts(w.env, procs, k, dist, BuildOpts{})
+				if err != nil {
+					b.Fatal(err)
+				}
+				nat, err := rts.NewNative(loop)
+				if err != nil {
+					b.Fatal(err)
+				}
+				nat.ContribBlock = block
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					if err := run(1); err != nil {
+					if err := nat.Run(1); err != nil {
 						b.Fatal(err)
 					}
 				}

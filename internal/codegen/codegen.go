@@ -51,8 +51,7 @@ type Plan struct {
 	// License is the schedule license of this post-fission loop: the
 	// parent (pre-fission) loop's license met with the fissioned loop's
 	// own, so fission can only narrow grants, never widen them. BuildLoop
-	// refuses plans whose license does not grant rotation; BuildTreeFold
-	// additionally requires the TreeFoldLegal grant.
+	// refuses plans whose license does not grant rotation.
 	License *dataflow.License
 
 	// Combine is the fold operator of the plan's reference group, with
@@ -411,24 +410,6 @@ func (b *contribution) place(vals []float64, n int, out []float64) {
 			out[j*b.stride+s] = v
 		}
 	}
-}
-
-// BuildTreeFold wires an irregular plan onto the privatized tree-fold
-// executor. The plan's schedule license must grant TreeFoldLegal —
-// rts.NewTreeFold re-checks the grant and the ledger, so there is no way
-// to reach the reordering execution path without a machine-checked proof
-// that the combine tolerates it.
-func (p *Plan) BuildTreeFold(env *interp.Env, workers int) (*rts.TreeFold, error) {
-	loop, block, err := p.BuildLoopOpts(env, workers, 1, inspector.Block, BuildOpts{})
-	if err != nil {
-		return nil, err
-	}
-	tf, err := rts.NewTreeFold(loop, p.License)
-	if err != nil {
-		return nil, err
-	}
-	tf.ContribBlock = block
-	return tf, nil
 }
 
 // ComputeFacts runs the dataflow bounds analysis for this plan's loop

@@ -6,7 +6,9 @@ import (
 	"testing"
 
 	"irred/internal/algebra"
+	"irred/internal/inspector"
 	"irred/internal/interp"
+	"irred/internal/rts"
 )
 
 func TestPlansCarrySchedulLicenses(t *testing.T) {
@@ -21,7 +23,7 @@ func TestPlansCarrySchedulLicenses(t *testing.T) {
 	if err := p.License.Verify(); err != nil {
 		t.Fatalf("license ledger self-check: %v", err)
 	}
-	if p.License.Level() != "TreeFoldLegal" {
+	if p.License.Level() != "TileLegal" {
 		t.Fatalf("figure1 is a float += reduction; level = %s\n%s", p.License.Level(), p.License.Report())
 	}
 	if p.Combine.Kind != algebra.Add {
@@ -91,7 +93,7 @@ loop i = 0, n {
 		t.Fatalf("want 2 irregular plans after fission, got %d", len(irr))
 	}
 	for _, p := range irr {
-		if p.License.Rotation || p.License.Tile || p.License.TreeFold {
+		if p.License.Rotation || p.License.Tile {
 			t.Fatalf("%s: fission widened the parent's refused license:\n%s", p.Name, p.License.Report())
 		}
 	}
@@ -112,10 +114,10 @@ loop i = 0, n {
 	}
 }
 
-// TestTreeFoldEndToEnd drives the licensed tree-fold path from IRL source
-// to bitwise-identical results: a min-reduction over integral data must
-// agree exactly with the sequential interpreter.
-func TestTreeFoldEndToEnd(t *testing.T) {
+// TestMinFoldEndToEnd drives a non-Add combine from IRL source through
+// BuildLoop onto the rotation engine: a min-reduction over integral data
+// must agree bitwise with the sequential interpreter.
+func TestMinFoldEndToEnd(t *testing.T) {
 	src := `
 param n, m
 array e[n] int
@@ -144,8 +146,8 @@ loop i = 0, n {
 	if plan.Combine.Kind != algebra.Min {
 		t.Fatalf("combine = %s", plan.Combine)
 	}
-	if !plan.License.TreeFold {
-		t.Fatalf("min= must license tree-fold\n%s", plan.License.Report())
+	if !plan.License.Rotation || !plan.License.Tile {
+		t.Fatalf("min= must license rotation and tiling\n%s", plan.License.Report())
 	}
 
 	const n, m = 400, 37
@@ -182,17 +184,22 @@ loop i = 0, n {
 	for i := range env.Floats["best"] {
 		env.Floats["best"][i] = 1000000 // the init loop, run by hand
 	}
-	tf, err := plan.BuildTreeFold(env, 4)
+	loop, contribs, err := plan.BuildLoop(env, 4, 2, inspector.Cyclic)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := plan.Pack(env, tf.X); err != nil {
+	nat, err := rts.NewNative(loop)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if err := tf.Run(1); err != nil {
+	nat.Contribs = contribs
+	if err := plan.Pack(env, nat.X); err != nil {
 		t.Fatal(err)
 	}
-	if err := plan.Scatter(env, tf.X); err != nil {
+	if err := nat.Run(1); err != nil {
+		t.Fatal(err)
+	}
+	if err := plan.Scatter(env, nat.X); err != nil {
 		t.Fatal(err)
 	}
 	got := env.Floats["best"]
@@ -200,25 +207,5 @@ loop i = 0, n {
 		if got[i] != want[i] {
 			t.Fatalf("best[%d] = %v, want %v (must be bitwise)", i, got[i], want[i])
 		}
-	}
-}
-
-func TestBuildTreeFoldRefusesRotationOnly(t *testing.T) {
-	// A float += reduction is TreeFoldLegal, but tampering the plan's
-	// license down to rotation-only must block the tree-fold path via the
-	// runtime's license check.
-	u, err := Compile(figure1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p := u.Plans[0]
-	env := bindFigure1(t, u, 50, 8, 2)
-	lic := *p.License
-	lic.TreeFold = false
-	lic.Ledger = nil // drop the ledger so the downgrade is "self-consistent"
-	weak := *p
-	weak.License = &lic
-	if _, err := weak.BuildTreeFold(env, 2); err == nil {
-		t.Fatal("rotation-only license must block BuildTreeFold")
 	}
 }

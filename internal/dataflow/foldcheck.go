@@ -7,19 +7,14 @@ import (
 	"irred/internal/algebra"
 )
 
-// W6 — fold-schedule equivalence. The legality pass licenses two
-// parallel fold orders for a reduction element:
+// W6 — fold-schedule equivalence. The rotation schedule folds a
+// reduction element in a parallel order: each processor pre-groups its
+// contributions (in its iteration order) into a buffer partial, and the
+// partials fold into the element in phase order — the order in which each
+// processor owns the element's portion.
 //
-//   - rotation: each processor pre-groups its contributions (in its
-//     iteration order) into a buffer partial, and the partials fold into
-//     the element in phase order — the order in which each processor
-//     owns the element's portion;
-//   - tree-fold: each worker folds its contributions into a private
-//     identity-seeded accumulator, and the accumulators fold pairwise in
-//     a binary tree.
-//
-// For integral data and the builtin operators both orders are exact, so
-// they must agree *bitwise* with the sequential fold. CheckFoldStrategy
+// For integral data and the builtin operators that order is exact, so it
+// must agree *bitwise* with the sequential fold. CheckFoldStrategy
 // verifies that, abstractly, for one ownership strategy: every element
 // (one per portion), every processor contributing a deterministic pair
 // of integral values. A violation means the pre-grouping or the phase
@@ -54,8 +49,8 @@ func seed(kind algebra.Kind) float64 {
 	}
 }
 
-// CheckFoldStrategy verifies rotation-order and tree-order folds against
-// the sequential fold for one ownership strategy and one operator,
+// CheckFoldStrategy verifies the rotation-order fold against the
+// sequential fold for one ownership strategy and one operator,
 // bitwise. Each processor contributes perProc values per element, in
 // global iteration order proc-major (a block distribution of
 // iterations).
@@ -87,8 +82,8 @@ func CheckFoldStrategy(p, k int, own Ownership, kind algebra.Kind) []Violation {
 		}
 
 		// Per-processor partials, each seeded with the identity and folded
-		// in the processor's own iteration order — the buffer (rotation)
-		// and private-accumulator (tree) pre-grouping alike.
+		// in the processor's own iteration order — the rotation buffer's
+		// pre-grouping.
 		partial := make([]float64, P)
 		for proc := 0; proc < P; proc++ {
 			partial[proc] = ident
@@ -116,20 +111,8 @@ func CheckFoldStrategy(p, k int, own Ownership, kind algebra.Kind) []Violation {
 			rot = op.Fold(rot, partial[proc])
 		}
 
-		// Tree order: binary fold over the partials, then into the element.
-		tree := append([]float64(nil), partial...)
-		for stride := 1; stride < P; stride *= 2 {
-			for i := 0; i+stride < P; i += 2 * stride {
-				tree[i] = op.Fold(tree[i], tree[i+stride])
-			}
-		}
-		tf := op.Fold(seed(kind), tree[0])
-
 		if rot != x {
 			report("op %s element %d: rotation fold %g != sequential %g", op, e, rot, x)
-		}
-		if tf != x {
-			report("op %s element %d: tree fold %g != sequential %g", op, e, tf, x)
 		}
 	}
 	return out
@@ -137,9 +120,8 @@ func CheckFoldStrategy(p, k int, own Ownership, kind algebra.Kind) []Violation {
 
 // ProveAllFold exhausts every strategy with 1 <= P <= maxP and
 // 1 <= k <= maxK over every builtin operator, checking the production
-// ownership map's fold orders. Empty violations means rotation and
-// tree-fold are bitwise-equal to the sequential fold across the whole
-// bounded space.
+// ownership map's fold order. Empty violations means rotation is
+// bitwise-equal to the sequential fold across the whole bounded space.
 func ProveAllFold(maxP, maxK int) (checked int, violations []Violation) {
 	for p := 1; p <= maxP; p++ {
 		for k := 1; k <= maxK; k++ {

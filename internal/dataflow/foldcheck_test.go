@@ -13,7 +13,7 @@ func TestProveAllFoldBounded(t *testing.T) {
 		t.Fatalf("checked %d (strategy, op) pairs, want %d", checked, 32*len(foldOps))
 	}
 	if len(violations) != 0 {
-		t.Fatalf("rotation and tree-fold must be bitwise-equal to the sequential fold; got %d violations, first: %v",
+		t.Fatalf("the rotation fold must be bitwise-equal to the sequential fold; got %d violations, first: %v",
 			len(violations), violations[0])
 	}
 }

@@ -187,7 +187,7 @@ func FuzzDataflow(f *testing.F) {
 			// license records refusals, conflicts, or unproven algebra,
 			// the forged grants must be rejected by the ledger self-check.
 			tampered := *lic
-			tampered.Rotation, tampered.Tile, tampered.TreeFold = true, true, true
+			tampered.Rotation, tampered.Tile = true, true
 			mustFail := lic.Conflicting || len(lic.Refusals) > 0
 			for _, ol := range lic.Ops {
 				if ol.Props.Assoc != algebra.Proven || ol.Props.Comm != algebra.Proven || ol.Props.HasIdentity != algebra.Proven {

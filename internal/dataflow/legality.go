@@ -30,9 +30,6 @@ import (
 //	TileLegal     associativity+commutativity proven: contributions may
 //	              be regrouped and reordered arbitrarily (tiled owner-
 //	              computes schedules)
-//	TreeFoldLegal additionally a proven identity element: per-worker
-//	              private accumulators may be seeded with the identity
-//	              and folded in a binary tree
 //
 // Every grant and refusal is recorded in a machine-checkable
 // justification ledger (Verify re-derives the grants from the ledger).
@@ -85,7 +82,6 @@ type License struct {
 	// Grants.
 	Rotation bool // the paper's k*P rotating-portion schedule
 	Tile     bool // arbitrary regrouping/reordering of contributions
-	TreeFold bool // privatized per-worker accumulators, tree-folded
 	// Refused-for reasons.
 	Conflicting      bool
 	ReorderSensitive bool // float result depends on schedule even when licensed
@@ -109,8 +105,6 @@ func (lic *License) Level() string {
 			return "IterationLocal"
 		}
 		return "Illegal"
-	case lic.TreeFold:
-		return "TreeFoldLegal"
 	case lic.Tile && lic.Rotation:
 		return "TileLegal"
 	case lic.Rotation:
@@ -344,7 +338,7 @@ func LegalizeLoop(prog *lang.Program, l *lang.Loop, opts Options) *License {
 		lic.note("no-ordered-dep", true, "no cross-iteration dependence outside the reductions")
 	}
 
-	rotation, tile, treefold := !lic.Conflicting && !ordered && len(lic.Refusals) == 0, true, true
+	rotation, tile := !lic.Conflicting && !ordered && len(lic.Refusals) == 0, true
 	for i := range lic.Ops {
 		ol := &lic.Ops[i]
 		p := ol.Props
@@ -353,7 +347,7 @@ func LegalizeLoop(prog *lang.Program, l *lang.Loop, opts Options) *License {
 		if id, ok := ol.Op.Identity(); ok {
 			lic.note("identity", true, "%s %s: identity element %s", ol.Array, ol.Op, formatIdent(id))
 		} else {
-			lic.note("identity", false, "%s %s: no identity element found; buffers and private accumulators cannot be seeded", ol.Array, ol.Op)
+			lic.note("identity", false, "%s %s: no identity element found; rotation buffers cannot be seeded", ol.Array, ol.Op)
 			rotation = false
 		}
 		if p.Assoc == algebra.Disproven || p.Comm == algebra.Disproven {
@@ -361,9 +355,6 @@ func LegalizeLoop(prog *lang.Program, l *lang.Loop, opts Options) *License {
 		}
 		if p.Assoc != algebra.Proven || p.Comm != algebra.Proven {
 			tile = false
-		}
-		if p.HasIdentity != algebra.Proven {
-			treefold = false
 		}
 		if p.Assoc == algebra.Unknown || p.Comm == algebra.Unknown {
 			lic.note("assumption", true, "%s %s: associativity/commutativity unproven; rotation licensed by the Section 4 reduction assumption, not by proof", ol.Array, ol.Op)
@@ -373,14 +364,13 @@ func LegalizeLoop(prog *lang.Program, l *lang.Loop, opts Options) *License {
 		}
 	}
 	if lic.Conflicting || ordered || len(lic.Refusals) > 0 {
-		tile, treefold = false, false
+		tile = false
 	}
-	treefold = treefold && tile
-	lic.Rotation, lic.Tile, lic.TreeFold = rotation, tile, treefold
+	lic.Rotation, lic.Tile = rotation, tile
 	if lic.ReorderSensitive && len(lic.Ops) > 0 {
 		lic.note("reorder-sensitivity", true, "float rounding depends on fold order: parallel results are schedule-reproducible, not sequential-bitwise")
 	}
-	lic.note("grant", true, "rotation=%v tile=%v tree-fold=%v (%s)", lic.Rotation, lic.Tile, lic.TreeFold, lic.Level())
+	lic.note("grant", true, "rotation=%v tile=%v (%s)", lic.Rotation, lic.Tile, lic.Level())
 	return lic
 }
 
@@ -395,7 +385,6 @@ func Meet(parent, child *License) *License {
 		Loop:             child.Loop,
 		Rotation:         parent.Rotation && child.Rotation,
 		Tile:             parent.Tile && child.Tile,
-		TreeFold:         parent.TreeFold && child.TreeFold,
 		Conflicting:      parent.Conflicting || child.Conflicting,
 		ReorderSensitive: parent.ReorderSensitive || child.ReorderSensitive,
 		Ops:              child.Ops,
@@ -403,7 +392,7 @@ func Meet(parent, child *License) *License {
 		Conflicts:        append(append([]Conflict(nil), child.Conflicts...), parent.Conflicts...),
 		Ledger:           append([]Justification(nil), child.Ledger...),
 	}
-	if parent.Rotation != child.Rotation || parent.Tile != child.Tile || parent.TreeFold != child.TreeFold || parent.Conflicting != child.Conflicting {
+	if parent.Rotation != child.Rotation || parent.Tile != child.Tile || parent.Conflicting != child.Conflicting {
 		out.note("inherited", true, "license met with parent loop's (%s): fission carries, never widens", parent.Level())
 	}
 	return out
@@ -430,19 +419,8 @@ func (lic *License) Verify() error {
 		if lic.Tile && (p.Assoc != algebra.Proven || p.Comm != algebra.Proven) {
 			return fmt.Errorf("dataflow: tile granted without proven associativity+commutativity for %s", ol.Array)
 		}
-		if lic.TreeFold && p.HasIdentity != algebra.Proven {
-			return fmt.Errorf("dataflow: tree-fold granted without a proven identity for %s", ol.Array)
-		}
-		if lic.TreeFold {
-			if _, ok := ol.Op.Identity(); !ok {
-				return fmt.Errorf("dataflow: tree-fold granted but operator %s carries no identity", ol.Op)
-			}
-		}
 	}
-	if lic.TreeFold && !lic.Tile {
-		return fmt.Errorf("dataflow: tree-fold granted without tile")
-	}
-	if (lic.Conflicting || len(lic.Refusals) > 0) && (lic.Rotation || lic.Tile || lic.TreeFold) {
+	if (lic.Conflicting || len(lic.Refusals) > 0) && (lic.Rotation || lic.Tile) {
 		return fmt.Errorf("dataflow: schedule granted despite conflicts/refusals")
 	}
 	return nil
@@ -454,8 +432,7 @@ func (lic *License) Report() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "loop %s = %s, %s at %s: schedule license %s\n",
 		lic.Loop.Var, lic.Loop.Lo, lic.Loop.Hi, lic.Loop.Pos, lic.Level())
-	fmt.Fprintf(&b, "  rotation: %s   tile: %s   tree-fold: %s\n",
-		grantWord(lic.Rotation), grantWord(lic.Tile), grantWord(lic.TreeFold))
+	fmt.Fprintf(&b, "  rotation: %s   tile: %s\n", grantWord(lic.Rotation), grantWord(lic.Tile))
 	if lic.ReorderSensitive {
 		fmt.Fprintf(&b, "  reorder-sensitive: parallel float results differ bitwise from sequential\n")
 	}

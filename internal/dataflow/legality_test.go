@@ -35,10 +35,10 @@ loop i = 0, n {
 
 func TestLicenseBuiltinAdd(t *testing.T) {
 	lic := legalize(t, addLoop)[0]
-	if lic.Level() != "TreeFoldLegal" {
-		t.Fatalf("level = %s, want TreeFoldLegal\n%s", lic.Level(), lic.Report())
+	if lic.Level() != "TileLegal" {
+		t.Fatalf("level = %s, want TileLegal\n%s", lic.Level(), lic.Report())
 	}
-	if !lic.Rotation || !lic.Tile || !lic.TreeFold {
+	if !lic.Rotation || !lic.Tile {
 		t.Fatalf("grants: %+v", lic)
 	}
 	if !lic.ReorderSensitive {
@@ -59,7 +59,7 @@ loop i = 0, n {
     best[e[i]] min= w[i]
 }
 `)[0]
-	if lic.Level() != "TreeFoldLegal" {
+	if lic.Level() != "TileLegal" {
 		t.Fatalf("level = %s\n%s", lic.Level(), lic.Report())
 	}
 	if lic.ReorderSensitive {
@@ -102,7 +102,7 @@ loop i = 0, n {
     x[ia[i]] = x[ia[i]] * w[i] + x[ia[i]] + w[i]
 }
 `)[0]
-	if lic.Level() != "TreeFoldLegal" {
+	if lic.Level() != "TileLegal" {
 		t.Fatalf("a*b+a+b: level = %s\n%s", lic.Level(), lic.Report())
 	}
 	ol := lic.Ops[0]
@@ -130,7 +130,7 @@ loop i = 0, n {
 	if lic.Level() != "Illegal" {
 		t.Fatalf("a*0.5+b: level = %s\n%s", lic.Level(), lic.Report())
 	}
-	if lic.Rotation || lic.Tile || lic.TreeFold {
+	if lic.Rotation || lic.Tile {
 		t.Fatalf("grants leaked: %+v", lic)
 	}
 	if len(lic.Refusals) == 0 || lic.Refusals[0].Cex == "" {
@@ -215,14 +215,14 @@ loop i = 0, n {
 }
 `)[0]
 	met := Meet(none, full)
-	if met.Rotation || met.Tile || met.TreeFold || !met.Conflicting {
+	if met.Rotation || met.Tile || !met.Conflicting {
 		t.Fatalf("Meet must not widen: %+v", met)
 	}
 	if Meet(nil, full) != full {
 		t.Fatalf("nil parent must pass through")
 	}
 	same := Meet(full, full)
-	if !same.TreeFold || same.Conflicting {
+	if !same.Rotation || !same.Tile || same.Conflicting {
 		t.Fatalf("Meet with equal parent lost grants: %+v", same)
 	}
 }
@@ -230,7 +230,14 @@ loop i = 0, n {
 func TestLicenseReportMentionsLedger(t *testing.T) {
 	lic := legalize(t, addLoop)[0]
 	rep := lic.Report()
-	for _, want := range []string{"TreeFoldLegal", "[grant]", "operator table", "rotation: granted"} {
+	// The grant line and the ledger's grant note name exactly the two
+	// grants a license carries, and TileLegal is the top of the lattice.
+	for _, want := range []string{
+		"schedule license TileLegal\n",
+		"  rotation: granted   tile: granted\n",
+		"rotation=true tile=true (TileLegal)",
+		"operator table",
+	} {
 		if !strings.Contains(rep, want) {
 			t.Fatalf("report missing %q:\n%s", want, rep)
 		}
@@ -247,7 +254,7 @@ loop i = 0, n {
     x[ia[i]] = x[ia[i]] * 0.5 + w[i]
 }
 `)[0]
-	lic.TreeFold, lic.Tile, lic.Rotation = true, true, true
+	lic.Tile, lic.Rotation = true, true
 	if err := lic.Verify(); err == nil {
 		t.Fatalf("tampered license must fail verification")
 	}

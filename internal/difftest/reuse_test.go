@@ -213,9 +213,8 @@ func cgDiffEnv(t *testing.T, u *codegen.Unit, ne, n int, seed int64) *interp.Env
 
 // TestCompiledReuseAgreesAcrossEngines runs the compiled CG program with
 // the runner's licensed reuse on and off, and cross-checks both against
-// the sequential interpreter, a per-plan rotation over each plan's own
-// one-iteration view, and the tree-fold execution of the same plans —
-// bitwise, for every ownership strategy.
+// the sequential interpreter and a per-plan rotation over each plan's own
+// one-iteration view — bitwise, for every ownership strategy.
 func TestCompiledReuseAgreesAcrossEngines(t *testing.T) {
 	u, err := codegen.Compile(cgDiffSrc)
 	if err != nil {
@@ -223,15 +222,10 @@ func TestCompiledReuseAgreesAcrossEngines(t *testing.T) {
 	}
 	const ne, n, steps, seed = 600, 71, 3, 33
 
-	// The sequential and tree-fold references are strategy-independent;
-	// compute them once.
+	// The sequential reference is strategy-independent; compute it once.
 	seqEnv := cgDiffEnv(t, u, ne, n, seed)
-	tfEnv := cgDiffEnv(t, u, ne, n, seed)
 	for s := 0; s < steps; s++ {
 		if err := seqEnv.Run(); err != nil {
-			t.Fatal(err)
-		}
-		if err := runPlans(u, tfEnv, treeFoldExec(4)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -262,7 +256,7 @@ func TestCompiledReuseAgreesAcrossEngines(t *testing.T) {
 
 		rEnv := cgDiffEnv(t, u, ne, n, seed)
 		for s := 0; s < steps; s++ {
-			if err := runPlans(u, rEnv, rotationExec(st.p, st.k, st.dist)); err != nil {
+			if err := runPlans(u, rEnv, rotationExec(st.p, st.k, st.dist, false)); err != nil {
 				t.Fatalf("%s per-plan rotation: %v", label, err)
 			}
 		}
@@ -272,7 +266,6 @@ func TestCompiledReuseAgreesAcrossEngines(t *testing.T) {
 			compare(t, label+" reuse-on vs reuse-off "+a, on.Env.Floats[a], ref, true)
 			compare(t, label+" sequential vs reuse-off "+a, seqEnv.Floats[a], ref, true)
 			compare(t, label+" per-plan rotation vs reuse-off "+a, rEnv.Floats[a], ref, true)
-			compare(t, label+" tree-fold vs reuse-off "+a, tfEnv.Floats[a], ref, true)
 		}
 	}
 }

@@ -63,8 +63,8 @@ loop i = 0, nnz {
 // seeds best with a sentinel above every weight (min's identity is +inf,
 // so unseeded elements would clamp everything to 0 — IRL019's finding);
 // the second folds with min=, which the algebra engine licenses for
-// tree-fold (min is associative, commutative and idempotent, and exact
-// under reordering).
+// rotation and tiling (min is associative, commutative and idempotent,
+// and exact under reordering).
 const MinredIRL = `
 param num_edges, num_nodes
 array e[num_edges] int

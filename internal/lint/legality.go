@@ -13,10 +13,9 @@ import (
 //	IRL020  idempotent-operator reduction: duplicates are harmless (Info)
 //
 // They read the proof-carrying schedule licenses of internal/dataflow —
-// the same artifact the compiler consults before building a rotation or
-// tree-fold schedule — so a clean lint run means every reduction loop in
-// the program holds a machine-checkable license for the schedule it will
-// get.
+// the same artifact the compiler consults before building a rotation
+// schedule — so a clean lint run means every reduction loop in the
+// program holds a machine-checkable license for the schedule it will get.
 
 // Legality returns the program's schedule licenses, computed on first
 // use. The legality pass is total (it refuses rather than fails), so it

@@ -6,7 +6,6 @@ import (
 	"sort"
 
 	"irred/internal/benchfmt"
-	"irred/internal/dataflow"
 )
 
 // Pick is the tuner's strategy choice for one workload: which engine to
@@ -43,7 +42,9 @@ type TunerOptions struct {
 	MaxP int
 	// Engines, when non-empty, restricts picks to engines the consumer
 	// can execute (the irredd serving path runs native only; irredrun
-	// -auto can execute every engine the sweep harness knows).
+	// -auto can execute every engine the sweep harness knows). A cell
+	// naming an engine outside the list — one since removed, say — never
+	// backs a pick.
 	Engines []string
 	// AllowUnchecked permits proof-elided cells. Consumers that cannot
 	// guarantee the bounds proof at execution time leave it false and
@@ -111,9 +112,8 @@ func NewTunerFromDir(dir string, opt TunerOptions) (*Tuner, string, error) {
 // Summary exposes the loaded trajectory (nil for a heuristic-only tuner).
 func (t *Tuner) Summary() *benchfmt.Summary { return t.summary }
 
-// usable reports whether a measured cell may back a pick for this
-// consumer and license.
-func (t *Tuner) usable(c *benchfmt.Cell, lic *dataflow.License) bool {
+// usable reports whether a measured cell may back a pick for this consumer.
+func (t *Tuner) usable(c *benchfmt.Cell) bool {
 	if c.Error != "" || c.Chaos != "" {
 		return false
 	}
@@ -131,9 +131,6 @@ func (t *Tuner) usable(c *benchfmt.Cell, lic *dataflow.License) bool {
 	if !c.Checked && !t.opt.AllowUnchecked {
 		return false
 	}
-	if c.Engine == "treefold" && (lic == nil || !lic.TreeFold) {
-		return false
-	}
 	if len(t.opt.Engines) > 0 {
 		ok := false
 		for _, e := range t.opt.Engines {
@@ -149,17 +146,16 @@ func (t *Tuner) usable(c *benchfmt.Cell, lic *dataflow.License) bool {
 	return true
 }
 
-// Pick returns the measured-fastest usable strategy for (kernel, class)
-// under the loop's schedule license, falling back to the paper's
-// heuristic defaults when the trajectory holds no usable cell. Ties in
-// score break toward the cell ID's lexical order, so picks are
-// deterministic across runs.
-func (t *Tuner) Pick(kernel, class string, lic *dataflow.License) Pick {
+// Pick returns the measured-fastest usable strategy for (kernel, class),
+// falling back to the paper's heuristic defaults when the trajectory
+// holds no usable cell. Ties in score break toward the cell ID's lexical
+// order, so picks are deterministic across runs.
+func (t *Tuner) Pick(kernel, class string) Pick {
 	var best *benchfmt.Cell
 	if t.summary != nil {
 		for i := range t.summary.Cells {
 			c := &t.summary.Cells[i]
-			if c.Kernel != kernel || c.Class != class || !t.usable(c, lic) {
+			if c.Kernel != kernel || c.Class != class || !t.usable(c) {
 				continue
 			}
 			if best == nil || c.Wall.Score() < best.Wall.Score() ||

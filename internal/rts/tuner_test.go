@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"irred/internal/benchfmt"
-	"irred/internal/dataflow"
 )
 
 // cell builds a clean measured cell with the given trimmed-mean score.
@@ -31,10 +30,10 @@ func tunerTrajectory() *benchfmt.Summary {
 		// mvm/S: native P=4 k=2 cyclic wins.
 		tunerCell("mvm", "S", "native", 4, 2, "cyclic", false, 2.0),
 		tunerCell("mvm", "S", "native", 2, 1, "block", false, 5.0),
-		tunerCell("mvm", "S", "treefold", 4, 1, "block", false, 3.0),
+		tunerCell("mvm", "S", "native", 4, 1, "block", false, 3.0),
 		tunerCell("mvm", "S", "interp", 1, 1, "block", true, 40.0),
-		// euler/2k: treefold P=2 wins over every rotation cell.
-		tunerCell("euler", "2k", "treefold", 2, 1, "block", false, 1.5),
+		// euler/2k: native P=2 k=1 wins over the P=4 cell.
+		tunerCell("euler", "2k", "native", 2, 1, "block", false, 1.5),
 		tunerCell("euler", "2k", "native", 4, 2, "cyclic", false, 4.0),
 		tunerCell("euler", "2k", "native", 1, 1, "block", true, 9.0),
 		// raw/small: native P=2 k=1 wins.
@@ -56,26 +55,24 @@ func tunerTrajectory() *benchfmt.Summary {
 	return s
 }
 
-var treeFoldLic = &dataflow.License{Rotation: true, Tile: true, TreeFold: true}
-
-// The headline property: the tuner picks demonstrably different
-// (engine, P, k) for different workload classes, from measurement.
+// The headline property: the tuner picks demonstrably different (P, k)
+// for different workload classes, from measurement.
 func TestTunerPicksDifferPerClass(t *testing.T) {
 	tn := NewTuner(tunerTrajectory(), TunerOptions{MaxP: 8, AllowUnchecked: true})
 
-	mvm := tn.Pick("mvm", "S", treeFoldLic)
+	mvm := tn.Pick("mvm", "S")
 	if mvm.Engine != "native" || mvm.P != 4 || mvm.K != 2 || mvm.Dist != "cyclic" {
 		t.Fatalf("mvm/S pick = %+v", mvm)
 	}
-	euler := tn.Pick("euler", "2k", treeFoldLic)
-	if euler.Engine != "treefold" || euler.P != 2 {
+	euler := tn.Pick("euler", "2k")
+	if euler.Engine != "native" || euler.P != 2 || euler.K != 1 {
 		t.Fatalf("euler/2k pick = %+v", euler)
 	}
-	raw := tn.Pick("raw", "small", nil)
+	raw := tn.Pick("raw", "small")
 	if raw.Engine != "native" || raw.P != 2 || raw.K != 1 {
 		t.Fatalf("raw/small pick = %+v", raw)
 	}
-	if mvm.Engine == euler.Engine && mvm.P == euler.P && mvm.K == euler.K {
+	if mvm.P == euler.P && mvm.K == euler.K {
 		t.Fatal("picks do not differ across classes")
 	}
 	for _, p := range []Pick{mvm, euler, raw} {
@@ -88,34 +85,21 @@ func TestTunerPicksDifferPerClass(t *testing.T) {
 // Sim, errored and chaos cells must never back a pick even when fastest.
 func TestTunerExcludesDecoys(t *testing.T) {
 	tn := NewTuner(tunerTrajectory(), TunerOptions{MaxP: 8, AllowUnchecked: true})
-	if p := tn.Pick("mvm", "S", treeFoldLic); p.Engine == "sim" {
+	if p := tn.Pick("mvm", "S"); p.Engine == "sim" {
 		t.Fatalf("sim cell won: %+v", p)
 	}
-	if p := tn.Pick("euler", "2k", treeFoldLic); p.ScoreMS < 1 {
+	if p := tn.Pick("euler", "2k"); p.ScoreMS < 1 {
 		t.Fatalf("errored cell won: %+v", p)
 	}
-	if p := tn.Pick("raw", "small", nil); p.K == 2 {
+	if p := tn.Pick("raw", "small"); p.K == 2 {
 		t.Fatalf("chaos cell won: %+v", p)
-	}
-}
-
-// Without a TreeFoldLegal license the treefold winner is ineligible and
-// the best rotation cell is picked instead.
-func TestTunerRespectsLicense(t *testing.T) {
-	tn := NewTuner(tunerTrajectory(), TunerOptions{MaxP: 8, AllowUnchecked: true})
-	p := tn.Pick("euler", "2k", &dataflow.License{Rotation: true})
-	if p.Engine != "native" || p.P != 4 {
-		t.Fatalf("unlicensed pick = %+v", p)
-	}
-	if p := tn.Pick("euler", "2k", nil); p.Engine == "treefold" {
-		t.Fatalf("nil license granted tree-fold: %+v", p)
 	}
 }
 
 // MaxP excludes cells measured at higher parallelism than the host has.
 func TestTunerRespectsMaxP(t *testing.T) {
 	tn := NewTuner(tunerTrajectory(), TunerOptions{MaxP: 2, AllowUnchecked: true})
-	p := tn.Pick("mvm", "S", treeFoldLic)
+	p := tn.Pick("mvm", "S")
 	if p.P > 2 {
 		t.Fatalf("pick oversubscribes MaxP=2: %+v", p)
 	}
@@ -125,13 +109,14 @@ func TestTunerRespectsMaxP(t *testing.T) {
 }
 
 // The engine allowlist models consumers that can only execute a subset
-// (the irredd serving path: native only).
+// (the irredd serving path: native only): faster cells of other engines
+// never back the pick.
 func TestTunerEngineAllowlist(t *testing.T) {
 	tn := NewTuner(tunerTrajectory(), TunerOptions{
-		MaxP: 8, AllowUnchecked: true, Engines: []string{"native"},
+		MaxP: 8, AllowUnchecked: true, Engines: []string{"interp"},
 	})
-	p := tn.Pick("euler", "2k", treeFoldLic)
-	if p.Engine != "native" {
+	p := tn.Pick("mvm", "S")
+	if p.Engine != "interp" || p.ScoreMS != 40.0 {
 		t.Fatalf("allowlist ignored: %+v", p)
 	}
 }
@@ -139,7 +124,7 @@ func TestTunerEngineAllowlist(t *testing.T) {
 // Checked-only consumers never receive proof-elided picks.
 func TestTunerCheckedOnly(t *testing.T) {
 	tn := NewTuner(tunerTrajectory(), TunerOptions{MaxP: 8})
-	p := tn.Pick("euler", "2k", treeFoldLic)
+	p := tn.Pick("euler", "2k")
 	if !p.Checked {
 		t.Fatalf("unchecked cell picked by a checked-only consumer: %+v", p)
 	}
@@ -151,12 +136,12 @@ func TestTunerCheckedOnly(t *testing.T) {
 // Unknown workloads and nil trajectories fall back to the heuristic.
 func TestTunerFallbackHeuristic(t *testing.T) {
 	tn := NewTuner(tunerTrajectory(), TunerOptions{MaxP: 8})
-	p := tn.Pick("moldyn", "10k", nil)
+	p := tn.Pick("moldyn", "10k")
 	if p.Source != "heuristic" || p.Engine != "native" || p.P < 1 || p.K < 1 {
 		t.Fatalf("fallback pick = %+v", p)
 	}
 	empty := NewTuner(nil, TunerOptions{MaxP: 2, AllowUnchecked: true})
-	p = empty.Pick("mvm", "S", nil)
+	p = empty.Pick("mvm", "S")
 	if p.Source != "heuristic" || p.P != 2 || p.K != 2 || p.Checked {
 		t.Fatalf("nil-trajectory pick = %+v", p)
 	}
@@ -195,7 +180,7 @@ func TestNewTunerFromDir(t *testing.T) {
 	if filepath.Base(path) != "BENCH_2026-08-08.json" {
 		t.Fatalf("loaded %s, want the newest trajectory", path)
 	}
-	if p := tn.Pick("mvm", "S", treeFoldLic); p.Source == "heuristic" {
+	if p := tn.Pick("mvm", "S"); p.Source == "heuristic" {
 		t.Fatalf("trajectory not loaded: %+v", p)
 	}
 }
@@ -237,10 +222,10 @@ func TestNewTunerFromDirBlendsNewestWins(t *testing.T) {
 	if filepath.Base(path) != "BENCH_2026-08-08.json" {
 		t.Fatalf("blend reported %s, want the newest file as provenance", path)
 	}
-	if p := tn.Pick("moldyn", "10k", nil); p.Source == "heuristic" || p.ScoreMS != 3.0 {
+	if p := tn.Pick("moldyn", "10k"); p.Source == "heuristic" || p.ScoreMS != 3.0 {
 		t.Fatalf("cell unique to the older sweep lost in the blend: %+v", p)
 	}
-	if p := tn.Pick("mvm", "S", nil); p.P != 2 || p.ScoreMS != 2.0 {
+	if p := tn.Pick("mvm", "S"); p.P != 2 || p.ScoreMS != 2.0 {
 		t.Fatalf("stale measurement survived the blend: %+v", p)
 	}
 	mvmID := "mvm/S/native/cyclic/checked"

@@ -311,17 +311,15 @@ func (s *Service) submitJob(spec JobSpec, ck *jobCheckpoint) (*Job, error) {
 
 // applyAuto resolves an Auto spec against the configured tuner: the
 // measured-fastest usable strategy for the job's workload overwrites the
-// spec's (P, k, dist), and the job runs native. The service path has no
-// schedule-license information at submission time, so the tuner is
-// consulted with a nil license (tree-fold cells never back service picks),
-// and a pick measured on another engine lends only its shape.
+// spec's (P, k, dist), and the job runs native: a pick measured on another
+// engine lends only its shape.
 func (s *Service) applyAuto(spec JobSpec) (JobSpec, string) {
 	tn := s.opt.Tuner
 	if tn == nil {
 		tn = rts.NewTuner(nil, rts.TunerOptions{})
 	}
 	kernel, class := spec.workload()
-	pick := tn.Pick(kernel, class, nil)
+	pick := tn.Pick(kernel, class)
 	spec.P, spec.K, spec.Dist = pick.P, pick.K, pick.Dist
 	spec.Engine = ""
 	return spec, pick.Source

@@ -169,8 +169,8 @@ func (r *rawSpec) contribs(_, i int, out []float64) {
 }
 
 // unit compiles (once per process) the IRL source of a named kernel for
-// the tree-fold and interp engines, caching failures too so a broken
-// source is reported per cell, not retried per cell.
+// the interp engine, caching failures too so a broken source is reported
+// per cell, not retried per cell.
 func unit(kernel string) (*codegen.Unit, error) {
 	def, ok := kernelRegistry[kernel]
 	if !ok || def.irl == "" {

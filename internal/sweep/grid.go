@@ -4,14 +4,12 @@ import (
 	"fmt"
 
 	"irred/internal/benchfmt"
-	"irred/internal/codegen"
-	"irred/internal/dataflow"
 	"irred/internal/kernels"
 )
 
 // kernelDef describes one workload family to the expansion: its legal
 // classes, the engines that can execute it, and (for named kernels) the
-// IRL source behind the tree-fold and interp paths.
+// IRL source behind the interp path.
 type kernelDef struct {
 	classes []string
 	engines map[string]bool
@@ -22,17 +20,17 @@ type kernelDef struct {
 var kernelRegistry = map[string]*kernelDef{
 	"mvm": {
 		classes: []string{"S", "W", "A", "B"},
-		engines: set(EngineNative, EngineTreeFold, EngineInterp, EngineSim),
+		engines: set(EngineNative, EngineInterp, EngineSim),
 		irl:     kernels.MVMIRL,
 	},
 	"euler": {
 		classes: []string{"2k", "10k"},
-		engines: set(EngineNative, EngineTreeFold, EngineInterp, EngineSim),
+		engines: set(EngineNative, EngineInterp, EngineSim),
 		irl:     kernels.EulerIRL,
 	},
 	"moldyn": {
 		classes: []string{"2k", "10k"},
-		engines: set(EngineNative, EngineTreeFold, EngineInterp, EngineSim),
+		engines: set(EngineNative, EngineInterp, EngineSim),
 		irl:     kernels.MoldynIRL,
 	},
 	"raw": {
@@ -268,13 +266,6 @@ func skipReason(c Cell, def *kernelDef) string {
 		return "adaptive cells time schedule maintenance; the checked dimension does not apply"
 	}
 	switch c.Engine {
-	case EngineTreeFold:
-		if c.K != 1 || c.Dist != "block" {
-			return "tree-fold has no k/dist dimension; its canonical cell is k=1 block"
-		}
-		if reason := treeFoldUnlicensed(c.Kernel); reason != "" {
-			return reason
-		}
 	case EngineInterp:
 		if c.P != 1 || c.K != 1 || c.Dist != "block" {
 			return "interp is sequential; its canonical cell is P=1 k=1 block"
@@ -285,50 +276,6 @@ func skipReason(c Cell, def *kernelDef) string {
 	case EngineSim:
 		if !c.Checked {
 			return "engine sim models cost; the checked dimension does not apply"
-		}
-	}
-	return ""
-}
-
-// KernelLicense reports the schedule license a named kernel's compiled
-// form actually carries: the conjunction over its irregular plans, so a
-// grant survives only if every irregular reduction in the kernel holds
-// it. Raw workloads and kernels that fail to compile have no license —
-// nil, which tuner consumers treat as "rotation only".
-func KernelLicense(kernel string) *dataflow.License {
-	u, err := unit(kernel)
-	if err != nil {
-		return nil
-	}
-	var lic *dataflow.License
-	for _, p := range u.Plans {
-		if p.Kind != codegen.Irregular || p.License == nil {
-			continue
-		}
-		if lic == nil {
-			cp := *p.License
-			lic = &cp
-			continue
-		}
-		lic.Rotation = lic.Rotation && p.License.Rotation
-		lic.Tile = lic.Tile && p.License.Tile
-		lic.TreeFold = lic.TreeFold && p.License.TreeFold
-	}
-	return lic
-}
-
-// treeFoldUnlicensed compiles the kernel's IRL form (cached) and reports
-// why tree-fold execution is refused — a compile failure or an irregular
-// plan whose schedule license does not carry the TreeFoldLegal grant.
-// Empty means every irregular plan is licensed.
-func treeFoldUnlicensed(kernel string) string {
-	u, err := unit(kernel)
-	if err != nil {
-		return fmt.Sprintf("kernel %s has no tree-fold path: %v", kernel, err)
-	}
-	for _, p := range u.Plans {
-		if p.Kind == codegen.Irregular && !p.License.TreeFold {
-			return fmt.Sprintf("kernel %s plan %s: license %s does not grant tree-fold", kernel, p.Name, p.License.Level())
 		}
 	}
 	return ""

@@ -104,10 +104,8 @@ func TestExpandSkipRules(t *testing.T) {
 		g    Grid
 		want string // substring of the skip reason; "" = cell must run
 	}{
-		{"treefold_needs_k1", one("mvm", "S", EngineTreeFold, 2, 2, "block", false), "tree-fold has no k/dist"},
-		{"treefold_needs_block", one("mvm", "S", EngineTreeFold, 2, 1, "cyclic", false), "tree-fold has no k/dist"},
-		{"treefold_canonical_runs", one("mvm", "S", EngineTreeFold, 2, 1, "block", false), ""},
-		{"raw_has_no_treefold", one("raw", "tiny", EngineTreeFold, 2, 1, "block", false), "does not support engine treefold"},
+		{"raw_has_no_interp", one("raw", "tiny", EngineInterp, 1, 1, "block", true), "does not support engine interp"},
+		{"interp_canonical_runs", one("mvm", "S", EngineInterp, 1, 1, "block", true), ""},
 		{"interp_is_sequential", one("mvm", "S", EngineInterp, 2, 1, "block", true), "interp is sequential"},
 		{"interp_checked_only", one("mvm", "S", EngineInterp, 1, 1, "block", false), "no proof-elided"},
 		{"sim_checked_only", one("euler", "2k", EngineSim, 2, 1, "block", false), "checked dimension does not apply"},
@@ -129,49 +127,6 @@ func TestExpandSkipRules(t *testing.T) {
 	}
 }
 
-// An unlicensed tree-fold request must be refused by the license rule,
-// not fail at run time. A test kernel whose reduction overwrites (=)
-// instead of folding gets no tree-fold grant from the legality pass.
-func TestExpandTreeFoldLicenseRule(t *testing.T) {
-	const src = `
-param num_edges, num_nodes
-array e[num_edges] int
-array w[num_edges]
-array x[num_nodes]
-
-loop i = 0, num_edges {
-    x[e[i]] = w[i]
-}
-`
-	kernelRegistry["overwrite"] = &kernelDef{
-		classes: []string{"tiny"},
-		engines: set(EngineTreeFold),
-		irl:     src,
-	}
-	defer func() {
-		delete(kernelRegistry, "overwrite")
-		dataMu.Lock()
-		delete(unitCache, "overwrite")
-		dataMu.Unlock()
-	}()
-	g := Grid{
-		Kernels: []string{"overwrite"},
-		Ps:      []int{2}, Ks: []int{1}, Dists: []string{"block"},
-		Engines: []string{EngineTreeFold},
-		Checked: []bool{true},
-	}
-	cells, skipped, err := g.Expand()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(cells) != 0 || len(skipped) != 1 {
-		t.Fatalf("cells = %d, skipped = %d, want 0/1", len(cells), len(skipped))
-	}
-	if !strings.Contains(skipped[0].Reason, "tree-fold") {
-		t.Fatalf("skip reason %q does not name the tree-fold license rule", skipped[0].Reason)
-	}
-}
-
 func TestExpandConfigErrors(t *testing.T) {
 	base := func() Grid {
 		return Grid{
@@ -183,14 +138,15 @@ func TestExpandConfigErrors(t *testing.T) {
 		}
 	}
 	cases := map[string]func(*Grid){
-		"unknown_kernel": func(g *Grid) { g.Kernels = []string{"fft"} },
-		"unknown_class":  func(g *Grid) { g.Classes = map[string][]string{"mvm": {"XXL"}} },
-		"unknown_engine": func(g *Grid) { g.Engines = []string{"quantum"} },
-		"removed_engine": func(g *Grid) { g.Engines = []string{"distributed"} },
-		"unknown_dist":   func(g *Grid) { g.Dists = []string{"diagonal"} },
-		"p_out_of_range": func(g *Grid) { g.Ps = []int{0} },
-		"k_out_of_range": func(g *Grid) { g.Ks = []int{65} },
-		"empty_dim":      func(g *Grid) { g.Engines = nil },
+		"unknown_kernel":   func(g *Grid) { g.Kernels = []string{"fft"} },
+		"unknown_class":    func(g *Grid) { g.Classes = map[string][]string{"mvm": {"XXL"}} },
+		"unknown_engine":   func(g *Grid) { g.Engines = []string{"quantum"} },
+		"removed_engine":   func(g *Grid) { g.Engines = []string{"distributed"} },
+		"removed_treefold": func(g *Grid) { g.Engines = []string{"treefold"} },
+		"unknown_dist":     func(g *Grid) { g.Dists = []string{"diagonal"} },
+		"p_out_of_range":   func(g *Grid) { g.Ps = []int{0} },
+		"k_out_of_range":   func(g *Grid) { g.Ks = []int{65} },
+		"empty_dim":        func(g *Grid) { g.Engines = nil },
 	}
 	for name, mutate := range cases {
 		t.Run(name, func(t *testing.T) {

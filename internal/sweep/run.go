@@ -6,7 +6,6 @@ import (
 
 	"irred/internal/benchfmt"
 	"irred/internal/buildinfo"
-	"irred/internal/codegen"
 	"irred/internal/inspector"
 	"irred/internal/kernels"
 	"irred/internal/mesh"
@@ -208,8 +207,6 @@ func newRunner(c Cell, opt *Options, tracer *obs.Tracer) (runFunc, error) {
 	switch c.Engine {
 	case EngineNative:
 		return nativeRunner(c, opt, dist, tracer)
-	case EngineTreeFold:
-		return treeFoldRunner(c, opt)
 	case EngineInterp:
 		return interpRunner(c, opt)
 	case EngineSim:
@@ -406,54 +403,6 @@ func adaptiveRunner(c Cell, opt *Options, dist inspector.Dist) (runFunc, error) 
 			total += time.Since(start)
 		}
 		return float64(total) / 1e6, 0, nil
-	}, nil
-}
-
-func treeFoldRunner(c Cell, opt *Options) (runFunc, error) {
-	u, err := unit(c.Kernel)
-	if err != nil {
-		return nil, err
-	}
-	steps := opt.Steps
-	return func() (float64, float64, error) {
-		env, err := newEnv(c.Kernel, c.Class, opt.Seed, u)
-		if err != nil {
-			return 0, 0, err
-		}
-		folds := make(map[*codegen.Plan]*rts.TreeFold, len(u.Plans))
-		for _, p := range u.Plans {
-			if p.Kind != codegen.Irregular {
-				continue
-			}
-			tf, err := p.BuildTreeFold(env, c.P)
-			if err != nil {
-				return 0, 0, err
-			}
-			tf.CheckTargets = c.Checked
-			folds[p] = tf
-		}
-		start := time.Now()
-		for step := 0; step < steps; step++ {
-			for _, p := range u.Plans {
-				if p.Kind == codegen.Regular {
-					if err := env.RunLoop(p.Loop); err != nil {
-						return 0, 0, err
-					}
-					continue
-				}
-				tf := folds[p]
-				if err := p.Pack(env, tf.X); err != nil {
-					return 0, 0, err
-				}
-				if err := tf.Run(1); err != nil {
-					return 0, 0, err
-				}
-				if err := p.Scatter(env, tf.X); err != nil {
-					return 0, 0, err
-				}
-			}
-		}
-		return float64(time.Since(start)) / 1e6, 0, nil
 	}, nil
 }
 

@@ -51,7 +51,6 @@ func TestRunCellEngines(t *testing.T) {
 		{Kernel: "mvm", Class: "S", Engine: EngineNative, P: 2, K: 1, Dist: "cyclic"},
 		{Kernel: "euler", Class: "2k", Engine: EngineNative, P: 2, K: 2, Dist: "block", Checked: true},
 		{Kernel: "moldyn", Class: "2k", Engine: EngineNative, P: 2, K: 1, Dist: "cyclic"},
-		{Kernel: "mvm", Class: "S", Engine: EngineTreeFold, P: 2, K: 1, Dist: "block", Checked: true},
 		{Kernel: "mvm", Class: "S", Engine: EngineInterp, P: 1, K: 1, Dist: "block", Checked: true},
 		{Kernel: "mvm", Class: "S", Engine: EngineSim, P: 2, K: 1, Dist: "cyclic", Checked: true},
 		{Kernel: "raw", Class: "tiny", Engine: EngineNative, P: 2, K: 2, Dist: "cyclic", Checked: true},
@@ -93,7 +92,7 @@ func TestRunSummary(t *testing.T) {
 		Ps:      []int{1, 2},
 		Ks:      []int{1},
 		Dists:   []string{"cyclic"},
-		Engines: []string{EngineNative, EngineTreeFold},
+		Engines: []string{EngineNative, EngineInterp},
 		Checked: []bool{true},
 	}
 	opt := testOpts(t)
@@ -103,7 +102,7 @@ func TestRunSummary(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// native p1 and p2 run; raw has no tree-fold path, so both are skipped.
+	// native p1 and p2 run; raw has no interp path, so both are skipped.
 	if len(s.Cells) != 2 {
 		t.Fatalf("cells = %d, want 2: %+v", len(s.Cells), s.Cells)
 	}

@@ -8,12 +8,11 @@
 //
 // The harness measures the same code paths production uses: named
 // kernels run through internal/kernels onto the rts engines, schedules
-// are served through the internal/service schedule cache, tree-fold and
-// interpreter cells go through the codegen/interp pipeline, and sim
-// cells run the EARTH machine model. Grid points an engine cannot
-// legally execute (tree-fold without a license grant, a parallel
-// interpreter, ...) are recorded as skips with the rule that refused them,
-// never silently dropped.
+// are served through the internal/service schedule cache, interpreter
+// cells go through the codegen/interp pipeline, and sim cells run the
+// EARTH machine model. Grid points an engine cannot legally execute (a
+// parallel interpreter, an unchecked sim cell, ...) are recorded as skips
+// with the rule that refused them, never silently dropped.
 package sweep
 
 import (
@@ -25,14 +24,13 @@ import (
 
 // Engine names, matching the benchfmt cell vocabulary.
 const (
-	EngineNative   = "native"   // rts.Native: goroutines + rotation schedule
-	EngineTreeFold = "treefold" // rts.TreeFold via the codegen license path
-	EngineInterp   = "interp"   // sequential tree-walking interpreter
-	EngineSim      = "sim"      // EARTH machine model (modeled MANNA seconds)
+	EngineNative = "native" // rts.Native: goroutines + rotation schedule
+	EngineInterp = "interp" // sequential tree-walking interpreter
+	EngineSim    = "sim"    // EARTH machine model (modeled MANNA seconds)
 )
 
 // Engines lists every engine the harness knows, in canonical order.
-var Engines = []string{EngineNative, EngineTreeFold, EngineInterp, EngineSim}
+var Engines = []string{EngineNative, EngineInterp, EngineSim}
 
 // Adaptation modes of the "adaptive" kernel: which schedule-maintenance
 // path an adaptive cell measures after each mesh refinement step.
