@@ -47,7 +47,6 @@ import (
 
 func main() {
 	describe := flag.Bool("describe", false, "print the analysis report (sections, reference groups)")
-	optimize := flag.Bool("O", false, "run common-subexpression elimination before analysis")
 	fissioned := flag.Bool("fissioned", false, "print the program after loop fission")
 	threaded := flag.Bool("threaded", false, "print the generated Threaded-C-style listing")
 	doLint := flag.Bool("lint", false, "run the static analyzers; refuse codegen on error findings")
@@ -99,11 +98,7 @@ func main() {
 		}
 	}
 
-	compileFn := codegen.Compile
-	if *optimize {
-		compileFn = codegen.CompileOptimized
-	}
-	unit, err := compileFn(string(src))
+	unit, err := codegen.Compile(string(src))
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "irredc:", err)
 		os.Exit(1)

@@ -81,19 +81,10 @@ type Unit struct {
 }
 
 // Compile runs the whole pipeline on IRL source text.
-func Compile(src string) (*Unit, error) { return compile(src, false) }
-
-// CompileOptimized additionally runs common-subexpression elimination on
-// every loop before analysis.
-func CompileOptimized(src string) (*Unit, error) { return compile(src, true) }
-
-func compile(src string, optimize bool) (*Unit, error) {
+func Compile(src string) (*Unit, error) {
 	prog, err := lang.Parse(src)
 	if err != nil {
 		return nil, err
-	}
-	if optimize {
-		prog, _ = transform.CSEProgram(prog)
 	}
 	res, err := analysis.Analyze(prog)
 	if err != nil {

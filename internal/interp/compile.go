@@ -109,7 +109,7 @@ func (e *Env) CompileIter(l *lang.Loop, results []lang.Expr) (*Code, error) {
 
 // CompileIterOpts is CompileIter with explicit bounds-check control.
 func (e *Env) CompileIterOpts(l *lang.Loop, results []lang.Expr, opts CompileOpts) (*Code, error) {
-	c := &compiler{env: e, loop: l, opts: opts, regOf: map[string]int32{}}
+	c := &compiler{env: e, loop: l, opts: opts, regOf: map[string]int32{}, f64Of: map[string]int32{}, i32Of: map[string]int32{}}
 	for _, st := range l.Body {
 		if st.Scalar == "" {
 			continue
@@ -298,41 +298,50 @@ func (c *Code) run(its []int32, base int, out []float64, stride, off int) {
 	}
 }
 
-// lower rewrites the stack program for column execution: every stack value
-// becomes a column slot. Constant k is column k, filled once per arena, and
-// a register is the column its definition left, so a binary op reads both
-// in place, at no pass of their own. Index chains become fused loads (see
-// chain), and a consumed temporary's slot is reused at once.
+// lower rewrites the stack program for column execution, in two passes.
+//
+// The first gives every value an SSA id (constant k is id k, and a register
+// is the id its definition left) and numbers the values: an instruction
+// with the same opcode, array and chain fields and operand ids as an
+// earlier one reuses that value, so q[ia[i, 0]] read by two statements is
+// one pass. Loads number like arithmetic because Code never writes an
+// array: results leave through opResult and the engine folds them. Checked
+// sites (opRange, opLoad1C, opLoadIC) are never numbered, so each keeps its
+// own fault identity, and nothing is reassociated or commuted, so results
+// stay bitwise. Index chains become fused loads (see chain) first.
+//
+// The second maps ids to column slots. Constant k is column k, filled once
+// per arena; any other value's column frees after its last reader, or at
+// once if it has none, and the next value defined takes it.
 func (c *compiler) lower() (prog []cinstr, nCols int) {
-	type val struct {
-		s    int32
-		temp bool // owned by the stack: its slot frees once consumed
-	}
+	nc := int32(len(c.consts))
 	var (
-		stack []val
-		free  []int32
-		regs  = make([]val, len(c.regOf))
+		stack []int32
+		regs  = make([]int32, len(c.regOf))
+		seen  = map[cinstr]int32{}
+		last  = make([]int, nc) // each id's last reader, or its definition
 	)
-	nCols = len(c.consts)
-	pop := func() val {
+	pop := func() int32 {
 		v := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
 		return v
 	}
-	take := func(v val) int32 {
-		if v.temp {
-			free = append(free, v.s)
+	emit := func(in cinstr) int32 {
+		for _, v := range reads(in) {
+			last[v] = len(prog)
 		}
-		return v.s
+		in.d = int32(len(last))
+		last = append(last, len(prog))
+		prog = append(prog, in)
+		return in.d
 	}
 	push := func(in cinstr) {
-		if len(free) > 0 {
-			in.d, free = free[len(free)-1], free[:len(free)-1]
-		} else {
-			in.d, nCols = int32(nCols), nCols+1
+		id, ok := seen[in]
+		if !ok || in.op == opRange || in.op == opLoad1C || in.op == opLoadIC {
+			id = emit(in)
+			seen[in] = id
 		}
-		prog = append(prog, in)
-		stack = append(stack, val{s: in.d, temp: true})
+		stack = append(stack, id)
 	}
 	for pc := 0; pc < len(c.prog); pc++ {
 		in := c.prog[pc]
@@ -343,25 +352,64 @@ func (c *compiler) lower() (prog []cinstr, nCols int) {
 		}
 		switch in.op {
 		case opConst:
-			stack = append(stack, val{s: in.a})
+			stack = append(stack, in.a)
 		case opReg:
 			stack = append(stack, regs[in.a])
 		case opStore:
-			v := pop()
-			v.temp = false
-			regs[in.a] = v
+			regs[in.a] = pop()
 		case opResult:
-			prog = append(prog, cinstr{op: opResult, x: take(pop()), arr: in.a})
+			emit(cinstr{op: opResult, x: pop(), arr: in.a})
 		case opIter:
 			push(cinstr{op: opIter})
 		case opAdd, opSub, opMul, opDiv, opMin, opMax:
 			y, x := pop(), pop()
-			push(cinstr{op: in.op, x: take(x), y: take(y)})
+			push(cinstr{op: in.op, x: x, y: y})
 		default: // unary ops, loads and checks
-			push(cinstr{op: in.op, x: take(pop()), arr: in.a})
+			push(cinstr{op: in.op, x: pop(), arr: in.a})
+		}
+	}
+
+	slot := make([]int32, len(last))
+	for k := range nc {
+		slot[k] = k
+	}
+	var free []int32
+	nCols = int(nc)
+	for pc := range prog {
+		in := &prog[pc]
+		for _, v := range reads(*in) {
+			if v >= nc && last[v] == pc {
+				free = append(free, slot[v])
+			}
+		}
+		id := in.d
+		in.x, in.y, in.d = slot[in.x], slot[in.y], 0
+		switch {
+		case in.op == opResult:
+			continue
+		case len(free) > 0:
+			in.d, free = free[len(free)-1], free[:len(free)-1]
+		default:
+			in.d, nCols = int32(nCols), nCols+1
+		}
+		if slot[id] = in.d; last[id] == pc {
+			free = append(free, in.d)
 		}
 	}
 	return prog, nCols
+}
+
+// reads lists the distinct value ids an instruction reads.
+func reads(in cinstr) []int32 {
+	switch in.op {
+	case opIter, opDirect, opGather, opIndirect:
+		return nil
+	case opAdd, opSub, opMul, opDiv, opMin, opMax:
+		if in.x != in.y {
+			return []int32{in.x, in.y}
+		}
+	}
+	return []int32{in.x}
 }
 
 // chain matches an unchecked index chain iter [const w, mul] [const off,
@@ -427,36 +475,19 @@ func (c *compiler) constIdx(v float64) int32 {
 	return int32(len(c.consts) - 1)
 }
 
-func (c *compiler) f64Idx(name string) (int32, error) {
-	if c.f64Of == nil {
-		c.f64Of = map[string]int32{}
-	}
-	if i, ok := c.f64Of[name]; ok {
-		return i, nil
-	}
-	data, ok := c.env.Floats[name]
+// bind returns the slot of the named array among those the code reads,
+// and its length, binding it from the environment on first reference.
+func bind[T any](slots map[string]int32, arrs *[][]T, env map[string][]T, name string) (int32, int32, error) {
+	i, ok := slots[name]
 	if !ok {
-		return 0, fmt.Errorf("interp: array %q unbound at compile time", name)
+		data, bound := env[name]
+		if !bound {
+			return 0, 0, fmt.Errorf("interp: array %q unbound at compile time", name)
+		}
+		i, *arrs = int32(len(*arrs)), append(*arrs, data)
+		slots[name] = i
 	}
-	c.f64 = append(c.f64, data)
-	c.f64Of[name] = int32(len(c.f64) - 1)
-	return c.f64Of[name], nil
-}
-
-func (c *compiler) i32Idx(name string) (int32, error) {
-	if c.i32Of == nil {
-		c.i32Of = map[string]int32{}
-	}
-	if i, ok := c.i32Of[name]; ok {
-		return i, nil
-	}
-	data, ok := c.env.Ints[name]
-	if !ok {
-		return 0, fmt.Errorf("interp: int array %q unbound at compile time", name)
-	}
-	c.i32 = append(c.i32, data)
-	c.i32Of[name] = int32(len(c.i32) - 1)
-	return c.i32Of[name], nil
+	return i, int32(len((*arrs)[i])), nil
 }
 
 // checkIdx interns a range-check site.
@@ -543,30 +574,22 @@ func (c *compiler) expr(e lang.Expr) error {
 		if err := c.index(x); err != nil {
 			return err
 		}
-		decl := c.env.Prog.Array(x.Array)
-		checked := !c.unchecked(x)
-		if decl.Int {
-			i, err := c.i32Idx(x.Array)
-			if err != nil {
-				return err
-			}
-			if checked {
-				msg := fmt.Sprintf("%s: %s", x.Pos, x)
-				c.emit(instr{op: opLoadIC, a: c.checkIdx(i, int32(len(c.i32[i])), msg)})
-			} else {
-				c.emit(instr{op: opLoadI, a: i})
-			}
+		var slot, n int32
+		var err error
+		load, checked := opLoad1, opLoad1C
+		if c.env.Prog.Array(x.Array).Int {
+			load, checked = opLoadI, opLoadIC
+			slot, n, err = bind(c.i32Of, &c.i32, c.env.Ints, x.Array)
 		} else {
-			i, err := c.f64Idx(x.Array)
-			if err != nil {
-				return err
-			}
-			if checked {
-				msg := fmt.Sprintf("%s: %s", x.Pos, x)
-				c.emit(instr{op: opLoad1C, a: c.checkIdx(i, int32(len(c.f64[i])), msg)})
-			} else {
-				c.emit(instr{op: opLoad1, a: i})
-			}
+			slot, n, err = bind(c.f64Of, &c.f64, c.env.Floats, x.Array)
+		}
+		if err != nil {
+			return err
+		}
+		if c.unchecked(x) {
+			c.emit(instr{op: load, a: slot})
+		} else {
+			c.emit(instr{op: checked, a: c.checkIdx(slot, n, fmt.Sprintf("%s: %s", x.Pos, x))})
 		}
 	case *lang.BinExpr:
 		if err := c.expr(x.L); err != nil {
