@@ -61,6 +61,7 @@ import (
 
 	"irred/internal/buildinfo"
 	"irred/internal/fault"
+	"irred/internal/kernels"
 	"irred/internal/obs"
 	"irred/internal/service"
 	"irred/internal/service/client"
@@ -162,14 +163,16 @@ func applyDeltaLocal(spec *service.JobSpec, d *service.Delta) {
 	}
 }
 
-// mixEntry is one kernel with a selection weight.
+// mixEntry is one kernel, the dataset its jobs name, and a selection
+// weight.
 type mixEntry struct {
-	kernel string
-	weight int
+	kernel, dataset string
+	weight          int
 }
 
-// parseMix parses "mvm=1,euler=2" into a weighted kernel list.
-func parseMix(s string) ([]mixEntry, error) {
+// parseMix parses "mvm=1,euler=2" into a weighted kernel list, each kernel
+// on its entry in datasets, checked against the kernels table.
+func parseMix(s string, datasets map[string]string) ([]mixEntry, error) {
 	var mix []mixEntry
 	for _, part := range strings.Split(s, ",") {
 		part = strings.TrimSpace(part)
@@ -184,13 +187,12 @@ func parseMix(s string) ([]mixEntry, error) {
 				return nil, fmt.Errorf("bad weight in %q", part)
 			}
 		}
-		switch name {
-		case "mvm", "euler", "moldyn":
-		default:
-			return nil, fmt.Errorf("unknown kernel %q (want mvm, euler, or moldyn)", name)
+		ds, err := kernels.Dataset(name, datasets[name])
+		if err != nil {
+			return nil, err
 		}
 		if w > 0 {
-			mix = append(mix, mixEntry{kernel: name, weight: w})
+			mix = append(mix, mixEntry{kernel: name, dataset: ds, weight: w})
 		}
 	}
 	if len(mix) == 0 {
@@ -199,8 +201,8 @@ func parseMix(s string) ([]mixEntry, error) {
 	return mix, nil
 }
 
-// pick selects a kernel by weight.
-func pick(mix []mixEntry, rng *rand.Rand) string {
+// pick selects a mix entry by weight.
+func pick(mix []mixEntry, rng *rand.Rand) mixEntry {
 	total := 0
 	for _, m := range mix {
 		total += m.weight
@@ -208,11 +210,11 @@ func pick(mix []mixEntry, rng *rand.Rand) string {
 	n := rng.Intn(total)
 	for _, m := range mix {
 		if n < m.weight {
-			return m.kernel
+			return m
 		}
 		n -= m.weight
 	}
-	return mix[len(mix)-1].kernel
+	return mix[len(mix)-1]
 }
 
 // nodeReport is the per-node slice of a cluster run.
@@ -311,7 +313,7 @@ func main() {
 		return
 	}
 
-	mix, err := parseMix(*mixFlag)
+	mix, err := parseMix(*mixFlag, map[string]string{"mvm": *mvmDataset, "euler": *meshDataset, "moldyn": *meshDataset})
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "irredload: %v\n", err)
 		os.Exit(2)
@@ -604,14 +606,10 @@ func main() {
 					spec.Chaos = &fault.Spec{Seed: seed + int64(w+1)*1000003, DiskRate: *chaosRate}
 					wantSHA = chaosWant[seed]
 				} else {
-					kernel := pick(mix, rng)
-					ds := *mvmDataset
-					if kernel != "mvm" {
-						ds = *meshDataset
-					}
+					m := pick(mix, rng)
 					key = jobKey{
-						Kernel:  kernel,
-						Dataset: ds,
+						Kernel:  m.kernel,
+						Dataset: m.dataset,
 						Seed:    int64(rng.Intn(*seeds)),
 						P:       1 + rng.Intn(*maxP),
 						K:       1 + rng.Intn(*maxK),

@@ -20,6 +20,10 @@
 //
 // -json emits one machine-readable object on stdout (timings, result hash)
 // so tooling can diff local vs server runs.
+//
+// Kernel and dataset names come from the kernels table on every engine;
+// an unknown one is rejected before any work starts. Exit status: 0 on
+// success, 1 when the run fails, 2 on a usage error.
 package main
 
 import (
@@ -27,6 +31,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"math"
 	"os"
 	"strings"
@@ -37,47 +42,57 @@ import (
 	"irred/internal/inspector"
 	"irred/internal/kernels"
 	"irred/internal/machine"
-	"irred/internal/mesh"
-	"irred/internal/moldyn"
 	"irred/internal/rts"
 	"irred/internal/service"
 	"irred/internal/service/client"
 	"irred/internal/sim"
-	"irred/internal/sparse"
 	"irred/internal/sweep"
 )
 
-func fail(format string, args ...any) {
-	fmt.Fprintf(os.Stderr, "irredrun: "+format+"\n", args...)
-	os.Exit(1)
-}
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
-func main() {
-	kernel := flag.String("kernel", "euler", "kernel: euler | moldyn | mvm")
-	dataset := flag.String("dataset", "2k", "dataset: 2k | 10k (euler, moldyn); S | W | A | B (mvm)")
-	p := flag.Int("p", 8, "processors")
-	k := flag.Int("k", 2, "unrolling factor (phases per processor = k*p)")
-	distName := flag.String("dist", "cyclic", "iteration distribution: block | cyclic")
-	steps := flag.Int("steps", 100, "timesteps")
-	engine := flag.String("engine", "sim", "engine: sim (modelled EARTH) | native (goroutines)")
-	seed := flag.Int64("seed", 1, "dataset seed")
-	trace := flag.Bool("trace", false, "print a Gantt chart of EU occupancy (sim engine)")
-	jsonOut := flag.Bool("json", false, "emit one machine-readable JSON object instead of prose")
-	server := flag.String("server", "", "irredd base URL: submit the job there (native semantics) instead of running locally")
-	auto := flag.Bool("auto", false, "pick (engine, P, k, dist) from the persisted BENCH trajectory instead of the flags")
-	benchDir := flag.String("bench", "bench", "BENCH trajectory directory consulted by -auto")
-	version := flag.Bool("version", false, "print build information and exit")
-	flag.Parse()
+// run parses args, runs the job and returns the exit status.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("irredrun", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	kernel := fs.String("kernel", "euler", "kernel: euler | moldyn | mvm")
+	dataset := fs.String("dataset", "2k", "dataset: 2k | 10k (euler, moldyn); S | W | A | B (mvm)")
+	p := fs.Int("p", 8, "processors")
+	k := fs.Int("k", 2, "unrolling factor (phases per processor = k*p)")
+	distName := fs.String("dist", "cyclic", "iteration distribution: block | cyclic")
+	steps := fs.Int("steps", 100, "timesteps")
+	engine := fs.String("engine", "sim", "engine: sim (modelled EARTH) | native (goroutines)")
+	seed := fs.Int64("seed", 1, "dataset seed")
+	trace := fs.Bool("trace", false, "print a Gantt chart of EU occupancy (sim engine)")
+	jsonOut := fs.Bool("json", false, "emit one machine-readable JSON object instead of prose")
+	server := fs.String("server", "", "irredd base URL: submit the job there (native semantics) instead of running locally")
+	auto := fs.Bool("auto", false, "pick (engine, P, k, dist) from the persisted BENCH trajectory instead of the flags")
+	benchDir := fs.String("bench", "bench", "BENCH trajectory directory consulted by -auto")
+	version := fs.Bool("version", false, "print build information and exit")
+	if err := fs.Parse(args); err != nil {
+		if err == flag.ErrHelp {
+			return 0
+		}
+		return 2
+	}
+	fail := func(code int, err error) int {
+		fmt.Fprintf(stderr, "irredrun: %v\n", err)
+		return code
+	}
 
 	if *version {
-		fmt.Println("irredrun " + buildinfo.Get().String())
-		return
+		fmt.Fprintln(stdout, "irredrun "+buildinfo.Get().String())
+		return 0
 	}
-	if *auto {
-		runAuto(*kernel, *dataset, *benchDir, *steps, *seed, *jsonOut)
-		return
+	// -auto also tunes the sweep harness's synthetic raw family, whose
+	// classes the harness checks itself.
+	ds := *dataset
+	if !*auto || *kernel != "raw" {
+		var err error
+		if ds, err = kernels.Dataset(*kernel, *dataset); err != nil {
+			return fail(2, err)
+		}
 	}
-
 	var dist inspector.Dist
 	switch strings.ToLower(*distName) {
 	case "block":
@@ -85,19 +100,28 @@ func main() {
 	case "cyclic":
 		dist = inspector.Cyclic
 	default:
-		fail("unknown distribution %q", *distName)
+		if !*auto {
+			return fail(2, fmt.Errorf("unknown distribution %q", *distName))
+		}
 	}
 
+	var err error
 	switch {
+	case *auto:
+		err = runAuto(stdout, *kernel, ds, *benchDir, *steps, *seed, *jsonOut)
 	case *server != "":
-		runServer(*server, *kernel, *dataset, *p, *k, *distName, *steps, *seed, *jsonOut)
+		err = runServer(stdout, *server, *kernel, ds, *p, *k, *distName, *steps, *seed, *jsonOut)
 	case *engine == "sim":
-		runSim(*kernel, *dataset, *p, *k, dist, *steps, *seed, *trace, *jsonOut)
+		err = runSim(stdout, *kernel, ds, *p, *k, dist, *steps, *seed, *trace, *jsonOut)
 	case *engine == "native":
-		runNative(*kernel, *dataset, *p, *k, dist, *steps, *seed, *jsonOut)
+		err = runNative(stdout, *kernel, ds, *p, *k, dist, *steps, *seed, *jsonOut)
 	default:
-		fail("unknown engine %q", *engine)
+		return fail(2, fmt.Errorf("unknown engine %q", *engine))
 	}
+	if err != nil {
+		return fail(1, err)
+	}
+	return 0
 }
 
 // runReport is the -json payload: one object per run, identical fields for
@@ -138,65 +162,16 @@ type runReport struct {
 	BenchPath string `json:"bench_path,omitempty"` // trajectory file consulted
 }
 
-func emitJSON(rep runReport) {
-	enc := json.NewEncoder(os.Stdout)
-	if err := enc.Encode(rep); err != nil {
-		fail("%v", err)
-	}
+func emitJSON(w io.Writer, rep runReport) error {
+	return json.NewEncoder(w).Encode(rep)
 }
 
-func buildLoop(kernel, dataset string, p, k int, dist inspector.Dist, seed int64) (*rts.Loop, string) {
-	switch kernel {
-	case "euler":
-		var nodes, edges int
-		switch strings.ToLower(dataset) {
-		case "2k":
-			nodes, edges = mesh.Paper2K()
-		case "10k":
-			nodes, edges = mesh.Paper10K()
-		default:
-			fail("euler datasets: 2k, 10k")
-		}
-		m := mesh.Generate(nodes, edges, seed)
-		return kernels.NewEuler(m, seed).Loop(p, k, dist),
-			fmt.Sprintf("euler %s (%d nodes, %d edges)", dataset, nodes, edges)
-	case "moldyn":
-		var sys *moldyn.System
-		switch strings.ToLower(dataset) {
-		case "2k":
-			sys = moldyn.Paper2K(seed)
-		case "10k":
-			sys = moldyn.Paper10K(seed)
-		default:
-			fail("moldyn datasets: 2k, 10k")
-		}
-		return kernels.NewMoldyn(sys).Loop(p, k, dist),
-			fmt.Sprintf("moldyn %s (%d molecules, %d interactions)", dataset, sys.N, sys.NumInteractions())
-	case "mvm":
-		var class sparse.Class
-		switch strings.ToUpper(dataset) {
-		case "S":
-			class = sparse.ClassS
-		case "W":
-			class = sparse.ClassW
-		case "A":
-			class = sparse.ClassA
-		case "B":
-			class = sparse.ClassB
-		default:
-			fail("mvm datasets: S, W, A, B")
-		}
-		a := sparse.Generate(class, uint64(seed))
-		return kernels.NewMVM(a).Loop(p, k, dist),
-			fmt.Sprintf("mvm class %s (n=%d, nnz=%d)", class.Name, class.N, class.NNZ)
-	default:
-		fail("unknown kernel %q", kernel)
+func runSim(w io.Writer, kernel, dataset string, p, k int, dist inspector.Dist, steps int, seed int64, trace, jsonOut bool) error {
+	wl, err := kernels.Open(kernel, dataset, seed)
+	if err != nil {
+		return err
 	}
-	return nil, ""
-}
-
-func runSim(kernel, dataset string, p, k int, dist inspector.Dist, steps int, seed int64, trace, jsonOut bool) {
-	l, desc := buildLoop(kernel, dataset, p, k, dist, seed)
+	l := wl.Loop(p, k, dist)
 	cm := machine.MANNA()
 
 	opt := rts.SimOptions{Steps: steps}
@@ -208,11 +183,11 @@ func runSim(kernel, dataset string, p, k int, dist inspector.Dist, steps int, se
 	seqC, seqS := rts.RunSequentialSim(l, opt)
 	res, err := rts.RunSim(l, opt)
 	if err != nil {
-		fail("%v", err)
+		return err
 	}
 	speedup := float64(seqC) / float64(res.Cycles)
 	if jsonOut {
-		emitJSON(runReport{
+		return emitJSON(w, runReport{
 			Engine: "sim", Kernel: kernel, Dataset: dataset, P: p, K: k,
 			Dist: dist.String(), Steps: steps, Seed: seed,
 			Speedup:       speedup,
@@ -221,16 +196,16 @@ func runSim(kernel, dataset string, p, k int, dist inspector.Dist, steps int, se
 			MsgsPerStep:   res.MsgsPerStep,
 			BytesPerStep:  res.BytesPerStep,
 		})
-		return
 	}
-	fmt.Printf("%s on simulated EARTH/MANNA: P=%d k=%d %s, %d timesteps\n", desc, p, k, dist, steps)
-	fmt.Printf("sequential:     %10.2fs simulated\n", seqS)
-	fmt.Printf("parallel:       %10.2fs simulated (%.2fx speedup)\n", res.Seconds, speedup)
-	fmt.Printf("per step:       %10.4fs\n", cm.Seconds(res.PerStep))
-	fmt.Printf("inspector:      %10.4fs (run once)\n", cm.Seconds(res.InspectorCycles))
-	fmt.Printf("traffic:        %10.0f messages/step, %.0f bytes/step\n", res.MsgsPerStep, res.BytesPerStep)
-	fmt.Printf("phase balance:  max %d iters/phase vs %.1f average\n", res.MaxPhaseIters, res.AvgPhaseIters)
-	fmt.Printf("EU utilization: %10.1f%%  (SU: %.1f%%)\n", 100*res.EUUtilization, 100*res.SUUtilization)
+	fmt.Fprintf(w, "%s %s (%d elements, %d iterations) on simulated EARTH/MANNA: P=%d k=%d %s, %d timesteps\n",
+		kernel, dataset, l.Cfg.NumElems, l.Cfg.NumIters, p, k, dist, steps)
+	fmt.Fprintf(w, "sequential:     %10.2fs simulated\n", seqS)
+	fmt.Fprintf(w, "parallel:       %10.2fs simulated (%.2fx speedup)\n", res.Seconds, speedup)
+	fmt.Fprintf(w, "per step:       %10.4fs\n", cm.Seconds(res.PerStep))
+	fmt.Fprintf(w, "inspector:      %10.4fs (run once)\n", cm.Seconds(res.InspectorCycles))
+	fmt.Fprintf(w, "traffic:        %10.0f messages/step, %.0f bytes/step\n", res.MsgsPerStep, res.BytesPerStep)
+	fmt.Fprintf(w, "phase balance:  max %d iters/phase vs %.1f average\n", res.MaxPhaseIters, res.AvgPhaseIters)
+	fmt.Fprintf(w, "EU utilization: %10.1f%%  (SU: %.1f%%)\n", 100*res.EUUtilization, 100*res.SUUtilization)
 	if tr != nil {
 		// Render the simulated window (a few timesteps): '#' = EU busy.
 		var end sim.Time
@@ -239,97 +214,35 @@ func runSim(kernel, dataset string, p, k int, dist inspector.Dist, steps int, se
 				end = f.End
 			}
 		}
-		fmt.Printf("\nEU occupancy over the simulated window (%d fibers, %d messages):\n",
+		fmt.Fprintf(w, "\nEU occupancy over the simulated window (%d fibers, %d messages):\n",
 			len(tr.Fibers), len(tr.Msgs))
-		fmt.Print(tr.Gantt(p, end, 100))
+		fmt.Fprint(w, tr.Gantt(p, end, 100))
 	}
+	return nil
 }
 
-// nativeRun executes one kernel natively and returns the parallel result,
-// the sequential reference, and both durations.
-func nativeRun(kernel, dataset string, p, k int, dist inspector.Dist, steps int, seed int64) (result, want []float64, seqDur, parDur time.Duration) {
-	switch kernel {
-	case "euler":
-		var nodes, edges int
-		if strings.ToLower(dataset) == "10k" {
-			nodes, edges = mesh.Paper10K()
-		} else {
-			nodes, edges = mesh.Paper2K()
-		}
-		m := mesh.Generate(nodes, edges, seed)
-		eu := kernels.NewEuler(m, seed)
-		t0 := time.Now()
-		want = eu.RunSequential(steps)
-		seqDur = time.Since(t0)
-		nat, q, err := eu.NewNative(p, k, dist)
-		if err != nil {
-			fail("%v", err)
-		}
-		t0 = time.Now()
-		if err := nat.Run(steps); err != nil {
-			fail("%v", err)
-		}
-		parDur = time.Since(t0)
-		result = q
-	case "moldyn":
-		var sys *moldyn.System
-		if strings.ToLower(dataset) == "10k" {
-			sys = moldyn.Paper10K(seed)
-		} else {
-			sys = moldyn.Paper2K(seed)
-		}
-		md := kernels.NewMoldyn(sys)
-		t0 := time.Now()
-		wantPos, _ := md.RunSequential(steps)
-		seqDur = time.Since(t0)
-		nat, pos, _, err := md.NewNative(p, k, dist)
-		if err != nil {
-			fail("%v", err)
-		}
-		t0 = time.Now()
-		if err := nat.Run(steps); err != nil {
-			fail("%v", err)
-		}
-		parDur = time.Since(t0)
-		result, want = pos, wantPos
-	case "mvm":
-		var class sparse.Class
-		switch strings.ToUpper(dataset) {
-		case "W":
-			class = sparse.ClassW
-		case "A":
-			class = sparse.ClassA
-		case "B":
-			class = sparse.ClassB
-		default:
-			class = sparse.ClassS
-		}
-		a := sparse.Generate(class, uint64(seed))
-		mv := kernels.NewMVM(a)
-		t0 := time.Now()
-		want = mv.RunSequential(steps)
-		seqDur = time.Since(t0)
-		nat, err := mv.NewNative(p, k, dist)
-		if err != nil {
-			fail("%v", err)
-		}
-		t0 = time.Now()
-		if err := nat.Run(steps); err != nil {
-			fail("%v", err)
-		}
-		parDur = time.Since(t0)
-		result = nat.X
-	default:
-		fail("unknown kernel %q", kernel)
+// runNative runs one kernel on the native engine and checks it against
+// the sequential oracle.
+func runNative(w io.Writer, kernel, dataset string, p, k int, dist inspector.Dist, steps int, seed int64, jsonOut bool) error {
+	wl, err := kernels.Open(kernel, dataset, seed)
+	if err != nil {
+		return err
 	}
-	return result, want, seqDur, parDur
-}
-
-func runNative(kernel, dataset string, p, k int, dist inspector.Dist, steps int, seed int64, jsonOut bool) {
-	result, want, seqDur, parDur := nativeRun(kernel, dataset, p, k, dist, steps, seed)
+	t0 := time.Now()
+	want := wl.Oracle(steps)
+	seqDur := time.Since(t0)
+	nat, result, err := wl.NewNativeFrom(nil, p, k, dist)
+	if err != nil {
+		return err
+	}
+	t0 = time.Now()
+	if err := nat.Run(steps); err != nil {
+		return err
+	}
+	parDur := time.Since(t0)
 	diff := maxRelDiff(result, want)
 	if jsonOut {
-		emitJSON(runReport{
+		return emitJSON(w, runReport{
 			Engine: "native", Kernel: kernel, Dataset: dataset, P: p, K: k,
 			Dist: dist.String(), Steps: steps, Seed: seed,
 			SeqMS:        float64(seqDur) / float64(time.Millisecond),
@@ -339,22 +252,22 @@ func runNative(kernel, dataset string, p, k int, dist inspector.Dist, steps int,
 			ResultLen:    len(result),
 			ResultSHA256: service.HashResult(result),
 		})
-		return
 	}
-	fmt.Printf("native run: P=%d goroutines, k=%d, %s, %d timesteps\n", p, k, dist, steps)
-	fmt.Printf("sequential: %v   parallel: %v   speedup %.2fx\n", seqDur, parDur, seqDur.Seconds()/parDur.Seconds())
-	fmt.Printf("verification: max rel diff vs sequential = %.2e\n", diff)
+	fmt.Fprintf(w, "native run: P=%d goroutines, k=%d, %s, %d timesteps\n", p, k, dist, steps)
+	fmt.Fprintf(w, "sequential: %v   parallel: %v   speedup %.2fx\n", seqDur, parDur, seqDur.Seconds()/parDur.Seconds())
+	fmt.Fprintf(w, "verification: max rel diff vs sequential = %.2e\n", diff)
+	return nil
 }
 
 // runServer submits the job to an irredd daemon and reports its status.
 // The server runs the same native engine with the same deterministic
 // dataset construction, so result_sha256 matches a local -engine native
 // -json run of the same parameters bit for bit.
-func runServer(base, kernel, dataset string, p, k int, distName string, steps int, seed int64, jsonOut bool) {
+func runServer(w io.Writer, base, kernel, dataset string, p, k int, distName string, steps int, seed int64, jsonOut bool) error {
 	c := client.New(base)
 	ctx := context.Background()
 	if err := c.Health(ctx); err != nil {
-		fail("server %s not healthy: %v", base, err)
+		return fmt.Errorf("server %s not healthy: %v", base, err)
 	}
 	spec := service.JobSpec{
 		Kernel:  kernel,
@@ -367,13 +280,13 @@ func runServer(base, kernel, dataset string, p, k int, distName string, steps in
 	}
 	st, err := c.SubmitWait(ctx, spec)
 	if err != nil {
-		fail("%v", err)
+		return err
 	}
 	if st.State != service.StateDone {
-		fail("job %s finished %s: %s", st.ID, st.State, st.Error)
+		return fmt.Errorf("job %s finished %s: %s", st.ID, st.State, st.Error)
 	}
 	if jsonOut {
-		emitJSON(runReport{
+		return emitJSON(w, runReport{
 			Engine: "server", Kernel: kernel, Dataset: dataset, P: p, K: k,
 			Dist: strings.ToLower(distName), Steps: steps, Seed: seed,
 			ParMS:        st.RunMS,
@@ -384,11 +297,11 @@ func runServer(base, kernel, dataset string, p, k int, distName string, steps in
 			QueuedMS:     st.QueuedMS,
 			RunMS:        st.RunMS,
 		})
-		return
 	}
-	fmt.Printf("server run on %s: job %s, P=%d k=%d %s, %d timesteps\n", base, st.ID, p, k, distName, steps)
-	fmt.Printf("queued: %.1fms   run: %.1fms   schedule cache hit: %v\n", st.QueuedMS, st.RunMS, st.CacheHit)
-	fmt.Printf("result: %d values, sha256 %s\n", st.ResultLen, st.ResultSHA256)
+	fmt.Fprintf(w, "server run on %s: job %s, P=%d k=%d %s, %d timesteps\n", base, st.ID, p, k, distName, steps)
+	fmt.Fprintf(w, "queued: %.1fms   run: %.1fms   schedule cache hit: %v\n", st.QueuedMS, st.RunMS, st.CacheHit)
+	fmt.Fprintf(w, "result: %d values, sha256 %s\n", st.ResultLen, st.ResultSHA256)
+	return nil
 }
 
 // runAuto loads the latest BENCH trajectory, asks the tuner for the
@@ -397,17 +310,13 @@ func runServer(base, kernel, dataset string, p, k int, distName string, steps in
 // (native, interpreter), not just the flag-selectable ones. Cells of engines the
 // harness does not know, which older trajectories may hold, never back a
 // pick.
-func runAuto(kernel, dataset, benchDir string, steps int, seed int64, jsonOut bool) {
+func runAuto(w io.Writer, kernel, class, benchDir string, steps int, seed int64, jsonOut bool) error {
 	// Proof-elided picks are allowed: the sweep harness only elides checks
 	// on loops carrying dataflow bounds proofs, so an unchecked cell is as
 	// safe here as it was when it was measured.
 	tn, path, err := rts.NewTunerFromDir(benchDir, rts.TunerOptions{AllowUnchecked: true, Engines: sweep.Engines})
 	if err != nil {
-		fail("-auto: %v (run irredsweep first to persist a trajectory)", err)
-	}
-	class := strings.ToLower(dataset)
-	if kernel == "mvm" {
-		class = strings.ToUpper(dataset)
+		return fmt.Errorf("-auto: %v (run irredsweep first to persist a trajectory)", err)
 	}
 	pick := tn.Pick(kernel, class)
 	cell := sweep.Cell{
@@ -416,25 +325,25 @@ func runAuto(kernel, dataset, benchDir string, steps int, seed int64, jsonOut bo
 	}
 	bc := sweep.RunCell(cell, sweep.Options{Steps: steps, Warmup: 1, Repeats: 3, Seed: seed})
 	if bc.Error != "" {
-		fail("auto cell %s: %s", bc.ID, bc.Error)
+		return fmt.Errorf("auto cell %s: %s", bc.ID, bc.Error)
 	}
 	if jsonOut {
-		emitJSON(runReport{
+		return emitJSON(w, runReport{
 			Engine: pick.Engine, Kernel: kernel, Dataset: class,
 			P: pick.P, K: pick.K, Dist: pick.Dist, Steps: steps, Seed: seed,
 			ParMS:     bc.Wall.Score(),
 			TunedFrom: pick.Source,
 			BenchPath: path,
 		})
-		return
 	}
-	fmt.Printf("auto-tuned from %s\n", path)
-	fmt.Printf("pick for %s/%s: %s\n", kernel, class, pick)
+	fmt.Fprintf(w, "auto-tuned from %s\n", path)
+	fmt.Fprintf(w, "pick for %s/%s: %s\n", kernel, class, pick)
 	if pick.Source != "heuristic" {
-		fmt.Printf("measured there:  %.3fms trimmed mean\n", pick.ScoreMS)
+		fmt.Fprintf(w, "measured there:  %.3fms trimmed mean\n", pick.ScoreMS)
 	}
-	fmt.Printf("measured now:    %.3fms trimmed mean over %d runs of %d steps\n",
+	fmt.Fprintf(w, "measured now:    %.3fms trimmed mean over %d runs of %d steps\n",
 		bc.Wall.Score(), bc.Repeats, steps)
+	return nil
 }
 
 func maxRelDiff(a, b []float64) float64 {

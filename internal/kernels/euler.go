@@ -126,6 +126,9 @@ func (e *Euler) RunSequential(steps int) []float64 {
 	return q
 }
 
+// Oracle is RunSequential: the state after steps timesteps.
+func (e *Euler) Oracle(steps int) []float64 { return e.RunSequential(steps) }
+
 // NewNative wires the kernel onto the native engine. The returned Native's
 // X is the residual array; the evolving state lives in the returned slice,
 // updated under the engine's barrier.

@@ -112,15 +112,28 @@ func (m *Moldyn) RunSequential(steps int) (pos, vel []float64) {
 	return pos, vel
 }
 
+// Oracle is RunSequential's positions.
+func (m *Moldyn) Oracle(steps int) []float64 {
+	pos, _ := m.RunSequential(steps)
+	return pos
+}
+
 // NewNative wires the kernel onto the native engine. The Native's X is the
 // force array; positions and velocities live in the returned slices.
 func (m *Moldyn) NewNative(p, k int, dist inspector.Dist) (*rts.Native, []float64, []float64, error) {
-	return m.NewNativeFrom(nil, p, k, dist)
+	return m.native(nil, p, k, dist)
 }
 
 // NewNativeFrom is NewNative over pre-built schedules (e.g. served from a
 // schedule cache); a nil scheds runs the LightInspector as NewNative does.
-func (m *Moldyn) NewNativeFrom(scheds []*inspector.Schedule, p, k int, dist inspector.Dist) (*rts.Native, []float64, []float64, error) {
+// The returned slice is the positions.
+func (m *Moldyn) NewNativeFrom(scheds []*inspector.Schedule, p, k int, dist inspector.Dist) (*rts.Native, []float64, error) {
+	n, pos, _, err := m.native(scheds, p, k, dist)
+	return n, pos, err
+}
+
+// native is NewNative over scheds, nil for none.
+func (m *Moldyn) native(scheds []*inspector.Schedule, p, k int, dist inspector.Dist) (*rts.Native, []float64, []float64, error) {
 	l := m.Loop(p, k, dist)
 	n, err := newNative(l, scheds)
 	if err != nil {

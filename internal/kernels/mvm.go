@@ -84,6 +84,9 @@ func (m *MVM) RunSequential(steps int) (x []float64) {
 	return x
 }
 
+// Oracle is RunSequential: x after steps sweeps.
+func (m *MVM) Oracle(steps int) []float64 { return m.RunSequential(steps) }
+
 // NewNative wires the kernel onto the native engine. Native.X is the
 // rotated x vector (initialised to ones); each processor accumulates into
 // a private partial-y, and the update folds partials into the home rows
@@ -96,16 +99,18 @@ func (m *MVM) RunSequential(steps int) (x []float64) {
 // schedule's iteration order or to A's values must not happen between a
 // Native's Runs. The schedules' targets may change.
 func (m *MVM) NewNative(p, k int, dist inspector.Dist) (*rts.Native, error) {
-	return m.NewNativeFrom(nil, p, k, dist)
+	n, _, err := m.NewNativeFrom(nil, p, k, dist)
+	return n, err
 }
 
 // NewNativeFrom is NewNative over pre-built schedules (e.g. served from a
 // schedule cache); a nil scheds runs the LightInspector as NewNative does.
-func (m *MVM) NewNativeFrom(scheds []*inspector.Schedule, p, k int, dist inspector.Dist) (*rts.Native, error) {
+// The returned slice is the Native's X.
+func (m *MVM) NewNativeFrom(scheds []*inspector.Schedule, p, k int, dist inspector.Dist) (*rts.Native, []float64, error) {
 	l := m.Loop(p, k, dist)
 	n, err := newNative(l, scheds)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	for i := range n.X {
 		n.X[i] = 1
@@ -163,7 +168,7 @@ func (m *MVM) NewNativeFrom(scheds []*inspector.Schedule, p, k int, dist inspect
 			n.X[r] = mvmScale * y
 		}
 	}
-	return n, nil
+	return n, n.X, nil
 }
 
 // mvmPacked is one processor's nonzeros copied into schedule order

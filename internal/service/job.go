@@ -13,6 +13,7 @@ import (
 
 	"irred/internal/fault"
 	"irred/internal/inspector"
+	"irred/internal/kernels"
 	"irred/internal/rts"
 )
 
@@ -134,10 +135,8 @@ type JobSpec struct {
 // the nearest-sized synthetic workload.
 func (sp *JobSpec) workload() (kernel, class string) {
 	if !sp.IsRaw() {
-		if sp.Kernel == "mvm" {
-			return sp.Kernel, strings.ToUpper(sp.Dataset)
-		}
-		return sp.Kernel, strings.ToLower(sp.Dataset)
+		class, _ := kernels.Dataset(sp.Kernel, sp.Dataset)
+		return sp.Kernel, class
 	}
 	switch {
 	case sp.NumIters <= 1024:
@@ -283,23 +282,8 @@ func (sp *JobSpec) Validate() error {
 		return fmt.Errorf("cluster_uid is %d bytes, max 128", len(sp.ClusterUID))
 	}
 	if !sp.IsRaw() {
-		switch sp.Kernel {
-		case "mvm":
-			switch strings.ToUpper(sp.Dataset) {
-			case "S", "W", "A", "B":
-			default:
-				return fmt.Errorf("mvm datasets: S, W, A, B (got %q)", sp.Dataset)
-			}
-		case "euler", "moldyn":
-			switch strings.ToLower(sp.Dataset) {
-			case "2k", "10k":
-			default:
-				return fmt.Errorf("%s datasets: 2k, 10k (got %q)", sp.Kernel, sp.Dataset)
-			}
-		default:
-			return fmt.Errorf("unknown kernel %q", sp.Kernel)
-		}
-		return nil
+		_, err := kernels.Dataset(sp.Kernel, sp.Dataset)
+		return err
 	}
 	// Raw form.
 	if sp.NumElems < 1 {

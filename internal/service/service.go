@@ -23,7 +23,6 @@ import (
 	"path/filepath"
 	"runtime"
 	"runtime/debug"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -31,11 +30,8 @@ import (
 	"irred/internal/fault"
 	"irred/internal/inspector"
 	"irred/internal/kernels"
-	"irred/internal/mesh"
-	"irred/internal/moldyn"
 	"irred/internal/obs"
 	"irred/internal/rts"
-	"irred/internal/sparse"
 )
 
 // ErrChaosDisabled is returned for jobs carrying a chaos spec when the
@@ -761,75 +757,21 @@ func (s *Service) executeRawMulti(j *Job, dist inspector.Dist, steps int) (resul
 // executeNamed runs a named-kernel job on the native engine.
 func (s *Service) executeNamed(j *Job, dist inspector.Dist, steps int) (result []float64, hit bool, key string, err error) {
 	spec := &j.Spec
-	switch spec.Kernel {
-	case "mvm":
-		class := sparse.ClassS
-		switch strings.ToUpper(spec.Dataset) {
-		case "W":
-			class = sparse.ClassW
-		case "A":
-			class = sparse.ClassA
-		case "B":
-			class = sparse.ClassB
-		}
-		mv := kernels.NewMVM(sparse.Generate(class, uint64(spec.Seed)))
-		l := mv.Loop(spec.P, spec.K, dist)
-		scheds, hit, key, err := s.schedules(l)
-		if err != nil {
-			return nil, hit, key, err
-		}
-		n, err := mv.NewNativeFrom(scheds, spec.P, spec.K, dist)
-		if err != nil {
-			return nil, hit, key, err
-		}
-		n.Trace = s.trace
-		if err := n.RunContext(j.ctx, steps); err != nil {
-			return nil, hit, key, err
-		}
-		return n.X, hit, key, nil
-	case "euler":
-		nodes, edges := mesh.Paper2K()
-		if strings.ToLower(spec.Dataset) == "10k" {
-			nodes, edges = mesh.Paper10K()
-		}
-		eu := kernels.NewEuler(mesh.Generate(nodes, edges, spec.Seed), spec.Seed)
-		l := eu.Loop(spec.P, spec.K, dist)
-		scheds, hit, key, err := s.schedules(l)
-		if err != nil {
-			return nil, hit, key, err
-		}
-		n, q, err := eu.NewNativeFrom(scheds, spec.P, spec.K, dist)
-		if err != nil {
-			return nil, hit, key, err
-		}
-		n.Trace = s.trace
-		if err := n.RunContext(j.ctx, steps); err != nil {
-			return nil, hit, key, err
-		}
-		return q, hit, key, nil
-	case "moldyn":
-		var sys *moldyn.System
-		if strings.ToLower(spec.Dataset) == "10k" {
-			sys = moldyn.Paper10K(spec.Seed)
-		} else {
-			sys = moldyn.Paper2K(spec.Seed)
-		}
-		md := kernels.NewMoldyn(sys)
-		l := md.Loop(spec.P, spec.K, dist)
-		scheds, hit, key, err := s.schedules(l)
-		if err != nil {
-			return nil, hit, key, err
-		}
-		n, pos, _, err := md.NewNativeFrom(scheds, spec.P, spec.K, dist)
-		if err != nil {
-			return nil, hit, key, err
-		}
-		n.Trace = s.trace
-		if err := n.RunContext(j.ctx, steps); err != nil {
-			return nil, hit, key, err
-		}
-		return pos, hit, key, nil
-	default:
-		return nil, false, "", fmt.Errorf("service: unknown kernel %q", spec.Kernel)
+	w, err := kernels.Open(spec.Kernel, spec.Dataset, spec.Seed)
+	if err != nil {
+		return nil, false, "", err
 	}
+	scheds, hit, key, err := s.schedules(w.Loop(spec.P, spec.K, dist))
+	if err != nil {
+		return nil, hit, key, err
+	}
+	n, result, err := w.NewNativeFrom(scheds, spec.P, spec.K, dist)
+	if err != nil {
+		return nil, hit, key, err
+	}
+	n.Trace = s.trace
+	if err := n.RunContext(j.ctx, steps); err != nil {
+		return nil, hit, key, err
+	}
+	return result, hit, key, nil
 }

@@ -2,12 +2,14 @@ package service
 
 import (
 	"errors"
+	"math"
 	"math/rand"
+	"strings"
 	"testing"
 	"time"
 
+	"irred/internal/inspector"
 	"irred/internal/kernels"
-	"irred/internal/sparse"
 )
 
 // rawSpec builds a raw reduction job with integral weights: contributions
@@ -86,34 +88,73 @@ func TestRawJobMatchesSequentialBitwise(t *testing.T) {
 	}
 }
 
+// TestNamedKernelMatchesSequential serves each named kernel's smallest
+// dataset, named in lower case, and checks the result against the kernels
+// table: bit for bit against the table's own native run (the SHA that
+// irredrun -engine native -json reports), and to 1e-10 against the
+// sequential oracle.
 func TestNamedKernelMatchesSequential(t *testing.T) {
 	s := newTestService(t, Options{Workers: 2})
-	j, err := s.Submit(JobSpec{Kernel: "mvm", Dataset: "S", Seed: 1, P: 4, K: 2, Dist: "block", Steps: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	st := waitJob(t, j)
-	if st.State != StateDone {
-		t.Fatalf("job %s: %s", st.State, st.Error)
-	}
-	mv := kernels.NewMVM(sparse.Generate(sparse.ClassS, 1))
-	want := mv.RunSequential(3)
-	if len(st.Result) != len(want) {
-		t.Fatalf("result len %d, want %d", len(st.Result), len(want))
-	}
-	for i := range want {
-		d := st.Result[i] - want[i]
-		if d < 0 {
-			d = -d
+	const p, k, steps = 4, 2, 3
+	for _, name := range kernels.Names() {
+		ds := kernels.Datasets(name)[0]
+		j, err := s.Submit(JobSpec{Kernel: name, Dataset: strings.ToLower(ds), Seed: 1, P: p, K: k, Dist: "block", Steps: steps})
+		if err != nil {
+			t.Fatal(err)
 		}
-		scale := 1.0
-		if want[i] < 0 {
-			scale = 1 - want[i]
-		} else {
-			scale = 1 + want[i]
+		st := waitJob(t, j)
+		if st.State != StateDone {
+			t.Fatalf("%s job %s: %s", name, st.State, st.Error)
 		}
-		if d/scale > 1e-10 {
-			t.Fatalf("element %d: got %v, want %v", i, st.Result[i], want[i])
+		w, err := kernels.Open(name, ds, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		n, local, err := w.NewNativeFrom(nil, p, k, inspector.Block)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := n.Run(steps); err != nil {
+			t.Fatal(err)
+		}
+		if st.ResultSHA256 != HashResult(local) {
+			t.Errorf("%s %s: served sha256 %s, local native run %s", name, ds, st.ResultSHA256, HashResult(local))
+		}
+		want := w.Oracle(steps)
+		if len(st.Result) != len(want) {
+			t.Fatalf("%s: result len %d, want %d", name, len(st.Result), len(want))
+		}
+		for i := range want {
+			if d := math.Abs(st.Result[i]-want[i]) / (1 + math.Abs(want[i])); d > 1e-10 {
+				t.Fatalf("%s element %d: got %v, want %v", name, i, st.Result[i], want[i])
+			}
+		}
+	}
+}
+
+// TestValidateNamedKernels checks Validate against the kernels table: every
+// dataset in either case passes, and a bad dataset or kernel answers the
+// 400 text clients see.
+func TestValidateNamedKernels(t *testing.T) {
+	for _, name := range kernels.Names() {
+		for _, ds := range kernels.Datasets(name) {
+			for _, spelling := range []string{strings.ToLower(ds), strings.ToUpper(ds)} {
+				sp := JobSpec{Kernel: name, Dataset: spelling, P: 2, K: 1}
+				if err := sp.Validate(); err != nil {
+					t.Errorf("%s %s rejected: %v", name, spelling, err)
+				}
+			}
+		}
+	}
+	for _, c := range []struct{ kernel, dataset, msg string }{
+		{"mvm", "Z", `mvm datasets: S, W, A, B (got "Z")`},
+		{"euler", "5k", `euler datasets: 2k, 10k (got "5k")`},
+		{"moldyn", "20K", `moldyn datasets: 2k, 10k (got "20K")`},
+		{"nope", "S", `unknown kernel "nope"`},
+	} {
+		sp := JobSpec{Kernel: c.kernel, Dataset: c.dataset, P: 2, K: 1}
+		if err := sp.Validate(); err == nil || err.Error() != c.msg {
+			t.Errorf("%s %s: error %v, want %s", c.kernel, c.dataset, err, c.msg)
 		}
 	}
 }

@@ -1,6 +1,7 @@
 package sweep
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"sync"
@@ -10,25 +11,20 @@ import (
 	"irred/internal/inspector"
 	"irred/internal/interp"
 	"irred/internal/kernels"
-	"irred/internal/mesh"
-	"irred/internal/moldyn"
 	"irred/internal/rts"
-	"irred/internal/sparse"
 )
 
 // Dataset construction is deterministic in (kernel, class, seed) and
 // cached for the life of the process: a sweep visits the same workload
 // dozens of times across engines and strategies, and the generators
 // (ClassW is half a million nonzeros) dominate cell setup otherwise.
-// Cached objects are treated as immutable — every engine constructor in
-// this package copies the state it mutates.
+// Cached objects are treated as immutable — every engine constructor
+// copies the state it mutates.
 var (
-	dataMu      sync.Mutex
-	csrCache    = map[string]*sparse.CSR{}
-	eulerCache  = map[string]*kernels.Euler{}
-	moldynCache = map[string]*moldyn.System{}
-	rawCache    = map[string]*rawSpec{}
-	unitCache   = map[string]*unitEntry{}
+	dataMu    sync.Mutex
+	openCache = map[string]kernels.Workload{}
+	rawCache  = map[string]*rawSpec{}
+	unitCache = map[string]*unitEntry{}
 )
 
 type unitEntry struct {
@@ -36,70 +32,20 @@ type unitEntry struct {
 	err  error
 }
 
-func mvmData(class string, seed int64) (*sparse.CSR, error) {
-	var cl sparse.Class
-	switch class {
-	case "S":
-		cl = sparse.ClassS
-	case "W":
-		cl = sparse.ClassW
-	case "A":
-		cl = sparse.ClassA
-	case "B":
-		cl = sparse.ClassB
-	default:
-		return nil, fmt.Errorf("sweep: mvm class %q (S | W | A | B)", class)
-	}
-	key := fmt.Sprintf("%s/%d", class, seed)
+// open returns the named kernel's class built from seed.
+func open(kernel, class string, seed int64) (kernels.Workload, error) {
+	key := fmt.Sprintf("%s/%s/%d", kernel, class, seed)
 	dataMu.Lock()
 	defer dataMu.Unlock()
-	if m, ok := csrCache[key]; ok {
-		return m, nil
+	if w, ok := openCache[key]; ok {
+		return w, nil
 	}
-	m := sparse.Generate(cl, uint64(seed))
-	csrCache[key] = m
-	return m, nil
-}
-
-func eulerData(class string, seed int64) (*kernels.Euler, error) {
-	var nodes, edges int
-	switch class {
-	case "2k":
-		nodes, edges = mesh.Paper2K()
-	case "10k":
-		nodes, edges = mesh.Paper10K()
-	default:
-		return nil, fmt.Errorf("sweep: euler class %q (2k | 10k)", class)
+	w, err := kernels.Open(kernel, class, seed)
+	if err != nil {
+		return nil, err
 	}
-	key := fmt.Sprintf("%s/%d", class, seed)
-	dataMu.Lock()
-	defer dataMu.Unlock()
-	if e, ok := eulerCache[key]; ok {
-		return e, nil
-	}
-	e := kernels.NewEuler(mesh.Generate(nodes, edges, seed), seed)
-	eulerCache[key] = e
-	return e, nil
-}
-
-func moldynData(class string, seed int64) (*moldyn.System, error) {
-	key := fmt.Sprintf("%s/%d", class, seed)
-	dataMu.Lock()
-	defer dataMu.Unlock()
-	if s, ok := moldynCache[key]; ok {
-		return s, nil
-	}
-	var sys *moldyn.System
-	switch class {
-	case "2k":
-		sys = moldyn.Paper2K(seed)
-	case "10k":
-		sys = moldyn.Paper10K(seed)
-	default:
-		return nil, fmt.Errorf("sweep: moldyn class %q (2k | 10k)", class)
-	}
-	moldynCache[key] = sys
-	return sys, nil
+	openCache[key] = w
+	return w, nil
 }
 
 // rawSpec is a deterministic synthetic pair reduction (x[i1] += w,
@@ -190,87 +136,68 @@ func unit(kernel string) (*codegen.Unit, error) {
 // environment over the unit's fissioned program — the same datasets the
 // native cells run, so engines are compared on identical inputs.
 func newEnv(kernel, class string, seed int64, u *codegen.Unit) (*interp.Env, error) {
+	w, err := open(kernel, class, seed)
+	if err != nil {
+		return nil, err
+	}
 	env := interp.NewEnv(u.Fissioned)
-	switch kernel {
-	case "mvm":
-		m, err := mvmData(class, seed)
-		if err != nil {
-			return nil, err
-		}
-		env.SetParam("nnz", m.NNZ())
-		env.SetParam("n", m.N)
-		if err := env.BindInt("row", m.RowOfNZ()); err != nil {
-			return nil, err
-		}
-		if err := env.BindInt("col", m.Col); err != nil {
-			return nil, err
-		}
-		if err := env.BindFloat("a", m.Val); err != nil {
-			return nil, err
-		}
-		x := make([]float64, m.N)
+	var errs []error
+	bindInt := func(name string, v []int32) { errs = append(errs, env.BindInt(name, v)) }
+	bindFloat := func(name string, v []float64) { errs = append(errs, env.BindFloat(name, v)) }
+	switch w := w.(type) {
+	case *kernels.MVM:
+		env.SetParam("nnz", w.A.NNZ())
+		env.SetParam("n", w.A.N)
+		bindInt("row", w.Rows)
+		bindInt("col", w.A.Col)
+		bindFloat("a", w.A.Val)
+		x := make([]float64, w.A.N)
 		for i := range x {
 			x[i] = 1
 		}
-		if err := env.BindFloat("x", x); err != nil {
-			return nil, err
-		}
-	case "euler":
-		e, err := eulerData(class, seed)
-		if err != nil {
-			return nil, err
-		}
-		edges, nodes := e.Mesh.NumEdges(), e.Mesh.NumNodes
-		ia := make([]int32, 2*edges)
-		for i := 0; i < edges; i++ {
-			ia[2*i], ia[2*i+1] = e.Mesh.I1[i], e.Mesh.I2[i]
-		}
-		env.SetParam("num_edges", edges)
-		env.SetParam("num_nodes", nodes)
-		if err := env.BindInt("ia", ia); err != nil {
-			return nil, err
-		}
-		if err := env.BindFloat("w", e.W); err != nil {
-			return nil, err
-		}
+		bindFloat("x", x)
+	case *kernels.Euler:
+		env.SetParam("num_edges", w.Mesh.NumEdges())
+		env.SetParam("num_nodes", w.Mesh.NumNodes)
+		bindInt("ia", interleave(w.Mesh.I1, w.Mesh.I2))
+		bindFloat("w", w.W)
 		for c, name := range []string{"q1", "q2", "q3"} {
-			q := make([]float64, nodes)
-			for i := range q {
-				q[i] = e.Q[3*i+c]
-			}
-			if err := env.BindFloat(name, q); err != nil {
-				return nil, err
-			}
+			bindFloat(name, component(w.Q, c))
 		}
-	case "moldyn":
-		sys, err := moldynData(class, seed)
-		if err != nil {
-			return nil, err
-		}
-		inter, mol := sys.NumInteractions(), sys.N
-		ia := make([]int32, 2*inter)
-		for i := 0; i < inter; i++ {
-			ia[2*i], ia[2*i+1] = sys.I1[i], sys.I2[i]
-		}
-		env.SetParam("num_inter", inter)
-		env.SetParam("num_mol", mol)
-		if err := env.BindInt("ia", ia); err != nil {
-			return nil, err
-		}
+	case *kernels.Moldyn:
+		env.SetParam("num_inter", w.Sys.NumInteractions())
+		env.SetParam("num_mol", w.Sys.N)
+		bindInt("ia", interleave(w.Sys.I1, w.Sys.I2))
 		for c, name := range []string{"px", "py", "pz"} {
-			p := make([]float64, mol)
-			for i := range p {
-				p[i] = sys.Pos[3*i+c]
-			}
-			if err := env.BindFloat(name, p); err != nil {
-				return nil, err
-			}
+			bindFloat(name, component(w.Sys.Pos, c))
 		}
 	default:
 		return nil, fmt.Errorf("sweep: kernel %q has no interpreter binding", kernel)
+	}
+	if err := errors.Join(errs...); err != nil {
+		return nil, err
 	}
 	if err := env.Alloc(); err != nil {
 		return nil, err
 	}
 	return env, nil
+}
+
+// interleave lays two indirection arrays out as the IRL kernels' ia: the
+// pair of iteration i at 2i and 2i+1.
+func interleave(i1, i2 []int32) []int32 {
+	ia := make([]int32, 0, 2*len(i1))
+	for i := range i1 {
+		ia = append(ia, i1[i], i2[i])
+	}
+	return ia
+}
+
+// component copies component c out of a 3-component interleaved array.
+func component(x []float64, c int) []float64 {
+	out := make([]float64, len(x)/3)
+	for i := range out {
+		out[i] = x[3*i+c]
+	}
+	return out
 }

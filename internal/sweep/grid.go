@@ -19,17 +19,17 @@ type kernelDef struct {
 // kernelRegistry is the harness's workload catalogue.
 var kernelRegistry = map[string]*kernelDef{
 	"mvm": {
-		classes: []string{"S", "W", "A", "B"},
+		classes: kernels.Datasets("mvm"),
 		engines: set(EngineNative, EngineInterp, EngineSim),
 		irl:     kernels.MVMIRL,
 	},
 	"euler": {
-		classes: []string{"2k", "10k"},
+		classes: kernels.Datasets("euler"),
 		engines: set(EngineNative, EngineInterp, EngineSim),
 		irl:     kernels.EulerIRL,
 	},
 	"moldyn": {
-		classes: []string{"2k", "10k"},
+		classes: kernels.Datasets("moldyn"),
 		engines: set(EngineNative, EngineInterp, EngineSim),
 		irl:     kernels.MoldynIRL,
 	},
@@ -56,16 +56,8 @@ func set(names ...string) map[string]bool {
 	return m
 }
 
-// Kernels lists the registered kernel names in canonical order.
-func Kernels() []string { return []string{"mvm", "euler", "moldyn", "raw"} }
-
-// Classes lists the legal classes of a kernel, nil if unknown.
-func Classes(kernel string) []string {
-	if def, ok := kernelRegistry[kernel]; ok {
-		return append([]string(nil), def.classes...)
-	}
-	return nil
-}
+// Kernels lists the named kernels and raw, in canonical order.
+func Kernels() []string { return append(kernels.Names(), "raw") }
 
 // Grid is the sweep's input: the cartesian product of its dimensions is
 // expanded into cells, with illegal combinations recorded as skips.

@@ -7,7 +7,6 @@ import (
 	"irred/internal/benchfmt"
 	"irred/internal/buildinfo"
 	"irred/internal/inspector"
-	"irred/internal/kernels"
 	"irred/internal/mesh"
 	"irred/internal/obs"
 	"irred/internal/rts"
@@ -239,34 +238,18 @@ func schedules(l *rts.Loop, cache *service.Cache) ([]*inspector.Schedule, error)
 
 // loopFor builds the rts.Loop of a named kernel or raw workload.
 func loopFor(c Cell, opt *Options, dist inspector.Dist) (*rts.Loop, error) {
-	switch c.Kernel {
-	case "mvm":
-		m, err := mvmData(c.Class, opt.Seed)
-		if err != nil {
-			return nil, err
-		}
-		return kernels.NewMVM(m).Loop(c.P, c.K, dist), nil
-	case "euler":
-		e, err := eulerData(c.Class, opt.Seed)
-		if err != nil {
-			return nil, err
-		}
-		return e.Loop(c.P, c.K, dist), nil
-	case "moldyn":
-		sys, err := moldynData(c.Class, opt.Seed)
-		if err != nil {
-			return nil, err
-		}
-		return kernels.NewMoldyn(sys).Loop(c.P, c.K, dist), nil
-	case "raw":
+	if c.Kernel == "raw" {
 		r, err := rawData(c.Class, opt.Seed)
 		if err != nil {
 			return nil, err
 		}
 		return r.loop(c.P, c.K, dist), nil
-	default:
-		return nil, fmt.Errorf("sweep: unknown kernel %q", c.Kernel)
 	}
+	w, err := open(c.Kernel, c.Class, opt.Seed)
+	if err != nil {
+		return nil, err
+	}
+	return w.Loop(c.P, c.K, dist), nil
 }
 
 func nativeRunner(c Cell, opt *Options, dist inspector.Dist, tracer *obs.Tracer) (runFunc, error) {
@@ -303,36 +286,7 @@ func nativeRunner(c Cell, opt *Options, dist inspector.Dist, tracer *obs.Tracer)
 
 // nativeBuilder returns the per-run engine constructor of a native cell.
 func nativeBuilder(c Cell, opt *Options, dist inspector.Dist) (func([]*inspector.Schedule) (*rts.Native, error), error) {
-	switch c.Kernel {
-	case "mvm":
-		m, err := mvmData(c.Class, opt.Seed)
-		if err != nil {
-			return nil, err
-		}
-		mv := kernels.NewMVM(m)
-		return func(scheds []*inspector.Schedule) (*rts.Native, error) {
-			return mv.NewNativeFrom(scheds, c.P, c.K, dist)
-		}, nil
-	case "euler":
-		e, err := eulerData(c.Class, opt.Seed)
-		if err != nil {
-			return nil, err
-		}
-		return func(scheds []*inspector.Schedule) (*rts.Native, error) {
-			n, _, err := e.NewNativeFrom(scheds, c.P, c.K, dist)
-			return n, err
-		}, nil
-	case "moldyn":
-		sys, err := moldynData(c.Class, opt.Seed)
-		if err != nil {
-			return nil, err
-		}
-		md := kernels.NewMoldyn(sys)
-		return func(scheds []*inspector.Schedule) (*rts.Native, error) {
-			n, _, _, err := md.NewNativeFrom(scheds, c.P, c.K, dist)
-			return n, err
-		}, nil
-	case "raw":
+	if c.Kernel == "raw" {
 		r, err := rawData(c.Class, opt.Seed)
 		if err != nil {
 			return nil, err
@@ -345,9 +299,15 @@ func nativeBuilder(c Cell, opt *Options, dist inspector.Dist) (func([]*inspector
 			n.Contribs = r.contribs
 			return n, nil
 		}, nil
-	default:
-		return nil, fmt.Errorf("sweep: engine native does not run kernel %q", c.Kernel)
 	}
+	w, err := open(c.Kernel, c.Class, opt.Seed)
+	if err != nil {
+		return nil, err
+	}
+	return func(scheds []*inspector.Schedule) (*rts.Native, error) {
+		n, _, err := w.NewNativeFrom(scheds, c.P, c.K, dist)
+		return n, err
+	}, nil
 }
 
 // adaptiveRunner measures the streaming amortization claim: an
