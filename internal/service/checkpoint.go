@@ -55,64 +55,24 @@ func writeJobCheckpoint(path string, ck *jobCheckpoint, inj *fault.Injector) err
 	if err != nil {
 		return fmt.Errorf("service: checkpoint: %w", err)
 	}
+	frame := make([]byte, 0, len(ckFileMagic)+1+3*binary.MaxVarintLen64+len(specJSON)+8*len(ck.X)+8)
+	frame = append(frame, ckFileMagic...)
+	frame = append(frame, ckFileVersion)
+	frame = binary.AppendVarint(frame, int64(len(specJSON)))
+	frame = append(frame, specJSON...)
+	frame = binary.AppendVarint(frame, int64(ck.Sweep))
+	frame = binary.AppendVarint(frame, int64(len(ck.X)))
+	for _, v := range ck.X {
+		frame = binary.LittleEndian.AppendUint64(frame, math.Float64bits(v))
+	}
+	sum := fnv.New64a()
+	sum.Write(frame)
+	frame = binary.LittleEndian.AppendUint64(frame, sum.Sum64())
 	tmp := path + ".tmp"
-	f, err := os.Create(tmp)
-	if err != nil {
+	if err := os.WriteFile(tmp, frame, 0o666); err != nil {
+		os.Remove(tmp)
 		return fmt.Errorf("service: checkpoint: %w", err)
 	}
-	ok := false
-	defer func() {
-		if !ok {
-			f.Close()
-			os.Remove(tmp)
-		}
-	}()
-	sum := fnv.New64a()
-	bw := bufio.NewWriter(io.MultiWriter(f, sum))
-	var vbuf [binary.MaxVarintLen64]byte
-	putVarint := func(v int64) error {
-		n := binary.PutVarint(vbuf[:], v)
-		_, err := bw.Write(vbuf[:n])
-		return err
-	}
-	if _, err := bw.WriteString(ckFileMagic); err != nil {
-		return err
-	}
-	if err := bw.WriteByte(ckFileVersion); err != nil {
-		return err
-	}
-	if err := putVarint(int64(len(specJSON))); err != nil {
-		return err
-	}
-	if _, err := bw.Write(specJSON); err != nil {
-		return err
-	}
-	if err := putVarint(int64(ck.Sweep)); err != nil {
-		return err
-	}
-	if err := putVarint(int64(len(ck.X))); err != nil {
-		return err
-	}
-	var b [8]byte
-	for _, v := range ck.X {
-		binary.LittleEndian.PutUint64(b[:], math.Float64bits(v))
-		if _, err := bw.Write(b[:]); err != nil {
-			return err
-		}
-	}
-	if err := bw.Flush(); err != nil {
-		return err
-	}
-	// The checksum goes straight to the file: it covers everything flushed
-	// through the MultiWriter above.
-	binary.LittleEndian.PutUint64(b[:], sum.Sum64())
-	if _, err := f.Write(b[:]); err != nil {
-		return err
-	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	ok = true
 	return os.Rename(tmp, path)
 }
 

@@ -164,16 +164,22 @@ func (sp *JobSpec) RoutingKey() string {
 		return fmt.Sprintf("kernel:%s/%s/%d/p%d/k%d/%s",
 			sp.Kernel, sp.Dataset, sp.Seed, sp.P, sp.K, strings.ToLower(sp.Dist))
 	}
+	return inspector.ScheduleKey(sp.config(), sp.Ind...)
+}
+
+// config is the inspector configuration every loop of a raw job shares. A
+// bad dist falls back to cyclic: only RoutingKey sees unvalidated specs.
+func (sp *JobSpec) config() inspector.Config {
 	dist, err := sp.dist()
 	if err != nil {
 		dist = inspector.Cyclic
 	}
-	return inspector.ScheduleKey(inspector.Config{
+	return inspector.Config{
 		P: sp.P, K: sp.K,
 		NumIters: sp.NumIters,
 		NumElems: sp.NumElems,
 		Dist:     dist,
-	}, sp.Ind...)
+	}
 }
 
 // releaseArrays drops the indirection and weight arrays and keeps every
@@ -359,11 +365,9 @@ func (sp *JobSpec) validateLoop(ind [][]int32, contrib *ContribSpec) error {
 	return nil
 }
 
-// contrib builds the rts.ContribFunc of a single-loop raw job.
-func (sp *JobSpec) contrib() func(p, i int, out []float64) { return sp.contribFor(0) }
-
-// contribFor builds the rts.ContribFunc of loop l. The returned closure is
-// stateless, so it is safe for every processor goroutine.
+// contribFor builds loop l's contribution one iteration at a time: the
+// independent reference form SequentialRaw runs, sharing no code with the
+// block form the executor drives.
 func (sp *JobSpec) contribFor(l int) func(p, i int, out []float64) {
 	numRef := len(sp.loopInd(l))
 	c := sp.loopContrib(l)
@@ -437,20 +441,10 @@ func (sp *JobSpec) SequentialRaw() ([]float64, error) {
 		return nil, err
 	}
 	x := make([]float64, sp.NumElems)
-	nl := sp.numLoops()
-	inds := make([][][]int32, nl)
-	fns := make([]func(p, i int, out []float64), nl)
-	scratches := make([][]float64, nl)
-	for l := 0; l < nl; l++ {
-		inds[l] = sp.loopInd(l)
-		fns[l] = sp.contribFor(l)
-		scratches[l] = make([]float64, len(inds[l]))
-	}
 	for step := 0; step < sp.steps(); step++ {
-		for l := 0; l < nl; l++ {
-			ind := inds[l]
-			fn := fns[l]
-			scratch := scratches[l]
+		for l := 0; l < sp.numLoops(); l++ {
+			ind, fn := sp.loopInd(l), sp.contribFor(l)
+			scratch := make([]float64, len(ind))
 			for i := 0; i < sp.NumIters; i++ {
 				fn(0, i, scratch)
 				for r := range ind {

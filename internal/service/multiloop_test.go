@@ -2,6 +2,7 @@ package service
 
 import (
 	"context"
+	"fmt"
 	"math/rand"
 	"strings"
 	"testing"
@@ -19,75 +20,108 @@ func multiLoopSpec(seed int64, p, k, iters, elems, steps int) JobSpec {
 	return spec
 }
 
-// TestMultiLoopJobMatchesOracle is the executor contract: a multi-loop
-// job's loops chain through one shared reduction array in loop order, and
-// the result is bitwise-equal to the sequential multi-loop oracle.
+// TestMultiLoopJobMatchesOracle is the executor contract, over the
+// processor counts, contribution kinds and loop shapes one executor serves:
+// the loops of a sweep chain through one shared reduction array in loop
+// order, the result is bitwise equal to the sequential oracle (weights are
+// integral), and inspection is paid once per distinct traversal. The rows
+// whose loops all share the base arrays are session-valid, and also run as
+// a session: open, one incremental delta and one that falls back to full
+// re-inspection, each checked against the oracle of a local mirror.
 func TestMultiLoopJobMatchesOracle(t *testing.T) {
-	s := newTestService(t, Options{Workers: 2})
-	spec := multiLoopSpec(11, 4, 2, 2000, 193, 3)
-	want, err := spec.SequentialRaw()
-	if err != nil {
-		t.Fatal(err)
+	own := rawSpec(13, 1, 1, 600, 97, 1).Ind // a second traversal
+	shapes := []struct {
+		name     string
+		loops    []LoopSpec
+		distinct int64
+	}{
+		{"single", nil, 1},
+		{"shared-ind", []LoopSpec{{}, {}}, 1},
+		// The third loop traverses the base arrays again: it must reuse
+		// loop 0's schedules from the job-local slot map.
+		{"own-ind", []LoopSpec{{}, {Ind: own}, {}}, 2},
 	}
-	j, err := s.Submit(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	st := waitJob(t, j)
-	if st.State != StateDone {
-		t.Fatalf("job %s: %s", st.State, st.Error)
-	}
-	if len(st.Result) != len(want) {
-		t.Fatalf("result has %d elements, want %d", len(st.Result), len(want))
-	}
-	for e := range want {
-		if st.Result[e] != want[e] {
-			t.Fatalf("result[%d] = %g, want %g", e, st.Result[e], want[e])
+	for _, p := range []int{1, 3} {
+		for _, kind := range []string{"ones", "weights", "pair"} {
+			for _, shape := range shapes {
+				t.Run(fmt.Sprintf("p%d/%s/%s", p, kind, shape.name), func(t *testing.T) {
+					spec := rawSpec(11, p, 2, 600, 97, 3)
+					spec.Contrib.Kind = kind
+					if kind == "ones" {
+						spec.Contrib.Weights = nil
+					}
+					spec.Loops = shape.loops
+					s := newTestService(t, Options{Workers: 2})
+					j, err := s.Submit(spec)
+					if err != nil {
+						t.Fatal(err)
+					}
+					st := waitJob(t, j)
+					if st.State != StateDone {
+						t.Fatalf("job %s: %s", st.State, st.Error)
+					}
+					matchesOracle(t, &spec, st.Result)
+					// A repeated traversal is served from the job-local slot
+					// map without touching the cache: no hits.
+					if cs := s.Cache().Stats(); cs.Misses != shape.distinct || cs.Hits != 0 {
+						t.Fatalf("%d distinct traversals paid %d inspections and %d cache hits (stats %+v)", shape.distinct, cs.Misses, cs.Hits, cs)
+					}
+					if shape.name != "own-ind" {
+						sessionMatchesOracle(t, s, spec)
+					}
+				})
+			}
 		}
-	}
-	if st.ResultSHA256 != HashResult(want) {
-		t.Fatal("result hash does not match the oracle")
-	}
-	// The amortization claim itself: two loops over the same indirection
-	// contents pay exactly one inspection (one cache miss, zero hits —
-	// the second loop is served from the job-local slot map without even
-	// touching the cache).
-	if cs := s.Cache().Stats(); cs.Misses != 1 {
-		t.Fatalf("two identical-traversal loops paid %d inspections, want 1 (stats %+v)", cs.Misses, cs)
 	}
 }
 
-// TestMultiLoopJobDistinctTraversals: a loop with its own indirection
-// contents pays its own inspection — content-addressing, not loop
-// counting, decides what is shared.
-func TestMultiLoopJobDistinctTraversals(t *testing.T) {
-	s := newTestService(t, Options{Workers: 1})
-	spec := rawSpec(12, 2, 2, 1500, 128, 2)
-	other := rawSpec(13, 2, 2, 1500, 128, 2) // different seed, different contents
-	spec.Loops = []LoopSpec{
-		{},
-		{Ind: other.Ind, Contrib: other.Contrib},
-		{}, // traverses the base arrays again: must reuse loop 0's schedules
-	}
+// matchesOracle fails unless got is bitwise equal to spec's sequential
+// oracle.
+func matchesOracle(t *testing.T, spec *JobSpec, got []float64) {
+	t.Helper()
 	want, err := spec.SequentialRaw()
 	if err != nil {
 		t.Fatal(err)
 	}
-	j, err := s.Submit(spec)
+	if len(got) != len(want) {
+		t.Fatalf("result has %d elements, want %d", len(got), len(want))
+	}
+	for e := range want {
+		if got[e] != want[e] {
+			t.Fatalf("result[%d] = %g, want %g", e, got[e], want[e])
+		}
+	}
+}
+
+// sessionMatchesOracle opens spec as a session and applies a sparse delta
+// (the incremental path) and a dense one (the full re-inspection path),
+// checking every result against the oracle of a local mirror.
+func sessionMatchesOracle(t *testing.T, s *Service, spec JobSpec) {
+	t.Helper()
+	rng := rand.New(rand.NewSource(21))
+	mirror := spec
+	mirror.Ind = make([][]int32, len(spec.Ind))
+	for r := range spec.Ind {
+		mirror.Ind[r] = append([]int32(nil), spec.Ind[r]...)
+	}
+	st, err := s.OpenSession(context.Background(), spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	st := waitJob(t, j)
-	if st.State != StateDone {
-		t.Fatalf("job %s: %s", st.State, st.Error)
-	}
-	for e := range want {
-		if st.Result[e] != want[e] {
-			t.Fatalf("result[%d] = %g, want %g", e, st.Result[e], want[e])
+	matchesOracle(t, &mirror, st.Result)
+	for _, n := range []int{9, spec.NumIters / 2} {
+		d := mkDelta(rng, &mirror, n)
+		applyLocal(&mirror, d)
+		if st, err = s.ApplyDelta(context.Background(), st.ID, d, true); err != nil {
+			t.Fatal(err)
 		}
+		if incremental := n == 9; st.LastIncremental != incremental {
+			t.Fatalf("delta of %d iterations: incremental = %v, want %v", n, st.LastIncremental, incremental)
+		}
+		matchesOracle(t, &mirror, st.Result)
 	}
-	if cs := s.Cache().Stats(); cs.Misses != 2 {
-		t.Fatalf("three loops over two distinct traversals paid %d inspections, want 2 (stats %+v)", cs.Misses, cs)
+	if st.Incremental != 1 || st.Full != 1 {
+		t.Fatalf("session took %d incremental and %d full revisions, want 1 and 1", st.Incremental, st.Full)
 	}
 }
 
@@ -126,51 +160,6 @@ func TestMultiLoopValidation(t *testing.T) {
 	if err := sp.Validate(); err != nil {
 		t.Fatalf("well-formed multi-loop spec rejected: %v", err)
 	}
-}
-
-// TestMultiLoopSession: a multi-loop session runs every loop of a sweep
-// against the one session-resident schedule clone, both at open and after
-// a delta — schedule maintenance is paid once per delta, not once per
-// loop, and the results stay bitwise-equal to the multi-loop oracle.
-func TestMultiLoopSession(t *testing.T) {
-	s := newTestService(t, Options{Workers: 1})
-	rng := rand.New(rand.NewSource(21))
-	spec := multiLoopSpec(21, 2, 2, 600, 97, 2)
-
-	mirror := spec
-	mirror.Ind = make([][]int32, len(spec.Ind))
-	for r := range spec.Ind {
-		mirror.Ind[r] = append([]int32(nil), spec.Ind[r]...)
-	}
-
-	st, err := s.OpenSession(context.Background(), spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	check := func(st *SessionStatus) {
-		t.Helper()
-		want, err := mirror.SequentialRaw()
-		if err != nil {
-			t.Fatal(err)
-		}
-		for e := range want {
-			if st.Result[e] != want[e] {
-				t.Fatalf("result[%d] = %g, want %g", e, st.Result[e], want[e])
-			}
-		}
-	}
-	check(st)
-
-	d := mkDelta(rng, &mirror, 9)
-	applyLocal(&mirror, d)
-	st, err = s.ApplyDelta(context.Background(), st.ID, d, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !st.LastIncremental || st.Incremental != 1 {
-		t.Fatalf("sparse delta on a multi-loop session took the full path: %+v", st)
-	}
-	check(st)
 }
 
 // TestMultiLoopSessionRejectsPrivateInd: session loops inherit the

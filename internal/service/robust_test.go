@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"hash/fnv"
 	"math/rand"
 	"os"
@@ -417,6 +418,23 @@ func TestChaosKernelPanicFailsJobWithStack(t *testing.T) {
 	}
 	if st := waitJob(t, ok); st.State != StateDone {
 		t.Fatalf("post-panic job: %+v", st)
+	}
+
+	// The block wrapper rolls every iteration by its real number. With one
+	// processor and one phase the iterations run in order, so iteration 300
+	// sits 44 entries into the engine's second 256-iteration block: a
+	// wrapper that rolled the block offset would never reach it. (A
+	// target's Proc has no wildcard; at P = 1, processor 0 runs them all.)
+	const iter = 300
+	spec = rawSpec(3, 1, 1, 1000, 64, 1)
+	spec.Chaos = &fault.Spec{
+		Targets: []fault.Target{{Class: fault.Panic, Proc: 0, Phase: -1, Sweep: -1, Iter: iter}},
+	}
+	if j, err = s.Submit(spec); err != nil {
+		t.Fatal(err)
+	}
+	if st := waitJob(t, j); st.State != StateFailed || !strings.Contains(st.Error, fmt.Sprintf("iteration %d)", iter)) {
+		t.Fatalf("state %s, error %q, want a failure naming iteration %d", st.State, st.Error, iter)
 	}
 }
 

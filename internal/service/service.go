@@ -515,165 +515,180 @@ func (s *Service) pruneFinished(id string) {
 	}
 }
 
-// schedules serves the loop's schedule set from the cache, running the
+// schedules serves the loop's schedule set from the cache under key, the
+// loop's inspector.ScheduleKey as its caller hashed it, running the
 // LightInspector only on a miss. Concurrent misses on the same key may both
 // inspect; the duplicate Put is harmless (entries are content-determined).
-func (s *Service) schedules(l *rts.Loop) ([]*inspector.Schedule, bool, string, error) {
+func (s *Service) schedules(l *rts.Loop, key string) ([]*inspector.Schedule, bool, error) {
 	l.Trace = s.trace
-	key := inspector.ScheduleKey(l.Cfg, l.Ind...)
 	if scheds, ok := s.cache.Get(key); ok {
 		s.trace.Event("cache/hit", -1, -1, -1, -1)
-		return scheds, true, key, nil
+		return scheds, true, nil
 	}
 	s.trace.Event("cache/miss", -1, -1, -1, -1)
 	scheds, err := l.Schedules()
 	if err != nil {
-		return nil, false, key, err
+		return nil, false, err
 	}
-	if err := s.cache.Put(key, scheds); err != nil {
-		// Persistence failure degrades to in-memory-only; the job itself
-		// proceeds. (Put inserts in memory before touching disk.)
-		_ = err
-	}
-	return scheds, false, key, nil
+	// A persistence failure degrades to in-memory-only; the job itself
+	// proceeds. (Put inserts in memory before touching disk.)
+	_ = s.cache.Put(key, scheds)
+	return scheds, false, nil
 }
 
-// execute builds the job's loop, obtains schedules through the cache, and
-// runs the reduction on the native engine under the job's context.
+// execute obtains the job's schedules through the cache and runs it on the
+// native engine under the job's context.
 func (s *Service) execute(j *Job) (result []float64, hit bool, key string, err error) {
-	spec := &j.Spec
-	dist, err := spec.dist()
-	if err != nil {
-		return nil, false, "", err
+	if j.Spec.IsRaw() {
+		return s.executeRaw(j)
 	}
-	steps := spec.steps()
-
-	if spec.IsRaw() {
-		return s.executeRaw(j, dist, steps)
-	}
-
-	return s.executeNamed(j, dist, steps)
+	return s.executeNamed(j)
 }
 
-// executeRaw runs a raw reduction job on the native engine, with per-job
-// chaos injection and — for multi-sweep jobs on a disk-backed service —
-// periodic checkpoints of the reduction array and sweep counter, so a
-// daemon restart resumes the job instead of recomputing it.
-func (s *Service) executeRaw(j *Job, dist inspector.Dist, steps int) (result []float64, hit bool, key string, err error) {
+// executeRaw serves every loop of a raw job its schedule set and runs the
+// program through runRaw. Schedule sets are content-addressed: loops whose
+// effective indirection contents coincide share one set, inspected once and
+// found again in the job-local slot map or the service cache. That is the
+// serving side of the paper's amortization argument: inspection is paid per
+// distinct traversal, not per loop. A hit on any loop makes the job a hit,
+// and the job's key is its first loop's.
+func (s *Service) executeRaw(j *Job) (result []float64, hit bool, key string, err error) {
 	spec := &j.Spec
-	if len(spec.Loops) > 0 {
-		return s.executeRawMulti(j, dist, steps)
-	}
-	l := &rts.Loop{
-		Cfg: inspector.Config{
-			P: spec.P, K: spec.K,
-			NumIters: spec.NumIters,
-			NumElems: spec.NumElems,
-			Dist:     dist,
-		},
-		Mode: rts.Reduce,
-		Ind:  spec.Ind,
-	}
-	scheds, hit, key, err := s.schedules(l)
-	if err != nil {
-		return nil, hit, key, err
-	}
-
-	var inj *fault.Injector
-	if spec.Chaos != nil {
-		inj = fault.New(*spec.Chaos)
-	}
-	every := spec.CheckpointEvery
-	if every <= 0 {
-		every = s.opt.CheckpointEvery
-	}
-	ckOn := s.jobsDir != "" && every > 0 && steps > 1
-
-	// Resume state installed by submitJob for checkpointed jobs.
-	j.mu.Lock()
-	done, seed := j.resumeAt, j.seed
-	j.mu.Unlock()
-	if done >= steps || (seed != nil && len(seed) != l.Cfg.NumElems) {
-		done, seed = 0, nil
-	}
-
-	// Cluster jobs replicate every checkpoint frame to the routing key's
-	// ring successor (via the Replicate hook), so the failover target can
-	// resume mid-job even though this node's disk dies with this node.
-	var routeKey string
-	if spec.ClusterUID != "" && s.opt.Replicate != nil {
-		routeKey = spec.RoutingKey()
-	}
-	writeCk := func(sweep int, x []float64) {
-		cs := s.trace.Begin()
-		path := ckPath(s.jobsDir, j.ID)
-		werr := writeJobCheckpoint(path, &jobCheckpoint{Spec: *spec, Sweep: sweep, X: x}, inj)
-		s.trace.End(obs.SpanCheckpoint, -1, -1, sweep, -1, cs)
-		if werr != nil {
-			// A failed checkpoint write loses a resume point, nothing more:
-			// the job itself is unharmed.
-			s.trace.Event("checkpoint/fail", -1, -1, sweep, -1)
-			return
-		}
-		j.mu.Lock()
-		j.ckSweep = sweep
-		j.mu.Unlock()
-		if routeKey != "" {
-			if frame, rerr := os.ReadFile(path); rerr == nil {
-				s.opt.Replicate(spec.ClusterUID, routeKey, frame)
+	cfg := spec.config()
+	sets := make([][]*inspector.Schedule, spec.numLoops())
+	slots := make(map[string][]*inspector.Schedule, len(sets))
+	var baseKey string // loops inheriting the base arrays share one key, hashed once
+	for li := range sets {
+		k := baseKey
+		if own := len(spec.Loops) > 0 && spec.Loops[li].Ind != nil; own || k == "" {
+			k = inspector.ScheduleKey(cfg, spec.loopInd(li)...)
+			if !own {
+				baseKey = k
 			}
 		}
+		if key == "" {
+			key = k
+		}
+		scheds, ok := slots[k]
+		if ok {
+			s.trace.Event("job/reuse", -1, -1, li, -1)
+		} else {
+			var h bool
+			scheds, h, err = s.schedules(&rts.Loop{Cfg: cfg, Mode: rts.Reduce, Ind: spec.loopInd(li)}, k)
+			if err != nil {
+				return nil, hit, key, err
+			}
+			hit = hit || h
+			slots[k] = scheds
+		}
+		sets[li] = scheds
+	}
+	result, err = s.runRaw(j.ctx, spec, sets, j)
+	return result, hit, key, err
+}
+
+// runRaw is the one place a raw program becomes running engines: one
+// Native per loop over that loop's schedule set, all sharing one reduction
+// array and the service tracer. Each sweep runs the loops in order, so loop
+// l+1 sees loop l's contributions of the same sweep, the way consecutive
+// fissioned loops chain in a compiled program; a single loop runs each
+// checkpoint chunk as one RunContext call.
+//
+// j is the job being run, nil for a session. A job brings its resume point,
+// its checkpoints and its chaos injector; validation keeps all three to
+// single-loop jobs.
+func (s *Service) runRaw(ctx context.Context, spec *JobSpec, sets [][]*inspector.Schedule, j *Job) ([]float64, error) {
+	cfg := spec.config()
+	x := make([]float64, cfg.NumElems)
+	natives := make([]*rts.Native, len(sets))
+	for li, scheds := range sets {
+		n, err := rts.NewNativeFrom(&rts.Loop{Cfg: cfg, Mode: rts.Reduce, Ind: spec.loopInd(li), Trace: s.trace}, scheds)
+		if err != nil {
+			return nil, err
+		}
+		n.ContribBlock = spec.contribBlockFor(li)
+		n.X = x
+		natives[li] = n
 	}
 
-	// Chaos reaches the run as kernel panics (and, through writeCk, as
-	// failed checkpoint writes). The panic is caught in the contribution
-	// wrapper itself — a panic on an engine-internal goroutine would crash
-	// the process — and turned into a cancelled run plus a structured job
-	// failure with the stack.
-	n, err := rts.NewNativeFrom(l, scheds)
-	if err != nil {
-		return nil, hit, key, err
+	steps := spec.steps()
+	done, every := 0, 0 // sweeps already run; checkpoint interval, 0 for none
+	var inj *fault.Injector
+	var routeKey string
+	if j != nil {
+		if spec.Chaos != nil {
+			inj = fault.New(*spec.Chaos)
+		}
+		if every = spec.CheckpointEvery; every <= 0 {
+			every = s.opt.CheckpointEvery
+		}
+		if s.jobsDir == "" || steps <= 1 || len(natives) > 1 {
+			every = 0
+		}
+		if every > 0 && spec.ClusterUID != "" && s.opt.Replicate != nil {
+			routeKey = spec.RoutingKey()
+		}
+		// Resume state installed by submitJob for checkpointed jobs.
+		j.mu.Lock()
+		resumeAt, seed := j.resumeAt, j.seed
+		j.mu.Unlock()
+		if resumeAt < steps && (seed == nil || len(seed) == len(x)) {
+			done = resumeAt
+			copy(x, seed)
+		}
 	}
-	runCtx := j.ctx
+
+	// Chaos kernel panics are caught in the contribution block itself (a
+	// panic on an engine goroutine would crash the process) and become a
+	// cancelled run plus a job failure with the stack. The injector rolls
+	// per (processor, iteration), so the block asks once per iteration.
+	runCtx := ctx
 	var pmu sync.Mutex
 	var panicVal any
 	var panicStack []byte
 	if inj != nil {
-		ctx2, cancel := context.WithCancel(j.ctx)
+		var cancel context.CancelFunc
+		runCtx, cancel = context.WithCancel(ctx)
 		defer cancel()
-		runCtx = ctx2
-		// A chaos job runs the per-iteration form: the injector rolls its
-		// kernel panics per (processor, iteration).
-		base := spec.contrib()
-		n.Contribs = func(p, i int, out []float64) {
-			defer func() {
-				if r := recover(); r != nil {
-					pmu.Lock()
-					if panicVal == nil {
-						panicVal, panicStack = r, debug.Stack()
-						cancel()
+		for _, n := range natives {
+			base := n.ContribBlock
+			n.ContribBlock = func(p int, iters []int32, out []float64) {
+				defer func() {
+					if r := recover(); r != nil {
+						pmu.Lock()
+						if panicVal == nil {
+							panicVal, panicStack = r, debug.Stack()
+							cancel()
+						}
+						pmu.Unlock()
+						clear(out)
 					}
-					pmu.Unlock()
-					for c := range out {
-						out[c] = 0
-					}
+				}()
+				for _, it := range iters {
+					inj.KernelPanic(p, int(it))
 				}
-			}()
-			inj.KernelPanic(p, i)
-			base(p, i, out)
+				base(p, iters, out)
+			}
 		}
-	} else {
-		n.ContribBlock = spec.contribBlockFor(0)
 	}
-	if seed != nil {
-		copy(n.X, seed)
-	}
+
 	for done < steps {
 		chunk := steps - done
-		if ckOn && chunk > every {
+		if every > 0 && chunk > every {
 			chunk = every
 		}
-		runErr := n.RunContext(runCtx, chunk)
+		var err error
+		if len(natives) == 1 {
+			err = natives[0].RunContext(runCtx, chunk)
+		} else {
+			for step := 0; step < chunk && err == nil; step++ {
+				for _, n := range natives {
+					if err = n.RunContext(runCtx, 1); err != nil {
+						break
+					}
+				}
+			}
+		}
 		pmu.Lock()
 		pv, ps := panicVal, panicStack
 		pmu.Unlock()
@@ -681,87 +696,56 @@ func (s *Service) executeRaw(j *Job, dist inspector.Dist, steps int) (result []f
 			j.mu.Lock()
 			j.stack = ps
 			j.mu.Unlock()
-			return nil, hit, key, fmt.Errorf("service: kernel panicked: %v", pv)
+			return nil, fmt.Errorf("service: kernel panicked: %v", pv)
 		}
-		if runErr != nil {
-			return nil, hit, key, runErr
+		if err != nil {
+			return nil, err
 		}
 		done += chunk
-		if ckOn && done < steps {
-			writeCk(done, n.X)
+		if every > 0 && done < steps {
+			s.checkpoint(j, routeKey, done, x, inj)
 		}
 	}
-	return n.X, hit, key, nil
+	return x, nil
 }
 
-// executeRawMulti runs a raw multi-loop program: the loops of every sweep
-// execute in order against one shared reduction array, so loop l+1 sees
-// loop l's contributions of the same sweep — the way consecutive
-// fissioned loops chain in a compiled program. Schedule sets are
-// content-addressed: loops whose effective indirection contents coincide
-// share one set (inspected once, found again in the job-local slot map or
-// the service cache), which is the serving-side consumption of the
-// paper's amortization argument — inspection cost is paid per distinct
-// traversal, not per loop. Validation has already pinned this path to the
-// native engine with no chaos and no checkpointing.
-func (s *Service) executeRawMulti(j *Job, dist inspector.Dist, steps int) (result []float64, hit bool, key string, err error) {
-	spec := &j.Spec
-	cfg := inspector.Config{
-		P: spec.P, K: spec.K,
-		NumIters: spec.NumIters,
-		NumElems: spec.NumElems,
-		Dist:     dist,
+// checkpoint persists a job's reduction array after sweep. A cluster job
+// (routeKey set) also ships the frame through the Replicate hook to the
+// key's ring successor, so a failover resumes mid-job although this node's
+// disk dies with it. A failed write loses a resume point, never the job.
+func (s *Service) checkpoint(j *Job, routeKey string, sweep int, x []float64, inj *fault.Injector) {
+	cs := s.trace.Begin()
+	path := ckPath(s.jobsDir, j.ID)
+	err := writeJobCheckpoint(path, &jobCheckpoint{Spec: j.Spec, Sweep: sweep, X: x}, inj)
+	s.trace.End(obs.SpanCheckpoint, -1, -1, sweep, -1, cs)
+	if err != nil {
+		s.trace.Event("checkpoint/fail", -1, -1, sweep, -1)
+		return
 	}
-	x := make([]float64, spec.NumElems)
-	slots := make(map[string][]*inspector.Schedule)
-	natives := make([]*rts.Native, len(spec.Loops))
-	for li := range spec.Loops {
-		ind := spec.loopInd(li)
-		l := &rts.Loop{Cfg: cfg, Mode: rts.Reduce, Ind: ind, Trace: s.trace}
-		k := inspector.ScheduleKey(cfg, ind...)
-		scheds, ok := slots[k]
-		if ok {
-			// A previous loop of this job already inspected this exact
-			// traversal; execute against its schedules.
-			s.trace.Event("job/reuse", -1, -1, li, -1)
-		} else {
-			var h bool
-			scheds, h, _, err = s.schedules(l)
-			if err != nil {
-				return nil, hit, key, err
-			}
-			hit = hit || h
-			slots[k] = scheds
-		}
-		if key == "" {
-			key = k
-		}
-		n, err := rts.NewNativeFrom(l, scheds)
-		if err != nil {
-			return nil, hit, key, err
-		}
-		n.ContribBlock = spec.contribBlockFor(li)
-		n.X = x
-		natives[li] = n
-	}
-	for step := 0; step < steps; step++ {
-		for _, n := range natives {
-			if err := n.RunContext(j.ctx, 1); err != nil {
-				return nil, hit, key, err
-			}
+	j.mu.Lock()
+	j.ckSweep = sweep
+	j.mu.Unlock()
+	if routeKey != "" {
+		if frame, err := os.ReadFile(path); err == nil {
+			s.opt.Replicate(j.Spec.ClusterUID, routeKey, frame)
 		}
 	}
-	return x, hit, key, nil
 }
 
 // executeNamed runs a named-kernel job on the native engine.
-func (s *Service) executeNamed(j *Job, dist inspector.Dist, steps int) (result []float64, hit bool, key string, err error) {
+func (s *Service) executeNamed(j *Job) (result []float64, hit bool, key string, err error) {
 	spec := &j.Spec
+	dist, err := spec.dist()
+	if err != nil {
+		return nil, false, "", err
+	}
 	w, err := kernels.Open(spec.Kernel, spec.Dataset, spec.Seed)
 	if err != nil {
 		return nil, false, "", err
 	}
-	scheds, hit, key, err := s.schedules(w.Loop(spec.P, spec.K, dist))
+	l := w.Loop(spec.P, spec.K, dist)
+	key = inspector.ScheduleKey(l.Cfg, l.Ind...)
+	scheds, hit, err := s.schedules(l, key)
 	if err != nil {
 		return nil, hit, key, err
 	}
@@ -770,7 +754,7 @@ func (s *Service) executeNamed(j *Job, dist inspector.Dist, steps int) (result [
 		return nil, hit, key, err
 	}
 	n.Trace = s.trace
-	if err := n.RunContext(j.ctx, steps); err != nil {
+	if err := n.RunContext(j.ctx, spec.steps()); err != nil {
 		return nil, hit, key, err
 	}
 	return result, hit, key, nil

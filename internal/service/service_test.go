@@ -442,3 +442,52 @@ func TestFinishedJobReleasesSpecArrays(t *testing.T) {
 		t.Fatalf("status changed on re-attach: %+v", st2)
 	}
 }
+
+// BenchmarkExecuteRaw submits and waits for raw jobs of the serving
+// workloads' shape — 32,768 iterations × 2 references over 4,096 elements,
+// pair contributions with integral weights, P = 2, k = 2, cyclic, 4 sweeps
+// — against a warm schedule cache, so each job costs admission plus the
+// executor and no inspection. two-loop runs the program as two loops over
+// the base arrays, both served by the one cached schedule set.
+func BenchmarkExecuteRaw(b *testing.B) {
+	for _, bc := range []struct {
+		name  string
+		loops []LoopSpec
+	}{
+		{"one-loop", nil},
+		{"two-loop", []LoopSpec{{}, {}}},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			spec := rawSpec(1, 2, 2, 32768, 4096, 4)
+			spec.Contrib.Kind = "pair"
+			spec.Dist = "cyclic"
+			spec.Loops = bc.loops
+			want, err := spec.SequentialRaw()
+			if err != nil {
+				b.Fatal(err)
+			}
+			s, err := New(Options{Workers: 1, TraceSpans: -1})
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer s.Close()
+			run := func() JobStatus {
+				j, err := s.Submit(spec)
+				if err != nil {
+					b.Fatal(err)
+				}
+				<-j.Done()
+				return j.Status(false)
+			}
+			if st := run(); st.State != StateDone || st.ResultSHA256 != HashResult(want) {
+				b.Fatalf("warm-up job %s (%s) does not match the oracle", st.State, st.Error)
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if st := run(); st.State != StateDone {
+					b.Fatalf("job %s: %s", st.State, st.Error)
+				}
+			}
+		})
+	}
+}

@@ -62,7 +62,6 @@ type Session struct {
 	mu       sync.Mutex
 	spec     JobSpec
 	scheds   []*inspector.Schedule
-	created  time.Time
 	el       *list.Element // position in the store's LRU list
 	closed   bool
 	cacheHit bool
@@ -72,7 +71,6 @@ type Session struct {
 	lastFrac           float64
 	lastIncr           bool
 	inspectMS, runMS   float64
-	resultLen          int
 	resultSHA          string
 	result             []float64
 }
@@ -123,7 +121,7 @@ func (sess *Session) status(includeResult bool, fallback float64) *SessionStatus
 		ScheduleKey:     sess.key,
 		InspectMS:       sess.inspectMS,
 		RunMS:           sess.runMS,
-		ResultLen:       sess.resultLen,
+		ResultLen:       len(sess.result),
 		ResultSHA256:    sess.resultSHA,
 	}
 	if includeResult {
@@ -326,21 +324,10 @@ func (s *Service) OpenSession(ctx context.Context, spec JobSpec) (*SessionStatus
 	}
 	spec.Ind = ind
 
-	dist, err := spec.dist()
-	if err != nil {
-		return nil, err
-	}
-	l := &rts.Loop{
-		Cfg: inspector.Config{
-			P: spec.P, K: spec.K,
-			NumIters: spec.NumIters, NumElems: spec.NumElems,
-			Dist: dist,
-		},
-		Mode: rts.Reduce,
-		Ind:  spec.Ind,
-	}
+	l := &rts.Loop{Cfg: spec.config(), Mode: rts.Reduce, Ind: spec.Ind}
 	t0 := time.Now()
-	base, hit, key, err := s.schedules(l)
+	key := inspector.ScheduleKey(l.Cfg, l.Ind...)
+	base, hit, err := s.schedules(l, key)
 	if err != nil {
 		return nil, err
 	}
@@ -354,12 +341,11 @@ func (s *Service) OpenSession(ctx context.Context, spec JobSpec) (*SessionStatus
 		gate:      make(chan struct{}, 1),
 		spec:      spec,
 		scheds:    scheds,
-		created:   time.Now(),
 		cacheHit:  hit,
 		key:       key,
 		inspectMS: inspectMS,
 	}
-	if err := s.runSession(ctx, sess); err != nil {
+	if err := s.reduceSession(ctx, sess); err != nil {
 		return nil, err
 	}
 	for _, old := range s.sessions.insert(sess) {
@@ -463,13 +449,7 @@ func (s *Service) ApplyDelta(ctx context.Context, id string, d *Delta, includeRe
 			}
 		}
 	} else {
-		dist, _ := spec.dist()
-		cfg := inspector.Config{
-			P: spec.P, K: spec.K,
-			NumIters: spec.NumIters, NumElems: spec.NumElems,
-			Dist: dist,
-		}
-		fresh, err := inspector.LightAll(cfg, s.trace, spec.Ind...)
+		fresh, err := inspector.LightAll(spec.config(), s.trace, spec.Ind...)
 		if err != nil {
 			sess.mu.Unlock()
 			s.sessions.drop(sess)
@@ -493,7 +473,7 @@ func (s *Service) ApplyDelta(ctx context.Context, id string, d *Delta, includeRe
 	sess.mu.Unlock()
 
 	s.sessions.countDelta(incremental)
-	if err := s.runSession(ctx, sess); err != nil {
+	if err := s.reduceSession(ctx, sess); err != nil {
 		s.sessions.drop(sess)
 		sess.markClosed()
 		return nil, err
@@ -501,74 +481,32 @@ func (s *Service) ApplyDelta(ctx context.Context, id string, d *Delta, includeRe
 	return sess.status(includeResult, s.sessions.fallback), nil
 }
 
-// runSession executes the session's reduction with its resident schedules
-// on the native engine and records the result. The caller must hold the
-// session gate (or own the session exclusively, as OpenSession does).
-func (s *Service) runSession(ctx context.Context, sess *Session) error {
+// reduceSession runs the session's program through runRaw and records the
+// result. Every loop of a multi-loop session traverses the session's base
+// indirection (validateSessionSpec enforces it), so each runs against the
+// one resident schedule clone: a delta pays schedule maintenance once, and
+// every loop of every later sweep rides on it. The caller must hold the
+// session gate (or own the session exclusively, as OpenSession does), which
+// keeps the resident arrays and schedules still during the run.
+func (s *Service) reduceSession(ctx context.Context, sess *Session) error {
 	sess.mu.Lock()
-	spec := &sess.spec
-	dist, err := spec.dist()
-	if err != nil {
-		sess.mu.Unlock()
-		return err
+	spec := sess.spec
+	sets := make([][]*inspector.Schedule, spec.numLoops())
+	for li := range sets {
+		sets[li] = sess.scheds
 	}
-	l := &rts.Loop{
-		Cfg: inspector.Config{
-			P: spec.P, K: spec.K,
-			NumIters: spec.NumIters, NumElems: spec.NumElems,
-			Dist: dist,
-		},
-		Mode:  rts.Reduce,
-		Ind:   spec.Ind,
-		Trace: s.trace,
-	}
-	scheds := sess.scheds
-	nLoops := spec.numLoops()
-	contribs := make([]rts.ContribBlockFunc, nLoops)
-	for li := 0; li < nLoops; li++ {
-		contribs[li] = spec.contribBlockFor(li)
-	}
-	steps := spec.steps()
 	sess.mu.Unlock()
 
-	// Every loop of a multi-loop session traverses the session's base
-	// indirection (validateSessionSpec enforces it), so all of them run
-	// against the one resident schedule clone — each delta pays schedule
-	// maintenance once, and every loop of every later sweep rides on it.
-	// Schedules are read-only during runs; the natives execute in loop
-	// order, sharing one reduction array so loop l+1 sees loop l's
-	// contributions of the same sweep.
-	natives := make([]*rts.Native, nLoops)
-	x := make([]float64, l.Cfg.NumElems)
-	for li := 0; li < nLoops; li++ {
-		n, err := rts.NewNativeFrom(l, scheds)
-		if err != nil {
-			return err
-		}
-		n.ContribBlock = contribs[li]
-		n.X = x
-		natives[li] = n
-	}
 	t0 := time.Now()
-	if nLoops == 1 {
-		if err := natives[0].RunContext(ctx, steps); err != nil {
-			return err
-		}
-	} else {
-		for step := 0; step < steps; step++ {
-			for _, n := range natives {
-				if err := n.RunContext(ctx, 1); err != nil {
-					return err
-				}
-			}
-		}
+	x, err := s.runRaw(ctx, &spec, sets, nil)
+	if err != nil {
+		return err
 	}
 	runMS := float64(time.Since(t0)) / 1e6
 
 	sess.mu.Lock()
 	sess.runMS = runMS
 	sess.result = x
-	sess.resultLen = len(x)
 	sess.resultSHA = HashResult(x)
 	sess.mu.Unlock()
 	return nil
