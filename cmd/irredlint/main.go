@@ -9,7 +9,7 @@
 // output encoding: "text" (default) renders human-readable findings,
 // "json" emits them as a JSON array for tooling (-json is a legacy alias
 // for -format json). -codes prints the catalogue of diagnostic codes
-// (source analyzers and schedule-verifier invariants) and exits. -prove
+// (source analyzers and schedule-checker invariants) and exits. -prove
 // first model-checks the systolic ownership protocol over every (P <= 8,
 // k <= 4) strategy — exhaustively verifying the rotation, single-writer
 // and bijection invariants the runtime relies on — and additionally
@@ -35,6 +35,7 @@ import (
 
 	"irred/internal/buildinfo"
 	"irred/internal/dataflow"
+	"irred/internal/inspector"
 	"irred/internal/lint"
 )
 
@@ -190,8 +191,8 @@ func printCodes() {
 	for _, a := range lint.Analyzers() {
 		fmt.Printf("  %s  %-5s %-26s %s\n", a.Code, a.Severity, a.Name, a.Doc)
 	}
-	fmt.Println("\nSchedule verifier invariants (LightInspector output):")
-	for _, c := range lint.VerifierCodes {
+	fmt.Println("\nSchedule checker invariants (inspector.CheckSet):")
+	for _, c := range inspector.CheckCodes {
 		fmt.Printf("  %s  error %s\n", c.Code, c.Doc)
 	}
 }

@@ -58,7 +58,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		if err := scheds[0].Check(l.Ind...); err != nil {
+		if err := inspector.CheckSet(l.Cfg, scheds, l.Ind...); err != nil {
 			log.Fatal(err)
 		}
 	}
@@ -81,13 +81,13 @@ func main() {
 		}
 		changed = append(changed, int32(i))
 	}
-	for p, s := range scheds {
+	for _, s := range scheds {
 		if err := s.Update(changed, sys.I1, sys.I2); err != nil {
 			log.Fatal(err)
 		}
-		if err := s.Check(sys.I1, sys.I2); err != nil {
-			log.Fatalf("proc %d after incremental update: %v", p, err)
-		}
+	}
+	if err := inspector.CheckSet(l.Cfg, scheds, sys.I1, sys.I2); err != nil {
+		log.Fatalf("after incremental update: %v", err)
 	}
 	fmt.Printf("\nincremental LightInspector: %d changed interactions folded into the\n", len(changed))
 	fmt.Println("existing schedules in O(changed) time; all invariants re-verified.")

@@ -322,10 +322,8 @@ func AblationIncremental(opt Options) (string, error) {
 		dur := time.Since(start)
 		fmt.Fprintf(&b, "%9.1f%% %16v %13.2fx\n", 100*frac, dur, float64(fullDur)/float64(dur+1))
 	}
-	for p, s := range scheds {
-		if err := s.Check(l.Ind...); err != nil {
-			return "", fmt.Errorf("proc %d after churn: %w", p, err)
-		}
+	if err := inspector.CheckSet(l.Cfg, scheds, l.Ind...); err != nil {
+		return "", fmt.Errorf("after churn: %w", err)
 	}
 	b.WriteString("all schedules re-verified after the churn sequence.\n")
 	return b.String(), nil

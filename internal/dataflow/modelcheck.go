@@ -12,8 +12,8 @@ import (
 // processors own the same portion (single writer), across a sweep every
 // processor owns every portion exactly once (completeness), and portions
 // migrate from processor p to p-1 every k phases (the systolic rotation
-// that lets the transfer overlap k-1 phases of computation). The IRV
-// verifier checks these properties for one concrete schedule at runtime;
+// that lets the transfer overlap k-1 phases of computation). The
+// schedule checker (inspector.CheckSet) checks one concrete schedule set;
 // the model checker proves them content-independently by exhausting every
 // (P, k) strategy up to a bound — small enough to enumerate, large enough
 // to cover every configuration the paper (and this repo's benchmarks)

@@ -97,9 +97,6 @@ func (c mvmCase) sim(p, k int, dist inspector.Dist, steps int) ([]float64, error
 	if _, err := rts.RunSim(c.loop(p, k, dist), opt); err != nil {
 		return nil, err
 	}
-	if err := ex.Err(); err != nil {
-		return nil, err
-	}
 	return ex.X, nil
 }
 
@@ -302,9 +299,6 @@ func TestEnginesAgreeTwoRef(t *testing.T) {
 		opt := rts.SimOptions{Steps: steps, WarmSteps: 1, MeasureSteps: steps - 1, Exec: ex}
 		if _, err := rts.RunSim(l, opt); err != nil {
 			t.Fatalf("%s sim: %v", label, err)
-		}
-		if err := ex.Err(); err != nil {
-			t.Fatalf("%s sim exec: %v", label, err)
 		}
 		compare(t, label+" sim", ex.X, want, true)
 	}

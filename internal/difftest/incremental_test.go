@@ -135,9 +135,9 @@ func TestIncrementalMatchesFullReinspection(t *testing.T) {
 					if err := s.Update(changed, c.ind...); err != nil {
 						t.Fatalf("%s: proc %d: %v", label, p, err)
 					}
-					if err := s.Check(c.ind...); err != nil {
-						t.Fatalf("%s: proc %d: %v", label, p, err)
-					}
+				}
+				if err := inspector.CheckSet(cfg, scheds, c.ind...); err != nil {
+					t.Fatalf("%s: %v", label, err)
 				}
 				fresh := make([]*inspector.Schedule, st.p)
 				for p := 0; p < st.p; p++ {
@@ -202,12 +202,8 @@ func TestIncrementalMeshSoak200(t *testing.T) {
 			t.Fatalf("step %d: %v", step, err)
 		}
 		compare(t, fmt.Sprintf("step%d", step), got, c.sequential(1), true)
-		if step%25 == 24 {
-			for p, s := range scheds {
-				if err := s.Check(c.ind...); err != nil {
-					t.Fatalf("step %d: proc %d: %v", step, p, err)
-				}
-			}
+		if err := inspector.CheckSet(cfg, scheds, c.ind...); err != nil {
+			t.Fatalf("step %d: %v", step, err)
 		}
 	}
 }

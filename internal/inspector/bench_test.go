@@ -1,6 +1,7 @@
 package inspector
 
 import (
+	"bytes"
 	"math/rand"
 	"testing"
 
@@ -8,8 +9,11 @@ import (
 	"irred/internal/sparse"
 )
 
-// BenchmarkLight times the LightInspector at P = 2, k = 2, cyclic — the
-// strategy of the repo benchmark — on four shapes:
+// benchP and benchK are the strategy of the repo benchmark: P = 2, k = 2,
+// cyclic.
+const benchP, benchK = 2, 2
+
+// benchShapes are the loops the inspector benchmarks run on:
 //
 //	euler-10k     the paper's 10k mesh: two references, mesh locality
 //	serve-cold    the serve.cold raw job: 32,768 iterations × 2 random
@@ -18,37 +22,43 @@ import (
 //	              buffer slots
 //	sparse-touch  two random references over 128 × NumIters elements: few
 //	              references per element, many slots
-//
-// and three ways each: one processor (proc0), both processors one after the
-// other (serial), and both through LightAll (all). ns/iter is wall time per
-// inspected iteration: per local iteration for proc0, per loop iteration
-// otherwise, so serial and all compare directly.
+var benchShapes = []struct {
+	name  string
+	input func() (Config, [][]int32)
+}{
+	{"euler-10k", func() (Config, [][]int32) {
+		m := mesh.Generate(9428, 59863, 1)
+		return Config{P: benchP, K: benchK, NumIters: m.NumEdges(), NumElems: m.NumNodes, Dist: Cyclic}, [][]int32{m.I1, m.I2}
+	}},
+	{"serve-cold", func() (Config, [][]int32) { return benchRandom(32768, 4096) }},
+	{"mvm-A", func() (Config, [][]int32) {
+		a := sparse.Generate(sparse.ClassA, 1)
+		return Config{P: benchP, K: benchK, NumIters: a.NNZ(), NumElems: a.N, Dist: Cyclic}, [][]int32{a.Col}
+	}},
+	{"sparse-touch", func() (Config, [][]int32) { return benchRandom(32768, 128*32768) }},
+}
+
+func benchRandom(iters, elems int) (Config, [][]int32) {
+	rng := rand.New(rand.NewSource(1))
+	ind := [][]int32{make([]int32, iters), make([]int32, iters)}
+	for i := 0; i < iters; i++ {
+		ind[0][i], ind[1][i] = int32(rng.Intn(elems)), int32(rng.Intn(elems))
+	}
+	return Config{P: benchP, K: benchK, NumIters: iters, NumElems: elems, Dist: Cyclic}, ind
+}
+
+// perIter reports wall time per iteration of a loop of iters iterations.
+func perIter(b *testing.B, iters int) {
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(iters), "ns/iter")
+}
+
+// BenchmarkLight times the LightInspector on benchShapes three ways each:
+// one processor (proc0), both processors one after the other (serial), and
+// both through LightAll (all). ns/iter is wall time per inspected
+// iteration: per local iteration for proc0, per loop iteration otherwise,
+// so serial and all compare directly.
 func BenchmarkLight(b *testing.B) {
-	const P, K = 2, 2
-	random := func(iters, elems int) (Config, [][]int32) {
-		rng := rand.New(rand.NewSource(1))
-		ind := [][]int32{make([]int32, iters), make([]int32, iters)}
-		for i := 0; i < iters; i++ {
-			ind[0][i], ind[1][i] = int32(rng.Intn(elems)), int32(rng.Intn(elems))
-		}
-		return Config{P: P, K: K, NumIters: iters, NumElems: elems, Dist: Cyclic}, ind
-	}
-	shapes := []struct {
-		name  string
-		input func() (Config, [][]int32)
-	}{
-		{"euler-10k", func() (Config, [][]int32) {
-			m := mesh.Generate(9428, 59863, 1)
-			return Config{P: P, K: K, NumIters: m.NumEdges(), NumElems: m.NumNodes, Dist: Cyclic}, [][]int32{m.I1, m.I2}
-		}},
-		{"serve-cold", func() (Config, [][]int32) { return random(32768, 4096) }},
-		{"mvm-A", func() (Config, [][]int32) {
-			a := sparse.Generate(sparse.ClassA, 1)
-			return Config{P: P, K: K, NumIters: a.NNZ(), NumElems: a.N, Dist: Cyclic}, [][]int32{a.Col}
-		}},
-		{"sparse-touch", func() (Config, [][]int32) { return random(32768, 128*32768) }},
-	}
-	for _, sh := range shapes {
+	for _, sh := range benchShapes {
 		var cfg Config
 		var ind [][]int32
 		setup := func(b *testing.B) {
@@ -57,9 +67,6 @@ func BenchmarkLight(b *testing.B) {
 			}
 			b.ReportAllocs()
 			b.ResetTimer()
-		}
-		perIter := func(b *testing.B, iters int) {
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(iters), "ns/iter")
 		}
 		b.Run(sh.name+"/proc0", func(b *testing.B) {
 			setup(b)
@@ -73,7 +80,7 @@ func BenchmarkLight(b *testing.B) {
 		b.Run(sh.name+"/serial", func(b *testing.B) {
 			setup(b)
 			for n := 0; n < b.N; n++ {
-				for p := 0; p < P; p++ {
+				for p := 0; p < benchP; p++ {
 					if _, err := Light(cfg, p, ind...); err != nil {
 						b.Fatal(err)
 					}
@@ -86,6 +93,40 @@ func BenchmarkLight(b *testing.B) {
 			for n := 0; n < b.N; n++ {
 				if _, err := LightAll(cfg, nil, ind...); err != nil {
 					b.Fatal(err)
+				}
+			}
+			perIter(b, cfg.NumIters)
+		})
+	}
+}
+
+// BenchmarkReadSchedule times the read path a schedule cache takes on a
+// hit: ReadSchedule decodes and checks both processors' serialized
+// schedules of each of benchShapes, one after the other. ns/iter is wall
+// time per loop iteration.
+func BenchmarkReadSchedule(b *testing.B) {
+	for _, sh := range benchShapes {
+		b.Run(sh.name, func(b *testing.B) {
+			cfg, ind := sh.input()
+			scheds, err := LightAll(cfg, nil, ind...)
+			if err != nil {
+				b.Fatal(err)
+			}
+			enc := make([][]byte, len(scheds))
+			for p, s := range scheds {
+				var buf bytes.Buffer
+				if _, err := s.WriteTo(&buf); err != nil {
+					b.Fatal(err)
+				}
+				enc[p] = buf.Bytes()
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for n := 0; n < b.N; n++ {
+				for _, e := range enc {
+					if _, err := ReadSchedule(bytes.NewReader(e)); err != nil {
+						b.Fatal(err)
+					}
 				}
 			}
 			perIter(b, cfg.NumIters)

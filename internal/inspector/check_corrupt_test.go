@@ -1,8 +1,10 @@
 package inspector
 
 import (
+	"bytes"
+	"errors"
 	"math/rand"
-	"strings"
+	"runtime"
 	"testing"
 )
 
@@ -80,7 +82,11 @@ func TestCheckRejectsCorruptedSchedules(t *testing.T) {
 	cases := []struct {
 		name    string
 		corrupt func(t *testing.T, cfg Config, s *Schedule, ind [][]int32)
-		wantMsg string
+		code    string
+		// reread: the schedule is also written and read back, and
+		// ReadSchedule, which checks without the indirection arrays, must
+		// reject it with the same code.
+		reread bool
 	}{
 		{
 			// The systolic invariant: every write lands in a portion owned
@@ -92,7 +98,7 @@ func TestCheckRejectsCorruptedSchedules(t *testing.T) {
 				x := s.Phases[ph].Ind[r][j]
 				s.Phases[ph].Ind[r][j] = (x + int32(cfg.PortionSize())) % int32(cfg.NumElems)
 			},
-			wantMsg: "not owned",
+			code: "IRV004",
 		},
 		{
 			name: "iteration duplicated across phases",
@@ -117,7 +123,7 @@ func TestCheckRejectsCorruptedSchedules(t *testing.T) {
 					q.Ind[r] = append(q.Ind[r], p.Ind[r][0])
 				}
 			},
-			wantMsg: "scheduled twice",
+			code: "IRV002",
 		},
 		{
 			name: "iteration dropped",
@@ -129,7 +135,7 @@ func TestCheckRejectsCorruptedSchedules(t *testing.T) {
 					p.Ind[r] = p.Ind[r][1:]
 				}
 			},
-			wantMsg: "iterations",
+			code: "IRV002",
 		},
 		{
 			name: "iteration owned by another processor",
@@ -144,7 +150,7 @@ func TestCheckRejectsCorruptedSchedules(t *testing.T) {
 				}
 				t.Fatal("no foreign iteration found")
 			},
-			wantMsg: "not owned by proc",
+			code: "IRV002",
 		},
 		{
 			name: "index outside the local image",
@@ -152,7 +158,7 @@ func TestCheckRejectsCorruptedSchedules(t *testing.T) {
 				ph, r, j := findOwned(t, cfg, s)
 				s.Phases[ph].Ind[r][j] = int32(s.LocalLen())
 			},
-			wantMsg: "out of local image",
+			code: "IRV004",
 		},
 		{
 			name: "owned write redirected within the portion",
@@ -169,7 +175,7 @@ func TestCheckRejectsCorruptedSchedules(t *testing.T) {
 				}
 				t.Skip("portion has a single element")
 			},
-			wantMsg: "!= original",
+			code: "IRV004",
 		},
 		{
 			name: "two elements share a buffer slot",
@@ -190,7 +196,7 @@ func TestCheckRejectsCorruptedSchedules(t *testing.T) {
 				}
 				t.Skip("only one buffered element")
 			},
-			wantMsg: "shared by elements",
+			code: "IRV004",
 		},
 		{
 			name: "copy entry in a non-owning phase",
@@ -204,7 +210,7 @@ func TestCheckRejectsCorruptedSchedules(t *testing.T) {
 				s.Phases[src].Copies = s.Phases[src].Copies[1:]
 				s.Phases[dst].Copies = append(s.Phases[dst].Copies, cp)
 			},
-			wantMsg: "not owned",
+			code: "IRV005",
 		},
 		{
 			name: "copy source outside the buffer",
@@ -212,7 +218,7 @@ func TestCheckRejectsCorruptedSchedules(t *testing.T) {
 				ph := findCopy(t, s)
 				s.Phases[ph].Copies[0].Buf = int32(s.LocalLen())
 			},
-			wantMsg: "out of buffer",
+			code: "IRV005",
 		},
 		{
 			name: "referenced slot never drained",
@@ -220,7 +226,7 @@ func TestCheckRejectsCorruptedSchedules(t *testing.T) {
 				ph := findCopy(t, s)
 				s.Phases[ph].Copies = s.Phases[ph].Copies[1:]
 			},
-			wantMsg: "copied",
+			code: "IRV005",
 		},
 		{
 			name: "slot drained twice",
@@ -229,7 +235,7 @@ func TestCheckRejectsCorruptedSchedules(t *testing.T) {
 				p := &s.Phases[ph]
 				p.Copies = append(p.Copies, p.Copies[0])
 			},
-			wantMsg: "copied",
+			code: "IRV005",
 		},
 		{
 			name: "ragged indirection data",
@@ -238,20 +244,163 @@ func TestCheckRejectsCorruptedSchedules(t *testing.T) {
 				p := &s.Phases[ph]
 				p.Ind[r] = p.Ind[r][:len(p.Ind[r])-1]
 			},
-			wantMsg: "entries for",
+			code: "IRV001",
+		},
+		{
+			// The last iteration replaced by the first: the count still
+			// matches, so only the duplicate shows the missing one.
+			name: "iteration replaced by another of its own",
+			corrupt: func(t *testing.T, cfg Config, s *Schedule, ind [][]int32) {
+				var first, last *int32
+				for ph := range s.Phases {
+					for j := range s.Phases[ph].Iters {
+						if first == nil {
+							first = &s.Phases[ph].Iters[j]
+						}
+						last = &s.Phases[ph].Iters[j]
+					}
+				}
+				*last = *first
+			},
+			code: "IRV002",
+		},
+		{
+			// One of two owned writes of an iteration moved to another
+			// portion: the other keeps the phase legal, and without the
+			// indirection arrays only ownership tells.
+			name: "second owned write in a non-owning phase",
+			corrupt: func(t *testing.T, cfg Config, s *Schedule, ind [][]int32) {
+				for ph := range s.Phases {
+					p := &s.Phases[ph]
+					for j := range p.Iters {
+						if int(p.Ind[0][j]) < cfg.NumElems && int(p.Ind[1][j]) < cfg.NumElems {
+							p.Ind[1][j] = (p.Ind[1][j] + int32(cfg.PortionSize())) % int32(cfg.NumElems)
+							return
+						}
+					}
+				}
+				t.Fatal("no iteration with two owned writes")
+			},
+			code: "IRV004", reread: true,
+		},
+		{
+			// A fresh slot drained into an owned element but never written.
+			name: "copy pair for an unwritten slot",
+			corrupt: func(t *testing.T, cfg Config, s *Schedule, ind [][]int32) {
+				ph := findCopy(t, s)
+				p := &s.Phases[ph]
+				p.Copies = append(p.Copies, CopyPair{Elem: p.Copies[0].Elem, Buf: int32(s.LocalLen())})
+				s.BufLen++
+			},
+			code: "IRV005",
+		},
+		{
+			// Cyclic at P = 4: 200 has 196's residue, so only the range
+			// check tells them apart.
+			name: "iteration past the end",
+			corrupt: func(t *testing.T, cfg Config, s *Schedule, ind [][]int32) {
+				for ph := range s.Phases {
+					for j, it := range s.Phases[ph].Iters {
+						if it == 196 {
+							s.Phases[ph].Iters[j] = 200
+							return
+						}
+					}
+				}
+				t.Fatal("iteration 196 not on proc 0")
+			},
+			code: "IRV002", reread: true,
+		},
+		{
+			// Element -3 is in portion 0 by integer division.
+			name: "negative target",
+			corrupt: func(t *testing.T, cfg Config, s *Schedule, ind [][]int32) {
+				ph, r, j := findOwned(t, cfg, s)
+				s.Phases[ph].Ind[r][j] = -3
+			},
+			code: "IRV004", reread: true,
+		},
+		{
+			// An owned write moved to the slot that buffers the same
+			// element: the slot is drained at the start of this phase, so
+			// the contribution would wait a sweep.
+			name: "buffered write after its drain",
+			corrupt: func(t *testing.T, cfg Config, s *Schedule, ind [][]int32) {
+				for ph := range s.Phases {
+					p := &s.Phases[ph]
+					for _, cp := range p.Copies {
+						for r := range p.Ind {
+							for j, x := range p.Ind[r] {
+								if x == cp.Elem {
+									p.Ind[r][j] = cp.Buf
+									return
+								}
+							}
+						}
+					}
+				}
+				t.Fatal("no owned write to a buffered element")
+			},
+			code: "IRV004",
 		},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg, s, ind := freshSchedule(t)
 			tc.corrupt(t, cfg, s, ind)
-			err := s.Check(ind...)
-			if err == nil {
-				t.Fatal("Check accepted the corrupted schedule")
+			wantCode(t, s.Check(ind...), tc.code)
+			scheds, err := LightAll(cfg, nil, ind...)
+			if err != nil {
+				t.Fatal(err)
 			}
-			if !strings.Contains(err.Error(), tc.wantMsg) {
-				t.Fatalf("Check() = %q, want message containing %q", err, tc.wantMsg)
+			scheds[0] = s
+			wantCode(t, CheckSet(cfg, scheds, ind...), tc.code)
+			if tc.reread {
+				var buf bytes.Buffer
+				if _, err := s.WriteTo(&buf); err != nil {
+					t.Fatal(err)
+				}
+				_, err := ReadSchedule(&buf)
+				wantCode(t, err, tc.code)
 			}
 		})
+	}
+}
+
+// wantCode fails unless err is a *Violation with the given code.
+func wantCode(t *testing.T, err error, code string) {
+	t.Helper()
+	var v *Violation
+	if !errors.As(err, &v) || v.Code != code {
+		t.Fatalf("got %v, want a %s violation", err, code)
+	}
+}
+
+// TestCheckBoundsClaimedSizes: a few bytes whose header claims 2^24
+// iterations or buffer slots are rejected without Check allocating for
+// the claim. (The reader accepts claims up to 2^31; a smaller one keeps a
+// regression from allocating gigabytes.)
+func TestCheckBoundsClaimedSizes(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		s    Schedule
+		code string
+	}{
+		{"iterations", Schedule{Cfg: Config{P: 1, K: 1, NumIters: 1 << 24, NumElems: 1}, NumRef: 1}, "IRV002"},
+		{"buffer slots", Schedule{Cfg: Config{P: 1, K: 1, NumIters: 0, NumElems: 1}, NumRef: 2, BufLen: 1 << 24}, "IRV001"},
+	} {
+		c.s.Phases = []PhaseProgram{{Ind: make([][]int32, c.s.NumRef)}}
+		var buf bytes.Buffer
+		if _, err := c.s.WriteTo(&buf); err != nil {
+			t.Fatal(err)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := ReadSchedule(&buf)
+		runtime.ReadMemStats(&after)
+		wantCode(t, err, c.code)
+		if n := after.TotalAlloc - before.TotalAlloc; n > 1<<20 {
+			t.Fatalf("%s: reading a %d-byte schedule allocated %d bytes", c.name, buf.Len(), n)
+		}
 	}
 }

@@ -7,8 +7,9 @@ import (
 )
 
 // fuzzScheduleBytes serializes a real LightInspector schedule, giving the
-// fuzzer structurally valid seeds to mutate.
-func fuzzScheduleBytes(seed int64, p, k, iters, elems int) []byte {
+// fuzzer structurally valid seeds to mutate. corrupt, when given, edits the
+// schedule before it is written.
+func fuzzScheduleBytes(seed int64, p, k, iters, elems int, corrupt ...func(*Schedule)) []byte {
 	rng := rand.New(rand.NewSource(seed))
 	ind := make([][]int32, 2)
 	for r := range ind {
@@ -21,6 +22,9 @@ func fuzzScheduleBytes(seed int64, p, k, iters, elems int) []byte {
 	s, err := Light(cfg, 0, ind...)
 	if err != nil {
 		panic(err)
+	}
+	for _, c := range corrupt {
+		c(s)
 	}
 	var buf bytes.Buffer
 	if _, err := s.WriteTo(&buf); err != nil {
@@ -46,6 +50,26 @@ func FuzzSerializeRoundTrip(f *testing.F) {
 	f.Add([]byte("IRSC"))
 	f.Add([]byte("IRSC\x01"))
 	f.Add([]byte{})
+	// Two corruptions only Check's local-position and image bounds reject:
+	// an iteration past the end with a valid residue, and a negative
+	// target.
+	f.Add(fuzzScheduleBytes(4, 4, 2, 200, 64, func(s *Schedule) {
+		for ph := range s.Phases {
+			for j, it := range s.Phases[ph].Iters {
+				if it == 196 {
+					s.Phases[ph].Iters[j] = 200
+				}
+			}
+		}
+	}))
+	f.Add(fuzzScheduleBytes(5, 4, 2, 200, 64, func(s *Schedule) {
+		for ph := range s.Phases {
+			if ind := s.Phases[ph].Ind[0]; len(ind) > 0 && int(ind[0]) < s.Cfg.NumElems {
+				ind[0] = -3
+				return
+			}
+		}
+	}))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		s, err := ReadSchedule(bytes.NewReader(data))
 		if err != nil {

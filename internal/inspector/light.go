@@ -310,94 +310,6 @@ func (s *Schedule) MaxPhaseIters() int {
 	return m
 }
 
-// Check verifies the schedule's internal invariants; it is used by tests
-// and available to callers after adaptive rebuilds. It confirms that
-//   - every local iteration appears in exactly one phase,
-//   - every rewritten index is either owned during its phase or a valid
-//     buffer slot,
-//   - every referenced buffer slot is copied exactly once (slots freed by
-//     incremental updates are unreferenced and never copied),
-//   - copy targets are owned during their copy phase.
-func (s *Schedule) Check(ind ...[]int32) error {
-	cfg := s.Cfg
-	seen := make(map[int32]bool, s.NumIters())
-	bufCopied := make([]int, s.BufLen)
-	bufRefs := make([]int, s.BufLen)
-	bufElem := make([]int32, s.BufLen)
-	for i := range bufElem {
-		bufElem[i] = -1
-	}
-
-	for ph := range s.Phases {
-		p := &s.Phases[ph]
-		for r := range p.Ind {
-			if len(p.Ind[r]) != len(p.Iters) {
-				return fmt.Errorf("phase %d: ref %d has %d entries for %d iters", ph, r, len(p.Ind[r]), len(p.Iters))
-			}
-		}
-		for j, it := range p.Iters {
-			if seen[it] {
-				return fmt.Errorf("iteration %d scheduled twice", it)
-			}
-			seen[it] = true
-			if cfg.OwnerOfIter(int(it)) != s.Proc {
-				return fmt.Errorf("iteration %d not owned by proc %d", it, s.Proc)
-			}
-			for r := range p.Ind {
-				x := p.Ind[r][j]
-				switch {
-				case int(x) < cfg.NumElems:
-					if cfg.PhaseOf(s.Proc, int(x)) != ph {
-						return fmt.Errorf("phase %d iter %d ref %d: element %d not owned", ph, it, r, x)
-					}
-					if len(ind) > r && ind[r][it] != x {
-						return fmt.Errorf("phase %d iter %d ref %d: owned element %d != original %d", ph, it, r, x, ind[r][it])
-					}
-				case int(x) < s.LocalLen():
-					b := int(x) - cfg.NumElems
-					bufRefs[b]++
-					if len(ind) > r {
-						if bufElem[b] >= 0 && bufElem[b] != ind[r][it] {
-							return fmt.Errorf("buffer slot %d shared by elements %d and %d", b, bufElem[b], ind[r][it])
-						}
-						bufElem[b] = ind[r][it]
-					}
-				default:
-					return fmt.Errorf("phase %d iter %d ref %d: index %d out of local image", ph, it, r, x)
-				}
-			}
-		}
-		for _, cp := range p.Copies {
-			if cfg.PhaseOf(s.Proc, int(cp.Elem)) != ph {
-				return fmt.Errorf("phase %d: copy target %d not owned", ph, cp.Elem)
-			}
-			b := int(cp.Buf) - cfg.NumElems
-			if b < 0 || b >= s.BufLen {
-				return fmt.Errorf("phase %d: copy source %d out of buffer", ph, cp.Buf)
-			}
-			bufCopied[b]++
-			if bufElem[b] >= 0 && bufElem[b] != cp.Elem {
-				return fmt.Errorf("buffer slot %d copies to %d but buffers %d", b, cp.Elem, bufElem[b])
-			}
-		}
-	}
-	if got, want := len(seen), cfg.IterCount(s.Proc); got != want {
-		return fmt.Errorf("scheduled %d iterations, processor owns %d", got, want)
-	}
-	for b, n := range bufCopied {
-		// Referenced slots are copied exactly once per sweep; slots freed
-		// by incremental updates are unreferenced and never copied.
-		want := 0
-		if bufRefs[b] > 0 {
-			want = 1
-		}
-		if n != want {
-			return fmt.Errorf("buffer slot %d copied %d times (refs %d)", b, n, bufRefs[b])
-		}
-	}
-	return nil
-}
-
 // PhaseHistogram reports the per-phase iteration counts — the quantity the
 // paper "carefully analyzed" to diagnose block-distribution imbalance.
 func (s *Schedule) PhaseHistogram() []int {

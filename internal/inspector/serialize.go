@@ -95,8 +95,8 @@ func (s *Schedule) WriteTo(w io.Writer) (int64, error) {
 	return cw.n, bw.Flush()
 }
 
-// ReadSchedule deserializes a schedule written by WriteTo and verifies its
-// structural invariants before returning it.
+// ReadSchedule deserializes a schedule written by WriteTo and returns it if
+// it passes Check.
 func ReadSchedule(r io.Reader) (*Schedule, error) {
 	br := bufio.NewReader(r)
 	magic := make([]byte, 4)
@@ -126,36 +126,16 @@ func ReadSchedule(r io.Reader) (*Schedule, error) {
 	}
 
 	s := &Schedule{}
-	fields := []*int{&s.Cfg.P, &s.Cfg.K, &s.Cfg.NumIters, &s.Cfg.NumElems}
-	for _, f := range fields {
+	var dist, nPhases int
+	for _, f := range []*int{&s.Cfg.P, &s.Cfg.K, &s.Cfg.NumIters, &s.Cfg.NumElems, &dist,
+		&s.Proc, &s.NumRef, &s.BufLen, &nPhases} {
 		if *f, err = geti(); err != nil {
 			return nil, err
 		}
 	}
-	dist, err := geti()
-	if err != nil {
-		return nil, err
-	}
 	s.Cfg.Dist = Dist(dist)
-	if s.Proc, err = geti(); err != nil {
-		return nil, err
-	}
-	if s.NumRef, err = geti(); err != nil {
-		return nil, err
-	}
-	if s.BufLen, err = geti(); err != nil {
-		return nil, err
-	}
-	nPhases, err := geti()
-	if err != nil {
-		return nil, err
-	}
-	if err := s.Cfg.Validate(); err != nil {
-		return nil, fmt.Errorf("inspector: corrupt schedule: %w", err)
-	}
-	if nPhases != s.Cfg.NumPhases() {
-		return nil, fmt.Errorf("inspector: corrupt schedule: %d phases for k*P = %d", nPhases, s.Cfg.NumPhases())
-	}
+	// Check validates the rest; the reference count sizes each phase's
+	// target lists before then.
 	if s.NumRef <= 0 || s.NumRef > 16 {
 		return nil, fmt.Errorf("inspector: corrupt schedule: %d references", s.NumRef)
 	}
@@ -178,9 +158,6 @@ func ReadSchedule(r io.Reader) (*Schedule, error) {
 		n, err := geti()
 		if err != nil {
 			return nil, err
-		}
-		if n > s.Cfg.NumIters {
-			return nil, fmt.Errorf("inspector: corrupt schedule: phase %d has %d iterations", ph, n)
 		}
 		p.Iters = make([]int32, 0, capAt(n))
 		prev := int64(0)
@@ -206,9 +183,6 @@ func ReadSchedule(r io.Reader) (*Schedule, error) {
 		nc, err := geti()
 		if err != nil {
 			return nil, err
-		}
-		if nc > s.BufLen {
-			return nil, fmt.Errorf("inspector: corrupt schedule: phase %d has %d copies for %d buffers", ph, nc, s.BufLen)
 		}
 		p.Copies = make([]CopyPair, 0, capAt(nc))
 		for j := 0; j < nc; j++ {

@@ -1,18 +1,16 @@
-// Package lint is the static-analysis subsystem for IRL programs and
-// LightInspector schedules: a typed diagnostics engine (stable codes,
-// severities, source positions, human and JSON renderers), a registry of
-// analyzer passes over the IRL AST and the Section 4 analysis results, and
-// a schedule verifier that checks a whole machine's LightInspector output
-// against the paper's systolic invariants.
+// Package lint is the static-analysis subsystem for IRL programs: a typed
+// diagnostics engine (stable codes, severities, source positions, human and
+// JSON renderers) and a registry of analyzer passes over the IRL AST and
+// the Section 4 analysis results.
 //
 // The paper's central claim is that legality is decided *before* the loop
 // runs: phase assignment plus the Section 4 restrictions (associative and
 // commutative updates only, a single level of indirection) guarantee
 // race-free execution without a communicating inspector. This package makes
 // those checks first-class and reusable — compiler drivers refuse to emit
-// code on Error findings, tooling consumes the JSON form, and the verifier
-// proves a generated phase program can never produce a cross-processor
-// write conflict.
+// code on Error findings and tooling consumes the JSON form.
+// inspector.CheckSet proves the schedules built for a legal loop can never
+// produce a cross-processor write conflict.
 package lint
 
 import (
@@ -72,9 +70,8 @@ func (s *Severity) UnmarshalJSON(b []byte) error {
 	return nil
 }
 
-// Diagnostic is one finding: a stable code (IRLnnn for source analyzers,
-// IRVnnn for the schedule verifier), a severity, a source position (zero
-// for schedule findings, which have no source location), and a message.
+// Diagnostic is one finding: a stable IRLnnn code, a severity, a source
+// position, and a message.
 type Diagnostic struct {
 	Code     string   `json:"code"`
 	Severity Severity `json:"severity"`
@@ -88,8 +85,8 @@ type Diagnostic struct {
 func (d Diagnostic) Pos() lang.Pos { return lang.Pos{Line: d.Line, Col: d.Col} }
 
 // String renders the diagnostic in the repo's irl:line:col: style (the
-// file name replaces "irl" when set); findings without a position (schedule
-// verification) drop the prefix.
+// file name replaces "irl" when set); findings without a position drop the
+// prefix.
 func (d Diagnostic) String() string {
 	name := d.File
 	if name == "" {

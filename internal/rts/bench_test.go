@@ -18,7 +18,7 @@ import (
 //	euler-2k/block    the paper's 2k mesh, kernel-supplied block function,
 //	                  Update hook on (two barriers per sweep)
 //	euler-2k/adapter  the same over the per-iteration Contribs
-//	euler-2k/guarded  the same with Verify on: the guarded bodies
+//	euler-2k/guarded  the same through the guarded bodies
 //	raw-pair          a random two-reference comp=1 loop, no Update
 //	                  (pipelined sweeps), no proof: CheckTargets scans once
 //	                  per Run and the unchecked body runs
@@ -52,7 +52,7 @@ func BenchmarkNativeSweep(b *testing.B) {
 	}
 	b.Run("euler-2k/block", func(b *testing.B) { euler(b, func(*rts.Native) {}) })
 	b.Run("euler-2k/adapter", func(b *testing.B) { euler(b, func(n *rts.Native) { n.ContribBlock = nil }) })
-	b.Run("euler-2k/guarded", func(b *testing.B) { euler(b, func(n *rts.Native) { n.Verify = true }) })
+	b.Run("euler-2k/guarded", func(b *testing.B) { euler(b, rts.ForceGuarded) })
 
 	mv := kernels.NewMVM(sparse.Generate(sparse.ClassA, 1))
 	mvm := func(b *testing.B, prepare func(n *rts.Native)) {

@@ -78,15 +78,6 @@ type Native struct {
 	ConsumeBlock ConsumeBlockFunc
 	Update       UpdateFunc
 
-	// Verify enables the debug execution mode: every access to the shared
-	// rotated array is checked against the ownership invariant — the target
-	// element's portion must be owned by the executing processor during the
-	// executing phase — and every buffered contribution must stay inside
-	// the processor-private buffer. Run reports the first violation per
-	// processor after the sweep completes (execution itself is unchanged,
-	// so a verify run still finishes and still passes tokens).
-	Verify bool
-
 	// Trace, when non-nil, records one span per unit of phase work — the
 	// rotation wait (obs.SpanWait), the copy loop (obs.SpanCopy), the main
 	// loop (obs.SpanCompute) and the Update hook (obs.SpanUpdate) — tagged
@@ -109,11 +100,11 @@ type Native struct {
 	// Callers may override either way before Run.
 	CheckTargets bool
 
-	bufs       [][]float64  // per-processor remote buffers, len BufLen*comp
-	arenas     [][]float64  // per-processor contribution blocks (reduce mode)
-	chans      []chan token // chans[p]: portions arriving at processor p
-	verifyErrs []error      // first ownership violation per processor
-	checkErrs  []error      // first range violation per processor
+	bufs      [][]float64  // per-processor remote buffers, len BufLen*comp
+	arenas    [][]float64  // per-processor contribution blocks (reduce mode)
+	chans     []chan token // chans[p]: portions arriving at processor p
+	checkErrs []error      // first range violation per processor
+	guarded   bool         // run the guarded bodies whatever the loop (tests)
 }
 
 type token struct{ portion int }
@@ -165,7 +156,6 @@ func NewNativeFrom(l *Loop, scheds []*inspector.Schedule) (*Native, error) {
 		bufs:         make([][]float64, l.Cfg.P),
 		arenas:       make([][]float64, l.Cfg.P),
 		chans:        make([]chan token, l.Cfg.P),
-		verifyErrs:   make([]error, l.Cfg.P),
 		checkErrs:    make([]error, l.Cfg.P),
 	}
 	ident, _ := l.Combine.Identity()
@@ -191,17 +181,10 @@ func fillIdent(buf []float64, ident float64) {
 	}
 }
 
-// verifyFail records the first ownership violation seen by processor p.
-// Each processor writes only its own slot, so no lock is needed.
-func (n *Native) verifyFail(p int, format string, args ...any) {
-	if n.verifyErrs[p] == nil {
-		n.verifyErrs[p] = fmt.Errorf("rts: verify: "+format, args...)
-	}
-}
-
 // checkFail records the first range violation seen by processor p. The
 // offending access is skipped, the sweep completes, and Run reports the
-// violation — graceful degradation instead of an index panic.
+// violation — graceful degradation instead of an index panic. Each
+// processor writes only its own slot, so no lock is needed.
 func (n *Native) checkFail(p int, format string, args ...any) {
 	if n.checkErrs[p] == nil {
 		n.checkErrs[p] = fmt.Errorf("rts: target check: "+format, args...)
@@ -257,13 +240,12 @@ func (n *Native) RunContext(ctx context.Context, steps int) error {
 			r.consume = consumeBlockOf(n.Consume, r.x, r.comp)
 		}
 	}
-	clear(n.verifyErrs)
 	clear(n.checkErrs)
 
 	// Everything that is constant for the run is decided here, once: the
 	// unchecked bodies serve float-add loops whose schedules need no
 	// per-access guard, the guarded bodies everything else.
-	r.fast = !n.Verify && l.Combine.Kind == algebra.Add
+	r.fast = !n.guarded && l.Combine.Kind == algebra.Add
 	if n.CheckTargets {
 		clean, err := n.scanTargets()
 		if err != nil {
@@ -287,7 +269,7 @@ func (n *Native) RunContext(ctx context.Context, steps int) error {
 	if err := ctx.Err(); err != nil {
 		return err
 	}
-	return n.verifyErr()
+	return n.checkErr()
 }
 
 // blockOf adapts a per-iteration contribution function to the block form;
@@ -354,15 +336,9 @@ func (n *Native) scanTargets() (clean bool, err error) {
 	return clean, nil
 }
 
-// verifyErr joins the per-processor violations after a run: ownership
-// violations from Verify mode first, then range violations from the
-// target checks.
-func (n *Native) verifyErr() error {
-	for _, err := range n.verifyErrs {
-		if err != nil {
-			return err
-		}
-	}
+// checkErr reports the lowest-numbered processor's range violation after a
+// run.
+func (n *Native) checkErr() error {
 	for _, err := range n.checkErrs {
 		if err != nil {
 			return err
@@ -587,15 +563,15 @@ func (r *nativeRun) reduceFast(p int, prog *inspector.PhaseProgram) {
 }
 
 // reduceGuarded is the main loop for everything reduceFast does not take:
-// Verify runs, non-Add combines folding through op.Fold, and schedules the
-// target scan found dirty. Every access is checked as the flags ask; an
-// offending one is skipped and recorded.
+// non-Add combines folding through op.Fold, and schedules the target scan
+// found dirty. With CheckTargets on, an access outside the local image is
+// skipped and recorded.
 func (r *nativeRun) reduceGuarded(p, ph int, prog *inspector.PhaseProgram) {
 	n, cfg := r.n, r.cfg
 	x, buf, arena := r.x, n.bufs[p], n.arenas[p]
 	comp := r.comp
 	stride := len(prog.Ind) * comp
-	chk, verify := n.CheckTargets, n.Verify
+	chk := n.CheckTargets
 	localLen := n.Scheds[p].LocalLen()
 	op := n.Loop.Combine
 	add := op.Kind == algebra.Add
@@ -613,21 +589,9 @@ func (r *nativeRun) reduceGuarded(p, ph int, prog *inspector.PhaseProgram) {
 					n.checkFail(p, "proc %d phase %d: iteration %d writes %d outside the local image [0,%d)", p, ph, it, tgt, localLen)
 					continue
 				}
-				dst := x
-				db := tgt * comp
-				if tgt < cfg.NumElems {
-					if verify {
-						if own := cfg.PhaseOf(p, tgt); own != ph {
-							n.verifyFail(p, "proc %d phase %d: iteration %d writes element %d, whose portion is owned in phase %d", p, ph, it, tgt, own)
-						}
-					}
-				} else {
-					if verify && tgt >= localLen {
-						n.verifyFail(p, "proc %d phase %d: iteration %d writes %d outside the local image [0,%d)", p, ph, it, tgt, localLen)
-						continue
-					}
-					dst = buf
-					db = (tgt - cfg.NumElems) * comp
+				dst, db := x, tgt*comp
+				if tgt >= cfg.NumElems {
+					dst, db = buf, (tgt-cfg.NumElems)*comp
 				}
 				for c := 0; c < comp; c++ {
 					if add {
@@ -660,22 +624,13 @@ func (r *nativeRun) drainGuarded(p, ph int, prog *inspector.PhaseProgram) {
 	n, cfg := r.n, r.cfg
 	x, buf := r.x, n.bufs[p]
 	comp := r.comp
-	chk, verify := n.CheckTargets, n.Verify
+	chk := n.CheckTargets
 	localLen := n.Scheds[p].LocalLen()
 	op := n.Loop.Combine
 	add := op.Kind == algebra.Add
 	ident, _ := op.Identity()
 
 	for _, cp := range prog.Copies {
-		if verify {
-			if int(cp.Buf) < cfg.NumElems || int(cp.Buf) >= localLen {
-				n.verifyFail(p, "proc %d phase %d: drain reads %d outside the buffer [%d,%d)", p, ph, cp.Buf, cfg.NumElems, localLen)
-				continue
-			}
-			if own := cfg.PhaseOf(p, int(cp.Elem)); own != ph {
-				n.verifyFail(p, "proc %d phase %d: drain writes element %d, whose portion is owned in phase %d", p, ph, cp.Elem, own)
-			}
-		}
 		if chk && (int(cp.Elem) < 0 || int(cp.Elem) >= cfg.NumElems ||
 			int(cp.Buf) < cfg.NumElems || int(cp.Buf) >= localLen) {
 			n.checkFail(p, "proc %d phase %d: drain %d -> %d outside image (elems %d, local %d)",
@@ -702,30 +657,17 @@ func (r *nativeRun) gatherFast(p, pos int, prog *inspector.PhaseProgram) {
 	r.consume(p, pos, prog.Iters, prog.Ind[0])
 }
 
-// gatherGuarded is the gather-mode main loop for Verify runs and schedules
-// the target scan found dirty. Each run of iterations between two skipped
-// ones is one block, so every other iteration is consumed in phase order.
+// gatherGuarded is the gather-mode main loop for schedules the target scan
+// found dirty. Each run of iterations between two skipped ones is one
+// block, so every other iteration is consumed in phase order.
 func (r *nativeRun) gatherGuarded(p, ph, pos int, prog *inspector.PhaseProgram) {
 	n, cfg := r.n, r.cfg
-	chk, verify := n.CheckTargets, n.Verify
+	chk := n.CheckTargets
 	iters, targets := prog.Iters, prog.Ind[0]
 	from := 0 // first iteration not yet consumed or skipped
 	for j, it := range iters {
-		tgt := int(targets[j])
-		skip := false
-		switch {
-		case chk && (tgt < 0 || tgt >= cfg.NumElems):
+		if tgt := int(targets[j]); chk && (tgt < 0 || tgt >= cfg.NumElems) {
 			n.checkFail(p, "proc %d phase %d: iteration %d gathers %d outside the rotated array [0,%d)", p, ph, it, tgt, cfg.NumElems)
-			skip = true
-		case verify && tgt >= cfg.NumElems:
-			n.verifyFail(p, "proc %d phase %d: iteration %d gathers %d outside the rotated array [0,%d)", p, ph, it, tgt, cfg.NumElems)
-			skip = true
-		case verify:
-			if own := cfg.PhaseOf(p, tgt); own != ph {
-				n.verifyFail(p, "proc %d phase %d: iteration %d gathers element %d, whose portion is owned in phase %d", p, ph, it, tgt, own)
-			}
-		}
-		if skip {
 			if from < j {
 				r.consume(p, pos+from, iters[from:j], targets[from:j])
 			}

@@ -48,7 +48,7 @@ func sameBits(a, b []float64) int {
 }
 
 // TestBlockPathsBitwiseEqual: a kernel-supplied block function, the
-// adapter over the per-iteration Contribs, and the guarded loop (Verify on)
+// adapter over the per-iteration Contribs, and the guarded loop (forced on)
 // fold every element in the same order, on random shapes, for float add
 // and for a combine that only the guarded bodies execute.
 func TestBlockPathsBitwiseEqual(t *testing.T) {
@@ -90,7 +90,7 @@ func TestBlockPathsBitwiseEqual(t *testing.T) {
 			}
 			native := runReduce(t, l, scheds, func(n *Native) { n.ContribBlock = block })
 			adapter := runReduce(t, l, scheds, func(n *Native) { n.Contribs = perIter })
-			guarded := runReduce(t, l, scheds, func(n *Native) { n.Contribs = perIter; n.Verify = true })
+			guarded := runReduce(t, l, scheds, func(n *Native) { n.Contribs = perIter; n.guarded = true })
 			shape := fmt.Sprintf("trial %d (%v %v P=%d k=%d refs=%d comp=%d)", trial, l.Combine, dist, p, k, refs, comp)
 			if i := sameBits(native, adapter); i >= 0 {
 				t.Fatalf("%s: x[%d] block %v, adapter %v", shape, i, native[i], adapter[i])
@@ -106,12 +106,12 @@ func TestBlockPathsBitwiseEqual(t *testing.T) {
 }
 
 // TestGatherPathsEqual: the unchecked gather loop and the guarded one
-// (Verify on) hand Consume the same values in the same order.
+// (forced on) hand Consume the same values in the same order.
 func TestGatherPathsEqual(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	l := randLoop(rng, 3, 2, 700, 90, 1, inspector.Cyclic, 2)
 	l.Mode = Gather
-	run := func(verify bool) []float64 {
+	run := func(guarded bool) []float64 {
 		n, err := NewNative(l)
 		if err != nil {
 			t.Fatal(err)
@@ -119,7 +119,7 @@ func TestGatherPathsEqual(t *testing.T) {
 		for i := range n.X {
 			n.X[i] = blockContrib(i, 0)
 		}
-		n.Verify = verify
+		n.guarded = guarded
 		acc := make([]float64, l.Cfg.P)
 		n.Consume = func(p, i int, vals []float64) {
 			acc[p] = acc[p]*0.999 + vals[0]*float64(i%5) - vals[1]
@@ -135,7 +135,7 @@ func TestGatherPathsEqual(t *testing.T) {
 }
 
 // TestRunClearsStaleViolations: a violation recorded by one run must not
-// be reported by the next, whichever flags that next run has on.
+// be reported by the next.
 func TestRunClearsStaleViolations(t *testing.T) {
 	ones := func(_, _ int, out []float64) {
 		for r := range out {
@@ -143,28 +143,11 @@ func TestRunClearsStaleViolations(t *testing.T) {
 		}
 	}
 
-	// Verify: an ownership violation, then a run with Verify off.
+	// A range violation, the schedule repaired, then a run with
+	// CheckTargets off.
 	rng := rand.New(rand.NewSource(43))
 	l := randLoop(rng, 4, 2, 200, 64, 2, inspector.Cyclic, 1)
 	n, err := NewNative(l)
-	if err != nil {
-		t.Fatal(err)
-	}
-	corruptOwnedWrite(t, l.Cfg, n.Scheds)
-	n.Contribs = ones
-	n.Verify = true
-	if err := n.Run(1); err == nil || !strings.Contains(err.Error(), "verify") {
-		t.Fatalf("corrupted run: err = %v, want a verify violation", err)
-	}
-	n.Verify = false
-	if err := n.Run(1); err != nil {
-		t.Fatalf("run with Verify off reported a stale violation: %v", err)
-	}
-
-	// CheckTargets: a range violation, the schedule repaired, then a run
-	// with CheckTargets off.
-	l = randLoop(rng, 4, 2, 200, 64, 2, inspector.Cyclic, 1)
-	n, err = NewNative(l)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -361,86 +344,62 @@ func TestRunAllocatesNothingPerSweep(t *testing.T) {
 	}
 }
 
-// TestGatherGuardedViolations: on a dirty schedule (CheckTargets), and on
-// Verify runs with an ownership or a range violation, a kernel-supplied
-// ConsumeBlock and the adapter over a per-iteration Consume record the same
-// violation, word for word, and are handed the same iterations in phase
-// order: every one but a skipped access.
+// TestGatherGuardedViolations: on a dirty schedule (CheckTargets), a
+// kernel-supplied ConsumeBlock and the adapter over a per-iteration Consume
+// record the same violation, word for word, and are handed the same
+// iterations in phase order: every one but the skipped access.
 func TestGatherGuardedViolations(t *testing.T) {
 	rng := rand.New(rand.NewSource(47))
-	for _, c := range []struct {
-		name          string
-		verify, check bool
-	}{{"check", false, true}, {"verify-owner", true, true}, {"verify-range", true, false}} {
-		l := randLoop(rng, 3, 2, 400, 60, 1, inspector.Cyclic, 1)
-		l.Mode = Gather
-		scheds, err := l.Schedules()
+	l := randLoop(rng, 3, 2, 400, 60, 1, inspector.Cyclic, 1)
+	l.Mode = Gather
+	scheds, err := l.Schedules()
+	if err != nil {
+		t.Fatal(err)
+	}
+	prog := &scheds[1].Phases[1]
+	j := len(prog.Iters) / 2
+	it := prog.Iters[j]
+	prog.Ind[0][j] = int32(l.Cfg.NumElems + 5)
+	want := fmt.Sprintf("rts: target check: proc 1 phase 1: iteration %d gathers %d outside the rotated array [0,%d)",
+		it, l.Cfg.NumElems+5, l.Cfg.NumElems)
+	// order[p] is p's schedule order, the frame of a block's position.
+	expect, order := make([][]int32, l.Cfg.P), make([][]int32, l.Cfg.P)
+	for p, s := range scheds {
+		for ph := range s.Phases {
+			for _, i := range s.Phases[ph].Iters {
+				order[p] = append(order[p], i)
+				if i != it {
+					expect[p] = append(expect[p], i)
+				}
+			}
+		}
+	}
+
+	for _, block := range []bool{false, true} {
+		n, err := NewNativeFrom(l, scheds)
 		if err != nil {
 			t.Fatal(err)
 		}
-		prog := &scheds[1].Phases[1]
-		j := len(prog.Iters) / 2
-		it := prog.Iters[j]
-		var want string
-		skipped := true
-		switch c.name {
-		case "check":
-			prog.Ind[0][j] = int32(l.Cfg.NumElems + 5)
-			want = fmt.Sprintf("rts: target check: proc 1 phase 1: iteration %d gathers %d outside the rotated array [0,%d)",
-				it, l.Cfg.NumElems+5, l.Cfg.NumElems)
-		case "verify-owner":
-			bad := (prog.Ind[0][j] + int32(l.Cfg.PortionSize())) % int32(l.Cfg.NumElems)
-			prog.Ind[0][j] = bad
-			want = fmt.Sprintf("rts: verify: proc 1 phase 1: iteration %d gathers element %d, whose portion is owned in phase %d",
-				it, bad, l.Cfg.PhaseOf(1, int(bad)))
-			skipped = false
-		case "verify-range":
-			prog.Ind[0][j] = int32(l.Cfg.NumElems)
-			want = fmt.Sprintf("rts: verify: proc 1 phase 1: iteration %d gathers %d outside the rotated array [0,%d)",
-				it, l.Cfg.NumElems, l.Cfg.NumElems)
+		seen := make([][]int32, l.Cfg.P)
+		if block {
+			n.ConsumeBlock = func(p, pos int, iters, targets []int32) {
+				if len(targets) != len(iters) {
+					t.Errorf("block of %d iterations with %d targets", len(iters), len(targets))
+				}
+				if want := order[p][pos : pos+len(iters)]; fmt.Sprint(iters) != fmt.Sprint(want) {
+					t.Errorf("processor %d: block at schedule position %d is %v, the schedule has %v there", p, pos, iters, want)
+				}
+				seen[p] = append(seen[p], iters...)
+			}
+		} else {
+			n.Consume = func(p, i int, _ []float64) { seen[p] = append(seen[p], int32(i)) }
 		}
-		// order[p] is p's schedule order, the frame of a block's position.
-		expect, order := make([][]int32, l.Cfg.P), make([][]int32, l.Cfg.P)
-		for p, s := range scheds {
-			for ph := range s.Phases {
-				for _, i := range s.Phases[ph].Iters {
-					order[p] = append(order[p], i)
-					if !skipped || i != it {
-						expect[p] = append(expect[p], i)
-					}
-				}
-			}
+		if err := n.Run(1); err == nil || err.Error() != want {
+			t.Fatalf("block=%v: err = %v, want %s", block, err, want)
 		}
-
-		for _, block := range []bool{false, true} {
-			n, err := NewNativeFrom(l, scheds)
-			if err != nil {
-				t.Fatal(err)
-			}
-			n.Verify, n.CheckTargets = c.verify, c.check
-			seen := make([][]int32, l.Cfg.P)
-			if block {
-				n.ConsumeBlock = func(p, pos int, iters, targets []int32) {
-					if len(targets) != len(iters) {
-						t.Errorf("block of %d iterations with %d targets", len(iters), len(targets))
-					}
-					if want := order[p][pos : pos+len(iters)]; fmt.Sprint(iters) != fmt.Sprint(want) {
-						t.Errorf("processor %d: block at schedule position %d is %v, the schedule has %v there", p, pos, iters, want)
-					}
-					seen[p] = append(seen[p], iters...)
-				}
-			} else {
-				n.Consume = func(p, i int, _ []float64) { seen[p] = append(seen[p], int32(i)) }
-			}
-			err = n.Run(1)
-			shape := fmt.Sprintf("%s block=%v", c.name, block)
-			if err == nil || err.Error() != want {
-				t.Fatalf("%s: err = %v, want %s", shape, err, want)
-			}
-			for p := range expect {
-				if fmt.Sprint(seen[p]) != fmt.Sprint(expect[p]) {
-					t.Fatalf("%s: processor %d consumed %v, want %v", shape, p, seen[p], expect[p])
-				}
+		for p := range expect {
+			if fmt.Sprint(seen[p]) != fmt.Sprint(expect[p]) {
+				t.Fatalf("block=%v: processor %d consumed %v, want %v", block, p, seen[p], expect[p])
 			}
 		}
 	}

@@ -1,8 +1,6 @@
 package rts
 
 import (
-	"fmt"
-
 	"irred/internal/algebra"
 	"irred/internal/inspector"
 )
@@ -27,27 +25,8 @@ type SimExec struct {
 	// nil and an exec is attached.
 	X []float64
 
-	// Verify enables the debug execution mode: every simulated write to the
-	// shared array is checked against the ownership invariant (the target
-	// element's portion must be owned by the fiber's processor during the
-	// fiber's phase). The first violation fails the sim engine, aborting
-	// the run, and is reported by RunSim.
-	Verify bool
-
 	bufs    [][]float64
 	scratch [][]float64
-	err     error
-}
-
-// Err reports the first ownership violation of a verify run, or nil.
-func (ex *SimExec) Err() error { return ex.err }
-
-// fail records the first violation; the sim engine is single-threaded, so
-// no locking is needed.
-func (ex *SimExec) fail(format string, args ...any) {
-	if ex.err == nil {
-		ex.err = fmt.Errorf("rts: verify: "+format, args...)
-	}
 }
 
 // prepare sizes the execution state for the given loop and schedules.
@@ -75,15 +54,6 @@ func (ex *SimExec) runPhase(l *Loop, s *inspector.Schedule, p, ph int) {
 	add := op.Kind == algebra.Add
 	ident, _ := op.Identity()
 	for _, cp := range prog.Copies {
-		if ex.Verify {
-			if int(cp.Buf) < l.Cfg.NumElems || int(cp.Buf) >= s.LocalLen() {
-				ex.fail("proc %d phase %d: drain reads %d outside the buffer [%d,%d)", p, ph, cp.Buf, l.Cfg.NumElems, s.LocalLen())
-				continue
-			}
-			if own := l.Cfg.PhaseOf(p, int(cp.Elem)); own != ph {
-				ex.fail("proc %d phase %d: drain writes element %d, whose portion is owned in phase %d", p, ph, cp.Elem, own)
-			}
-		}
 		eb := int(cp.Elem) * comp
 		bb := (int(cp.Buf) - l.Cfg.NumElems) * comp
 		for c := 0; c < comp; c++ {
@@ -107,11 +77,6 @@ func (ex *SimExec) runPhase(l *Loop, s *inspector.Schedule, p, ph int) {
 			for r := range prog.Ind {
 				tgt := int(prog.Ind[r][j])
 				if tgt < l.Cfg.NumElems {
-					if ex.Verify {
-						if own := l.Cfg.PhaseOf(p, tgt); own != ph {
-							ex.fail("proc %d phase %d: iteration %d writes element %d, whose portion is owned in phase %d", p, ph, it, tgt, own)
-						}
-					}
 					for c := 0; c < comp; c++ {
 						if add {
 							ex.X[tgt*comp+c] += scratch[r*comp+c]
@@ -120,10 +85,6 @@ func (ex *SimExec) runPhase(l *Loop, s *inspector.Schedule, p, ph int) {
 						}
 					}
 				} else {
-					if ex.Verify && tgt >= s.LocalLen() {
-						ex.fail("proc %d phase %d: iteration %d writes %d outside the local image [0,%d)", p, ph, it, tgt, s.LocalLen())
-						continue
-					}
 					bb := (tgt - l.Cfg.NumElems) * comp
 					for c := 0; c < comp; c++ {
 						if add {
@@ -141,15 +102,6 @@ func (ex *SimExec) runPhase(l *Loop, s *inspector.Schedule, p, ph int) {
 		}
 		for j, it := range prog.Iters {
 			tgt := int(prog.Ind[0][j])
-			if ex.Verify {
-				if tgt >= l.Cfg.NumElems {
-					ex.fail("proc %d phase %d: iteration %d gathers %d outside the rotated array [0,%d)", p, ph, it, tgt, l.Cfg.NumElems)
-					continue
-				}
-				if own := l.Cfg.PhaseOf(p, tgt); own != ph {
-					ex.fail("proc %d phase %d: iteration %d gathers element %d, whose portion is owned in phase %d", p, ph, it, tgt, own)
-				}
-			}
 			ex.Consume(p, int(it), ex.X[tgt*comp:tgt*comp+comp])
 		}
 	}

@@ -157,12 +157,6 @@ func runSimScheds(l *Loop, scheds []*inspector.Schedule, opt SimOptions) (*SimRe
 				body := func(ctx *earth.Ctx) {
 					if opt.Exec != nil {
 						opt.Exec.runPhase(l, scheds[p], p, ph)
-						if err := opt.Exec.Err(); err != nil {
-							// Verify mode: abort the simulation on the
-							// first ownership violation.
-							m.Eng.Fail(err)
-							return
-						}
 					}
 					// Chain to the next fiber on this node.
 					if ph+1 < kp {
@@ -224,9 +218,6 @@ func runSimScheds(l *Loop, scheds []*inspector.Schedule, opt SimOptions) (*SimRe
 	}
 
 	m.Run()
-	if err := m.Eng.Err(); err != nil {
-		return nil, err
-	}
 	for t := 0; t < tsim; t++ {
 		// Every update fiber must have run; a zero here means deadlock.
 		if stepEnd[t] == 0 {

@@ -378,3 +378,32 @@ func TestSUUtilizationReported(t *testing.T) {
 		t.Fatalf("SU (%v) busier than EU (%v)", res.SUUtilization, res.EUUtilization)
 	}
 }
+
+// TestSimVerifyClean: executing under SimExec reproduces the sequential
+// reduction, sweep for sweep.
+func TestSimVerifyClean(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	l := randLoop(rng, 4, 2, 200, 64, 2, inspector.Cyclic, 1)
+	contrib := func(i, r, c int) float64 { return float64(i+1) + float64(r) }
+	ex := &SimExec{
+		Contribs: func(_, i int, out []float64) {
+			for r := range out {
+				out[r] = contrib(i, r, 0)
+			}
+		},
+	}
+	res, err := RunSim(l, SimOptions{Steps: 2, WarmSteps: 1, MeasureSteps: 1, Exec: ex})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Cycles <= 0 {
+		t.Fatal("no cycles simulated")
+	}
+	want := seqReduce(l, contrib)
+	for i := range want {
+		want[i] *= 2
+	}
+	if !near(ex.X, want, 1e-9) {
+		t.Fatal("simulated execution diverged from sequential")
+	}
+}

@@ -111,9 +111,8 @@ func (e *Engine) ScheduleAt(at Time, fn func()) *Event {
 // Fail aborts the simulation: once the engine has failed, Step (and so Run
 // and RunUntil) executes no further events. The first failure wins; later
 // calls are no-ops. Event callbacks use it to stop a run whose invariants
-// are already known broken — the debug verify mode of the rts executors
-// fails the engine on the first ownership violation instead of simulating
-// millions of further cycles of a racy program.
+// are already known broken instead of simulating millions of further
+// cycles.
 func (e *Engine) Fail(err error) {
 	if e.err == nil && err != nil {
 		e.err = err
