@@ -35,9 +35,6 @@ type MsgEvent struct {
 // SetTrace enables event recording on the machine.
 func (m *Machine) SetTrace(t *Trace) { m.trace = t }
 
-// Trace reports the attached trace, or nil.
-func (m *Machine) TraceData() *Trace { return m.trace }
-
 // recordFiber appends a fiber span if tracing is on.
 func (m *Machine) recordFiber(node int, start, end sim.Time, label string) {
 	if m.trace != nil {

@@ -22,6 +22,9 @@ import (
 //	raw-pair          a random two-reference comp=1 loop, no Update
 //	                  (pipelined sweeps), no proof: CheckTargets scans once
 //	                  per Run and the unchecked body runs
+//	raw-pair-run1     the same loop as a served raw job runs it: a fresh
+//	                  Native over cached schedules, then Run(1) — one scan,
+//	                  worker start and one sweep per op
 //	mvm-A/block       NAS CG class A (1,853,104 nonzeros) in gather mode, the
 //	                  repo benchmark's native.coarse: the kernel's block loop
 //	                  over its packed copy of the matrix
@@ -70,20 +73,25 @@ func BenchmarkNativeSweep(b *testing.B) {
 	b.Run("mvm-A/block", func(b *testing.B) { mvm(b, func(*rts.Native) {}) })
 	b.Run("mvm-A/adapter", func(b *testing.B) { mvm(b, func(n *rts.Native) { n.ConsumeBlock = nil }) })
 
-	b.Run("raw-pair", func(b *testing.B) {
-		const iters, elems = 32768, 4096
-		rng := rand.New(rand.NewSource(1))
-		ind := [][]int32{make([]int32, iters), make([]int32, iters)}
-		w := make([]float64, iters)
-		for i := range w {
-			ind[0][i], ind[1][i] = int32(rng.Intn(elems)), int32(rng.Intn(elems))
-			w[i] = float64(rng.Intn(9) + 1)
-		}
-		n, err := rts.NewNative(&rts.Loop{
-			Cfg:  inspector.Config{P: P, K: K, NumIters: iters, NumElems: elems, Dist: inspector.Cyclic},
-			Mode: rts.Reduce,
-			Ind:  ind,
-		})
+	const iters, elems = 32768, 4096
+	rng := rand.New(rand.NewSource(1))
+	ind := [][]int32{make([]int32, iters), make([]int32, iters)}
+	w := make([]float64, iters)
+	for i := range w {
+		ind[0][i], ind[1][i] = int32(rng.Intn(elems)), int32(rng.Intn(elems))
+		w[i] = float64(rng.Intn(9) + 1)
+	}
+	pair := &rts.Loop{
+		Cfg:  inspector.Config{P: P, K: K, NumIters: iters, NumElems: elems, Dist: inspector.Cyclic},
+		Mode: rts.Reduce,
+		Ind:  ind,
+	}
+	scheds, err := pair.Schedules()
+	if err != nil {
+		b.Fatal(err)
+	}
+	newPair := func(b *testing.B) *rts.Native {
+		n, err := rts.NewNativeFrom(pair, scheds)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -92,10 +100,22 @@ func BenchmarkNativeSweep(b *testing.B) {
 				out[2*j], out[2*j+1] = w[it], -w[it]
 			}
 		}
+		return n
+	}
+	b.Run("raw-pair", func(b *testing.B) {
+		n := newPair(b)
 		b.ReportAllocs()
 		b.ResetTimer()
 		if err := n.Run(b.N); err != nil {
 			b.Fatal(err)
+		}
+	})
+	b.Run("raw-pair-run1", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if err := newPair(b).Run(1); err != nil {
+				b.Fatal(err)
+			}
 		}
 	})
 }

@@ -510,14 +510,14 @@ func (r *nativeRun) sweep(p, step int) bool {
 	return true
 }
 
-// slot resolves local index tgt of a processor's image to the array that
-// holds it — the rotated array or the processor's remote buffer — and the
-// element's position there.
-func slot(x, buf []float64, tgt, numElems int) ([]float64, int) {
-	if tgt < numElems {
-		return x, tgt
-	}
-	return buf, tgt - numElems
+// locate addresses a processor's local image as the paper's one index
+// space: the rotated array followed by the processor's remote buffer, held
+// as [2][]float64{X, buf}. Local index t lies in array b = 1 exactly when
+// t >= numElems — the sign bit of numElems-1-t, so the fold branches on no
+// data — at element e = t - b*numElems.
+func locate(t, numElems int) (b, e int) {
+	b = int(uint(numElems-1-t) >> 63)
+	return b, t - b*numElems
 }
 
 // reduceFast is the main loop of a float-add phase whose targets need no
@@ -526,37 +526,47 @@ func slot(x, buf []float64, tgt, numElems int) ([]float64, int) {
 // an element — and with it every bit of the result — is the sequential
 // phase program's.
 func (r *nativeRun) reduceFast(p int, prog *inspector.PhaseProgram) {
-	x, buf, arena := r.x, r.n.bufs[p], r.n.arenas[p]
+	img, arena := [2][]float64{r.x, r.n.bufs[p]}, r.n.arenas[p]
 	comp, numElems := r.comp, r.cfg.NumElems
 	stride := len(prog.Ind) * comp
 	for lo := 0; lo < len(prog.Iters); lo += blockIters {
 		hi := min(lo+blockIters, len(prog.Iters))
 		out := arena[:(hi-lo)*stride]
 		r.block(p, prog.Iters[lo:hi], out)
-		if comp == 3 {
-			// Three-component elements (euler's residual, moldyn's force)
-			// fold without the component loop: on the 2k mesh the loop
-			// costs as much as the additions it controls.
+		// Scalar elements (every raw job) and three-component ones
+		// (euler's residual, moldyn's force) fold without the component
+		// loop: on the 2k mesh the loop costs as much as the additions it
+		// controls.
+		switch comp {
+		case 1:
 			for j := lo; j < hi; j++ {
 				for _, ind := range prog.Ind {
-					dst, e := slot(x, buf, int(ind[j]), numElems)
-					d, s := (*[3]float64)(dst[3*e:]), (*[3]float64)(out)
+					b, e := locate(int(ind[j]), numElems)
+					img[b][e] += out[0]
+					out = out[1:]
+				}
+			}
+		case 3:
+			for j := lo; j < hi; j++ {
+				for _, ind := range prog.Ind {
+					b, e := locate(int(ind[j]), numElems)
+					d, s := (*[3]float64)(img[b][3*e:]), (*[3]float64)(out)
 					d[0] += s[0]
 					d[1] += s[1]
 					d[2] += s[2]
 					out = out[3:]
 				}
 			}
-			continue
-		}
-		for j := lo; j < hi; j++ {
-			for _, ind := range prog.Ind {
-				dst, e := slot(x, buf, int(ind[j]), numElems)
-				d := dst[e*comp:][:comp]
-				for c, v := range out[:comp] {
-					d[c] += v
+		default:
+			for j := lo; j < hi; j++ {
+				for _, ind := range prog.Ind {
+					b, e := locate(int(ind[j]), numElems)
+					d := img[b][e*comp:][:comp]
+					for c, v := range out[:comp] {
+						d[c] += v
+					}
+					out = out[comp:]
 				}
-				out = out[comp:]
 			}
 		}
 	}
@@ -568,7 +578,7 @@ func (r *nativeRun) reduceFast(p int, prog *inspector.PhaseProgram) {
 // skipped and recorded.
 func (r *nativeRun) reduceGuarded(p, ph int, prog *inspector.PhaseProgram) {
 	n, cfg := r.n, r.cfg
-	x, buf, arena := r.x, n.bufs[p], n.arenas[p]
+	img, arena := [2][]float64{r.x, n.bufs[p]}, n.arenas[p]
 	comp := r.comp
 	stride := len(prog.Ind) * comp
 	chk := n.CheckTargets
@@ -589,15 +599,13 @@ func (r *nativeRun) reduceGuarded(p, ph int, prog *inspector.PhaseProgram) {
 					n.checkFail(p, "proc %d phase %d: iteration %d writes %d outside the local image [0,%d)", p, ph, it, tgt, localLen)
 					continue
 				}
-				dst, db := x, tgt*comp
-				if tgt >= cfg.NumElems {
-					dst, db = buf, (tgt-cfg.NumElems)*comp
-				}
-				for c := 0; c < comp; c++ {
+				b, e := locate(tgt, cfg.NumElems)
+				d := img[b][e*comp:][:comp]
+				for c, v := range scratch[ref*comp:][:comp] {
 					if add {
-						dst[db+c] += scratch[ref*comp+c]
+						d[c] += v
 					} else {
-						dst[db+c] = op.Fold(dst[db+c], scratch[ref*comp+c])
+						d[c] = op.Fold(d[c], v)
 					}
 				}
 			}

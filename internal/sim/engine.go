@@ -68,12 +68,10 @@ func (q *eventQueue) Pop() any {
 // Engine is a discrete-event simulator. The zero value is not usable; call
 // NewEngine.
 type Engine struct {
-	now    Time
-	seq    uint64
-	queue  eventQueue
-	nRun   uint64
-	closed bool
-	err    error
+	now   Time
+	seq   uint64
+	queue eventQueue
+	nRun  uint64
 }
 
 // NewEngine returns an engine with the clock at zero and an empty calendar.
@@ -108,25 +106,8 @@ func (e *Engine) ScheduleAt(at Time, fn func()) *Event {
 	return ev
 }
 
-// Fail aborts the simulation: once the engine has failed, Step (and so Run
-// and RunUntil) executes no further events. The first failure wins; later
-// calls are no-ops. Event callbacks use it to stop a run whose invariants
-// are already known broken instead of simulating millions of further
-// cycles.
-func (e *Engine) Fail(err error) {
-	if e.err == nil && err != nil {
-		e.err = err
-	}
-}
-
-// Err reports the failure recorded by Fail, or nil.
-func (e *Engine) Err() error { return e.err }
-
 // Step runs the single earliest pending event and reports whether one ran.
 func (e *Engine) Step() bool {
-	if e.err != nil {
-		return false
-	}
 	for len(e.queue) > 0 {
 		ev := heap.Pop(&e.queue).(*Event)
 		if ev.dead {
@@ -152,7 +133,7 @@ func (e *Engine) Run() Time {
 // virtual time of the last executed event (or the starting time when no
 // event fired). Events scheduled later than deadline remain queued.
 func (e *Engine) RunUntil(deadline Time) Time {
-	for len(e.queue) > 0 && e.err == nil {
+	for len(e.queue) > 0 {
 		// Peek at the earliest live event.
 		ev := e.queue[0]
 		if ev.dead {
