@@ -25,6 +25,11 @@ import (
 //	raw-pair-run1     the same loop as a served raw job runs it: a fresh
 //	                  Native over cached schedules, then Run(1) — one scan,
 //	                  worker start and one sweep per op
+//	raw-pair-seq      the same arrays and weights through the plain
+//	                  sequential loop on one core: the baseline raw-pair
+//	                  is judged against
+//	raw-three         raw-pair with a third reference: the scalar fast
+//	                  body that every reference count but two takes
 //	mvm-A/block       NAS CG class A (1,853,104 nonzeros) in gather mode, the
 //	                  repo benchmark's native.coarse: the kernel's block loop
 //	                  over its packed copy of the matrix
@@ -81,41 +86,67 @@ func BenchmarkNativeSweep(b *testing.B) {
 		ind[0][i], ind[1][i] = int32(rng.Intn(elems)), int32(rng.Intn(elems))
 		w[i] = float64(rng.Intn(9) + 1)
 	}
-	pair := &rts.Loop{
-		Cfg:  inspector.Config{P: P, K: K, NumIters: iters, NumElems: elems, Dist: inspector.Cyclic},
-		Mode: rts.Reduce,
-		Ind:  ind,
+	// The third reference is drawn after the first two so that raw-pair's
+	// arrays stay what they have always been.
+	third := make([]int32, iters)
+	for i := range third {
+		third[i] = int32(rng.Intn(elems))
 	}
-	scheds, err := pair.Schedules()
-	if err != nil {
-		b.Fatal(err)
-	}
-	newPair := func(b *testing.B) *rts.Native {
-		n, err := rts.NewNativeFrom(pair, scheds)
+	raw := func(b *testing.B, ind [][]int32) func() *rts.Native {
+		l := &rts.Loop{
+			Cfg:  inspector.Config{P: P, K: K, NumIters: iters, NumElems: elems, Dist: inspector.Cyclic},
+			Mode: rts.Reduce,
+			Ind:  ind,
+		}
+		scheds, err := l.Schedules()
 		if err != nil {
 			b.Fatal(err)
 		}
-		n.ContribBlock = func(_ int, its []int32, out []float64) {
-			for j, it := range its {
-				out[2*j], out[2*j+1] = w[it], -w[it]
+		refs := len(ind)
+		return func() *rts.Native {
+			n, err := rts.NewNativeFrom(l, scheds)
+			if err != nil {
+				b.Fatal(err)
 			}
+			n.ContribBlock = func(_ int, its []int32, out []float64) {
+				for j, it := range its {
+					o := out[refs*j:][:refs]
+					o[0] = w[it]
+					for r := 1; r < refs; r++ {
+						o[r] = -w[it]
+					}
+				}
+			}
+			return n
 		}
-		return n
 	}
-	b.Run("raw-pair", func(b *testing.B) {
-		n := newPair(b)
+	sweeps := func(b *testing.B, n *rts.Native) {
 		b.ReportAllocs()
 		b.ResetTimer()
 		if err := n.Run(b.N); err != nil {
 			b.Fatal(err)
 		}
-	})
+	}
+	b.Run("raw-pair", func(b *testing.B) { sweeps(b, raw(b, ind)()) })
 	b.Run("raw-pair-run1", func(b *testing.B) {
+		newPair := raw(b, ind)
 		b.ReportAllocs()
+		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if err := newPair(b).Run(1); err != nil {
+			if err := newPair().Run(1); err != nil {
 				b.Fatal(err)
 			}
 		}
 	})
+	b.Run("raw-pair-seq", func(b *testing.B) {
+		x := make([]float64, elems)
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			for it, v := range w {
+				x[ind[0][it]] += v
+				x[ind[1][it]] += -v
+			}
+		}
+	})
+	b.Run("raw-three", func(b *testing.B) { sweeps(b, raw(b, append(ind[:2:2], third))()) })
 }

@@ -529,32 +529,49 @@ func (r *nativeRun) reduceFast(p int, prog *inspector.PhaseProgram) {
 	img, arena := [2][]float64{r.x, r.n.bufs[p]}, r.n.arenas[p]
 	comp, numElems := r.comp, r.cfg.NumElems
 	stride := len(prog.Ind) * comp
+	// Every reduction in the paper has two references. Their loops —
+	// scalar elements (every raw job) and three-component ones (euler's
+	// residual, moldyn's force) — fold both references inline, without
+	// the reference loop or the component loop: each costs as much as the
+	// additions it controls. Scalar elements under any other number of
+	// references still skip the component loop.
+	pair := len(prog.Ind) == 2
 	for lo := 0; lo < len(prog.Iters); lo += blockIters {
 		hi := min(lo+blockIters, len(prog.Iters))
 		out := arena[:(hi-lo)*stride]
 		r.block(p, prog.Iters[lo:hi], out)
-		// Scalar elements (every raw job) and three-component ones
-		// (euler's residual, moldyn's force) fold without the component
-		// loop: on the 2k mesh the loop costs as much as the additions it
-		// controls.
-		switch comp {
-		case 1:
+		switch {
+		case pair && comp == 1:
+			t0, t1 := prog.Ind[0][lo:hi], prog.Ind[1][lo:hi]
+			t1, out = t1[:len(t0)], out[:2*len(t0)]
+			for j, t := range t0 {
+				b, e := locate(int(t), numElems)
+				img[b][e] += out[2*j]
+				b, e = locate(int(t1[j]), numElems)
+				img[b][e] += out[2*j+1]
+			}
+		case pair && comp == 3:
+			t0, t1 := prog.Ind[0][lo:hi], prog.Ind[1][lo:hi]
+			t1 = t1[:len(t0)]
+			for j, t := range t0 {
+				s := (*[6]float64)(out[6*j:])
+				b, e := locate(int(t), numElems)
+				d := (*[3]float64)(img[b][3*e:])
+				d[0] += s[0]
+				d[1] += s[1]
+				d[2] += s[2]
+				b, e = locate(int(t1[j]), numElems)
+				d = (*[3]float64)(img[b][3*e:])
+				d[0] += s[3]
+				d[1] += s[4]
+				d[2] += s[5]
+			}
+		case comp == 1:
 			for j := lo; j < hi; j++ {
 				for _, ind := range prog.Ind {
 					b, e := locate(int(ind[j]), numElems)
 					img[b][e] += out[0]
 					out = out[1:]
-				}
-			}
-		case 3:
-			for j := lo; j < hi; j++ {
-				for _, ind := range prog.Ind {
-					b, e := locate(int(ind[j]), numElems)
-					d, s := (*[3]float64)(img[b][3*e:]), (*[3]float64)(out)
-					d[0] += s[0]
-					d[1] += s[1]
-					d[2] += s[2]
-					out = out[3:]
 				}
 			}
 		default:
@@ -617,6 +634,14 @@ func (r *nativeRun) reduceGuarded(p, ph int, prog *inspector.PhaseProgram) {
 func (r *nativeRun) drainFast(p int, prog *inspector.PhaseProgram) {
 	x, buf := r.x, r.n.bufs[p]
 	comp, numElems := r.comp, r.cfg.NumElems
+	if comp == 1 { // every raw job: no component loop
+		for _, cp := range prog.Copies {
+			s := int(cp.Buf) - numElems
+			x[cp.Elem] += buf[s]
+			buf[s] = 0
+		}
+		return
+	}
 	for _, cp := range prog.Copies {
 		dst := x[int(cp.Elem)*comp:][:comp]
 		src := buf[(int(cp.Buf)-numElems)*comp:][:comp]

@@ -50,8 +50,18 @@ func sameBits(a, b []float64) int {
 // TestBlockPathsBitwiseEqual: a kernel-supplied block function, the
 // adapter over the per-iteration Contribs, and the guarded loop (forced on)
 // fold every element in the same order, on random shapes, for float add
-// and for a combine that only the guarded bodies execute.
+// and for a combine that only the guarded bodies execute. Fixed rows come
+// first so that every fast reduce body is run whatever the random trials
+// draw: two references of one and of three components, and the general
+// body's one and three references and four components.
 func TestBlockPathsBitwiseEqual(t *testing.T) {
+	rows := rand.New(rand.NewSource(40)) // the trials keep seed 41 to themselves
+	for _, shape := range [][2]int{{2, 1}, {2, 3}, {1, 1}, {3, 1}, {1, 3}, {2, 4}} {
+		for _, dist := range []inspector.Dist{inspector.Block, inspector.Cyclic} {
+			refs, comp := shape[0], shape[1]
+			checkBlockPaths(t, rows, fmt.Sprintf("row refs=%d comp=%d %v", refs, comp, dist), 3, 2, 1100, 150, refs, comp, dist)
+		}
+	}
 	rng := rand.New(rand.NewSource(41))
 	for trial := 0; trial < 60; trial++ {
 		p, k := 1+rng.Intn(8), 1+rng.Intn(3)
@@ -61,46 +71,53 @@ func TestBlockPathsBitwiseEqual(t *testing.T) {
 		if rng.Intn(2) == 0 {
 			dist = inspector.Cyclic
 		}
-		for _, kind := range []algebra.Kind{algebra.Add, algebra.Max} {
-			l := randLoop(rng, p, k, iters, elems, refs, dist, comp)
-			l.Combine = algebra.Op{Kind: kind}
-			scheds, err := l.Schedules()
-			if err != nil {
-				t.Fatal(err)
+		checkBlockPaths(t, rng, fmt.Sprintf("trial %d", trial), p, k, iters, elems, refs, comp, dist)
+	}
+}
+
+// checkBlockPaths is one shape of TestBlockPathsBitwiseEqual, under float
+// add and under max.
+func checkBlockPaths(t *testing.T, rng *rand.Rand, name string, p, k, iters, elems, refs, comp int, dist inspector.Dist) {
+	t.Helper()
+	for _, kind := range []algebra.Kind{algebra.Add, algebra.Max} {
+		l := randLoop(rng, p, k, iters, elems, refs, dist, comp)
+		l.Combine = algebra.Op{Kind: kind}
+		scheds, err := l.Schedules()
+		if err != nil {
+			t.Fatal(err)
+		}
+		stride := refs * comp
+		perIter := func(_, i int, out []float64) {
+			for s := range out {
+				out[s] = blockContrib(i, s)
 			}
-			stride := refs * comp
-			perIter := func(_, i int, out []float64) {
-				for s := range out {
-					out[s] = blockContrib(i, s)
+		}
+		var tooLong atomic.Bool
+		block := func(_ int, its []int32, out []float64) {
+			if len(out) != len(its)*stride {
+				t.Errorf("block of %d iterations got %d slots, want %d", len(its), len(out), len(its)*stride)
+			}
+			if len(its) > blockIters {
+				tooLong.Store(true)
+			}
+			for j, it := range its {
+				for s := 0; s < stride; s++ {
+					out[j*stride+s] = blockContrib(int(it), s)
 				}
 			}
-			var tooLong atomic.Bool
-			block := func(_ int, its []int32, out []float64) {
-				if len(out) != len(its)*stride {
-					t.Errorf("block of %d iterations got %d slots, want %d", len(its), len(out), len(its)*stride)
-				}
-				if len(its) > blockIters {
-					tooLong.Store(true)
-				}
-				for j, it := range its {
-					for s := 0; s < stride; s++ {
-						out[j*stride+s] = blockContrib(int(it), s)
-					}
-				}
-			}
-			native := runReduce(t, l, scheds, func(n *Native) { n.ContribBlock = block })
-			adapter := runReduce(t, l, scheds, func(n *Native) { n.Contribs = perIter })
-			guarded := runReduce(t, l, scheds, func(n *Native) { n.Contribs = perIter; n.guarded = true })
-			shape := fmt.Sprintf("trial %d (%v %v P=%d k=%d refs=%d comp=%d)", trial, l.Combine, dist, p, k, refs, comp)
-			if i := sameBits(native, adapter); i >= 0 {
-				t.Fatalf("%s: x[%d] block %v, adapter %v", shape, i, native[i], adapter[i])
-			}
-			if i := sameBits(native, guarded); i >= 0 {
-				t.Fatalf("%s: x[%d] block %v, guarded %v", shape, i, native[i], guarded[i])
-			}
-			if tooLong.Load() {
-				t.Fatalf("engine asked for more than %d iterations at once", blockIters)
-			}
+		}
+		native := runReduce(t, l, scheds, func(n *Native) { n.ContribBlock = block })
+		adapter := runReduce(t, l, scheds, func(n *Native) { n.Contribs = perIter })
+		guarded := runReduce(t, l, scheds, func(n *Native) { n.Contribs = perIter; n.guarded = true })
+		shape := fmt.Sprintf("%s (%v %v P=%d k=%d refs=%d comp=%d)", name, l.Combine, dist, p, k, refs, comp)
+		if i := sameBits(native, adapter); i >= 0 {
+			t.Fatalf("%s: x[%d] block %v, adapter %v", shape, i, native[i], adapter[i])
+		}
+		if i := sameBits(native, guarded); i >= 0 {
+			t.Fatalf("%s: x[%d] block %v, guarded %v", shape, i, native[i], guarded[i])
+		}
+		if tooLong.Load() {
+			t.Fatalf("engine asked for more than %d iterations at once", blockIters)
 		}
 	}
 }
