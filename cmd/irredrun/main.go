@@ -311,17 +311,14 @@ func runServer(w io.Writer, base, kernel, dataset string, p, k int, distName str
 // harness does not know, which older trajectories may hold, never back a
 // pick.
 func runAuto(w io.Writer, kernel, class, benchDir string, steps int, seed int64, jsonOut bool) error {
-	// Proof-elided picks are allowed: the sweep harness only elides checks
-	// on loops carrying dataflow bounds proofs, so an unchecked cell is as
-	// safe here as it was when it was measured.
-	tn, path, err := rts.NewTunerFromDir(benchDir, rts.TunerOptions{AllowUnchecked: true, Engines: sweep.Engines})
+	tn, path, err := rts.NewTunerFromDir(benchDir, rts.TunerOptions{Engines: sweep.Engines})
 	if err != nil {
 		return fmt.Errorf("-auto: %v (run irredsweep first to persist a trajectory)", err)
 	}
 	pick := tn.Pick(kernel, class)
 	cell := sweep.Cell{
 		Kernel: kernel, Class: class, Engine: pick.Engine,
-		P: pick.P, K: pick.K, Dist: pick.Dist, Checked: pick.Checked,
+		P: pick.P, K: pick.K, Dist: pick.Dist,
 	}
 	bc := sweep.RunCell(cell, sweep.Options{Steps: steps, Warmup: 1, Repeats: 3, Seed: seed})
 	if bc.Error != "" {

@@ -1,5 +1,5 @@
 // Command irredsweep is the auto-tuning benchmark harness: it expands a
-// grid of (kernel, class, engine, P, k, distribution, checked) cells,
+// grid of (kernel, class, engine, P, k, distribution) cells,
 // measures every legal cell through the matching execution
 // engine, and persists the results as a BENCH_<date>.json trajectory
 // (plus CSV and JSONL artifacts) stamped with the commit, toolchain and
@@ -15,10 +15,10 @@
 //	irredsweep -compare old.json -against new.json  # gate two existing files, no sweep
 //
 // The comparison gate exits 2 when any matched cell regressed by more
-// than -threshold (default +25%), which is what CI hangs the perf gate
-// on. The persisted trajectories also feed the runtime tuner: irredrun
-// -auto and irredd pick (engine, P, k) per workload from the latest
-// BENCH file.
+// than -threshold (default +25%), or when no cell matched at all, which
+// is what CI hangs the perf gate on. The persisted trajectories also
+// feed the runtime tuner: irredrun -auto and irredd pick (engine, P, k)
+// per workload from the latest BENCH file.
 package main
 
 import (
@@ -48,7 +48,6 @@ func main() {
 	kFlag := flag.String("k", "", "comma-separated unrolling factors (override grid)")
 	distsFlag := flag.String("dists", "", "comma-separated distributions: block,cyclic (override grid)")
 	enginesFlag := flag.String("engines", "", "comma-separated engines: native,interp,sim (override grid)")
-	checkedFlag := flag.String("checked", "", "bounds-check modes: both | checked | unchecked (override grid)")
 	deltaFlag := flag.String("delta-fracs", "", "comma-separated delta fractions for the adaptive kernel, e.g. 0.01,0.05,0.2 (override grid)")
 
 	steps := flag.Int("steps", 3, "timesteps per measured run")
@@ -81,7 +80,7 @@ func main() {
 		return
 	}
 
-	g, err := buildGrid(*gridName, *kernelsFlag, *classesFlag, *pFlag, *kFlag, *distsFlag, *enginesFlag, *checkedFlag, *deltaFlag)
+	g, err := buildGrid(*gridName, *kernelsFlag, *classesFlag, *pFlag, *kFlag, *distsFlag, *enginesFlag, *deltaFlag)
 	if err != nil {
 		fail("%v", err)
 	}
@@ -151,7 +150,8 @@ func main() {
 	}
 }
 
-// gate compares two existing BENCH files and exits 2 on regression.
+// gate compares two existing BENCH files and exits 2 on regression or
+// when nothing matched.
 func gate(basePath, candPath string, threshold float64) {
 	baseline, err := benchfmt.Read(basePath)
 	if err != nil {
@@ -175,7 +175,11 @@ func gateAgainst(basePath string, candidate *benchfmt.Summary, threshold float64
 func gateSummaries(baseline, candidate *benchfmt.Summary, threshold float64) {
 	comp := benchfmt.Compare(baseline, candidate, threshold)
 	fmt.Print(comp.Table())
-	if comp.Failed() {
+	switch {
+	case comp.Matched == 0:
+		fmt.Fprintln(os.Stderr, "irredsweep: no cell matched the baseline; the gate compared nothing")
+		os.Exit(2)
+	case comp.Failed():
 		fmt.Fprintf(os.Stderr, "irredsweep: %d cells regressed beyond +%.0f%%\n", comp.Regressions, comp.Threshold*100)
 		os.Exit(2)
 	}
@@ -193,7 +197,7 @@ func shortCommit(c string) string {
 
 // buildGrid starts from the named base grid and applies any dimension
 // overrides from flags.
-func buildGrid(name, kernels, classes, ps, ks, dists, engines, checked, deltas string) (sweep.Grid, error) {
+func buildGrid(name, kernels, classes, ps, ks, dists, engines, deltas string) (sweep.Grid, error) {
 	var g sweep.Grid
 	switch name {
 	case "default":
@@ -239,17 +243,6 @@ func buildGrid(name, kernels, classes, ps, ks, dists, engines, checked, deltas s
 	}
 	if engines != "" {
 		g.Engines = splitList(engines)
-	}
-	switch checked {
-	case "":
-	case "both":
-		g.Checked = []bool{true, false}
-	case "checked":
-		g.Checked = []bool{true}
-	case "unchecked":
-		g.Checked = []bool{false}
-	default:
-		return g, fmt.Errorf("checked: %q (both | checked | unchecked)", checked)
 	}
 	if deltas != "" {
 		g.DeltaFracs = g.DeltaFracs[:0]

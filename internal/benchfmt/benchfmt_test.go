@@ -77,7 +77,7 @@ func goldenSummary() *Summary {
 		Cells: []Cell{
 			{
 				ID: "mvm/S/native/p2/k1/cyclic/unchecked", Kernel: "mvm", Class: "S",
-				Engine: "native", P: 2, K: 1, Dist: "cyclic", Checked: false,
+				Engine: "native", P: 2, K: 1, Dist: "cyclic",
 				Steps: 3, Warmup: 1, Repeats: 5,
 				Wall:  NewStats([]float64{4.0, 4.2, 4.1, 4.3, 9.9}, 0.2),
 				P50MS: 4.2, P95MS: 9.9, P99MS: 9.9,
@@ -86,7 +86,7 @@ func goldenSummary() *Summary {
 			},
 			{
 				ID: "euler/2k/sim/p4/k2/cyclic/checked", Kernel: "euler", Class: "2k",
-				Engine: "sim", P: 4, K: 2, Dist: "cyclic", Checked: true,
+				Engine: "sim", P: 4, K: 2, Dist: "cyclic",
 				Steps: 100, Warmup: 0, Repeats: 1,
 				Wall:  NewStats([]float64{12.5}, 0.2),
 				P50MS: 12.5, P95MS: 12.5, P99MS: 12.5,
@@ -94,7 +94,7 @@ func goldenSummary() *Summary {
 			},
 			{
 				ID: "raw/small/native/p3/k2/block/checked", Kernel: "raw", Class: "small",
-				Engine: "native", P: 3, K: 2, Dist: "block", Checked: true,
+				Engine: "native", P: 3, K: 2, Dist: "block",
 				Steps: 3, Warmup: 1, Repeats: 3,
 				Error: "injected: example of an errored cell",
 			},

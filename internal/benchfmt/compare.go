@@ -38,15 +38,17 @@ type Comparison struct {
 	Improvements int     `json:"improvements"`
 	Deltas       []Delta `json:"deltas"`
 	// OnlyBaseline / OnlyCandidate list cell IDs present on one side only
-	// (grid drift, new engines, errored cells). They never fail the gate
-	// by themselves but are always reported — silent coverage loss is how
-	// perf claims rot.
+	// (grid drift, new engines, errored cells). They are always reported —
+	// silent coverage loss is how perf claims rot — and fail the gate only
+	// when no cell matched at all.
 	OnlyBaseline  []string `json:"only_baseline,omitempty"`
 	OnlyCandidate []string `json:"only_candidate,omitempty"`
 }
 
-// Failed reports whether the gate should exit non-zero.
-func (c *Comparison) Failed() bool { return c.Regressions > 0 }
+// Failed reports whether the gate should exit non-zero: a matched cell
+// regressed, or no cell matched, so the gate compared nothing — a drift
+// in cell IDs must not pass as a clean run.
+func (c *Comparison) Failed() bool { return c.Regressions > 0 || c.Matched == 0 }
 
 // Compare gates candidate against baseline: every cell present and
 // error-free in both is scored by its trimmed-mean wall time, and a

@@ -95,3 +95,22 @@ func TestCompareDefaultThreshold(t *testing.T) {
 		t.Fatalf("default threshold = %v", c.Threshold)
 	}
 }
+
+// A comparison that matched no cell fails the gate: a drift in cell IDs
+// (or an empty sweep) would otherwise pass it by comparing nothing.
+func TestCompareNothingMatchedFails(t *testing.T) {
+	base := mkSummary(map[string]float64{"a/checked": 10, "b/checked": 20})
+	c := Compare(base, mkSummary(map[string]float64{"a/unchecked": 10, "b/unchecked": 20}), 0.25)
+	if c.Matched != 0 || c.Regressions != 0 || !c.Failed() {
+		t.Fatalf("ID drift passed the gate: %+v", c)
+	}
+	if len(c.OnlyBaseline) != 2 || len(c.OnlyCandidate) != 2 {
+		t.Fatalf("unmatched cells not reported: %+v", c)
+	}
+	if c := Compare(base, &Summary{}, 0.25); !c.Failed() {
+		t.Fatalf("empty candidate passed the gate: %+v", c)
+	}
+	if c := Compare(base, mkSummary(map[string]float64{"a/checked": 10}), 0.25); c.Failed() {
+		t.Fatalf("one matched clean cell failed the gate: %+v", c)
+	}
+}

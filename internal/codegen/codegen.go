@@ -200,10 +200,10 @@ func (p *Plan) ReductionArrays() []string {
 
 // BuildOpts controls proof-carrying optimization during BuildLoop.
 type BuildOpts struct {
-	// ForceChecked keeps every range check and the native engine's
-	// per-write target validation even when the bounds proof would allow
-	// eliding them — for differential testing and benchmarking the checks
-	// themselves. The proof is still computed and recorded.
+	// ForceChecked keeps every bytecode range check even where the bounds
+	// proof would allow eliding it — for differential testing and
+	// benchmarking the checks themselves. The proof is still computed and
+	// recorded.
 	ForceChecked bool
 }
 
@@ -217,11 +217,10 @@ type BuildOpts struct {
 // BuildLoop is proof-carrying: it runs the dataflow interval analysis
 // seeded with the environment's concrete parameters and a one-pass min/max
 // scan of every bound indirection array, records the resulting
-// dataflow.Facts artifact on the plan and the loop, compiles the body with
-// range checks elided exactly for the proven references (unproven accesses
-// stay checked and fault gracefully — see RuntimeErr), and marks the loop
-// so the native engine skips per-write target validation when the
-// indirection contents are proven in range.
+// dataflow.Facts artifact on the plan, and compiles the body with range
+// checks elided exactly for the proven references (unproven accesses stay
+// checked and fault gracefully — see RuntimeErr). The native engine checks
+// the schedules' targets itself, whatever the proof.
 //
 // Multiple reduction arrays in one group are packed as components of the
 // rotated array; component c of element e holds array c's element e, with
@@ -284,13 +283,8 @@ func (p *Plan) build(env *interp.Env, procs, k int, dist inspector.Dist, bopts B
 	}
 
 	// Prove what we can about the loop's subscripts from the concrete
-	// parameters and a one-pass scan of the bound indirection arrays, then
-	// check the runtime side of the rotated-array claim against the
-	// extracted columns.
-	facts := p.ComputeFacts(env)
-	facts.NumElems = nElems
-	facts.IndProven = dataflow.ProveIndirection(nElems, ind...)
-	p.Facts = facts
+	// parameters and a one-pass scan of the bound indirection arrays.
+	p.Facts = p.ComputeFacts(env)
 
 	loop := &rts.Loop{
 		Cfg: inspector.Config{
@@ -303,9 +297,6 @@ func (p *Plan) build(env *interp.Env, procs, k int, dist inspector.Dist, bopts B
 		Ind:     ind,
 		Cost:    p.EstimateCost(len(arrays)),
 		Combine: p.Combine,
-	}
-	if !bopts.ForceChecked {
-		loop.Proof = facts
 	}
 
 	reds := p.Info.Reductions
@@ -322,7 +313,7 @@ func (p *Plan) build(env *interp.Env, procs, k int, dist inspector.Dist, bopts B
 	// access.
 	copts := interp.CompileOpts{}
 	if !bopts.ForceChecked {
-		copts.Unchecked = facts.RefProven
+		copts.Unchecked = p.Facts.RefProven
 	}
 	code, err := env.CompileIterOpts(p.Loop, exprs, copts)
 	if err != nil {
@@ -405,9 +396,7 @@ func (b *contribution) place(vals []float64, n int, out []float64) {
 
 // ComputeFacts runs the dataflow bounds analysis for this plan's loop
 // against an environment: concrete parameter values plus min/max scans of
-// every bound indirection array seed the interval domain. The result does
-// not carry the rotated-array claim (IndProven) — BuildLoop fills that in
-// from the extracted columns.
+// every bound indirection array seed the interval domain.
 func (p *Plan) ComputeFacts(env *interp.Env) *dataflow.Facts {
 	opts, scanned := dataflow.EnvOptions(env.Params, env.Ints)
 	lf := dataflow.AnalyzeLoop(p.Prog, p.Loop, opts)

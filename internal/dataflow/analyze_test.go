@@ -319,24 +319,3 @@ loop i = 0, n {
 		t.Errorf("report should announce a complete proof:\n%s", rep)
 	}
 }
-
-func TestProveIndirection(t *testing.T) {
-	if !ProveIndirection(10, []int32{0, 9, 4}) {
-		t.Error("contents within range should prove")
-	}
-	if ProveIndirection(10, []int32{0, 10}) {
-		t.Error("content == extent must not prove")
-	}
-	if ProveIndirection(10, []int32{-1, 3}) {
-		t.Error("negative content must not prove")
-	}
-	if ProveIndirection(0, []int32{}) {
-		t.Error("zero extent proves nothing")
-	}
-	if f := IndirectionFacts("k", 10, []int32{0, 3}); f == nil || !f.IndProven || f.NumElems != 10 {
-		t.Errorf("IndirectionFacts: %+v", f)
-	}
-	if f := IndirectionFacts("k", 10, []int32{11}); f != nil {
-		t.Error("IndirectionFacts must be nil for out-of-range contents")
-	}
-}

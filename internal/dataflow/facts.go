@@ -23,12 +23,10 @@ type Obligation struct {
 }
 
 // Facts is the proof artifact attached to a compiled loop. It records
-// every bounds obligation the analysis discharged, whether the whole loop
-// is proven (AllProven → the bytecode runs without range checks), and
-// whether the indirection-array contents feeding the rotated array are
-// proven inside [0, NumElems) (IndProven → the native engine skips
-// per-write target validation). Facts is pure data — safe to retain,
-// print, and compare after the loop is gone.
+// every bounds obligation the analysis discharged and whether the whole
+// loop is proven (AllProven → the bytecode runs without range checks).
+// Facts is pure data — safe to retain, print, and compare after the loop
+// is gone.
 type Facts struct {
 	// LoopPos and LoopDesc identify the proven loop for reports.
 	LoopPos  lang.Pos
@@ -39,14 +37,6 @@ type Facts struct {
 	// AllProven: every subscript occurrence of the compiled body is proven
 	// in-bounds, so the bytecode was emitted without range checks.
 	AllProven bool
-
-	// IndProven: every extracted indirection value is proven inside
-	// [0, NumElems), so the native engine's per-write target validation is
-	// redundant and skipped. NumElems records the extent the contents were
-	// proven against; a runtime with a different extent must ignore the
-	// proof.
-	IndProven bool
-	NumElems  int
 
 	// Scanned lists the indirection arrays whose content intervals came
 	// from a runtime ScanInt32 pass rather than static reasoning.
@@ -96,38 +86,6 @@ func (f *Facts) RefProven(ix *lang.IndexExpr) bool {
 	return f.proven[ix]
 }
 
-// ProveIndirection checks the runtime side of the IndProven claim: every
-// value of every given indirection column lies in [0, numElems). Hand-
-// wired kernels use it to attach a minimal proof to their loops.
-func ProveIndirection(numElems int, cols ...[]int32) bool {
-	if numElems <= 0 {
-		return false
-	}
-	ext := Finite(float64(numElems))
-	for _, c := range cols {
-		if !ScanInt32(c).Within(ext) {
-			return false
-		}
-	}
-	return true
-}
-
-// IndirectionFacts builds a minimal proof artifact for a hand-wired loop:
-// no per-reference obligations, just the scanned IndProven claim. Returns
-// nil when the contents are not all in range, so the result can be
-// assigned to Loop.Proof unconditionally.
-func IndirectionFacts(desc string, numElems int, cols ...[]int32) *Facts {
-	if !ProveIndirection(numElems, cols...) {
-		return nil
-	}
-	return &Facts{
-		LoopDesc:  desc,
-		IndProven: true,
-		NumElems:  numElems,
-		Scanned:   []string{"(indirection columns)"},
-	}
-}
-
 // Report renders the artifact as the optimization report shown by
 // `irredc -opt-report`.
 func (f *Facts) Report() string {
@@ -148,11 +106,6 @@ func (f *Facts) Report() string {
 		}
 		fmt.Fprintf(&b, "  %s %-24s dim %d: %s within [0, %s): %s\n",
 			kind, o.Ref, o.Dim, o.Index, o.Extent, verdict)
-	}
-	if f.IndProven {
-		fmt.Fprintf(&b, "  indirection contents within [0, %d): native target checks elided\n", f.NumElems)
-	} else {
-		fmt.Fprintf(&b, "  indirection contents unproven: native target checks retained\n")
 	}
 	if len(f.Scanned) > 0 {
 		fmt.Fprintf(&b, "  runtime scans: %s\n", strings.Join(f.Scanned, ", "))

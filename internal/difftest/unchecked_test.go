@@ -37,8 +37,8 @@ func bindMVM(t *testing.T, u *codegen.Unit, c mvmCase) *interp.Env {
 }
 
 // buildAndRun compiles the MVM kernel over the case and runs it on the
-// native engine, checked or proof-optimized, returning the rotated array
-// and the plan (for RuntimeErr).
+// native engine, its bytecode checked or proof-optimized, returning the
+// rotated array and the plan (for RuntimeErr).
 func buildAndRun(t *testing.T, c mvmCase, p, k, steps int, forceChecked bool) ([]float64, *codegen.Plan) {
 	t.Helper()
 	u, err := codegen.Compile(kernels.MVMIRL)
@@ -55,9 +55,6 @@ func buildAndRun(t *testing.T, c mvmCase, p, k, steps int, forceChecked bool) ([
 	if err != nil {
 		t.Fatal(err)
 	}
-	if forceChecked && !nat.CheckTargets {
-		t.Fatal("ForceChecked build must keep native target checks")
-	}
 	nat.ContribBlock = block
 	if err := nat.Run(steps); err != nil {
 		t.Fatalf("native run: %v", err)
@@ -66,9 +63,9 @@ func buildAndRun(t *testing.T, c mvmCase, p, k, steps int, forceChecked bool) ([
 }
 
 // TestUncheckedBitIdentical is the proof-side differential oracle: on
-// integral data, the proof-optimized build (no range checks, no native
-// target validation) must agree BITWISE with the fully checked build for
-// every strategy — eliding a check can never change a value.
+// integral data, the proof-optimized build (no bytecode range checks) must
+// agree BITWISE with the fully checked build for every strategy — eliding
+// a check can never change a value.
 func TestUncheckedBitIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	for trial := 0; trial < 4; trial++ {
@@ -77,7 +74,7 @@ func TestUncheckedBitIdentical(t *testing.T) {
 			p, k := pk[0], pk[1]
 			checked, planC := buildAndRun(t, c, p, k, 2, true)
 			unchecked, planU := buildAndRun(t, c, p, k, 2, false)
-			if !planU.Facts.AllProven || !planU.Facts.IndProven {
+			if !planU.Facts.AllProven {
 				t.Fatalf("in-range MVM must prove completely:\n%s", planU.Facts.Report())
 			}
 			if err := planC.RuntimeErr(); err != nil {
@@ -109,9 +106,6 @@ func TestOOBInputDegradesGracefully(t *testing.T) {
 	unchecked, planU := buildAndRun(t, c, 4, 2, 1, false)
 	if planU.Facts.AllProven {
 		t.Fatal("out-of-range col must defeat the proof")
-	}
-	if !planU.Facts.IndProven {
-		t.Fatal("row is still in range; the rotated-array claim holds")
 	}
 	if err := planC.RuntimeErr(); err == nil {
 		t.Fatal("checked build must record the out-of-range access")

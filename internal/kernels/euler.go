@@ -5,7 +5,6 @@
 package kernels
 
 import (
-	"irred/internal/dataflow"
 	"math/rand"
 
 	"irred/internal/inspector"
@@ -80,11 +79,9 @@ func flux(w float64, qa, qb, out []float64) {
 	}
 }
 
-// Loop describes the flux sweep to the runtime, carrying a scanned
-// bounds proof over the edge endpoints when they are all in range.
+// Loop describes the flux sweep to the runtime.
 func (e *Euler) Loop(p, k int, dist inspector.Dist) *rts.Loop {
 	return &rts.Loop{
-		Proof: dataflow.IndirectionFacts("euler flux sweep", e.Mesh.NumNodes, e.Mesh.I1, e.Mesh.I2),
 		Cfg: inspector.Config{
 			P: p, K: k,
 			NumIters: e.Mesh.NumEdges(),

@@ -476,11 +476,22 @@ func TestMVMReplacedOperandsDropTheCopy(t *testing.T) {
 	}
 }
 
+// withBadTarget is a copy of scheds in which processor 1's phase 2 reads
+// element to in the middle of its iteration list: the set a Native is
+// handed to replace a clean one.
+func withBadTarget(scheds []*inspector.Schedule, to int32) []*inspector.Schedule {
+	bad := inspector.CloneSchedules(scheds)
+	prog := &bad[1].Phases[2]
+	prog.Ind[0][len(prog.Iters)/2] = to
+	return bad
+}
+
 // TestMVMPackingResumesAfterACut: a guarded Run that cuts a phase around a
 // skipped access leaves the copy short, ending at the cut; the next clean
-// Run repacks from the start of that phase on. Halving A's values in place
-// after the repair shows that every later block streams the copy: the
-// block loop continues the unchanged matrix's iteration.
+// Run, over the repaired set that replaces the bad one, packs the copy
+// whole. Halving A's values in place after the repair shows that every
+// later block streams the copy: the block loop continues the unchanged
+// matrix's iteration.
 func TestMVMPackingResumesAfterACut(t *testing.T) {
 	mv := NewMVM(sparse.Generate(sparse.Class{Name: "t", N: 300, NNZ: 3000}, 11))
 	const p, k = 2, 2
@@ -489,26 +500,21 @@ func TestMVMPackingResumesAfterACut(t *testing.T) {
 		t.Fatal(err)
 	}
 	run := func(block bool) []float64 {
-		own := inspector.CloneSchedules(scheds)
-		n, _, err := mv.NewNativeFrom(own, p, k, inspector.Cyclic)
+		n, _, err := mv.NewNativeFrom(scheds, p, k, inspector.Cyclic)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !block {
 			n.ConsumeBlock = nil
 		}
-		n.CheckTargets = true
 		if err := n.Run(1); err != nil {
 			t.Fatal(err)
 		}
-		prog := &own[1].Phases[2]
-		j := len(prog.Iters) / 2
-		good := prog.Ind[0][j]
-		prog.Ind[0][j] = int32(mv.A.N + 3)
+		n.Scheds = withBadTarget(scheds, int32(mv.A.N+3))
 		if err := n.Run(1); err == nil || !strings.Contains(err.Error(), "target check") {
 			t.Fatalf("cut Run: %v, want a target check error", err)
 		}
-		prog.Ind[0][j] = good
+		n.Scheds = scheds
 		if err := n.Run(1); err != nil {
 			t.Fatal(err)
 		}
@@ -525,9 +531,9 @@ func TestMVMPackingResumesAfterACut(t *testing.T) {
 
 // TestMVMGuardedBlocksEqualConsume: blocks the guarded loop cuts around a
 // skipped access give the per-iteration Consume's bits and violation —
-// whether they start inside a run of a packed copy a clean Run made, or
-// beyond what a cut Run could pack, and once the bad target is repaired,
-// when a whole phase covers the position where that Run's copy stopped.
+// on a bad set that replaces a clean one after its Runs packed a copy, on
+// a bad set from the first Run, and then on the repaired set that
+// replaces it.
 func TestMVMGuardedBlocksEqualConsume(t *testing.T) {
 	mv := NewMVM(sparse.Generate(sparse.Class{Name: "t", N: 300, NNZ: 3000}, 7))
 	const p, k = 2, 2
@@ -535,12 +541,12 @@ func TestMVMGuardedBlocksEqualConsume(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	bad := withBadTarget(scheds, int32(mv.A.N+3))
 	for _, mode := range []string{"clean-then-dirty", "dirty", "dirty-then-repaired"} {
-		// run gives x and the violations of each Run after the first clean
-		// one, on its own copy of the schedules.
+		// run gives x and the violations of each Run over the bad set and
+		// after it.
 		run := func(block bool) ([]float64, string) {
-			own := inspector.CloneSchedules(scheds)
-			n, _, err := mv.NewNativeFrom(own, p, k, inspector.Cyclic)
+			n, _, err := mv.NewNativeFrom(scheds, p, k, inspector.Cyclic)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -552,14 +558,10 @@ func TestMVMGuardedBlocksEqualConsume(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			prog := &own[1].Phases[2]
-			j := len(prog.Iters) / 2
-			good := prog.Ind[0][j]
-			prog.Ind[0][j] = int32(mv.A.N + 3)
-			n.CheckTargets = true
+			n.Scheds = bad
 			errs := fmt.Sprint(n.Run(2))
 			if mode == "dirty-then-repaired" {
-				prog.Ind[0][j] = good
+				n.Scheds = scheds
 				errs += "; " + fmt.Sprint(n.Run(2))
 			}
 			return n.X, errs
@@ -574,6 +576,59 @@ func TestMVMGuardedBlocksEqualConsume(t *testing.T) {
 				t.Fatalf("%s: x[%d] block %v, per-iteration %v", mode, i, got[i], want[i])
 			}
 		}
+	}
+}
+
+// TestNativeChecksTheSchedulesItRuns: whatever the loop, a Native checks
+// the schedule set it runs, and a set that replaces a clean one between
+// Runs is checked again. One target outside the local image must come
+// back from Run as a target check error, not as an index panic on a
+// worker — for the euler kernel (reduce, three components), the mvm
+// kernel (gather) and a raw two-reference loop.
+func TestNativeChecksTheSchedulesItRuns(t *testing.T) {
+	nodes, edges := mesh.Paper2K()
+	eu := NewEuler(mesh.Generate(nodes, edges, 1), 1)
+	mv := NewMVM(sparse.Generate(sparse.Class{Name: "t", N: 300, NNZ: 3000}, 5))
+	rawInd := [][]int32{make([]int32, 2000), make([]int32, 2000)}
+	for i := range rawInd[0] {
+		rawInd[0][i], rawInd[1][i] = int32(i*7%500), int32(i*13%500)
+	}
+	rows := map[string]func() (*rts.Native, error){
+		"euler": func() (*rts.Native, error) {
+			n, _, err := eu.NewNative(2, 2, inspector.Cyclic)
+			return n, err
+		},
+		"mvm": func() (*rts.Native, error) { return mv.NewNative(2, 2, inspector.Cyclic) },
+		"raw-pair": func() (*rts.Native, error) {
+			n, err := rts.NewNative(&rts.Loop{
+				Cfg:  inspector.Config{P: 2, K: 2, NumIters: 2000, NumElems: 500, Dist: inspector.Cyclic},
+				Mode: rts.Reduce,
+				Ind:  rawInd,
+			})
+			if err != nil {
+				return nil, err
+			}
+			n.Contribs = func(_, i int, out []float64) { out[0], out[1] = float64(i), -float64(i) }
+			return n, nil
+		},
+	}
+	for name, build := range rows {
+		t.Run(name, func(t *testing.T) {
+			n, err := build()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := n.Run(1); err != nil {
+				t.Fatalf("clean Run: %v", err)
+			}
+			bad := inspector.CloneSchedules(n.Scheds)
+			prog := &bad[1].Phases[2]
+			prog.Ind[0][len(prog.Iters)/2] = int32(bad[1].LocalLen())
+			n.Scheds = bad
+			if err := n.Run(1); err == nil || !strings.Contains(err.Error(), "target check") {
+				t.Fatalf("Run over a replaced set with a bad target: %v, want a target check error", err)
+			}
+		})
 	}
 }
 

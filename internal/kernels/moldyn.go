@@ -1,7 +1,6 @@
 package kernels
 
 import (
-	"irred/internal/dataflow"
 	"irred/internal/inspector"
 	"irred/internal/moldyn"
 	"irred/internal/rts"
@@ -64,11 +63,9 @@ func ljForce(pos []float64, box float64, a, b int, out []float64) {
 	}
 }
 
-// Loop describes the force sweep to the runtime, carrying a scanned
-// bounds proof over the interaction endpoints when they are all in range.
+// Loop describes the force sweep to the runtime.
 func (m *Moldyn) Loop(p, k int, dist inspector.Dist) *rts.Loop {
 	return &rts.Loop{
-		Proof: dataflow.IndirectionFacts("moldyn force sweep", m.Sys.N, m.Sys.I1, m.Sys.I2),
 		Cfg: inspector.Config{
 			P: p, K: k,
 			NumIters: m.Sys.NumInteractions(),

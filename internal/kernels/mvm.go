@@ -3,7 +3,6 @@ package kernels
 import (
 	"sort"
 
-	"irred/internal/dataflow"
 	"irred/internal/inspector"
 	"irred/internal/rts"
 	"irred/internal/sparse"
@@ -40,12 +39,9 @@ func NewMVM(a *sparse.CSR) *MVM {
 	return &MVM{A: a, Rows: a.RowOfNZ()}
 }
 
-// Loop describes the gather sweep to the runtime. The loop carries a
-// scanned bounds proof over the column indices when they are all in
-// range, so the native engine runs without per-read target validation.
+// Loop describes the gather sweep to the runtime.
 func (m *MVM) Loop(p, k int, dist inspector.Dist) *rts.Loop {
 	return &rts.Loop{
-		Proof: dataflow.IndirectionFacts("mvm gather sweep", m.A.N, m.A.Col),
 		Cfg: inspector.Config{
 			P: p, K: k,
 			NumIters: m.A.NNZ(),
@@ -95,9 +91,9 @@ func (m *MVM) Oracle(steps int) []float64 { return m.RunSequential(steps) }
 // From each processor's second sweep on, the block loop copies the
 // processor's nonzeros into schedule order (mvmPacked) and then streams
 // that copy, so a one-sweep Native pays nothing for it. A Scheds entry or
-// A.Val replaced between Runs drops the copy; edits made in place to a
-// schedule's iteration order or to A's values must not happen between a
-// Native's Runs. The schedules' targets may change.
+// A.Val replaced between Runs drops the copy; neither a schedule (see
+// rts.Native.Scheds) nor A's values may be edited in place between a
+// Native's Runs.
 func (m *MVM) NewNative(p, k int, dist inspector.Dist) (*rts.Native, error) {
 	n, _, err := m.NewNativeFrom(nil, p, k, dist)
 	return n, err
@@ -184,8 +180,8 @@ func (m *MVM) NewNativeFrom(scheds []*inspector.Schedule, p, k int, dist inspect
 // The copy pays for itself only over later sweeps, so packing waits for
 // the processor's first finished sweep (sweeps, counted by the Update
 // hook). A block that starts at or before filled and ends past it packs
-// from its start on, so a copy a guarded Run cut short grows again in the
-// next Run that covers the cut.
+// from its start on; one that starts beyond filled, after an access the
+// guarded loop skipped, reads the matrix in place.
 type mvmPacked struct {
 	sched  *inspector.Schedule // the schedule the copy follows
 	src    *float64            // &A.Val[0] when the copy was made

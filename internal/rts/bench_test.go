@@ -20,8 +20,8 @@ import (
 //	euler-2k/adapter  the same over the per-iteration Contribs
 //	euler-2k/guarded  the same through the guarded bodies
 //	raw-pair          a random two-reference comp=1 loop, no Update
-//	                  (pipelined sweeps), no proof: CheckTargets scans once
-//	                  per Run and the unchecked body runs
+//	                  (pipelined sweeps): the Native scans its schedule
+//	                  set once and the unchecked body runs
 //	raw-pair-run1     the same loop as a served raw job runs it: a fresh
 //	                  Native over cached schedules, then Run(1) — one scan,
 //	                  worker start and one sweep per op

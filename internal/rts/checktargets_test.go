@@ -2,10 +2,10 @@ package rts
 
 import (
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
-	"irred/internal/dataflow"
 	"irred/internal/inspector"
 )
 
@@ -37,9 +37,6 @@ func TestCheckTargetsCatchesCorruptedSchedule(t *testing.T) {
 		n, err := NewNative(l)
 		if err != nil {
 			t.Fatal(err)
-		}
-		if !n.CheckTargets {
-			t.Fatal("target checks must default to on without a proof")
 		}
 		corruptScheduleTarget(t, n.Scheds, to)
 		n.Contribs = func(_, i int, out []float64) {
@@ -113,69 +110,40 @@ func TestCheckTargetsCatchesCorruptedGather(t *testing.T) {
 	}
 }
 
-// A proof covering the indirection contents licenses eliding the per-write
-// target checks; a proof for a different extent does not.
-func TestProofElidesTargetChecks(t *testing.T) {
-	rng := rand.New(rand.NewSource(14))
-	l := randLoop(rng, 4, 2, 200, 64, 2, inspector.Cyclic, 1)
-	l.Proof = dataflow.IndirectionFacts("test loop", l.Cfg.NumElems, l.Ind...)
-	if l.Proof == nil {
-		t.Fatal("in-range indirection must yield a proof")
-	}
+// TestReplacedSetShapeErrors: a set that replaces the clean one between
+// Runs and that the loops cannot index — too few schedules, a nil one, a
+// schedule wanting more buffer slots than the Native holds — fails Run
+// with a target check error, and the clean set runs again afterwards.
+func TestReplacedSetShapeErrors(t *testing.T) {
+	rng := rand.New(rand.NewSource(16))
+	l := randLoop(rng, 4, 2, 300, 64, 2, inspector.Cyclic, 1)
 	n, err := NewNative(l)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n.CheckTargets {
-		t.Fatal("proof-carrying loop must elide target checks")
+	n.Contribs = func(_, _ int, out []float64) { out[0], out[1] = 1, 1 }
+	good := n.Scheds
+	bad := map[string]func() []*inspector.Schedule{
+		"short": func() []*inspector.Schedule { return good[:len(good)-1] },
+		"nil": func() []*inspector.Schedule {
+			s := slices.Clone(good)
+			s[2] = nil
+			return s
+		},
+		"buffer": func() []*inspector.Schedule {
+			s := inspector.CloneSchedules(good)
+			s[1].BufLen++
+			return s
+		},
 	}
-	n.Contribs = func(_, i int, out []float64) {
-		for r := range out {
-			out[r] = float64(i + r)
+	for name, set := range bad {
+		n.Scheds = set()
+		if err := n.Run(1); err == nil || !strings.Contains(err.Error(), "target check") {
+			t.Fatalf("%s: err = %v, want a target check error", name, err)
 		}
-	}
-	if err := n.Run(2); err != nil {
-		t.Fatalf("proven run failed: %v", err)
-	}
-
-	// Same proof object, wrong extent: the claim does not transfer.
-	stale := &dataflow.Facts{IndProven: true, NumElems: l.Cfg.NumElems / 2}
-	l2 := randLoop(rng, 4, 2, 200, 64, 2, inspector.Cyclic, 1)
-	l2.Proof = stale
-	n2, err := NewNative(l2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !n2.CheckTargets {
-		t.Fatal("proof for a different extent must not elide target checks")
-	}
-}
-
-// Checked and proven executions must agree bit-for-bit on valid schedules.
-func TestCheckTargetsResultUnchanged(t *testing.T) {
-	contrib := func(i, r int) float64 { return float64(i*3 + r + 1) }
-	run := func(check bool) []float64 {
-		rng := rand.New(rand.NewSource(15))
-		l := randLoop(rng, 4, 2, 400, 64, 2, inspector.Cyclic, 1)
-		n, err := NewNative(l)
-		if err != nil {
-			t.Fatal(err)
-		}
-		n.CheckTargets = check
-		n.Contribs = func(_, i int, out []float64) {
-			for r := range out {
-				out[r] = contrib(i, r)
-			}
-		}
-		if err := n.Run(2); err != nil {
-			t.Fatal(err)
-		}
-		return n.X
-	}
-	a, b := run(true), run(false)
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("x[%d]: checked %v != unchecked %v", i, a[i], b[i])
+		n.Scheds = good
+		if err := n.Run(1); err != nil {
+			t.Fatalf("%s: clean set after the bad one: %v", name, err)
 		}
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -57,7 +58,17 @@ type UpdateFunc func(p, step int)
 // portions. The token handoff provides the happens-before edges that make
 // this race-free.
 type Native struct {
-	Loop   *Loop
+	Loop *Loop
+	// Scheds is the schedule set the engine runs, one per processor. Run
+	// checks a set before its first sweep: every main-loop target and copy
+	// pair must lie inside its processor's local image (gather targets:
+	// inside the rotated array). A clean set runs the unchecked loop
+	// bodies; a set with a target outside the image runs the guarded
+	// ones, which skip and record each offending access, and Run reports
+	// the first after the sweep instead of an index panic mid-sweep. A set
+	// the loops cannot even index fails Run at once. Run checks again only
+	// when an entry of Scheds is another *Schedule than last time, so a
+	// schedule held by a Native is replaced, never edited in place.
 	Scheds []*inspector.Schedule
 
 	// X is the rotated array, len NumElems*comp (component-minor). For
@@ -86,25 +97,17 @@ type Native struct {
 	// from Loop.Trace; callers may override before Run.
 	Trace *obs.Tracer
 
-	// CheckTargets guards every rotated-array and remote-buffer write (and
-	// every gather read) against the processor's local image, so corrupted
-	// schedules — a truncated cache entry, a bad deserialization, hand-built
-	// phase programs — surface as a recorded violation after the run
-	// instead of an index panic mid-sweep. The guard is validate-once: Run
-	// scans Scheds before the workers start, clean schedules execute the
-	// unchecked loop, and a schedule with a target outside the image
-	// executes the guarded loop, which skips and records each offending
-	// access. It defaults to on; NewNativeFrom turns it off when the loop
-	// carries a bounds proof covering the indirection contents
-	// (Loop.Proof.IndProven for this extent), which skips the scan as well.
-	// Callers may override either way before Run.
-	CheckTargets bool
-
 	bufs      [][]float64  // per-processor remote buffers, len BufLen*comp
 	arenas    [][]float64  // per-processor contribution blocks (reduce mode)
 	chans     []chan token // chans[p]: portions arriving at processor p
 	checkErrs []error      // first range violation per processor
 	guarded   bool         // run the guarded bodies whatever the loop (tests)
+
+	// scanned is the set the last target scan passed, nil before the first
+	// Run and after a set the loops cannot index; dirty records whether it
+	// had a target outside its image.
+	scanned []*inspector.Schedule
+	dirty   bool
 }
 
 type token struct{ portion int }
@@ -146,17 +149,15 @@ func NewNativeFrom(l *Loop, scheds []*inspector.Schedule) (*Native, error) {
 		}
 	}
 	comp := l.Cost.comp()
-	proven := l.Proof != nil && l.Proof.IndProven && l.Proof.NumElems == l.Cfg.NumElems
 	n := &Native{
-		Loop:         l,
-		Scheds:       scheds,
-		X:            make([]float64, l.Cfg.NumElems*comp),
-		Trace:        l.Trace,
-		CheckTargets: !proven,
-		bufs:         make([][]float64, l.Cfg.P),
-		arenas:       make([][]float64, l.Cfg.P),
-		chans:        make([]chan token, l.Cfg.P),
-		checkErrs:    make([]error, l.Cfg.P),
+		Loop:      l,
+		Scheds:    scheds,
+		X:         make([]float64, l.Cfg.NumElems*comp),
+		Trace:     l.Trace,
+		bufs:      make([][]float64, l.Cfg.P),
+		arenas:    make([][]float64, l.Cfg.P),
+		chans:     make([]chan token, l.Cfg.P),
+		checkErrs: make([]error, l.Cfg.P),
 	}
 	ident, _ := l.Combine.Identity()
 	for p := 0; p < l.Cfg.P; p++ {
@@ -245,14 +246,15 @@ func (n *Native) RunContext(ctx context.Context, steps int) error {
 	// Everything that is constant for the run is decided here, once: the
 	// unchecked bodies serve float-add loops whose schedules need no
 	// per-access guard, the guarded bodies everything else.
-	r.fast = !n.guarded && l.Combine.Kind == algebra.Add
-	if n.CheckTargets {
+	if n.scanned == nil || !slices.Equal(n.Scheds, n.scanned) {
 		clean, err := n.scanTargets()
 		if err != nil {
+			n.scanned = nil
 			return err
 		}
-		r.fast = r.fast && clean
+		n.scanned, n.dirty = slices.Clone(n.Scheds), !clean
 	}
+	r.fast = !n.guarded && !n.dirty && l.Combine.Kind == algebra.Add
 	if n.Update != nil {
 		r.bar = newBarrier(l.Cfg.P)
 	}
@@ -293,15 +295,26 @@ func consumeBlockOf(f ConsumeFunc, x []float64, comp int) ConsumeBlockFunc {
 	}
 }
 
-// scanTargets is CheckTargets' single pass over the schedules. It reports
-// whether every main-loop target and copy pair lies inside its processor's
-// local image (gather targets: inside the rotated array). A schedule whose
-// shape the loops cannot even index — a missing phase or reference, a
-// target list shorter than its iteration list — is an error at once.
+// scanTargets is the single pass over a schedule set that Run makes before
+// the set's first sweep. It reports whether every main-loop target and copy
+// pair lies inside its processor's local image (gather targets: inside the
+// rotated array). A set whose shape the loops cannot even index — a missing
+// schedule, phase or reference, a target list shorter than its iteration
+// list, more buffer slots than the Native holds — is an error at once.
 func (n *Native) scanTargets() (clean bool, err error) {
 	cfg := n.Loop.Cfg
+	if len(n.Scheds) != cfg.P {
+		return false, fmt.Errorf("rts: target check: %d schedules for P = %d", len(n.Scheds), cfg.P)
+	}
+	comp := n.Loop.Cost.comp()
 	clean = true
 	for p, s := range n.Scheds {
+		if s == nil {
+			return false, fmt.Errorf("rts: target check: schedule %d is nil", p)
+		}
+		if s.BufLen*comp > len(n.bufs[p]) {
+			return false, fmt.Errorf("rts: target check: proc %d: schedule has %d buffer slots, the Native holds %d", p, s.BufLen, len(n.bufs[p])/comp)
+		}
 		if len(s.Phases) != cfg.NumPhases() {
 			return false, fmt.Errorf("rts: target check: proc %d: schedule has %d phases, want %d", p, len(s.Phases), cfg.NumPhases())
 		}
@@ -591,14 +604,12 @@ func (r *nativeRun) reduceFast(p int, prog *inspector.PhaseProgram) {
 
 // reduceGuarded is the main loop for everything reduceFast does not take:
 // non-Add combines folding through op.Fold, and schedules the target scan
-// found dirty. With CheckTargets on, an access outside the local image is
-// skipped and recorded.
+// found dirty. An access outside the local image is skipped and recorded.
 func (r *nativeRun) reduceGuarded(p, ph int, prog *inspector.PhaseProgram) {
 	n, cfg := r.n, r.cfg
 	img, arena := [2][]float64{r.x, n.bufs[p]}, n.arenas[p]
 	comp := r.comp
 	stride := len(prog.Ind) * comp
-	chk := n.CheckTargets
 	localLen := n.Scheds[p].LocalLen()
 	op := n.Loop.Combine
 	add := op.Kind == algebra.Add
@@ -612,7 +623,7 @@ func (r *nativeRun) reduceGuarded(p, ph int, prog *inspector.PhaseProgram) {
 			scratch := out[(j-lo)*stride:][:stride]
 			for ref := range prog.Ind {
 				tgt := int(prog.Ind[ref][j])
-				if chk && (tgt < 0 || tgt >= localLen) {
+				if tgt < 0 || tgt >= localLen {
 					n.checkFail(p, "proc %d phase %d: iteration %d writes %d outside the local image [0,%d)", p, ph, it, tgt, localLen)
 					continue
 				}
@@ -657,15 +668,14 @@ func (r *nativeRun) drainGuarded(p, ph int, prog *inspector.PhaseProgram) {
 	n, cfg := r.n, r.cfg
 	x, buf := r.x, n.bufs[p]
 	comp := r.comp
-	chk := n.CheckTargets
 	localLen := n.Scheds[p].LocalLen()
 	op := n.Loop.Combine
 	add := op.Kind == algebra.Add
 	ident, _ := op.Identity()
 
 	for _, cp := range prog.Copies {
-		if chk && (int(cp.Elem) < 0 || int(cp.Elem) >= cfg.NumElems ||
-			int(cp.Buf) < cfg.NumElems || int(cp.Buf) >= localLen) {
+		if int(cp.Elem) < 0 || int(cp.Elem) >= cfg.NumElems ||
+			int(cp.Buf) < cfg.NumElems || int(cp.Buf) >= localLen {
 			n.checkFail(p, "proc %d phase %d: drain %d -> %d outside image (elems %d, local %d)",
 				p, ph, cp.Buf, cp.Elem, cfg.NumElems, localLen)
 			continue
@@ -695,11 +705,10 @@ func (r *nativeRun) gatherFast(p, pos int, prog *inspector.PhaseProgram) {
 // block, so every other iteration is consumed in phase order.
 func (r *nativeRun) gatherGuarded(p, ph, pos int, prog *inspector.PhaseProgram) {
 	n, cfg := r.n, r.cfg
-	chk := n.CheckTargets
 	iters, targets := prog.Iters, prog.Ind[0]
 	from := 0 // first iteration not yet consumed or skipped
 	for j, it := range iters {
-		if tgt := int(targets[j]); chk && (tgt < 0 || tgt >= cfg.NumElems) {
+		if tgt := int(targets[j]); tgt < 0 || tgt >= cfg.NumElems {
 			n.checkFail(p, "proc %d phase %d: iteration %d gathers %d outside the rotated array [0,%d)", p, ph, it, tgt, cfg.NumElems)
 			if from < j {
 				r.consume(p, pos+from, iters[from:j], targets[from:j])

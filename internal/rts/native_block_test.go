@@ -152,40 +152,24 @@ func TestGatherPathsEqual(t *testing.T) {
 }
 
 // TestRunClearsStaleViolations: a violation recorded by one run must not
-// be reported by the next.
+// be reported by the next, run over a replaced, repaired set.
 func TestRunClearsStaleViolations(t *testing.T) {
-	ones := func(_, _ int, out []float64) {
-		for r := range out {
-			out[r] = 1
-		}
-	}
-
-	// A range violation, the schedule repaired, then a run with
-	// CheckTargets off.
 	rng := rand.New(rand.NewSource(43))
 	l := randLoop(rng, 4, 2, 200, 64, 2, inspector.Cyclic, 1)
 	n, err := NewNative(l)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var spot *int32
-	for _, s := range n.Scheds {
-		for ph := range s.Phases {
-			if ind := s.Phases[ph].Ind[0]; spot == nil && len(ind) > 0 {
-				spot = &ind[0]
-			}
-		}
-	}
-	good := *spot
-	*spot = 1 << 20
-	n.Contribs = ones
+	good := n.Scheds
+	n.Scheds = inspector.CloneSchedules(good)
+	corruptScheduleTarget(t, n.Scheds, 1<<20)
+	n.Contribs = func(_, _ int, out []float64) { out[0], out[1] = 1, 1 }
 	if err := n.Run(1); err == nil || !strings.Contains(err.Error(), "target check") {
 		t.Fatalf("corrupted run: err = %v, want a target check violation", err)
 	}
-	*spot = good
-	n.CheckTargets = false
+	n.Scheds = good
 	if err := n.Run(1); err != nil {
-		t.Fatalf("run with CheckTargets off reported a stale violation: %v", err)
+		t.Fatalf("run over the repaired set reported a stale violation: %v", err)
 	}
 }
 
@@ -361,10 +345,10 @@ func TestRunAllocatesNothingPerSweep(t *testing.T) {
 	}
 }
 
-// TestGatherGuardedViolations: on a dirty schedule (CheckTargets), a
-// kernel-supplied ConsumeBlock and the adapter over a per-iteration Consume
-// record the same violation, word for word, and are handed the same
-// iterations in phase order: every one but the skipped access.
+// TestGatherGuardedViolations: on a dirty schedule, a kernel-supplied
+// ConsumeBlock and the adapter over a per-iteration Consume record the
+// same violation, word for word, and are handed the same iterations in
+// phase order: every one but the skipped access.
 func TestGatherGuardedViolations(t *testing.T) {
 	rng := rand.New(rand.NewSource(47))
 	l := randLoop(rng, 3, 2, 400, 60, 1, inspector.Cyclic, 1)

@@ -23,7 +23,6 @@ import (
 	"fmt"
 
 	"irred/internal/algebra"
-	"irred/internal/dataflow"
 	"irred/internal/inspector"
 	"irred/internal/obs"
 )
@@ -103,13 +102,6 @@ type Loop struct {
 	// loop: per-phase compute, copy-loop and rotation-wait intervals. Nil
 	// disables tracing at the cost of a nil check per phase.
 	Trace *obs.Tracer
-	// Proof, when non-nil, is the bounds proof carried by the compiled
-	// loop. When it proves the indirection contents inside [0, NumElems)
-	// (IndProven, for this NumElems), the native engine elides its
-	// per-write target validation; otherwise every rotated-array write is
-	// range-checked and violations are reported after the run instead of
-	// panicking. A nil proof always means checked execution.
-	Proof *dataflow.Facts
 	// Combine is the fold operator applied at every accumulation site:
 	// owned-element writes, remote-buffer slots and the copy-loop drain.
 	// The zero value is float addition, so existing callers are

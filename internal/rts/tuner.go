@@ -11,11 +11,10 @@ import (
 // Pick is the tuner's strategy choice for one workload: which engine to
 // run, at what machine shape, under which schedule strategy.
 type Pick struct {
-	Engine  string `json:"engine"`
-	P       int    `json:"p"`
-	K       int    `json:"k"`
-	Dist    string `json:"dist"`
-	Checked bool   `json:"checked"`
+	Engine string `json:"engine"`
+	P      int    `json:"p"`
+	K      int    `json:"k"`
+	Dist   string `json:"dist"`
 
 	// Source is the BENCH cell ID the pick was measured from, or
 	// "heuristic" when the trajectory had no usable cell and the paper's
@@ -27,11 +26,7 @@ type Pick struct {
 }
 
 func (p Pick) String() string {
-	chk := "unchecked"
-	if p.Checked {
-		chk = "checked"
-	}
-	return fmt.Sprintf("%s P=%d k=%d %s %s (%s)", p.Engine, p.P, p.K, p.Dist, chk, p.Source)
+	return fmt.Sprintf("%s P=%d k=%d %s (%s)", p.Engine, p.P, p.K, p.Dist, p.Source)
 }
 
 // TunerOptions narrows which measured cells a consumer may act on.
@@ -46,10 +41,6 @@ type TunerOptions struct {
 	// naming an engine outside the list — one since removed, say — never
 	// backs a pick.
 	Engines []string
-	// AllowUnchecked permits proof-elided cells. Consumers that cannot
-	// guarantee the bounds proof at execution time leave it false and
-	// only checked cells are picked.
-	AllowUnchecked bool
 }
 
 // Tuner picks execution strategies from a persisted BENCH trajectory —
@@ -128,9 +119,6 @@ func (t *Tuner) usable(c *benchfmt.Cell) bool {
 	if c.P > t.opt.MaxP {
 		return false
 	}
-	if !c.Checked && !t.opt.AllowUnchecked {
-		return false
-	}
 	if len(t.opt.Engines) > 0 {
 		ok := false
 		for _, e := range t.opt.Engines {
@@ -169,15 +157,14 @@ func (t *Tuner) Pick(kernel, class string) Pick {
 	}
 	return Pick{
 		Engine: best.Engine, P: best.P, K: best.K, Dist: best.Dist,
-		Checked: best.Checked, Source: best.ID, ScoreMS: best.Wall.Score(),
+		Source: best.ID, ScoreMS: best.Wall.Score(),
 	}
 }
 
 // heuristic is the untuned default: the native rotation engine at the
 // host's parallelism (capped at the paper's 4-processor sweet spot), one
 // extra portion of slack (k=2) so rotation overlaps compute when P > 1,
-// block distribution, checked execution unless the consumer allows
-// proof-elision.
+// block distribution.
 func (t *Tuner) heuristic() Pick {
 	p := t.opt.MaxP
 	if p > 4 {
@@ -191,8 +178,7 @@ func (t *Tuner) heuristic() Pick {
 		k = 2
 	}
 	return Pick{
-		Engine: "native", P: p, K: k, Dist: "block",
-		Checked: !t.opt.AllowUnchecked, Source: "heuristic",
+		Engine: "native", P: p, K: k, Dist: "block", Source: "heuristic",
 	}
 }
 

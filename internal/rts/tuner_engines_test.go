@@ -18,7 +18,7 @@ func TestTunerSkipsRemovedEngineCells(t *testing.T) {
 		return benchfmt.Cell{
 			ID:     "mvm/S/" + engine + "/" + dist,
 			Kernel: "mvm", Class: "S", Engine: engine,
-			P: p, K: k, Dist: dist, Checked: true,
+			P: p, K: k, Dist: dist,
 			Wall: benchfmt.Stats{Count: 5, MeanMS: ms, TrimmedMS: ms},
 		}
 	}

@@ -1,6 +1,7 @@
 package rts
 
 import (
+	"fmt"
 	"path/filepath"
 	"testing"
 
@@ -8,18 +9,13 @@ import (
 )
 
 // cell builds a clean measured cell with the given trimmed-mean score.
-func tunerCell(kernel, class, engine string, p, k int, dist string, checked bool, ms float64) benchfmt.Cell {
-	c := benchfmt.Cell{
+func tunerCell(kernel, class, engine string, p, k int, dist string, ms float64) benchfmt.Cell {
+	return benchfmt.Cell{
+		ID:     fmt.Sprintf("%s/%s/%s/p%d/k%d/%s/checked", kernel, class, engine, p, k, dist),
 		Kernel: kernel, Class: class, Engine: engine,
-		P: p, K: k, Dist: dist, Checked: checked,
+		P: p, K: k, Dist: dist,
 		Wall: benchfmt.Stats{Count: 5, MeanMS: ms, TrimmedMS: ms},
 	}
-	chk := "unchecked"
-	if checked {
-		chk = "checked"
-	}
-	c.ID = kernel + "/" + class + "/" + engine + "/" + dist + "/" + chk
-	return c
 }
 
 // tunerTrajectory is a synthetic BENCH summary in which different
@@ -28,27 +24,27 @@ func tunerTrajectory() *benchfmt.Summary {
 	s := &benchfmt.Summary{Stamp: benchfmt.Stamp{Schema: benchfmt.Schema, Date: "2026-08-08"}}
 	s.Cells = []benchfmt.Cell{
 		// mvm/S: native P=4 k=2 cyclic wins.
-		tunerCell("mvm", "S", "native", 4, 2, "cyclic", false, 2.0),
-		tunerCell("mvm", "S", "native", 2, 1, "block", false, 5.0),
-		tunerCell("mvm", "S", "native", 4, 1, "block", false, 3.0),
-		tunerCell("mvm", "S", "interp", 1, 1, "block", true, 40.0),
+		tunerCell("mvm", "S", "native", 4, 2, "cyclic", 2.0),
+		tunerCell("mvm", "S", "native", 2, 1, "block", 5.0),
+		tunerCell("mvm", "S", "native", 4, 1, "block", 3.0),
+		tunerCell("mvm", "S", "interp", 1, 1, "block", 40.0),
 		// euler/2k: native P=2 k=1 wins over the P=4 cell.
-		tunerCell("euler", "2k", "native", 2, 1, "block", false, 1.5),
-		tunerCell("euler", "2k", "native", 4, 2, "cyclic", false, 4.0),
-		tunerCell("euler", "2k", "native", 1, 1, "block", true, 9.0),
+		tunerCell("euler", "2k", "native", 2, 1, "block", 1.5),
+		tunerCell("euler", "2k", "native", 4, 2, "cyclic", 4.0),
+		tunerCell("euler", "2k", "native", 1, 1, "block", 9.0),
 		// raw/small: native P=2 k=1 wins.
-		tunerCell("raw", "small", "native", 2, 1, "cyclic", true, 0.8),
-		tunerCell("raw", "small", "native", 2, 2, "cyclic", true, 1.1),
+		tunerCell("raw", "small", "native", 2, 1, "cyclic", 0.8),
+		tunerCell("raw", "small", "native", 2, 2, "cyclic", 1.1),
 	}
 	// Decoys that must never win: a modeled sim cell faster than
 	// everything, a faster-still errored cell, and a chaos cell.
-	sim := tunerCell("mvm", "S", "sim", 4, 2, "cyclic", true, 0.001)
+	sim := tunerCell("mvm", "S", "sim", 4, 2, "cyclic", 0.001)
 	sim.SimSeconds = 0.5
 	s.Cells = append(s.Cells, sim)
-	bad := tunerCell("euler", "2k", "native", 4, 1, "block", false, 0.001)
+	bad := tunerCell("euler", "2k", "native", 4, 1, "block", 0.001)
 	bad.Error = "boom"
 	s.Cells = append(s.Cells, bad)
-	chaos := tunerCell("raw", "small", "native", 2, 2, "cyclic", true, 0.001)
+	chaos := tunerCell("raw", "small", "native", 2, 2, "cyclic", 0.001)
 	chaos.Chaos = "drop=0.1"
 	chaos.ID += "/chaos=drop=0.1"
 	s.Cells = append(s.Cells, chaos)
@@ -58,7 +54,7 @@ func tunerTrajectory() *benchfmt.Summary {
 // The headline property: the tuner picks demonstrably different (P, k)
 // for different workload classes, from measurement.
 func TestTunerPicksDifferPerClass(t *testing.T) {
-	tn := NewTuner(tunerTrajectory(), TunerOptions{MaxP: 8, AllowUnchecked: true})
+	tn := NewTuner(tunerTrajectory(), TunerOptions{MaxP: 8})
 
 	mvm := tn.Pick("mvm", "S")
 	if mvm.Engine != "native" || mvm.P != 4 || mvm.K != 2 || mvm.Dist != "cyclic" {
@@ -84,7 +80,7 @@ func TestTunerPicksDifferPerClass(t *testing.T) {
 
 // Sim, errored and chaos cells must never back a pick even when fastest.
 func TestTunerExcludesDecoys(t *testing.T) {
-	tn := NewTuner(tunerTrajectory(), TunerOptions{MaxP: 8, AllowUnchecked: true})
+	tn := NewTuner(tunerTrajectory(), TunerOptions{MaxP: 8})
 	if p := tn.Pick("mvm", "S"); p.Engine == "sim" {
 		t.Fatalf("sim cell won: %+v", p)
 	}
@@ -98,7 +94,7 @@ func TestTunerExcludesDecoys(t *testing.T) {
 
 // MaxP excludes cells measured at higher parallelism than the host has.
 func TestTunerRespectsMaxP(t *testing.T) {
-	tn := NewTuner(tunerTrajectory(), TunerOptions{MaxP: 2, AllowUnchecked: true})
+	tn := NewTuner(tunerTrajectory(), TunerOptions{MaxP: 2})
 	p := tn.Pick("mvm", "S")
 	if p.P > 2 {
 		t.Fatalf("pick oversubscribes MaxP=2: %+v", p)
@@ -113,23 +109,11 @@ func TestTunerRespectsMaxP(t *testing.T) {
 // never back the pick.
 func TestTunerEngineAllowlist(t *testing.T) {
 	tn := NewTuner(tunerTrajectory(), TunerOptions{
-		MaxP: 8, AllowUnchecked: true, Engines: []string{"interp"},
+		MaxP: 8, Engines: []string{"interp"},
 	})
 	p := tn.Pick("mvm", "S")
 	if p.Engine != "interp" || p.ScoreMS != 40.0 {
 		t.Fatalf("allowlist ignored: %+v", p)
-	}
-}
-
-// Checked-only consumers never receive proof-elided picks.
-func TestTunerCheckedOnly(t *testing.T) {
-	tn := NewTuner(tunerTrajectory(), TunerOptions{MaxP: 8})
-	p := tn.Pick("euler", "2k")
-	if !p.Checked {
-		t.Fatalf("unchecked cell picked by a checked-only consumer: %+v", p)
-	}
-	if p.Source == "heuristic" {
-		t.Fatalf("a checked cell exists and must back the pick: %+v", p)
 	}
 }
 
@@ -140,9 +124,9 @@ func TestTunerFallbackHeuristic(t *testing.T) {
 	if p.Source != "heuristic" || p.Engine != "native" || p.P < 1 || p.K < 1 {
 		t.Fatalf("fallback pick = %+v", p)
 	}
-	empty := NewTuner(nil, TunerOptions{MaxP: 2, AllowUnchecked: true})
+	empty := NewTuner(nil, TunerOptions{MaxP: 2})
 	p = empty.Pick("mvm", "S")
-	if p.Source != "heuristic" || p.P != 2 || p.K != 2 || p.Checked {
+	if p.Source != "heuristic" || p.P != 2 || p.K != 2 {
 		t.Fatalf("nil-trajectory pick = %+v", p)
 	}
 }
@@ -173,7 +157,7 @@ func TestNewTunerFromDir(t *testing.T) {
 	if err := benchfmt.Write(filepath.Join(dir, "BENCH_2026-08-08.json"), s); err != nil {
 		t.Fatal(err)
 	}
-	tn, path, err := NewTunerFromDir(dir, TunerOptions{MaxP: 8, AllowUnchecked: true})
+	tn, path, err := NewTunerFromDir(dir, TunerOptions{MaxP: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,18 +179,18 @@ func TestNewTunerFromDirBlendsNewestWins(t *testing.T) {
 	old := &benchfmt.Summary{Stamp: benchfmt.Stamp{Schema: benchfmt.Schema, Date: "2026-08-01"}}
 	old.Cells = []benchfmt.Cell{
 		// Only the old sweep covered moldyn: the blend must keep it.
-		tunerCell("moldyn", "10k", "native", 4, 1, "block", true, 3.0),
+		tunerCell("moldyn", "10k", "native", 4, 1, "block", 3.0),
 		// Both sweeps cover this mvm cell; old says 1ms — stale.
-		tunerCell("mvm", "S", "native", 4, 2, "cyclic", true, 1.0),
+		tunerCell("mvm", "S", "native", 4, 2, "cyclic", 1.0),
 	}
 	newer := &benchfmt.Summary{Stamp: benchfmt.Stamp{Schema: benchfmt.Schema, Date: "2026-08-08"}}
 	newer.Cells = []benchfmt.Cell{
 		// Re-measured: slower now, but newest wins over the stale 1ms.
-		tunerCell("mvm", "S", "native", 4, 2, "cyclic", true, 6.0),
+		tunerCell("mvm", "S", "native", 4, 2, "cyclic", 6.0),
 		// A competing strategy only the new sweep measured; at 2ms it must
 		// beat the re-measured 6ms cell, which it would lose to if the
 		// stale 1ms measurement survived the blend.
-		tunerCell("mvm", "S", "native", 2, 1, "block", true, 2.0),
+		tunerCell("mvm", "S", "native", 2, 1, "block", 2.0),
 	}
 	if err := benchfmt.Write(filepath.Join(dir, "BENCH_2026-08-01.json"), old); err != nil {
 		t.Fatal(err)
@@ -228,7 +212,7 @@ func TestNewTunerFromDirBlendsNewestWins(t *testing.T) {
 	if p := tn.Pick("mvm", "S"); p.P != 2 || p.ScoreMS != 2.0 {
 		t.Fatalf("stale measurement survived the blend: %+v", p)
 	}
-	mvmID := "mvm/S/native/cyclic/checked"
+	mvmID := "mvm/S/native/p4/k2/cyclic/checked"
 	c, ok := tn.Summary().Cell(mvmID)
 	if !ok || c.Wall.TrimmedMS != 6.0 {
 		t.Fatalf("blended cell %s = %+v, want the 6ms re-measurement", mvmID, c)

@@ -48,12 +48,19 @@ func ckPath(dir, id string) string {
 // injector, when live, may fail the write — the caller treats that as a
 // lost resume point, never as a job failure.
 func writeJobCheckpoint(path string, ck *jobCheckpoint, inj *fault.Injector) error {
+	_, err := saveJobCheckpoint(path, ck, inj)
+	return err
+}
+
+// saveJobCheckpoint is writeJobCheckpoint returning the IRCJ frame it
+// wrote, for a caller that ships the same bytes on.
+func saveJobCheckpoint(path string, ck *jobCheckpoint, inj *fault.Injector) ([]byte, error) {
 	if err := inj.DiskWrite(path, ck.Sweep); err != nil {
-		return err
+		return nil, err
 	}
 	specJSON, err := json.Marshal(ck.Spec)
 	if err != nil {
-		return fmt.Errorf("service: checkpoint: %w", err)
+		return nil, fmt.Errorf("service: checkpoint: %w", err)
 	}
 	frame := make([]byte, 0, len(ckFileMagic)+1+3*binary.MaxVarintLen64+len(specJSON)+8*len(ck.X)+8)
 	frame = append(frame, ckFileMagic...)
@@ -71,9 +78,12 @@ func writeJobCheckpoint(path string, ck *jobCheckpoint, inj *fault.Injector) err
 	tmp := path + ".tmp"
 	if err := os.WriteFile(tmp, frame, 0o666); err != nil {
 		os.Remove(tmp)
-		return fmt.Errorf("service: checkpoint: %w", err)
+		return nil, fmt.Errorf("service: checkpoint: %w", err)
 	}
-	return os.Rename(tmp, path)
+	if err := os.Rename(tmp, path); err != nil {
+		return nil, err
+	}
+	return frame, nil
 }
 
 // readJobCheckpoint loads and verifies one checkpoint file. Any structural

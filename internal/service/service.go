@@ -715,8 +715,7 @@ func (s *Service) runRaw(ctx context.Context, spec *JobSpec, sets [][]*inspector
 // disk dies with it. A failed write loses a resume point, never the job.
 func (s *Service) checkpoint(j *Job, routeKey string, sweep int, x []float64, inj *fault.Injector) {
 	cs := s.trace.Begin()
-	path := ckPath(s.jobsDir, j.ID)
-	err := writeJobCheckpoint(path, &jobCheckpoint{Spec: j.Spec, Sweep: sweep, X: x}, inj)
+	frame, err := saveJobCheckpoint(ckPath(s.jobsDir, j.ID), &jobCheckpoint{Spec: j.Spec, Sweep: sweep, X: x}, inj)
 	s.trace.End(obs.SpanCheckpoint, -1, -1, sweep, -1, cs)
 	if err != nil {
 		s.trace.Event("checkpoint/fail", -1, -1, sweep, -1)
@@ -726,9 +725,7 @@ func (s *Service) checkpoint(j *Job, routeKey string, sweep int, x []float64, in
 	j.ckSweep = sweep
 	j.mu.Unlock()
 	if routeKey != "" {
-		if frame, err := os.ReadFile(path); err == nil {
-			s.opt.Replicate(j.Spec.ClusterUID, routeKey, frame)
-		}
+		s.opt.Replicate(j.Spec.ClusterUID, routeKey, frame)
 	}
 }
 

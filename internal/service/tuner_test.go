@@ -13,7 +13,7 @@ func trajectoryCell(kernel, class, engine string, p, k int, dist string, ms floa
 	return benchfmt.Cell{
 		ID:     kernel + "/" + class + "/" + engine + "/p" + string(rune('0'+p)) + "/k" + string(rune('0'+k)) + "/" + dist + "/checked",
 		Kernel: kernel, Class: class, Engine: engine,
-		P: p, K: k, Dist: dist, Checked: true,
+		P: p, K: k, Dist: dist,
 		Wall: benchfmt.Stats{Count: 5, MeanMS: ms, TrimmedMS: ms},
 	}
 }

@@ -48,26 +48,9 @@ func TestAdaptiveGridExpands(t *testing.T) {
 	}
 }
 
-// Unchecked adaptive points are skipped (the checked dimension does not
-// apply to schedule maintenance), and a fraction outside (0,1] is a
-// configuration error.
+// A delta fraction outside (0,1] is a configuration error.
 func TestAdaptiveGridLegality(t *testing.T) {
 	g := AdaptiveGrid()
-	g.Checked = []bool{true, false}
-	cells, skipped, err := g.Expand()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(skipped) != len(cells) {
-		t.Fatalf("skips = %d, want one per legal cell (%d)", len(skipped), len(cells))
-	}
-	for _, s := range skipped {
-		if !strings.Contains(s.Reason, "checked dimension") {
-			t.Fatalf("skip %s has wrong reason: %s", s.ID, s.Reason)
-		}
-	}
-
-	g = AdaptiveGrid()
 	g.DeltaFracs = []float64{0, 0.5}
 	if _, _, err := g.Expand(); err == nil {
 		t.Fatal("delta fraction 0 must be a configuration error")
@@ -86,7 +69,7 @@ func TestRunCellAdaptive(t *testing.T) {
 	for _, mode := range []string{AdaptIncr, AdaptFull} {
 		c := Cell{
 			Kernel: "adaptive", Class: "2k", Engine: EngineNative,
-			P: 2, K: 2, Dist: "cyclic", Checked: true,
+			P: 2, K: 2, Dist: "cyclic",
 			DeltaFrac: 0.05, Adapt: mode,
 		}
 		bc := RunCell(c, opt)
@@ -103,7 +86,7 @@ func TestRunCellAdaptive(t *testing.T) {
 
 	bad := Cell{
 		Kernel: "adaptive", Class: "2k", Engine: EngineNative,
-		P: 2, K: 2, Dist: "cyclic", Checked: true,
+		P: 2, K: 2, Dist: "cyclic",
 		DeltaFrac: 0.05, Adapt: "sideways",
 	}
 	if bc := RunCell(bad, opt); bc.Error == "" {

@@ -7,7 +7,6 @@ import (
 	"sync"
 
 	"irred/internal/codegen"
-	"irred/internal/dataflow"
 	"irred/internal/inspector"
 	"irred/internal/interp"
 	"irred/internal/kernels"
@@ -92,11 +91,9 @@ func rawData(class string, seed int64) (*rawSpec, error) {
 	return r, nil
 }
 
-// loop describes the raw reduction to the rts engines, carrying a scanned
-// bounds proof so the unchecked dimension is available.
+// loop describes the raw reduction to the rts engines.
 func (r *rawSpec) loop(p, k int, dist inspector.Dist) *rts.Loop {
 	return &rts.Loop{
-		Proof: dataflow.IndirectionFacts("sweep raw pair reduction", r.elems, r.ind...),
 		Cfg: inspector.Config{
 			P: p, K: k,
 			NumIters: r.iters,

@@ -29,7 +29,7 @@ func emitSummary() *benchfmt.Summary {
 			},
 			{
 				ID: "mvm/S/sim/p4/k2/block/checked", Kernel: "mvm", Class: "S",
-				Engine: "sim", P: 4, K: 2, Dist: "block", Checked: true,
+				Engine: "sim", P: 4, K: 2, Dist: "block",
 				SimSeconds: 0.0123,
 				Wall:       benchfmt.NewStats([]float64{9}, 0),
 			},

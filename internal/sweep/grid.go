@@ -73,10 +73,6 @@ type Grid struct {
 
 	Engines []string
 
-	// Checked lists the bounds-check modes to sweep: true = per-write
-	// target validation forced on, false = proof-elided execution.
-	Checked []bool
-
 	// DeltaFracs is the delta-fraction axis of the "adaptive" kernel:
 	// each fraction expands into an incr/full cell pair timing the two
 	// schedule-maintenance paths. Other kernels ignore it. Empty defaults
@@ -85,8 +81,7 @@ type Grid struct {
 }
 
 // DefaultGrid is the documented full sweep: every engine over the paper's
-// small-to-medium workloads, P up to 4, k up to 2, both distributions,
-// both check modes.
+// small-to-medium workloads, P up to 4, k up to 2, both distributions.
 func DefaultGrid() Grid {
 	return Grid{
 		Kernels: Kernels(),
@@ -100,7 +95,6 @@ func DefaultGrid() Grid {
 		Ks:      []int{1, 2},
 		Dists:   []string{"block", "cyclic"},
 		Engines: Engines,
-		Checked: []bool{true, false},
 	}
 }
 
@@ -118,7 +112,6 @@ func SmallGrid() Grid {
 		Ks:      []int{1, 2},
 		Dists:   []string{"block", "cyclic"},
 		Engines: Engines,
-		Checked: []bool{true, false},
 	}
 }
 
@@ -133,7 +126,6 @@ func AdaptiveGrid() Grid {
 		Ks:         []int{2},
 		Dists:      []string{"cyclic"},
 		Engines:    []string{EngineNative},
-		Checked:    []bool{true},
 		DeltaFracs: []float64{0.01, 0.02, 0.05, 0.1, 0.2, 0.35, 0.5},
 	}
 }
@@ -145,7 +137,7 @@ func AdaptiveGrid() Grid {
 // configuration errors, not skips.
 func (g Grid) Expand() ([]Cell, []benchfmt.Skip, error) {
 	if len(g.Kernels) == 0 || len(g.Ps) == 0 || len(g.Ks) == 0 ||
-		len(g.Dists) == 0 || len(g.Engines) == 0 || len(g.Checked) == 0 {
+		len(g.Dists) == 0 || len(g.Engines) == 0 {
 		return nil, nil, fmt.Errorf("sweep: grid has an empty dimension")
 	}
 	for _, e := range g.Engines {
@@ -204,20 +196,18 @@ func (g Grid) Expand() ([]Cell, []benchfmt.Skip, error) {
 				for _, p := range g.Ps {
 					for _, k := range g.Ks {
 						for _, dist := range g.Dists {
-							for _, checked := range g.Checked {
-								for _, frac := range fracs {
-									for _, mode := range modes {
-										c := Cell{
-											Kernel: kernel, Class: class, Engine: engine,
-											P: p, K: k, Dist: dist, Checked: checked,
-											DeltaFrac: frac, Adapt: mode,
-										}
-										if reason := skipReason(c, def); reason != "" {
-											skipped = append(skipped, benchfmt.Skip{ID: c.ID(), Reason: reason})
-											continue
-										}
-										cells = append(cells, c)
+							for _, frac := range fracs {
+								for _, mode := range modes {
+									c := Cell{
+										Kernel: kernel, Class: class, Engine: engine,
+										P: p, K: k, Dist: dist,
+										DeltaFrac: frac, Adapt: mode,
 									}
+									if reason := skipReason(c, def); reason != "" {
+										skipped = append(skipped, benchfmt.Skip{ID: c.ID(), Reason: reason})
+										continue
+									}
+									cells = append(cells, c)
 								}
 							}
 						}
@@ -254,21 +244,8 @@ func skipReason(c Cell, def *kernelDef) string {
 	if !def.engines[c.Engine] {
 		return fmt.Sprintf("kernel %s does not support engine %s", c.Kernel, c.Engine)
 	}
-	if c.Kernel == "adaptive" && !c.Checked {
-		return "adaptive cells time schedule maintenance; the checked dimension does not apply"
-	}
-	switch c.Engine {
-	case EngineInterp:
-		if c.P != 1 || c.K != 1 || c.Dist != "block" {
-			return "interp is sequential; its canonical cell is P=1 k=1 block"
-		}
-		if !c.Checked {
-			return "engine interp has no proof-elided (unchecked) mode"
-		}
-	case EngineSim:
-		if !c.Checked {
-			return "engine sim models cost; the checked dimension does not apply"
-		}
+	if c.Engine == EngineInterp && (c.P != 1 || c.K != 1 || c.Dist != "block") {
+		return "interp is sequential; its canonical cell is P=1 k=1 block"
 	}
 	return ""
 }

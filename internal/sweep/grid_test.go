@@ -6,7 +6,7 @@ import (
 )
 
 // A native-only grid over one kernel is a pure cartesian product: every
-// point is legal, so |cells| = |P| * |k| * |dist| * |checked|.
+// point is legal, so |cells| = |P| * |k| * |dist|.
 func TestExpandCartesianProduct(t *testing.T) {
 	g := Grid{
 		Kernels: []string{"mvm"},
@@ -15,14 +15,13 @@ func TestExpandCartesianProduct(t *testing.T) {
 		Ks:      []int{1, 2},
 		Dists:   []string{"block", "cyclic"},
 		Engines: []string{EngineNative},
-		Checked: []bool{true, false},
 	}
 	cells, skipped, err := g.Expand()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(cells) != 16 || len(skipped) != 0 {
-		t.Fatalf("cells = %d, skipped = %d, want 16/0", len(cells), len(skipped))
+	if len(cells) != 8 || len(skipped) != 0 {
+		t.Fatalf("cells = %d, skipped = %d, want 8/0", len(cells), len(skipped))
 	}
 	seen := map[string]bool{}
 	for _, c := range cells {
@@ -31,7 +30,7 @@ func TestExpandCartesianProduct(t *testing.T) {
 		}
 		seen[c.ID()] = true
 	}
-	if !seen["mvm/S/native/p2/k1/cyclic/unchecked"] {
+	if !seen["mvm/S/native/p2/k1/cyclic/checked"] {
 		t.Fatalf("expected canonical cell missing; have %v", seen)
 	}
 }
@@ -90,13 +89,12 @@ func skipOf(t *testing.T, g Grid, wantCells int) string {
 }
 
 func TestExpandSkipRules(t *testing.T) {
-	one := func(kernel, class, engine string, p, k int, dist string, checked bool) Grid {
+	one := func(kernel, class, engine string, p, k int, dist string) Grid {
 		return Grid{
 			Kernels: []string{kernel},
 			Classes: map[string][]string{kernel: {class}},
 			Ps:      []int{p}, Ks: []int{k}, Dists: []string{dist},
 			Engines: []string{engine},
-			Checked: []bool{checked},
 		}
 	}
 	cases := []struct {
@@ -104,11 +102,9 @@ func TestExpandSkipRules(t *testing.T) {
 		g    Grid
 		want string // substring of the skip reason; "" = cell must run
 	}{
-		{"raw_has_no_interp", one("raw", "tiny", EngineInterp, 1, 1, "block", true), "does not support engine interp"},
-		{"interp_canonical_runs", one("mvm", "S", EngineInterp, 1, 1, "block", true), ""},
-		{"interp_is_sequential", one("mvm", "S", EngineInterp, 2, 1, "block", true), "interp is sequential"},
-		{"interp_checked_only", one("mvm", "S", EngineInterp, 1, 1, "block", false), "no proof-elided"},
-		{"sim_checked_only", one("euler", "2k", EngineSim, 2, 1, "block", false), "checked dimension does not apply"},
+		{"raw_has_no_interp", one("raw", "tiny", EngineInterp, 1, 1, "block"), "does not support engine interp"},
+		{"interp_canonical_runs", one("mvm", "S", EngineInterp, 1, 1, "block"), ""},
+		{"interp_is_sequential", one("mvm", "S", EngineInterp, 2, 1, "block"), "interp is sequential"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -134,7 +130,6 @@ func TestExpandConfigErrors(t *testing.T) {
 			Classes: map[string][]string{"mvm": {"S"}},
 			Ps:      []int{1}, Ks: []int{1}, Dists: []string{"block"},
 			Engines: []string{EngineNative},
-			Checked: []bool{true},
 		}
 	}
 	cases := map[string]func(*Grid){
@@ -160,16 +155,12 @@ func TestExpandConfigErrors(t *testing.T) {
 }
 
 func TestCellID(t *testing.T) {
-	c := Cell{Kernel: "raw", Class: "tiny", Engine: "native", P: 3, K: 2, Dist: "block", Checked: true}
+	c := Cell{Kernel: "raw", Class: "tiny", Engine: "native", P: 3, K: 2, Dist: "block"}
 	want := "raw/tiny/native/p3/k2/block/checked"
 	if c.ID() != want {
 		t.Fatalf("ID = %q, want %q", c.ID(), want)
 	}
-	c.Checked = false
-	if c.ID() != "raw/tiny/native/p3/k2/block/unchecked" {
-		t.Fatalf("ID = %q", c.ID())
-	}
-	a := Cell{Kernel: "adaptive", Class: "2k", Engine: "native", P: 2, K: 2, Dist: "cyclic", Checked: true, DeltaFrac: 0.05, Adapt: AdaptIncr}
+	a := Cell{Kernel: "adaptive", Class: "2k", Engine: "native", P: 2, K: 2, Dist: "cyclic", DeltaFrac: 0.05, Adapt: AdaptIncr}
 	if a.ID() != "adaptive/2k/native/p2/k2/cyclic/checked/delta=0.05/incr" {
 		t.Fatalf("ID = %q", a.ID())
 	}

@@ -126,7 +126,7 @@ func RunCell(c Cell, opt Options) benchfmt.Cell {
 	opt.fill()
 	bc := benchfmt.Cell{
 		ID: c.ID(), Kernel: c.Kernel, Class: c.Class, Engine: c.Engine,
-		P: c.P, K: c.K, Dist: c.Dist, Checked: c.Checked,
+		P: c.P, K: c.K, Dist: c.Dist,
 		DeltaFrac: c.DeltaFrac, Adapt: c.Adapt,
 		Steps: opt.Steps, Warmup: opt.Warmup, Repeats: opt.Repeats,
 	}
@@ -277,7 +277,6 @@ func nativeRunner(c Cell, opt *Options, dist inspector.Dist, tracer *obs.Tracer)
 			return 0, 0, err
 		}
 		n.Trace = tracer
-		n.CheckTargets = c.Checked
 		start := time.Now()
 		err = n.Run(steps)
 		return float64(time.Since(start)) / 1e6, 0, err

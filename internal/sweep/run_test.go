@@ -49,11 +49,11 @@ func TestRunCellNativeRawCacheTraffic(t *testing.T) {
 func TestRunCellEngines(t *testing.T) {
 	cells := []Cell{
 		{Kernel: "mvm", Class: "S", Engine: EngineNative, P: 2, K: 1, Dist: "cyclic"},
-		{Kernel: "euler", Class: "2k", Engine: EngineNative, P: 2, K: 2, Dist: "block", Checked: true},
+		{Kernel: "euler", Class: "2k", Engine: EngineNative, P: 2, K: 2, Dist: "block"},
 		{Kernel: "moldyn", Class: "2k", Engine: EngineNative, P: 2, K: 1, Dist: "cyclic"},
-		{Kernel: "mvm", Class: "S", Engine: EngineInterp, P: 1, K: 1, Dist: "block", Checked: true},
-		{Kernel: "mvm", Class: "S", Engine: EngineSim, P: 2, K: 1, Dist: "cyclic", Checked: true},
-		{Kernel: "raw", Class: "tiny", Engine: EngineNative, P: 2, K: 2, Dist: "cyclic", Checked: true},
+		{Kernel: "mvm", Class: "S", Engine: EngineInterp, P: 1, K: 1, Dist: "block"},
+		{Kernel: "mvm", Class: "S", Engine: EngineSim, P: 2, K: 1, Dist: "cyclic"},
+		{Kernel: "raw", Class: "tiny", Engine: EngineNative, P: 2, K: 2, Dist: "cyclic"},
 	}
 	opt := testOpts(t)
 	opt.Steps, opt.Warmup, opt.Repeats = 1, 0, 1
@@ -93,7 +93,6 @@ func TestRunSummary(t *testing.T) {
 		Ks:      []int{1},
 		Dists:   []string{"cyclic"},
 		Engines: []string{EngineNative, EngineInterp},
-		Checked: []bool{true},
 	}
 	opt := testOpts(t)
 	var lines int

@@ -1,5 +1,5 @@
 // Package sweep is the auto-tuning benchmark harness: it expands a grid
-// of (kernel, class, engine, P, k, distribution, checked) points,
+// of (kernel, class, engine, P, k, distribution) points,
 // runs every legal cell through the matching execution engine, and
 // aggregates wall time, per-phase span budgets, schedule-cache traffic
 // and latency percentiles into a benchfmt.Summary — the persisted BENCH
@@ -11,7 +11,7 @@
 // are served through the internal/service schedule cache, interpreter
 // cells go through the codegen/interp pipeline, and sim cells run the
 // EARTH machine model. Grid points an engine cannot legally execute (a
-// parallel interpreter, an unchecked sim cell, ...) are recorded as skips
+// parallel interpreter, an engine a kernel lacks) are recorded as skips
 // with the rule that refused them, never silently dropped.
 package sweep
 
@@ -40,15 +40,14 @@ const (
 )
 
 // Cell is one grid point: a workload (kernel + class) bound to an
-// execution strategy (engine, P, k, distribution, bounds-check mode).
+// execution strategy (engine, P, k, distribution).
 type Cell struct {
-	Kernel  string
-	Class   string
-	Engine  string
-	P       int
-	K       int
-	Dist    string // "block" | "cyclic"
-	Checked bool   // true: per-write target validation on; false: proof-elided
+	Kernel string
+	Class  string
+	Engine string
+	P      int
+	K      int
+	Dist   string // "block" | "cyclic"
 
 	// DeltaFrac and Adapt apply to the "adaptive" kernel only: the
 	// fraction of edges each adaptation step rewires, and which
@@ -58,13 +57,12 @@ type Cell struct {
 }
 
 // ID renders the canonical cell key used across BENCH files:
-// kernel/class/engine/pN/kN/dist/checked|unchecked[/delta=frac/incr|full].
+// kernel/class/engine/pN/kN/dist/checked[/delta=frac/incr|full].
 func (c Cell) ID() string {
-	chk := "unchecked"
-	if c.Checked {
-		chk = "checked"
-	}
-	id := fmt.Sprintf("%s/%s/%s/p%d/k%d/%s/%s", c.Kernel, c.Class, c.Engine, c.P, c.K, c.Dist, chk)
+	// The last segment is the literal "checked", a bounds-check mode that
+	// no longer varies: the CI gate's baseline and the tuner's blend key
+	// on IDs, so it stays.
+	id := fmt.Sprintf("%s/%s/%s/p%d/k%d/%s/checked", c.Kernel, c.Class, c.Engine, c.P, c.K, c.Dist)
 	if c.Adapt != "" {
 		id += "/delta=" + strconv.FormatFloat(c.DeltaFrac, 'g', -1, 64) + "/" + c.Adapt
 	}
