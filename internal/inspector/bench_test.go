@@ -56,7 +56,11 @@ func perIter(b *testing.B, iters int) {
 // one processor (proc0), both processors one after the other (serial), and
 // both through LightAll (all). ns/iter is wall time per inspected
 // iteration: per local iteration for proc0, per loop iteration otherwise,
-// so serial and all compare directly.
+// so serial and all compare directly. Two more rows time what a streaming
+// session does with the set instead of re-inspecting: incremental clones
+// it and indexes both clones for Update (a session's open), update-1pct
+// rewires 1 % of the iterations through Update on both processors (one
+// delta) — ns/iter per loop iteration and per rewired one respectively.
 func BenchmarkLight(b *testing.B) {
 	for _, sh := range benchShapes {
 		var cfg Config
@@ -96,6 +100,59 @@ func BenchmarkLight(b *testing.B) {
 				}
 			}
 			perIter(b, cfg.NumIters)
+		})
+		b.Run(sh.name+"/incremental", func(b *testing.B) {
+			setup(b)
+			scheds, err := LightAll(cfg, nil, ind...)
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ResetTimer()
+			for n := 0; n < b.N; n++ {
+				for _, s := range CloneSchedules(scheds) {
+					s.BeginIncremental()
+				}
+			}
+			perIter(b, cfg.NumIters)
+		})
+		b.Run(sh.name+"/update-1pct", func(b *testing.B) {
+			setup(b)
+			scheds, err := LightAll(cfg, nil, ind...)
+			if err != nil {
+				b.Fatal(err)
+			}
+			// Each op moves the changed iterations between the loop's own
+			// references and a rewired copy, so every op is one delta of
+			// the same size and the schedules do not drift.
+			rng := rand.New(rand.NewSource(2))
+			changed := make([]int32, max(1, cfg.NumIters/100))
+			rewired := make([][]int32, len(ind))
+			for r := range ind {
+				rewired[r] = append([]int32(nil), ind[r]...)
+			}
+			for i := range changed {
+				it := rng.Intn(cfg.NumIters)
+				changed[i] = int32(it)
+				for r := range rewired {
+					rewired[r][it] = int32(rng.Intn(cfg.NumElems))
+				}
+			}
+			for _, s := range scheds {
+				s.BeginIncremental()
+			}
+			b.ResetTimer()
+			for n := 0; n < b.N; n++ {
+				next := rewired
+				if n%2 == 1 {
+					next = ind
+				}
+				for _, s := range scheds {
+					if err := s.Update(changed, next...); err != nil {
+						b.Fatal(err)
+					}
+				}
+			}
+			perIter(b, len(changed))
 		})
 	}
 }

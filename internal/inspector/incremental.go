@@ -11,9 +11,11 @@ import "fmt"
 
 // incrState is the bookkeeping needed for in-place schedule updates.
 type incrState struct {
-	// iterPhase/iterIdx locate each owned iteration inside Phases.
-	iterPhase map[int32]int
-	iterIdx   map[int32]int
+	// iterPhase/iterIdx locate each owned iteration inside Phases, indexed
+	// by its position (it-lo)/step among the processor's iterations:
+	// iterPhase holds phase+1, 0 for none, and iterIdx the index there.
+	iterPhase, iterIdx []int32
+	lo, step           int
 	// bufOf maps a deferred element to its buffer slot; slotRefs counts
 	// live references per slot (indexed slot-NumElems); slotElem records
 	// the element a slot buffers; free lists reusable slots.
@@ -30,12 +32,18 @@ func (s *Schedule) BeginIncremental() {
 	if s.incr != nil {
 		return
 	}
+	n := s.Cfg.IterCount(s.Proc)
 	st := &incrState{
-		iterPhase: make(map[int32]int, s.NumIters()),
-		iterIdx:   make(map[int32]int, s.NumIters()),
+		iterPhase: make([]int32, n),
+		iterIdx:   make([]int32, n),
 		bufOf:     make(map[int32]int32, s.BufLen),
 		slotRefs:  make([]int, s.BufLen),
 		slotElem:  make([]int32, s.BufLen),
+	}
+	st.lo, st.step = s.Proc, s.Cfg.P // cyclic: iteration lo + i·P
+	if s.Cfg.Dist == Block {
+		st.lo, _ = s.Cfg.IterRange(s.Proc)
+		st.step = 1
 	}
 	for i := range st.slotElem {
 		st.slotElem[i] = -1
@@ -43,8 +51,8 @@ func (s *Schedule) BeginIncremental() {
 	for ph := range s.Phases {
 		p := &s.Phases[ph]
 		for j, it := range p.Iters {
-			st.iterPhase[it] = ph
-			st.iterIdx[it] = j
+			l := st.local(it)
+			st.iterPhase[l], st.iterIdx[l] = int32(ph+1), int32(j)
 			for r := range p.Ind {
 				if x := p.Ind[r][j]; int(x) >= s.Cfg.NumElems {
 					st.slotRefs[int(x)-s.Cfg.NumElems]++
@@ -59,6 +67,9 @@ func (s *Schedule) BeginIncremental() {
 	}
 	s.incr = st
 }
+
+// local is owned iteration it's position among the processor's iterations.
+func (st *incrState) local(it int32) int { return (int(it) - st.lo) / st.step }
 
 // Update incrementally revises the schedule after the indirection arrays
 // changed for the given iterations. ind must be the full, new indirection
@@ -97,12 +108,12 @@ func (s *Schedule) Update(changed []int32, ind ...[]int32) error {
 // slots whose reference counts drop to zero.
 func (s *Schedule) remove(it int32) {
 	st := s.incr
-	ph, ok := st.iterPhase[it]
-	if !ok {
+	l := st.local(it)
+	if st.iterPhase[l] == 0 {
 		return
 	}
-	j := st.iterIdx[it]
-	p := &s.Phases[ph]
+	j := int(st.iterIdx[l])
+	p := &s.Phases[st.iterPhase[l]-1]
 	for r := range p.Ind {
 		if x := p.Ind[r][j]; int(x) >= s.Cfg.NumElems {
 			s.releaseSlot(x)
@@ -118,10 +129,9 @@ func (s *Schedule) remove(it int32) {
 		p.Ind[r] = p.Ind[r][:last]
 	}
 	if moved != it {
-		st.iterIdx[moved] = j
+		st.iterIdx[st.local(moved)] = int32(j)
 	}
-	delete(st.iterPhase, it)
-	delete(st.iterIdx, it)
+	st.iterPhase[l] = 0
 }
 
 // releaseSlot decrements a buffer slot's reference count and, at zero,
@@ -170,8 +180,8 @@ func (s *Schedule) insert(it int32, ind [][]int32) {
 		}
 		p.Ind[r] = append(p.Ind[r], s.acquireSlot(e))
 	}
-	st.iterPhase[it] = best
-	st.iterIdx[it] = j
+	l := st.local(it)
+	st.iterPhase[l], st.iterIdx[l] = int32(best+1), int32(j)
 }
 
 // acquireSlot returns the buffer slot for a deferred element, reusing or

@@ -20,16 +20,24 @@ import (
 //	euler-2k/adapter  the same over the per-iteration Contribs
 //	euler-2k/guarded  the same through the guarded bodies
 //	raw-pair          a random two-reference comp=1 loop, no Update
-//	                  (pipelined sweeps): the Native scans its schedule
-//	                  set once and the unchecked body runs
-//	raw-pair-run1     the same loop as a served raw job runs it: a fresh
-//	                  Native over cached schedules, then Run(1) — one scan,
-//	                  worker start and one sweep per op
+//	                  (pipelined sweeps), contributions from a block
+//	                  function: the Native scans its schedule set once and
+//	                  the unchecked body runs
+//	raw-pair-data     the same loop with its contributions as data
+//	                  (Weights, Coef {1, -1}), the form every served raw
+//	                  job runs
+//	raw-pair-run1     the data-form loop as a served raw job runs it: a
+//	                  fresh Native over cached schedules, then Run(1) —
+//	                  one scan, worker start and one sweep per op
+//	raw-pair-p1       raw-pair at P = 1, k = 1: the engine's own cost
+//	raw-pair-data-p1  raw-pair-data at P = 1, k = 1
 //	raw-pair-seq      the same arrays and weights through the plain
-//	                  sequential loop on one core: the baseline raw-pair
-//	                  is judged against
+//	                  sequential loop on one core: the baseline the P = 1
+//	                  rows are judged against
 //	raw-three         raw-pair with a third reference: the scalar fast
 //	                  body that every reference count but two takes
+//	raw-three-data    raw-pair-data with a third reference: the data-form
+//	                  body every reference count but two takes
 //	mvm-A/block       NAS CG class A (1,853,104 nonzeros) in gather mode, the
 //	                  repo benchmark's native.coarse: the kernel's block loop
 //	                  over its packed copy of the matrix
@@ -92,9 +100,12 @@ func BenchmarkNativeSweep(b *testing.B) {
 	for i := range third {
 		third[i] = int32(rng.Intn(elems))
 	}
-	raw := func(b *testing.B, ind [][]int32) func() *rts.Native {
+	// raw returns a constructor of fresh Natives over one schedule set of
+	// the loop: contributions x[i0] += w, x[i1] -= w (and -= w for a third
+	// reference), as data or from a block function.
+	raw := func(b *testing.B, p, k int, ind [][]int32, data bool) func() *rts.Native {
 		l := &rts.Loop{
-			Cfg:  inspector.Config{P: P, K: K, NumIters: iters, NumElems: elems, Dist: inspector.Cyclic},
+			Cfg:  inspector.Config{P: p, K: k, NumIters: iters, NumElems: elems, Dist: inspector.Cyclic},
 			Mode: rts.Reduce,
 			Ind:  ind,
 		}
@@ -103,10 +114,15 @@ func BenchmarkNativeSweep(b *testing.B) {
 			b.Fatal(err)
 		}
 		refs := len(ind)
+		coef := []float64{1, -1, -1}[:refs]
 		return func() *rts.Native {
 			n, err := rts.NewNativeFrom(l, scheds)
 			if err != nil {
 				b.Fatal(err)
+			}
+			if data {
+				n.Weights, n.Coef = w, coef
+				return n
 			}
 			n.ContribBlock = func(_ int, its []int32, out []float64) {
 				for j, it := range its {
@@ -127,9 +143,10 @@ func BenchmarkNativeSweep(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-	b.Run("raw-pair", func(b *testing.B) { sweeps(b, raw(b, ind)()) })
+	b.Run("raw-pair", func(b *testing.B) { sweeps(b, raw(b, P, K, ind, false)()) })
+	b.Run("raw-pair-data", func(b *testing.B) { sweeps(b, raw(b, P, K, ind, true)()) })
 	b.Run("raw-pair-run1", func(b *testing.B) {
-		newPair := raw(b, ind)
+		newPair := raw(b, P, K, ind, true)
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
@@ -138,6 +155,8 @@ func BenchmarkNativeSweep(b *testing.B) {
 			}
 		}
 	})
+	b.Run("raw-pair-p1", func(b *testing.B) { sweeps(b, raw(b, 1, 1, ind, false)()) })
+	b.Run("raw-pair-data-p1", func(b *testing.B) { sweeps(b, raw(b, 1, 1, ind, true)()) })
 	b.Run("raw-pair-seq", func(b *testing.B) {
 		x := make([]float64, elems)
 		b.ReportAllocs()
@@ -148,5 +167,6 @@ func BenchmarkNativeSweep(b *testing.B) {
 			}
 		}
 	})
-	b.Run("raw-three", func(b *testing.B) { sweeps(b, raw(b, append(ind[:2:2], third))()) })
+	b.Run("raw-three", func(b *testing.B) { sweeps(b, raw(b, P, K, append(ind[:2:2], third), false)()) })
+	b.Run("raw-three-data", func(b *testing.B) { sweeps(b, raw(b, P, K, append(ind[:2:2], third), true)()) })
 }

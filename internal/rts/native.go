@@ -81,6 +81,13 @@ type Native struct {
 	// into one at Run start, and ContribBlock wins when both are set.
 	Contribs     ContribFunc
 	ContribBlock ContribBlockFunc
+	// Weights and Coef give a scalar reduce loop's contributions as data:
+	// iteration it adds Coef[r]·Weights[it] at reference r, nil Weights
+	// meaning 1. The fast body of a two-reference loop folds them straight
+	// from these arrays; every other body takes them through LinearBlock.
+	// Contribs and ContribBlock win over them.
+	Weights []float64
+	Coef    []float64
 	// Consume or ConsumeBlock handles a gather loop's iterations, on the
 	// same terms: the engine drives only ConsumeBlock, a per-iteration
 	// Consume is wrapped into one at Run start, and ConsumeBlock wins when
@@ -226,13 +233,19 @@ func (n *Native) RunContext(ctx context.Context, steps int) error {
 	switch l.Mode {
 	case Reduce:
 		r.block = n.ContribBlock
-		if r.block == nil {
-			if n.Contribs == nil {
-				return fmt.Errorf("rts: reduce-mode native run needs Contribs")
-			}
+		if r.block == nil && n.Contribs != nil {
 			r.block = blockOf(n.Contribs, len(l.Ind)*r.comp)
 		}
+		if r.block == nil {
+			if err := n.checkLinear(r.comp); err != nil {
+				return err
+			}
+			r.weights, r.coef, r.block = n.Weights, n.Coef, LinearBlock(n.Weights, n.Coef)
+		}
 	case Gather:
+		if n.Weights != nil || n.Coef != nil {
+			return fmt.Errorf("rts: gather-mode native run takes no Weights or Coef")
+		}
 		r.consume = n.ConsumeBlock
 		if r.consume == nil {
 			if n.Consume == nil {
@@ -280,6 +293,37 @@ func blockOf(f ContribFunc, stride int) ContribBlockFunc {
 	return func(p int, iters []int32, out []float64) {
 		for j, it := range iters {
 			f(p, int(it), out[j*stride:(j+1)*stride:(j+1)*stride])
+		}
+	}
+}
+
+// checkLinear rejects a reduce loop with no contributions, and a data form
+// the fast body cannot fold.
+func (n *Native) checkLinear(comp int) error {
+	switch l := n.Loop; {
+	case len(n.Coef) != len(l.Ind):
+		return fmt.Errorf("rts: reduce-mode native run needs Contribs, ContribBlock or one Coef per reference (%d coefficients for %d references)", len(n.Coef), len(l.Ind))
+	case n.Weights != nil && len(n.Weights) != l.Cfg.NumIters:
+		return fmt.Errorf("rts: %d weights for %d iterations", len(n.Weights), l.Cfg.NumIters)
+	case comp != 1:
+		return fmt.Errorf("rts: Weights and Coef need scalar elements, the loop has %d components", comp)
+	}
+	return nil
+}
+
+// LinearBlock adapts contributions given as data — iteration it adds
+// coef[r]·weights[it] at reference r, nil weights meaning 1 — to the block
+// form over scalar elements.
+func LinearBlock(weights, coef []float64) ContribBlockFunc {
+	return func(_ int, iters []int32, out []float64) {
+		w := 1.0
+		for j, it := range iters {
+			if weights != nil {
+				w = weights[it]
+			}
+			for r, c := range coef {
+				out[j*len(coef)+r] = c * w
+			}
 		}
 	}
 }
@@ -370,6 +414,8 @@ type nativeRun struct {
 	done    <-chan struct{} // nil when the context cannot be cancelled
 	steps   int
 	block   ContribBlockFunc // reduce mode
+	weights []float64        // the data form (reduce mode), when coef is set
+	coef    []float64
 	consume ConsumeBlockFunc // gather mode
 	fast    bool             // unchecked bodies; else the guarded ones
 	bar     *barrier         // nil without an Update hook
@@ -534,7 +580,7 @@ func locate(t, numElems int) (b, e int) {
 }
 
 // reduceFast is the main loop of a float-add phase whose targets need no
-// guard. Contributions arrive a block at a time; the fold stays
+// guard. Contributions arrive a block at a time, or as data; the fold stays
 // iteration-major, reference by reference, so the order in which sums meet
 // an element — and with it every bit of the result — is the sequential
 // phase program's.
@@ -549,6 +595,23 @@ func (r *nativeRun) reduceFast(p int, prog *inspector.PhaseProgram) {
 	// additions it controls. Scalar elements under any other number of
 	// references still skip the component loop.
 	pair := len(prog.Ind) == 2
+	if pair && r.coef != nil {
+		// Contributions as data need no block: each weight is read once and
+		// folded as coef[r]·w, rounded before the addition (the conversion
+		// forbids a fused multiply-add) as LinearBlock's output is.
+		weights, c0, c1, w := r.weights, r.coef[0], r.coef[1], 1.0
+		t0, t1 := prog.Ind[0][:len(prog.Iters)], prog.Ind[1][:len(prog.Iters)]
+		for j, it := range prog.Iters {
+			if weights != nil {
+				w = weights[it]
+			}
+			b, e := locate(int(t0[j]), numElems)
+			img[b][e] += float64(c0 * w)
+			b, e = locate(int(t1[j]), numElems)
+			img[b][e] += float64(c1 * w)
+		}
+		return
+	}
 	for lo := 0; lo < len(prog.Iters); lo += blockIters {
 		hi := min(lo+blockIters, len(prog.Iters))
 		out := arena[:(hi-lo)*stride]

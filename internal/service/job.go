@@ -14,7 +14,6 @@ import (
 	"irred/internal/fault"
 	"irred/internal/inspector"
 	"irred/internal/kernels"
-	"irred/internal/rts"
 )
 
 // State is a job's lifecycle position.
@@ -367,7 +366,7 @@ func (sp *JobSpec) validateLoop(ind [][]int32, contrib *ContribSpec) error {
 
 // contribFor builds loop l's contribution one iteration at a time: the
 // independent reference form SequentialRaw runs, sharing no code with the
-// block form the executor drives.
+// data form the executor drives.
 func (sp *JobSpec) contribFor(l int) func(p, i int, out []float64) {
 	numRef := len(sp.loopInd(l))
 	c := sp.loopContrib(l)
@@ -394,38 +393,22 @@ func (sp *JobSpec) contribFor(l int) func(p, i int, out []float64) {
 	}
 }
 
-// contribBlockFor is contribFor in the block form the native engine
-// drives: the contributions of a run of scheduled iterations written
-// straight into the engine's block, no closure call per iteration. Raw
-// jobs reduce scalars, so out holds numRef slots per iteration.
-func (sp *JobSpec) contribBlockFor(l int) rts.ContribBlockFunc {
-	numRef := len(sp.loopInd(l))
+// linearFor is loop l's contribution in the data form the native engine
+// folds: iteration it adds coef[r]·weights[it] at reference r, nil weights
+// meaning 1 ("ones"), coefficients {1, -1} for "pair" and 1 otherwise.
+func (sp *JobSpec) linearFor(l int) (weights, coef []float64) {
 	c := sp.loopContrib(l)
-	switch c.Kind {
-	case "ones":
-		return func(_ int, _ []int32, out []float64) {
-			for i := range out {
-				out[i] = 1
-			}
-		}
-	case "weights":
-		w := c.Weights
-		return func(_ int, iters []int32, out []float64) {
-			for j, it := range iters {
-				row := out[j*numRef : (j+1)*numRef]
-				for r := range row {
-					row[r] = w[it]
-				}
-			}
-		}
-	default: // "pair"
-		w := c.Weights
-		return func(_ int, iters []int32, out []float64) {
-			for j, it := range iters {
-				out[2*j], out[2*j+1] = w[it], -w[it]
-			}
-		}
+	coef = make([]float64, len(sp.loopInd(l)))
+	for r := range coef {
+		coef[r] = 1
 	}
+	switch c.Kind {
+	case "weights":
+		weights = c.Weights
+	case "pair":
+		weights, coef[1] = c.Weights, -1
+	}
+	return weights, coef
 }
 
 // SequentialRaw computes the reference result of a raw reduction job in

@@ -606,7 +606,7 @@ func (s *Service) runRaw(ctx context.Context, spec *JobSpec, sets [][]*inspector
 		if err != nil {
 			return nil, err
 		}
-		n.ContribBlock = spec.contribBlockFor(li)
+		n.Weights, n.Coef = spec.linearFor(li)
 		n.X = x
 		natives[li] = n
 	}
@@ -638,10 +638,11 @@ func (s *Service) runRaw(ctx context.Context, spec *JobSpec, sets [][]*inspector
 		}
 	}
 
-	// Chaos kernel panics are caught in the contribution block itself (a
-	// panic on an engine goroutine would crash the process) and become a
-	// cancelled run plus a job failure with the stack. The injector rolls
-	// per (processor, iteration), so the block asks once per iteration.
+	// Chaos jobs run the data form as a contribution block, so that kernel
+	// panics are caught in the block itself (a panic on an engine goroutine
+	// would crash the process) and become a cancelled run plus a job
+	// failure with the stack. The injector rolls per (processor,
+	// iteration), so the block asks once per iteration.
 	runCtx := ctx
 	var pmu sync.Mutex
 	var panicVal any
@@ -651,7 +652,7 @@ func (s *Service) runRaw(ctx context.Context, spec *JobSpec, sets [][]*inspector
 		runCtx, cancel = context.WithCancel(ctx)
 		defer cancel()
 		for _, n := range natives {
-			base := n.ContribBlock
+			base := rts.LinearBlock(n.Weights, n.Coef)
 			n.ContribBlock = func(p int, iters []int32, out []float64) {
 				defer func() {
 					if r := recover(); r != nil {

@@ -361,28 +361,35 @@ func TestFinishedJobPruning(t *testing.T) {
 	}
 }
 
-// TestContribBlockMatchesContrib: every built-in contribution kind gives
-// the same values in block form as in per-iteration form, and the executor
-// — which drives the block form — reproduces the sequential oracle.
-func TestContribBlockMatchesContrib(t *testing.T) {
+// TestLinearFormMatchesContrib: every built-in contribution kind, over two
+// references and over three where the kind allows them, gives the same
+// values in the engine's data form as in the per-iteration form the
+// oracle runs, and the executor — which drives the data form —
+// reproduces the sequential oracle.
+func TestLinearFormMatchesContrib(t *testing.T) {
 	s := newTestService(t, Options{Workers: 2})
-	for _, kind := range []string{"ones", "weights", "pair"} {
+	for _, tc := range []struct {
+		kind string
+		refs int
+	}{{"ones", 2}, {"ones", 3}, {"weights", 2}, {"weights", 3}, {"pair", 2}} {
 		spec := rawSpec(21, 3, 2, 700, 50, 2)
-		spec.Contrib = &ContribSpec{Kind: kind, Weights: spec.Contrib.Weights}
-		if kind == "ones" {
+		spec.Ind = append(spec.Ind, rawSpec(22, 3, 2, 700, 50, 2).Ind...)[:tc.refs]
+		spec.Contrib = &ContribSpec{Kind: tc.kind, Weights: spec.Contrib.Weights}
+		if tc.kind == "ones" {
 			spec.Contrib.Weights = nil
 		}
-		per, block := spec.contribFor(0), spec.contribBlockFor(0)
-		iters := make([]int32, spec.NumIters)
-		for i := range iters {
-			iters[i] = int32(spec.NumIters - 1 - i)
-		}
-		got, want := make([]float64, 2*len(iters)), make([]float64, 2)
-		block(0, iters, got)
-		for j, it := range iters {
-			per(0, int(it), want)
-			if got[2*j] != want[0] || got[2*j+1] != want[1] {
-				t.Fatalf("%s iteration %d: block %v, per-iteration %v", kind, it, got[2*j:2*j+2], want)
+		weights, coef := spec.linearFor(0)
+		per, want := spec.contribFor(0), make([]float64, tc.refs)
+		for it := 0; it < spec.NumIters; it++ {
+			w := 1.0
+			if weights != nil {
+				w = weights[it]
+			}
+			per(0, it, want)
+			for r, c := range coef {
+				if c*w != want[r] {
+					t.Fatalf("%s/%d iteration %d reference %d: data form %v, per-iteration %v", tc.kind, tc.refs, it, r, c*w, want[r])
+				}
 			}
 		}
 
@@ -395,7 +402,7 @@ func TestContribBlockMatchesContrib(t *testing.T) {
 			t.Fatal(err)
 		}
 		if st := waitJob(t, j); st.State != StateDone || st.ResultSHA256 != HashResult(oracle) {
-			t.Fatalf("%s: job %s (%s), sha %s, oracle %s", kind, st.State, st.Error, st.ResultSHA256, HashResult(oracle))
+			t.Fatalf("%s/%d: job %s (%s), sha %s, oracle %s", tc.kind, tc.refs, st.State, st.Error, st.ResultSHA256, HashResult(oracle))
 		}
 	}
 }
@@ -448,18 +455,26 @@ func TestFinishedJobReleasesSpecArrays(t *testing.T) {
 // pair contributions with integral weights, P = 2, k = 2, cyclic, 4 sweeps
 // — against a warm schedule cache, so each job costs admission plus the
 // executor and no inspection. two-loop runs the program as two loops over
-// the base arrays, both served by the one cached schedule set.
+// the base arrays, both served by the one cached schedule set. ones and
+// weights are one-loop with the other two contribution kinds, so the
+// three rows run the engine's data form with each kind's weights and
+// coefficients.
 func BenchmarkExecuteRaw(b *testing.B) {
 	for _, bc := range []struct {
-		name  string
-		loops []LoopSpec
+		name, kind string
+		loops      []LoopSpec
 	}{
-		{"one-loop", nil},
-		{"two-loop", []LoopSpec{{}, {}}},
+		{"one-loop", "pair", nil},
+		{"two-loop", "pair", []LoopSpec{{}, {}}},
+		{"ones", "ones", nil},
+		{"weights", "weights", nil},
 	} {
 		b.Run(bc.name, func(b *testing.B) {
 			spec := rawSpec(1, 2, 2, 32768, 4096, 4)
-			spec.Contrib.Kind = "pair"
+			spec.Contrib.Kind = bc.kind
+			if bc.kind == "ones" {
+				spec.Contrib.Weights = nil
+			}
 			spec.Dist = "cyclic"
 			spec.Loops = bc.loops
 			want, err := spec.SequentialRaw()

@@ -48,8 +48,9 @@ func open(kernel, class string, seed int64) (kernels.Workload, error) {
 }
 
 // rawSpec is a deterministic synthetic pair reduction (x[i1] += w,
-// x[i2] -= w), the same shape the service's raw job path executes. The
-// integral weights keep partial sums exactly representable.
+// x[i2] -= w), the same shape the service's raw job path executes, run in
+// the same data form (weights w, coefficients {1, -1}). The integral
+// weights keep partial sums exactly representable.
 type rawSpec struct {
 	iters, elems int
 	ind          [][]int32
@@ -104,11 +105,6 @@ func (r *rawSpec) loop(p, k int, dist inspector.Dist) *rts.Loop {
 		Ind:  r.ind,
 		Cost: rts.KernelCost{Flops: 2, IntOps: 4, IterArrays: 1},
 	}
-}
-
-func (r *rawSpec) contribs(_, i int, out []float64) {
-	out[0] = r.w[i]
-	out[1] = -r.w[i]
 }
 
 // unit compiles (once per process) the IRL source of a named kernel for

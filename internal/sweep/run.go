@@ -295,7 +295,7 @@ func nativeBuilder(c Cell, opt *Options, dist inspector.Dist) (func([]*inspector
 			if err != nil {
 				return nil, err
 			}
-			n.Contribs = r.contribs
+			n.Weights, n.Coef = r.w, []float64{1, -1}
 			return n, nil
 		}, nil
 	}
