@@ -29,7 +29,7 @@ func TestStampClusterUID(t *testing.T) {
 		`{"p":4,"cluster_uid":"client-chosen"}`,
 		`{"kernel":"}{"}`,
 	} {
-		want, end, err := decodeSpec([]byte(body))
+		want, end, err := service.DecodeJobSpec([]byte(body))
 		if err != nil {
 			t.Fatalf("%s: %v", body, err)
 		}
@@ -142,7 +142,9 @@ func TestSpecEndpointsAgree(t *testing.T) {
 
 // TestClusterForwardStampsClientBytes: a job forwarded by a non-owner
 // arrives at the owner carrying a router-minted cluster_uid — also when the
-// client sent an explicit empty one — and still computes the oracle.
+// client sent an explicit empty one, and when whitespace surrounds the
+// object, so the decoder's end offset must stop at its closing brace — and
+// still computes the oracle.
 func TestClusterForwardStampsClientBytes(t *testing.T) {
 	fleet := startFleet(t, []string{"n1", "n2", "n3"}, nil, nil)
 	spec := clusterRawSpec(9, 900, 101, 2)
@@ -155,6 +157,8 @@ func TestClusterForwardStampsClientBytes(t *testing.T) {
 	for _, body := range []string{
 		canonical,
 		`{"cluster_uid":"",` + canonical[1:],
+		canonical + "\n",           // what json.Encoder writes
+		"  " + canonical + " \r\n", // whitespace on both sides
 	} {
 		code, raw := post(t, fleet[via].url+"/v1/jobs?wait=1", []byte(body))
 		var st service.JobStatus
@@ -170,7 +174,7 @@ func TestClusterForwardStampsClientBytes(t *testing.T) {
 			t.Fatalf("owner-side cluster_uid = %q, want the router's 24 hex digits", uid)
 		}
 	}
-	if snap := fleet[via].node.ClusterSnapshot(); snap.Forwards != 2 || snap.Failovers != 0 {
+	if snap := fleet[via].node.ClusterSnapshot(); snap.Forwards != 4 || snap.Failovers != 0 {
 		t.Fatalf("forwards = %d, failovers = %d", snap.Forwards, snap.Failovers)
 	}
 }

@@ -380,7 +380,7 @@ func (n *Node) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "reading job spec: "+err.Error())
 		return
 	}
-	spec, end, err := decodeSpec(body)
+	spec, end, err := service.DecodeJobSpec(body)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "decoding job spec: "+err.Error())
 		return
@@ -406,15 +406,6 @@ func (n *Node) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		body = stampClusterUID(body[:end], newClusterUID())
 	}
 	n.forward(w, r, order, body, key)
-}
-
-// decodeSpec decodes the job spec at the head of body — JobSpec's own
-// Unmarshaler, so exactly as strictly as the service will — and returns
-// where its JSON value ends.
-func decodeSpec(body []byte) (spec service.JobSpec, end int, err error) {
-	dec := json.NewDecoder(bytes.NewReader(body))
-	err = dec.Decode(&spec)
-	return spec, int(dec.InputOffset()), err
 }
 
 // stampClusterUID returns spec, the bytes of one JSON object, with a
@@ -456,8 +447,13 @@ func (n *Node) serveLocal(w http.ResponseWriter, r *http.Request, body []byte) {
 // POST /v1/jobs would refuse is refused here too; an Auto spec is checked
 // only for decoding, because its strategy is filled in at submission.
 func (n *Node) handleRoute(w http.ResponseWriter, r *http.Request) {
-	var spec service.JobSpec
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxForwardBody)).Decode(&spec); err != nil {
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxForwardBody))
+	if err != nil {
+		writeError(w, http.StatusBadRequest, "reading job spec: "+err.Error())
+		return
+	}
+	spec, _, err := service.DecodeJobSpec(body)
+	if err != nil {
 		writeError(w, http.StatusBadRequest, "decoding job spec: "+err.Error())
 		return
 	}

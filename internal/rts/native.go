@@ -105,7 +105,7 @@ type Native struct {
 	Trace *obs.Tracer
 
 	bufs      [][]float64  // per-processor remote buffers, len BufLen*comp
-	arenas    [][]float64  // per-processor contribution blocks (reduce mode)
+	arenas    [][]float64  // per-processor contribution blocks, once a block body runs
 	chans     []chan token // chans[p]: portions arriving at processor p
 	checkErrs []error      // first range violation per processor
 	guarded   bool         // run the guarded bodies whatever the loop (tests)
@@ -162,7 +162,6 @@ func NewNativeFrom(l *Loop, scheds []*inspector.Schedule) (*Native, error) {
 		X:         make([]float64, l.Cfg.NumElems*comp),
 		Trace:     l.Trace,
 		bufs:      make([][]float64, l.Cfg.P),
-		arenas:    make([][]float64, l.Cfg.P),
 		chans:     make([]chan token, l.Cfg.P),
 		checkErrs: make([]error, l.Cfg.P),
 	}
@@ -170,9 +169,6 @@ func NewNativeFrom(l *Loop, scheds []*inspector.Schedule) (*Native, error) {
 	for p := 0; p < l.Cfg.P; p++ {
 		n.bufs[p] = make([]float64, scheds[p].BufLen*comp)
 		fillIdent(n.bufs[p], ident)
-		if l.Mode == Reduce {
-			n.arenas[p] = make([]float64, blockIters*len(l.Ind)*comp)
-		}
 		n.chans[p] = make(chan token, l.Cfg.NumPhases()+1)
 	}
 	return n, nil
@@ -268,6 +264,15 @@ func (n *Native) RunContext(ctx context.Context, steps int) error {
 		n.scanned, n.dirty = slices.Clone(n.Scheds), !clean
 	}
 	r.fast = !n.guarded && !n.dirty && l.Combine.Kind == algebra.Add
+	// A block body needs each processor's contribution arena; the fast
+	// body of a two-reference data form folds without one.
+	blockBody := r.coef == nil || !r.fast || len(l.Ind) != 2
+	if l.Mode == Reduce && blockBody && n.arenas == nil {
+		n.arenas = make([][]float64, l.Cfg.P)
+		for p := range n.arenas {
+			n.arenas[p] = make([]float64, blockIters*len(l.Ind)*r.comp)
+		}
+	}
 	if n.Update != nil {
 		r.bar = newBarrier(l.Cfg.P)
 	}
@@ -585,7 +590,7 @@ func locate(t, numElems int) (b, e int) {
 // an element — and with it every bit of the result — is the sequential
 // phase program's.
 func (r *nativeRun) reduceFast(p int, prog *inspector.PhaseProgram) {
-	img, arena := [2][]float64{r.x, r.n.bufs[p]}, r.n.arenas[p]
+	img := [2][]float64{r.x, r.n.bufs[p]}
 	comp, numElems := r.comp, r.cfg.NumElems
 	stride := len(prog.Ind) * comp
 	// Every reduction in the paper has two references. Their loops —
@@ -612,6 +617,7 @@ func (r *nativeRun) reduceFast(p int, prog *inspector.PhaseProgram) {
 		}
 		return
 	}
+	arena := r.n.arenas[p]
 	for lo := 0; lo < len(prog.Iters); lo += blockIters {
 		hi := min(lo+blockIters, len(prog.Iters))
 		out := arena[:(hi-lo)*stride]

@@ -1,6 +1,7 @@
 package service
 
 import (
+	"bytes"
 	"encoding/json"
 	"math"
 	"reflect"
@@ -29,10 +30,13 @@ func weightBits(sp *JobSpec) []uint64 {
 }
 
 // checkSpecDecode holds json.Unmarshal into a JobSpec — the entry every
-// decode site uses — to the reference: both fail with the same text, or
-// both succeed with equal values, weights compared bit for bit.
+// encoding/json decode site uses — to the reference: both fail with the
+// same text, or both succeed with equal values, weights compared bit for
+// bit. It holds DecodeJobSpec, the cluster router's entry, to the
+// json.Decoder it replaces: the same value, end offset and error text.
 func checkSpecDecode(t *testing.T, data []byte) {
 	t.Helper()
+	checkDecodeJobSpec(t, data)
 	var got, want JobSpec
 	gotErr := json.Unmarshal(data, &got)
 	if !json.Valid(data) {
@@ -51,6 +55,26 @@ func checkSpecDecode(t *testing.T, data []byte) {
 	}
 	if !reflect.DeepEqual(got, want) || !reflect.DeepEqual(weightBits(&got), weightBits(&want)) {
 		t.Fatalf("decoding %q:\n got  %+v\n want %+v", data, got, want)
+	}
+}
+
+// checkDecodeJobSpec: DecodeJobSpec and a json.Decoder's first value give
+// equal values, weights bit for bit, the same end and the same error.
+func checkDecodeJobSpec(t *testing.T, data []byte) {
+	t.Helper()
+	got, gotEnd, gotErr := DecodeJobSpec(data)
+	var want JobSpec
+	dec := json.NewDecoder(bytes.NewReader(data))
+	wantErr := dec.Decode(&want)
+	wantEnd := int(dec.InputOffset())
+	if (gotErr == nil) != (wantErr == nil) || (gotErr != nil && gotErr.Error() != wantErr.Error()) {
+		t.Fatalf("DecodeJobSpec(%q):\n got error  %v\n want error %v", data, gotErr, wantErr)
+	}
+	if gotEnd != wantEnd {
+		t.Fatalf("DecodeJobSpec(%q) ends at %d, json.Decoder at %d", data, gotEnd, wantEnd)
+	}
+	if !reflect.DeepEqual(got, want) || !reflect.DeepEqual(weightBits(&got), weightBits(&want)) {
+		t.Fatalf("DecodeJobSpec(%q):\n got  %+v\n want %+v", data, got, want)
 	}
 }
 
@@ -93,7 +117,7 @@ func TestJobSpecDecodeFastPath(t *testing.T) {
 	bodies["indented"] = indented
 	for name, body := range bodies {
 		var sp JobSpec
-		if !fastDecodeSpec(body, &sp) {
+		if _, ok := fastDecodeSpec(body, &sp); !ok {
 			t.Errorf("%s: left the fast path: %s", name, body)
 		}
 		checkSpecDecode(t, body)
@@ -156,7 +180,7 @@ var offGrammar = []string{
 func TestJobSpecDecodeFallback(t *testing.T) {
 	for _, body := range offGrammar {
 		var sp JobSpec
-		if fastDecodeSpec([]byte(body), &sp) {
+		if _, ok := fastDecodeSpec([]byte(body), &sp); ok {
 			t.Errorf("fast path accepted %s", body)
 		}
 		checkSpecDecode(t, []byte(body))
@@ -227,7 +251,7 @@ func TestJobSpecDecodeHostileSize(t *testing.T) {
 
 	many := `{"num_iters":1000000000,"ind":[` + strings.Repeat(`[1],`, 4095) + `[1]]}`
 	sp = JobSpec{}
-	if !fastDecodeSpec([]byte(many), &sp) {
+	if _, ok := fastDecodeSpec([]byte(many), &sp); !ok {
 		t.Fatal("left the fast path")
 	}
 	total := 0
@@ -241,7 +265,8 @@ func TestJobSpecDecodeHostileSize(t *testing.T) {
 
 // FuzzJobSpecDecode: for every input, the JobSpec Unmarshaler and strict
 // encoding/json into the method-less twin agree — the same error, or equal
-// values bit for bit. The fallback being the reference, a divergence is
+// values bit for bit — and DecodeJobSpec and json.Decoder agree on value,
+// end offset and error. The fallback being the reference, a divergence is
 // always a fast-path bug.
 func FuzzJobSpecDecode(f *testing.F) {
 	for _, body := range offGrammar {
@@ -259,6 +284,7 @@ func FuzzJobSpecDecode(f *testing.F) {
 		`{"loops":[{"ind":[[1,2],[3,4]],"contrib":{"kind":"ones"}},{},{"contrib":{"kind":"weights","weights":[2,3]}}]}`,
 		" \n\t\r{ \n\t\r\"p\" \n\t\r: \n\t\r1 \n\t\r} \n\t\r",
 		`{"p":1} x`, `{"p":1}{"p":2}`, `{"auto":truex}`, `{"auto":tru}`, `{"dist":"block`, `{"p"`,
+		" \r\n\t" + `{"p":1,"ind":[[1,2]]}` + " \t\n", `{"p":1} {"p":2}`, ``, " \n",
 	} {
 		f.Add([]byte(body))
 	}
@@ -269,9 +295,10 @@ func FuzzJobSpecDecode(f *testing.F) {
 
 // BenchmarkJobSpecDecode is the spec-ingest primitive on the benchmark's
 // job shape (32,768 iterations × 2 references, pair weights): the
-// hand-written decoder alone, the reference it falls back to, and the
-// hand-written decoder reached the way the daemon reaches it, through
-// encoding/json's own two scanner passes.
+// hand-written decoder alone, the reference it falls back to, the
+// hand-written decoder reached the way the service handlers reach it,
+// through encoding/json's own two scanner passes (via-json), and reached
+// the way the cluster router does, through DecodeJobSpec (one-pass).
 func BenchmarkJobSpecDecode(b *testing.B) {
 	spec := rawSpec(1, 2, 2, 32768, 4096, 4)
 	spec.Contrib.Kind = "pair"
@@ -291,4 +318,9 @@ func BenchmarkJobSpecDecode(b *testing.B) {
 	run("fast", func(sp *JobSpec) error { return sp.UnmarshalJSON(body) })
 	run("alias-fallback", func(sp *JobSpec) error { return decodeSpecStd(body, sp) })
 	run("via-json", func(sp *JobSpec) error { return json.Unmarshal(body, sp) })
+	run("one-pass", func(sp *JobSpec) error {
+		var err error
+		*sp, _, err = DecodeJobSpec(body)
+		return err
+	})
 }
