@@ -51,7 +51,7 @@ func TestStampClusterUID(t *testing.T) {
 	}
 }
 
-func mustJSON(t *testing.T, v any) []byte {
+func mustJSON(t testing.TB, v any) []byte {
 	t.Helper()
 	b, err := json.Marshal(v)
 	if err != nil {
@@ -63,7 +63,19 @@ func mustJSON(t *testing.T, v any) []byte {
 // post sends body and returns the status code and the response body.
 func post(t *testing.T, url string, body []byte) (int, []byte) {
 	t.Helper()
-	resp, err := http.Post(url, "application/json", bytes.NewReader(body))
+	req, err := http.NewRequest(http.MethodPost, url, bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return do(t, req)
+}
+
+// do sends a JSON request and returns the status code and the response
+// body.
+func do(t *testing.T, req *http.Request) (int, []byte) {
+	t.Helper()
+	req.Header.Set("Content-Type", "application/json")
+	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +107,10 @@ func TestClusterBadSpecAnswersJSON(t *testing.T) {
 
 // TestSpecEndpointsAgree: a body is a job spec or it is not, whichever
 // endpoint reads it. The routing debug endpoint used to decode laxly, so a
-// typo'd spec routed and then failed to submit.
+// typo'd spec routed and then failed to submit. The node is its keys'
+// owner, so /v1/jobs runs it locally, and the forwarded post is what an
+// owner gets from another node; each endpoint decodes on its own path.
+// A refusal carries the same message after the endpoint's own prefix.
 func TestSpecEndpointsAgree(t *testing.T) {
 	fleet := startFleet(t, []string{"n1"}, nil, nil)
 	url := fleet["n1"].url
@@ -131,10 +146,36 @@ func TestSpecEndpointsAgree(t *testing.T) {
 		{"removed chaos key", field(`"p":4`, `"p":4,"chaos":{"seed":1,"drop":0.5}`), false,
 			`unknown field \"drop\"`},
 	} {
-		for _, path := range []string{"/v1/jobs", "/v1/cluster/route", "/v1/session?result=0"} {
-			code, raw := post(t, url+path, []byte(tc.body))
+		first := ""
+		for i, path := range []string{"/v1/jobs", "forwarded /v1/jobs", "/v1/cluster/route", "/v1/session?result=0"} {
+			req, err := http.NewRequest(http.MethodPost, url+strings.TrimPrefix(path, "forwarded "), strings.NewReader(tc.body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if strings.HasPrefix(path, "forwarded ") {
+				req.Header.Set("X-Irred-Forward", "1")
+			}
+			code, raw := do(t, req)
 			if ok := code < 300; ok != tc.ok || (!ok && code != http.StatusBadRequest) || !bytes.Contains(raw, []byte(tc.why)) {
 				t.Errorf("%s: POST %s answered %d: %s", tc.name, path, code, raw)
+			}
+			if tc.ok {
+				continue
+			}
+			var refusal struct {
+				Error string `json:"error"`
+			}
+			if err := json.Unmarshal(raw, &refusal); err != nil {
+				t.Fatalf("%s: POST %s: 400 body is not JSON: %s", tc.name, path, raw)
+			}
+			msg := refusal.Error
+			for _, prefix := range []string{"decoding job spec: ", "decoding session spec: ", "service: invalid job: ", "invalid job: "} {
+				msg = strings.TrimPrefix(msg, prefix)
+			}
+			if i == 0 {
+				first = msg
+			} else if msg != first {
+				t.Errorf("%s: POST %s refused with %q, POST /v1/jobs with %q", tc.name, path, msg, first)
 			}
 		}
 	}
@@ -176,5 +217,36 @@ func TestClusterForwardStampsClientBytes(t *testing.T) {
 	}
 	if snap := fleet[via].node.ClusterSnapshot(); snap.Forwards != 4 || snap.Failovers != 0 {
 		t.Fatalf("forwards = %d, failovers = %d", snap.Forwards, snap.Failovers)
+	}
+}
+
+// TestClusterSelfFallbackKeepsUID: when every remote member of a job's
+// failover order is unreachable, the node the client reached runs the job
+// itself, from the spec it decoded, carrying the cluster_uid it stamped
+// for the hops, so a replay of the same submission still dedupes on it.
+func TestClusterSelfFallbackKeepsUID(t *testing.T) {
+	fleet := startFleet(t, []string{"n1", "n2"}, nil, nil)
+	var spec service.JobSpec
+	for seed := int64(1); ; seed++ {
+		spec = clusterRawSpec(seed, 600, 97, 2)
+		if _, owner, _ := routeFor(t, fleet["n1"].url, spec); owner == "n2" {
+			break
+		}
+	}
+	fleet["n1"].chaos.Partition("n1", "n2")
+	st, resp := submitWait(t, fleet["n1"].url, spec, nil)
+	checkResult(t, spec, st)
+	if got := resp.Header.Get("X-Irred-Node"); got != "n1" {
+		t.Fatalf("served by %q, want the entry node n1", got)
+	}
+	j, ok := fleet["n1"].svc.Job(st.ID)
+	if !ok {
+		t.Fatalf("n1 has no job %s", st.ID)
+	}
+	if uid := j.Spec.ClusterUID; len(uid) != 24 || strings.Trim(uid, "0123456789abcdef") != "" {
+		t.Fatalf("self-served cluster_uid = %q, want the router's 24 hex digits", uid)
+	}
+	if snap := fleet["n1"].node.ClusterSnapshot(); snap.Failovers != 1 || snap.LocalServes != 1 {
+		t.Fatalf("failovers = %d, local serves = %d, want 1 and 1", snap.Failovers, snap.LocalServes)
 	}
 }

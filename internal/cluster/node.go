@@ -25,9 +25,6 @@ const (
 	spanReplicate = obs.SpanReplicate
 )
 
-// maxForwardBody mirrors the service's own job-body bound.
-const maxForwardBody = 256 << 20
-
 // Config shapes one cluster node.
 type Config struct {
 	// Self is this node's name; SelfURL its advertised base URL (used in
@@ -116,8 +113,7 @@ type Node struct {
 	trace   *obs.Tracer
 	client  *http.Client
 
-	svc        *service.Service
-	svcHandler http.Handler
+	svc *service.Service
 
 	ringMu  sync.Mutex
 	ringSig string
@@ -164,7 +160,6 @@ func (n *Node) Peers() []string { return n.table.names() }
 // Attach binds the local service. Must run before Start or Handler.
 func (n *Node) Attach(svc *service.Service) {
 	n.svc = svc
-	n.svcHandler = svc.Handler()
 }
 
 // Start launches the gossip probe loop.
@@ -310,7 +305,7 @@ func (n *Node) FetchReplica(uid string) []byte {
 
 func (n *Node) handleReplicaPut(w http.ResponseWriter, r *http.Request) {
 	uid := r.PathValue("uid")
-	frame, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxForwardBody))
+	frame, err := io.ReadAll(http.MaxBytesReader(w, r.Body, service.MaxJobBody))
 	if err != nil {
 		http.Error(w, "replica body: "+err.Error(), http.StatusBadRequest)
 		return
@@ -357,25 +352,23 @@ func (n *Node) Handler() http.Handler {
 	mux.HandleFunc("POST /v1/cluster/route", n.handleRoute)
 	mux.HandleFunc("GET /metrics", n.handleMetrics)
 	mux.HandleFunc("POST /v1/jobs", n.handleSubmit)
-	mux.Handle("/", n.svcHandler)
+	mux.Handle("/", n.svc.Handler())
 	return mux
 }
 
 func (n *Node) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	// Forwarded requests are already routed and already admitted by the
 	// node the client spoke to: serve locally, never re-route (no loops).
-	if r.Header.Get("X-Irred-Forward") == "1" {
-		n.ctrs.localServes.Add(1)
-		n.svcHandler.ServeHTTP(w, r)
-		return
+	forwarded := r.Header.Get("X-Irred-Forward") == "1"
+	if !forwarded {
+		if ok, retry := n.tenants.Allow(r.Header.Get("X-Irred-Tenant")); !ok {
+			n.ctrs.tenantSheds.Add(1)
+			w.Header().Set("Retry-After", strconv.Itoa(retry))
+			writeError(w, http.StatusTooManyRequests, "tenant rate limit")
+			return
+		}
 	}
-	if ok, retry := n.tenants.Allow(r.Header.Get("X-Irred-Tenant")); !ok {
-		n.ctrs.tenantSheds.Add(1)
-		w.Header().Set("Retry-After", strconv.Itoa(retry))
-		writeError(w, http.StatusTooManyRequests, "tenant rate limit")
-		return
-	}
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxForwardBody))
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, service.MaxJobBody))
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "reading job spec: "+err.Error())
 		return
@@ -385,10 +378,14 @@ func (n *Node) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "decoding job spec: "+err.Error())
 		return
 	}
+	if forwarded {
+		n.serveLocal(w, r, spec)
+		return
+	}
 	key := spec.RoutingKey()
 	order := n.ring().Order(key)
 	if len(order) == 0 || order[0] == n.cfg.Self {
-		n.serveLocal(w, r, body)
+		n.serveLocal(w, r, spec)
 		return
 	}
 	if n.cfg.Redirect {
@@ -401,11 +398,13 @@ func (n *Node) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	// Stamp the idempotency UID before the first hop so every retry and
-	// every failover of this submission dedupes on the owner side.
+	// every failover of this submission, the last-resort local run
+	// included, dedupes on the owner side.
 	if spec.ClusterUID == "" {
-		body = stampClusterUID(body[:end], newClusterUID())
+		spec.ClusterUID = newClusterUID()
+		body = stampClusterUID(body[:end], spec.ClusterUID)
 	}
-	n.forward(w, r, order, body, key)
+	n.forward(w, r, order, body, spec)
 }
 
 // stampClusterUID returns spec, the bytes of one JSON object, with a
@@ -430,15 +429,12 @@ func stampClusterUID(spec []byte, uid string) []byte {
 	return append(out, `"}`...)
 }
 
-// serveLocal runs the (possibly restamped) submission on the attached
-// service.
-func (n *Node) serveLocal(w http.ResponseWriter, r *http.Request, body []byte) {
+// serveLocal runs a submission on the attached service from the spec this
+// node decoded, so a job parses once on the node that runs it.
+func (n *Node) serveLocal(w http.ResponseWriter, r *http.Request, spec service.JobSpec) {
 	n.ctrs.localServes.Add(1)
-	r2 := r.Clone(r.Context())
-	r2.Body = io.NopCloser(bytes.NewReader(body))
-	r2.ContentLength = int64(len(body))
 	w.Header().Set("X-Irred-Node", n.cfg.Self)
-	n.svcHandler.ServeHTTP(w, r2)
+	n.svc.ServeJob(w, r, spec)
 }
 
 // handleRoute is the routing debug endpoint: POST a JobSpec, get back the
@@ -447,7 +443,7 @@ func (n *Node) serveLocal(w http.ResponseWriter, r *http.Request, body []byte) {
 // POST /v1/jobs would refuse is refused here too; an Auto spec is checked
 // only for decoding, because its strategy is filled in at submission.
 func (n *Node) handleRoute(w http.ResponseWriter, r *http.Request) {
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxForwardBody))
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, service.MaxJobBody))
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "reading job spec: "+err.Error())
 		return

@@ -12,6 +12,8 @@ import (
 	"net/http"
 	"net/http/httptrace"
 	"time"
+
+	"irred/internal/service"
 )
 
 // errChaosDrop marks a hop the fault injector swallowed; it behaves like
@@ -106,7 +108,7 @@ func (c *cancelOnClose) Close() error {
 // Terminal HTTP statuses stop the walk: 2xx and 4xx come from a healthy
 // owner deciding, and retrying them elsewhere would only duplicate work
 // or mask a bad request. 5xx and transport errors move on.
-func (n *Node) forward(w http.ResponseWriter, r *http.Request, order []string, body []byte, key string) {
+func (n *Node) forward(w http.ResponseWriter, r *http.Request, order []string, body []byte, spec service.JobSpec) {
 	tr := n.trace
 	start := tr.Begin()
 	ctx := r.Context()
@@ -116,7 +118,7 @@ func (n *Node) forward(w http.ResponseWriter, r *http.Request, order []string, b
 		if target == n.cfg.Self {
 			// Self as last resort: everything remote is unreachable, so
 			// run the job here rather than fail the client.
-			n.serveLocal(w, r, body)
+			n.serveLocal(w, r, spec)
 			if failedOver {
 				n.ctrs.failovers.Add(1)
 				if anyAccepted {

@@ -1,13 +1,12 @@
 package service
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/binary"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"hash/fnv"
-	"io"
 	"math"
 	"os"
 	"path/filepath"
@@ -117,38 +116,37 @@ func decodeJobCheckpoint(raw []byte, path string) (*jobCheckpoint, error) {
 	if body[0] != ckFileVersion {
 		return nil, fmt.Errorf("service: checkpoint %s: unsupported version %d", path, body[0])
 	}
-	br := bufio.NewReader(bytes.NewReader(body[1:]))
-	specLen, err := binary.ReadVarint(br)
-	if err != nil || specLen < 2 || specLen > 1<<31 {
+	// Every length is bounded by the bytes left in the frame before anything
+	// is allocated for it: a peer can PUT any frame it likes.
+	rest := body[1:]
+	specLen, k := binary.Varint(rest)
+	if k <= 0 || specLen < 2 || specLen > int64(len(rest)-k) {
 		return nil, fmt.Errorf("service: checkpoint %s: spec length %d", path, specLen)
 	}
-	specJSON := make([]byte, specLen)
-	if _, err := io.ReadFull(br, specJSON); err != nil {
-		return nil, err
+	specJSON, rest := rest[k:k+int(specLen)], rest[k+int(specLen):]
+	spec, end, err := DecodeJobSpec(specJSON)
+	if err == nil && len(bytes.TrimLeft(specJSON[end:], " \t\r\n")) > 0 {
+		err = errors.New("bytes after the spec")
 	}
-	ck := &jobCheckpoint{}
-	if err := json.Unmarshal(specJSON, &ck.Spec); err != nil {
+	if err != nil {
 		return nil, fmt.Errorf("service: checkpoint %s: %w", path, err)
 	}
+	ck := &jobCheckpoint{Spec: spec}
 	if err := ck.Spec.Validate(); err != nil {
 		return nil, fmt.Errorf("service: checkpoint %s: stored spec: %w", path, err)
 	}
-	sweep, err := binary.ReadVarint(br)
-	if err != nil || sweep < 1 || int(sweep) > ck.Spec.steps() {
+	sweep, k := binary.Varint(rest)
+	if k <= 0 || sweep < 1 || sweep > int64(ck.Spec.steps()) {
 		return nil, fmt.Errorf("service: checkpoint %s: sweep %d of %d", path, sweep, ck.Spec.steps())
 	}
-	ck.Sweep = int(sweep)
-	n, err := binary.ReadVarint(br)
-	if err != nil || n < 1 || n > 1<<28 {
+	ck.Sweep, rest = int(sweep), rest[k:]
+	n, k := binary.Varint(rest) // the vector fills the rest of the frame
+	if k <= 0 || n < 1 || n > int64(len(rest)) || 8*int(n) != len(rest)-k {
 		return nil, fmt.Errorf("service: checkpoint %s: vector length %d", path, n)
 	}
-	ck.X = make([]float64, n)
-	var b [8]byte
+	ck.X, rest = make([]float64, n), rest[k:]
 	for i := range ck.X {
-		if _, err := io.ReadFull(br, b[:]); err != nil {
-			return nil, err
-		}
-		ck.X[i] = math.Float64frombits(binary.LittleEndian.Uint64(b[:]))
+		ck.X[i] = math.Float64frombits(binary.LittleEndian.Uint64(rest[8*i:]))
 	}
 	return ck, nil
 }

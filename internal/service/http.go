@@ -9,9 +9,9 @@ import (
 	"irred/internal/obs"
 )
 
-// maxJobBody bounds a job submission (raw indirection arrays can be large,
-// but not unbounded).
-const maxJobBody = 256 << 20
+// MaxJobBody bounds a job or session spec body (raw indirection arrays can
+// be large, but not unbounded), at every node that reads one.
+const MaxJobBody = 256 << 20
 
 // Handler returns the service's HTTP API:
 //
@@ -125,10 +125,19 @@ func (s *Service) handleTrace(w http.ResponseWriter, r *http.Request) {
 
 func (s *Service) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var spec JobSpec // its UnmarshalJSON rejects unknown fields itself
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxJobBody)).Decode(&spec); err != nil {
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, MaxJobBody)).Decode(&spec); err != nil {
 		writeError(w, http.StatusBadRequest, "decoding job spec: "+err.Error())
 		return
 	}
+	s.ServeJob(w, r, spec)
+}
+
+// ServeJob answers a job submission whose spec the caller has decoded: 202
+// with the queued status, or with ?wait=1 the finished one (?result=0 omits
+// the vector). A full queue answers 429 and a closing service 503, both with
+// Retry-After; any other refusal is 400. POST /v1/jobs is its decode
+// followed by ServeJob, and a cluster node calls it with the spec it parsed.
+func (s *Service) ServeJob(w http.ResponseWriter, r *http.Request, spec JobSpec) {
 	j, err := s.Submit(spec)
 	switch {
 	case errors.Is(err, ErrQueueFull):

@@ -38,8 +38,13 @@ func writeSessionError(w http.ResponseWriter, err error) {
 }
 
 func (s *Service) handleSessionOpen(w http.ResponseWriter, r *http.Request) {
-	var spec JobSpec // its UnmarshalJSON rejects unknown fields itself
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxJobBody)).Decode(&spec); err != nil {
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, MaxJobBody))
+	if err != nil {
+		writeError(w, http.StatusBadRequest, "reading session spec: "+err.Error())
+		return
+	}
+	spec, _, err := DecodeJobSpec(body)
+	if err != nil {
 		writeError(w, http.StatusBadRequest, "decoding session spec: "+err.Error())
 		return
 	}

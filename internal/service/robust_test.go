@@ -3,13 +3,16 @@ package service
 import (
 	"bytes"
 	"encoding/binary"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"hash/fnv"
+	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -104,6 +107,62 @@ func TestCheckpointRejectsCorruption(t *testing.T) {
 	}
 	if _, err := os.Stat(path); !errors.Is(err, os.ErrNotExist) {
 		t.Fatal("scanner left the corrupt file on disk")
+	}
+}
+
+// TestCheckpointClaimedSizes: an IRCJ frame reaches the decoder from any
+// cluster peer (PUT /v1/cluster/replica/{uid}), checksum and all, so a
+// length it claims is only believed as far as the frame's own bytes back
+// it. Each frame here is refused with a labelled error and allocates next
+// to nothing, whatever it claims.
+func TestCheckpointClaimedSizes(t *testing.T) {
+	spec, err := json.Marshal(robustSpec(1, 6))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// frame seals fields with the IRCJ header and the FNV-1a trailer.
+	frame := func(fields ...[]byte) []byte {
+		b := append([]byte(ckFileMagic), ckFileVersion)
+		for _, f := range fields {
+			b = append(b, f...)
+		}
+		sum := fnv.New64a()
+		sum.Write(b)
+		return binary.LittleEndian.AppendUint64(b, sum.Sum64())
+	}
+	varint := func(v int64) []byte { return binary.AppendVarint(nil, v) }
+	withVector := func(n int64, floats int) []byte {
+		return frame(varint(int64(len(spec))), spec, varint(1), varint(n), make([]byte, 8*floats))
+	}
+	for _, tc := range []struct {
+		name, why string
+		raw       []byte
+	}{
+		{"spec 2^30", "spec length", frame(varint(1<<30), []byte(`{"p":2}`))},
+		{"spec 2^31", "spec length", frame(varint(1<<31), []byte(`{"p":2}`))},
+		{"vector 2^28", "vector length", withVector(1<<28, 4)},
+		{"short vector", "vector length", withVector(5, 4)},
+		{"bytes after spec", "bytes after the spec", frame(varint(int64(len(spec)+2)), spec, []byte("{}"), varint(1), varint(1), make([]byte, 8))},
+	} {
+		// TotalAlloc counts every goroutine's allocations, so the least of
+		// three decodes is this one's.
+		alloc := uint64(math.MaxUint64)
+		for try := 0; try < 3; try++ {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			_, err := decodeJobCheckpoint(tc.raw, "peer")
+			runtime.ReadMemStats(&after)
+			if err == nil || !strings.HasPrefix(err.Error(), "service: checkpoint peer: "+tc.why) {
+				t.Fatalf("%s: error %v, want one labelled %q", tc.name, err, tc.why)
+			}
+			alloc = min(alloc, after.TotalAlloc-before.TotalAlloc)
+		}
+		if alloc > 1<<20 {
+			t.Errorf("%s: decoding allocated %d bytes", tc.name, alloc)
+		}
+	}
+	if _, err := decodeJobCheckpoint(withVector(4, 4), "peer"); err != nil {
+		t.Fatalf("the same frame with its true length: %v", err)
 	}
 }
 

@@ -16,8 +16,10 @@ import (
 // encoding/json decode site gets it (the HTTP handlers, IRCJ checkpoints)
 // and there is no second wire format to keep equal to the first. Reached
 // through encoding/json, though, the one pass comes after two scans of
-// encoding/json's own; the cluster router, which holds the whole body
-// anyway, calls DecodeJobSpec and pays the one pass alone.
+// encoding/json's own. A site that holds the whole body calls DecodeJobSpec
+// and pays the one pass alone: every job post a cluster node receives,
+// /v1/cluster/route, session open and the spec inside an IRCJ checkpoint.
+// A bare daemon's POST /v1/jobs still goes through json.Decoder.
 //
 // The fast grammar: objects with exact lower-case keys, each at most once;
 // strings of printable ASCII without escapes; integers as plain decimal
