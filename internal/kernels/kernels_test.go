@@ -486,19 +486,19 @@ func withBadTarget(scheds []*inspector.Schedule, to int32) []*inspector.Schedule
 	return bad
 }
 
-// TestMVMPackingResumesAfterACut: a guarded Run that cuts a phase around a
-// skipped access leaves the copy short, ending at the cut; the next clean
-// Run, over the repaired set that replaces the bad one, packs the copy
-// whole. Halving A's values in place after the repair shows that every
-// later block streams the copy: the block loop continues the unchanged
-// matrix's iteration.
-func TestMVMPackingResumesAfterACut(t *testing.T) {
-	mv := NewMVM(sparse.Generate(sparse.Class{Name: "t", N: 300, NNZ: 3000}, 11))
+// TestMVMRefusedSetKeepsTheCopy: a bad set that replaces the clean one
+// after its Runs packed a copy is refused before any block runs, so the
+// copy survives it: with the clean set put back, the block loop streams
+// the copy — halving A's values in place does not reach it — and gives
+// the bits of the per-iteration Consume over the unchanged matrix.
+func TestMVMRefusedSetKeepsTheCopy(t *testing.T) {
+	mv := NewMVM(sparse.Generate(sparse.Class{Name: "t", N: 300, NNZ: 3000}, 7))
 	const p, k = 2, 2
 	scheds, err := mv.Loop(p, k, inspector.Cyclic).Schedules()
 	if err != nil {
 		t.Fatal(err)
 	}
+	bad := withBadTarget(scheds, int32(mv.A.N+3))
 	run := func(block bool) []float64 {
 		n, _, err := mv.NewNativeFrom(scheds, p, k, inspector.Cyclic)
 		if err != nil {
@@ -507,17 +507,14 @@ func TestMVMPackingResumesAfterACut(t *testing.T) {
 		if !block {
 			n.ConsumeBlock = nil
 		}
-		if err := n.Run(1); err != nil {
+		if err := n.Run(2); err != nil {
 			t.Fatal(err)
 		}
-		n.Scheds = withBadTarget(scheds, int32(mv.A.N+3))
-		if err := n.Run(1); err == nil || !strings.Contains(err.Error(), "target check") {
-			t.Fatalf("cut Run: %v, want a target check error", err)
+		n.Scheds = bad
+		if err := n.Run(2); err == nil || !strings.Contains(err.Error(), "target check") {
+			t.Fatalf("bad set: %v, want a target check error", err)
 		}
 		n.Scheds = scheds
-		if err := n.Run(1); err != nil {
-			t.Fatal(err)
-		}
 		if block {
 			defer halveInPlace(mv.A)()
 		}
@@ -526,57 +523,7 @@ func TestMVMPackingResumesAfterACut(t *testing.T) {
 		}
 		return n.X
 	}
-	sameBits(t, "halved after the repacking Run", run(true), run(false))
-}
-
-// TestMVMGuardedBlocksEqualConsume: blocks the guarded loop cuts around a
-// skipped access give the per-iteration Consume's bits and violation —
-// on a bad set that replaces a clean one after its Runs packed a copy, on
-// a bad set from the first Run, and then on the repaired set that
-// replaces it.
-func TestMVMGuardedBlocksEqualConsume(t *testing.T) {
-	mv := NewMVM(sparse.Generate(sparse.Class{Name: "t", N: 300, NNZ: 3000}, 7))
-	const p, k = 2, 2
-	scheds, err := mv.Loop(p, k, inspector.Cyclic).Schedules()
-	if err != nil {
-		t.Fatal(err)
-	}
-	bad := withBadTarget(scheds, int32(mv.A.N+3))
-	for _, mode := range []string{"clean-then-dirty", "dirty", "dirty-then-repaired"} {
-		// run gives x and the violations of each Run over the bad set and
-		// after it.
-		run := func(block bool) ([]float64, string) {
-			n, _, err := mv.NewNativeFrom(scheds, p, k, inspector.Cyclic)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !block {
-				n.ConsumeBlock = nil
-			}
-			if mode == "clean-then-dirty" {
-				if err := n.Run(2); err != nil {
-					t.Fatal(err)
-				}
-			}
-			n.Scheds = bad
-			errs := fmt.Sprint(n.Run(2))
-			if mode == "dirty-then-repaired" {
-				n.Scheds = scheds
-				errs += "; " + fmt.Sprint(n.Run(2))
-			}
-			return n.X, errs
-		}
-		got, gotErr := run(true)
-		want, wantErr := run(false)
-		if gotErr != wantErr || !strings.Contains(gotErr, "target check") {
-			t.Fatalf("%s: block errors %q, per-iteration %q", mode, gotErr, wantErr)
-		}
-		for i := range want {
-			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
-				t.Fatalf("%s: x[%d] block %v, per-iteration %v", mode, i, got[i], want[i])
-			}
-		}
-	}
+	sameBits(t, "halved after the refused set", run(true), run(false))
 }
 
 // TestNativeChecksTheSchedulesItRuns: whatever the loop, a Native checks

@@ -128,9 +128,7 @@ func (m *MVM) NewNativeFrom(scheds []*inspector.Schedule, p, k int, dist inspect
 			pk.consume(y, x, pos, cols)
 			return
 		}
-		if pk.sweeps == 0 || pos > pk.filled {
-			// The processor's first sweep, or a block beyond the copy's end
-			// (the guarded loop cut an earlier block of this Run short).
+		if pk.sweeps == 0 { // the processor's first sweep
 			for j, i := range iters {
 				y[rows[i]] += val[i] * x[cols[j]]
 			}
@@ -139,7 +137,6 @@ func (m *MVM) NewNativeFrom(scheds []*inspector.Schedule, p, k int, dist inspect
 		if pk.val == nil {
 			pk.val = make([]float64, n.Scheds[proc].NumIters())
 		}
-		pk.truncate(pos)
 		dst := pk.val[pos:end]
 		for j, i := range iters {
 			r, v := rows[i], val[i]
@@ -179,9 +176,8 @@ func (m *MVM) NewNativeFrom(scheds []*inspector.Schedule, p, k int, dist inspect
 //
 // The copy pays for itself only over later sweeps, so packing waits for
 // the processor's first finished sweep (sweeps, counted by the Update
-// hook). A block that starts at or before filled and ends past it packs
-// from its start on; one that starts beyond filled, after an access the
-// guarded loop skipped, reads the matrix in place.
+// hook). The engine hands over each phase whole, in schedule order, so a
+// block that ends past filled starts at filled and extends the copy.
 type mvmPacked struct {
 	sched  *inspector.Schedule // the schedule the copy follows
 	src    *float64            // &A.Val[0] when the copy was made
@@ -204,16 +200,6 @@ func (pk *mvmPacked) keep(s *inspector.Schedule, val []float64) {
 		pk.sched, pk.src = s, src
 		pk.val, pk.runs, pk.filled = nil, pk.runs[:0], 0
 	}
-}
-
-// truncate shortens the copy to positions [0, pos).
-func (pk *mvmPacked) truncate(pos int) {
-	if pos >= pk.filled {
-		return
-	}
-	runs := pk.runs
-	pk.runs = runs[:sort.Search(len(runs), func(s int) bool { return int(runs[s].start) >= pos })]
-	pk.filled = pos
 }
 
 // consume is the block loop over packed positions [pos, pos+len(cols)).

@@ -37,10 +37,9 @@ const blockIters = 256
 type ConsumeFunc func(p, i int, vals []float64)
 
 // ConsumeBlockFunc handles a run of scheduled gather-mode iterations at
-// once — the form the native engine drives. iters holds consecutive
-// entries of one phase's iteration list (the whole list unless the guarded
-// loop skipped an access) and targets the rotated-array element each reads:
-// its comp components start at targets[j]*comp of Native.X. The callee
+// once — the form the native engine drives. iters holds one phase's whole
+// iteration list and targets the rotated-array element each reads: its
+// comp components start at targets[j]*comp of Native.X. The callee
 // consumes them in order. p is the executing processor, and pos the
 // schedule position of iters[0]: its index in p's phase iteration lists
 // laid end to end in phase order. A kernel that copies its per-iteration
@@ -62,12 +61,10 @@ type Native struct {
 	// Scheds is the schedule set the engine runs, one per processor. Run
 	// checks a set before its first sweep: every main-loop target and copy
 	// pair must lie inside its processor's local image (gather targets:
-	// inside the rotated array). A clean set runs the unchecked loop
-	// bodies; a set with a target outside the image runs the guarded
-	// ones, which skip and record each offending access, and Run reports
-	// the first after the sweep instead of an index panic mid-sweep. A set
-	// the loops cannot even index fails Run at once. Run checks again only
-	// when an entry of Scheds is another *Schedule than last time, so a
+	// inside the rotated array), and the loops must be able to index it.
+	// A set that fails is refused before any worker starts, with X, the
+	// remote buffers and every hook untouched. Run checks again only when
+	// an entry of Scheds is another *Schedule than last time, so a
 	// schedule held by a Native is replaced, never edited in place.
 	Scheds []*inspector.Schedule
 
@@ -104,17 +101,14 @@ type Native struct {
 	// from Loop.Trace; callers may override before Run.
 	Trace *obs.Tracer
 
-	bufs      [][]float64  // per-processor remote buffers, len BufLen*comp
-	arenas    [][]float64  // per-processor contribution blocks, once a block body runs
-	chans     []chan token // chans[p]: portions arriving at processor p
-	checkErrs []error      // first range violation per processor
-	guarded   bool         // run the guarded bodies whatever the loop (tests)
+	bufs    [][]float64  // per-processor remote buffers, len BufLen*comp
+	arenas  [][]float64  // per-processor contribution blocks, once a block body runs
+	chans   []chan token // chans[p]: portions arriving at processor p
+	guarded bool         // run the guarded bodies whatever the loop (tests)
 
 	// scanned is the set the last target scan passed, nil before the first
-	// Run and after a set the loops cannot index; dirty records whether it
-	// had a target outside its image.
+	// Run.
 	scanned []*inspector.Schedule
-	dirty   bool
 }
 
 type token struct{ portion int }
@@ -157,13 +151,12 @@ func NewNativeFrom(l *Loop, scheds []*inspector.Schedule) (*Native, error) {
 	}
 	comp := l.Cost.comp()
 	n := &Native{
-		Loop:      l,
-		Scheds:    scheds,
-		X:         make([]float64, l.Cfg.NumElems*comp),
-		Trace:     l.Trace,
-		bufs:      make([][]float64, l.Cfg.P),
-		chans:     make([]chan token, l.Cfg.P),
-		checkErrs: make([]error, l.Cfg.P),
+		Loop:   l,
+		Scheds: scheds,
+		X:      make([]float64, l.Cfg.NumElems*comp),
+		Trace:  l.Trace,
+		bufs:   make([][]float64, l.Cfg.P),
+		chans:  make([]chan token, l.Cfg.P),
 	}
 	ident, _ := l.Combine.Identity()
 	for p := 0; p < l.Cfg.P; p++ {
@@ -185,19 +178,10 @@ func fillIdent(buf []float64, ident float64) {
 	}
 }
 
-// checkFail records the first range violation seen by processor p. The
-// offending access is skipped, the sweep completes, and Run reports the
-// violation — graceful degradation instead of an index panic. Each
-// processor writes only its own slot, so no lock is needed.
-func (n *Native) checkFail(p int, format string, args ...any) {
-	if n.checkErrs[p] == nil {
-		n.checkErrs[p] = fmt.Errorf("rts: target check: "+format, args...)
-	}
-}
-
 // Run executes steps timesteps: each is one full sweep of k*P phases
 // followed by the Update hook (if any) under a global barrier. It returns
-// an error if the mode's required callback is missing.
+// an error, before any sweep, if the mode's required callback is missing
+// or the schedule set fails its check.
 func (n *Native) Run(steps int) error {
 	return n.RunContext(context.Background(), steps)
 }
@@ -250,20 +234,16 @@ func (n *Native) RunContext(ctx context.Context, steps int) error {
 			r.consume = consumeBlockOf(n.Consume, r.x, r.comp)
 		}
 	}
-	clear(n.checkErrs)
-
-	// Everything that is constant for the run is decided here, once: the
-	// unchecked bodies serve float-add loops whose schedules need no
-	// per-access guard, the guarded bodies everything else.
 	if n.scanned == nil || !slices.Equal(n.Scheds, n.scanned) {
-		clean, err := n.scanTargets()
-		if err != nil {
-			n.scanned = nil
+		if err := n.scanTargets(); err != nil {
 			return err
 		}
-		n.scanned, n.dirty = slices.Clone(n.Scheds), !clean
+		n.scanned = slices.Clone(n.Scheds)
 	}
-	r.fast = !n.guarded && !n.dirty && l.Combine.Kind == algebra.Add
+
+	// Everything that is constant for the run is decided here, once: the
+	// fast bodies serve float add, the guarded bodies every other combine.
+	r.fast = !n.guarded && l.Combine.Kind == algebra.Add
 	// A block body needs each processor's contribution arena; the fast
 	// body of a two-reference data form folds without one.
 	blockBody := r.coef == nil || !r.fast || len(l.Ind) != 2
@@ -286,10 +266,7 @@ func (n *Native) RunContext(ctx context.Context, steps int) error {
 		}(p)
 	}
 	wg.Wait()
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	return n.checkErr()
+	return ctx.Err()
 }
 
 // blockOf adapts a per-iteration contribution function to the block form;
@@ -345,65 +322,59 @@ func consumeBlockOf(f ConsumeFunc, x []float64, comp int) ConsumeBlockFunc {
 }
 
 // scanTargets is the single pass over a schedule set that Run makes before
-// the set's first sweep. It reports whether every main-loop target and copy
-// pair lies inside its processor's local image (gather targets: inside the
-// rotated array). A set whose shape the loops cannot even index — a missing
-// schedule, phase or reference, a target list shorter than its iteration
-// list, more buffer slots than the Native holds — is an error at once.
-func (n *Native) scanTargets() (clean bool, err error) {
+// the set's first sweep. It returns the first fault it meets, lowest
+// processor first: a shape the loops cannot index — a missing schedule,
+// phase or reference, a target list shorter than its iteration list, more
+// buffer slots than the Native holds — or a main-loop target or copy pair
+// outside its processor's local image (gather targets: outside the
+// rotated array).
+func (n *Native) scanTargets() error {
 	cfg := n.Loop.Cfg
 	if len(n.Scheds) != cfg.P {
-		return false, fmt.Errorf("rts: target check: %d schedules for P = %d", len(n.Scheds), cfg.P)
+		return fmt.Errorf("rts: target check: %d schedules for P = %d", len(n.Scheds), cfg.P)
 	}
 	comp := n.Loop.Cost.comp()
-	clean = true
+	gather := n.Loop.Mode == Gather
 	for p, s := range n.Scheds {
 		if s == nil {
-			return false, fmt.Errorf("rts: target check: schedule %d is nil", p)
+			return fmt.Errorf("rts: target check: schedule %d is nil", p)
 		}
 		if s.BufLen*comp > len(n.bufs[p]) {
-			return false, fmt.Errorf("rts: target check: proc %d: schedule has %d buffer slots, the Native holds %d", p, s.BufLen, len(n.bufs[p])/comp)
+			return fmt.Errorf("rts: target check: proc %d: schedule has %d buffer slots, the Native holds %d", p, s.BufLen, len(n.bufs[p])/comp)
 		}
 		if len(s.Phases) != cfg.NumPhases() {
-			return false, fmt.Errorf("rts: target check: proc %d: schedule has %d phases, want %d", p, len(s.Phases), cfg.NumPhases())
+			return fmt.Errorf("rts: target check: proc %d: schedule has %d phases, want %d", p, len(s.Phases), cfg.NumPhases())
 		}
 		localLen := s.LocalLen()
 		limit := localLen
-		if n.Loop.Mode == Gather {
+		if gather {
 			limit = cfg.NumElems
 		}
 		for ph := range s.Phases {
 			prog := &s.Phases[ph]
 			if len(prog.Ind) != len(n.Loop.Ind) {
-				return false, fmt.Errorf("rts: target check: proc %d phase %d: %d references, loop has %d", p, ph, len(prog.Ind), len(n.Loop.Ind))
+				return fmt.Errorf("rts: target check: proc %d phase %d: %d references, loop has %d", p, ph, len(prog.Ind), len(n.Loop.Ind))
 			}
 			for r, ind := range prog.Ind {
 				if len(ind) != len(prog.Iters) {
-					return false, fmt.Errorf("rts: target check: proc %d phase %d: reference %d has %d targets for %d iterations", p, ph, r, len(ind), len(prog.Iters))
+					return fmt.Errorf("rts: target check: proc %d phase %d: reference %d has %d targets for %d iterations", p, ph, r, len(ind), len(prog.Iters))
 				}
-				for _, tgt := range ind {
+				for j, tgt := range ind {
 					if int(tgt) < 0 || int(tgt) >= limit {
-						clean = false
+						if gather {
+							return fmt.Errorf("rts: target check: proc %d phase %d: iteration %d gathers %d outside the rotated array [0,%d)", p, ph, prog.Iters[j], tgt, limit)
+						}
+						return fmt.Errorf("rts: target check: proc %d phase %d: iteration %d writes %d outside the local image [0,%d)", p, ph, prog.Iters[j], tgt, limit)
 					}
 				}
 			}
 			for _, cp := range prog.Copies {
 				if int(cp.Elem) < 0 || int(cp.Elem) >= cfg.NumElems ||
 					int(cp.Buf) < cfg.NumElems || int(cp.Buf) >= localLen {
-					clean = false
+					return fmt.Errorf("rts: target check: proc %d phase %d: drain %d -> %d outside image (elems %d, local %d)",
+						p, ph, cp.Buf, cp.Elem, cfg.NumElems, localLen)
 				}
 			}
-		}
-	}
-	return clean, nil
-}
-
-// checkErr reports the lowest-numbered processor's range violation after a
-// run.
-func (n *Native) checkErr() error {
-	for _, err := range n.checkErrs {
-		if err != nil {
-			return err
 		}
 	}
 	return nil
@@ -422,7 +393,7 @@ type nativeRun struct {
 	weights []float64        // the data form (reduce mode), when coef is set
 	coef    []float64
 	consume ConsumeBlockFunc // gather mode
-	fast    bool             // unchecked bodies; else the guarded ones
+	fast    bool             // float-add bodies; else the guarded ones
 	bar     *barrier         // nil without an Update hook
 }
 
@@ -537,21 +508,19 @@ func (r *nativeRun) sweep(p, step int) bool {
 		if r.fast {
 			r.drainFast(p, prog)
 		} else {
-			r.drainGuarded(p, ph, prog)
+			r.drainGuarded(p, prog)
 		}
 		tr.End(obs.SpanCopy, p, ph, step, portion, cs)
 
 		// Main loop.
 		ms := tr.Begin()
 		switch {
-		case reduce && r.fast:
-			r.reduceFast(p, prog)
-		case reduce:
-			r.reduceGuarded(p, ph, prog)
+		case !reduce:
+			r.consume(p, pos, prog.Iters, prog.Ind[0])
 		case r.fast:
-			r.gatherFast(p, pos, prog)
+			r.reduceFast(p, prog)
 		default:
-			r.gatherGuarded(p, ph, pos, prog)
+			r.reduceGuarded(p, prog)
 		}
 		tr.End(obs.SpanCompute, p, ph, step, portion, ms)
 		pos += len(prog.Iters)
@@ -584,8 +553,7 @@ func locate(t, numElems int) (b, e int) {
 	return b, t - b*numElems
 }
 
-// reduceFast is the main loop of a float-add phase whose targets need no
-// guard. Contributions arrive a block at a time, or as data; the fold stays
+// reduceFast is the main loop of a float-add phase. Contributions arrive a block at a time, or as data; the fold stays
 // iteration-major, reference by reference, so the order in which sums meet
 // an element — and with it every bit of the result — is the sequential
 // phase program's.
@@ -671,15 +639,15 @@ func (r *nativeRun) reduceFast(p int, prog *inspector.PhaseProgram) {
 	}
 }
 
-// reduceGuarded is the main loop for everything reduceFast does not take:
-// non-Add combines folding through op.Fold, and schedules the target scan
-// found dirty. An access outside the local image is skipped and recorded.
-func (r *nativeRun) reduceGuarded(p, ph int, prog *inspector.PhaseProgram) {
+// reduceGuarded is the main loop of every combine reduceFast does not
+// take, folding through op.Fold, and the reference the fast bodies are
+// held to (ForceGuarded in the tests): one general loop, in the same
+// order, with no body picked by shape.
+func (r *nativeRun) reduceGuarded(p int, prog *inspector.PhaseProgram) {
 	n, cfg := r.n, r.cfg
 	img, arena := [2][]float64{r.x, n.bufs[p]}, n.arenas[p]
 	comp := r.comp
 	stride := len(prog.Ind) * comp
-	localLen := n.Scheds[p].LocalLen()
 	op := n.Loop.Combine
 	add := op.Kind == algebra.Add
 
@@ -688,15 +656,9 @@ func (r *nativeRun) reduceGuarded(p, ph int, prog *inspector.PhaseProgram) {
 		out := arena[:(hi-lo)*stride]
 		r.block(p, prog.Iters[lo:hi], out)
 		for j := lo; j < hi; j++ {
-			it := prog.Iters[j]
 			scratch := out[(j-lo)*stride:][:stride]
 			for ref := range prog.Ind {
-				tgt := int(prog.Ind[ref][j])
-				if tgt < 0 || tgt >= localLen {
-					n.checkFail(p, "proc %d phase %d: iteration %d writes %d outside the local image [0,%d)", p, ph, it, tgt, localLen)
-					continue
-				}
-				b, e := locate(tgt, cfg.NumElems)
+				b, e := locate(int(prog.Ind[ref][j]), cfg.NumElems)
 				d := img[b][e*comp:][:comp]
 				for c, v := range scratch[ref*comp:][:comp] {
 					if add {
@@ -710,7 +672,7 @@ func (r *nativeRun) reduceGuarded(p, ph int, prog *inspector.PhaseProgram) {
 	}
 }
 
-// drainFast is the copy loop beside reduceFast: float add, pairs in range.
+// drainFast is the copy loop beside reduceFast: float add.
 func (r *nativeRun) drainFast(p int, prog *inspector.PhaseProgram) {
 	x, buf := r.x, r.n.bufs[p]
 	comp, numElems := r.comp, r.cfg.NumElems
@@ -732,23 +694,17 @@ func (r *nativeRun) drainFast(p int, prog *inspector.PhaseProgram) {
 	}
 }
 
-// drainGuarded is the copy loop beside reduceGuarded.
-func (r *nativeRun) drainGuarded(p, ph int, prog *inspector.PhaseProgram) {
+// drainGuarded is the copy loop beside reduceGuarded: any combine,
+// resetting each drained slot to its identity.
+func (r *nativeRun) drainGuarded(p int, prog *inspector.PhaseProgram) {
 	n, cfg := r.n, r.cfg
 	x, buf := r.x, n.bufs[p]
 	comp := r.comp
-	localLen := n.Scheds[p].LocalLen()
 	op := n.Loop.Combine
 	add := op.Kind == algebra.Add
 	ident, _ := op.Identity()
 
 	for _, cp := range prog.Copies {
-		if int(cp.Elem) < 0 || int(cp.Elem) >= cfg.NumElems ||
-			int(cp.Buf) < cfg.NumElems || int(cp.Buf) >= localLen {
-			n.checkFail(p, "proc %d phase %d: drain %d -> %d outside image (elems %d, local %d)",
-				p, ph, cp.Buf, cp.Elem, cfg.NumElems, localLen)
-			continue
-		}
 		eb := int(cp.Elem) * comp
 		bb := (int(cp.Buf) - cfg.NumElems) * comp
 		for c := 0; c < comp; c++ {
@@ -760,33 +716,6 @@ func (r *nativeRun) drainGuarded(p, ph int, prog *inspector.PhaseProgram) {
 				buf[bb+c] = ident
 			}
 		}
-	}
-}
-
-// gatherFast is the gather-mode main loop over targets that need no guard:
-// the whole phase is one block, starting at schedule position pos.
-func (r *nativeRun) gatherFast(p, pos int, prog *inspector.PhaseProgram) {
-	r.consume(p, pos, prog.Iters, prog.Ind[0])
-}
-
-// gatherGuarded is the gather-mode main loop for schedules the target scan
-// found dirty. Each run of iterations between two skipped ones is one
-// block, so every other iteration is consumed in phase order.
-func (r *nativeRun) gatherGuarded(p, ph, pos int, prog *inspector.PhaseProgram) {
-	n, cfg := r.n, r.cfg
-	iters, targets := prog.Iters, prog.Ind[0]
-	from := 0 // first iteration not yet consumed or skipped
-	for j, it := range iters {
-		if tgt := int(targets[j]); tgt < 0 || tgt >= cfg.NumElems {
-			n.checkFail(p, "proc %d phase %d: iteration %d gathers %d outside the rotated array [0,%d)", p, ph, it, tgt, cfg.NumElems)
-			if from < j {
-				r.consume(p, pos+from, iters[from:j], targets[from:j])
-			}
-			from = j + 1
-		}
-	}
-	if from < len(iters) {
-		r.consume(p, pos+from, iters[from:], targets[from:len(iters)])
 	}
 }
 

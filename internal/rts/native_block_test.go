@@ -122,32 +122,69 @@ func checkBlockPaths(t *testing.T, rng *rand.Rand, name string, p, k, iters, ele
 	}
 }
 
-// TestGatherPathsEqual: the unchecked gather loop and the guarded one
-// (forced on) hand Consume the same values in the same order.
+// TestGatherPathsEqual: a ConsumeBlock is handed each phase's iteration
+// list whole, at its schedule position, and sees the values the adapter
+// over a per-iteration Consume sees, in the same order.
 func TestGatherPathsEqual(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	l := randLoop(rng, 3, 2, 700, 90, 1, inspector.Cyclic, 2)
 	l.Mode = Gather
-	run := func(guarded bool) []float64 {
-		n, err := NewNative(l)
+	scheds, err := l.Schedules()
+	if err != nil {
+		t.Fatal(err)
+	}
+	// phases[p] is p's phases as [position, length], over two sweeps.
+	phases := make([][][2]int, l.Cfg.P)
+	for p, s := range scheds {
+		for sweep := 0; sweep < 2; sweep++ {
+			pos := 0
+			for ph := range s.Phases {
+				phases[p] = append(phases[p], [2]int{pos, len(s.Phases[ph].Iters)})
+				pos += len(s.Phases[ph].Iters)
+			}
+		}
+	}
+	run := func(block bool) []float64 {
+		n, err := NewNativeFrom(l, scheds)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for i := range n.X {
 			n.X[i] = blockContrib(i, 0)
 		}
-		n.guarded = guarded
 		acc := make([]float64, l.Cfg.P)
-		n.Consume = func(p, i int, vals []float64) {
+		consume := func(p, i int, vals []float64) {
 			acc[p] = acc[p]*0.999 + vals[0]*float64(i%5) - vals[1]
+		}
+		seen := make([][][2]int, l.Cfg.P)
+		if block {
+			n.ConsumeBlock = func(p, pos int, iters, targets []int32) {
+				if len(targets) != len(iters) {
+					t.Errorf("block of %d iterations with %d targets", len(iters), len(targets))
+				}
+				seen[p] = append(seen[p], [2]int{pos, len(iters)})
+				for j, it := range iters {
+					tb := int(targets[j]) * 2
+					consume(p, int(it), n.X[tb:tb+2])
+				}
+			}
+		} else {
+			n.Consume = consume
 		}
 		if err := n.Run(2); err != nil {
 			t.Fatal(err)
 		}
+		if block {
+			for p := range phases {
+				if fmt.Sprint(seen[p]) != fmt.Sprint(phases[p]) {
+					t.Fatalf("processor %d: blocks [position length] %v, phases %v", p, seen[p], phases[p])
+				}
+			}
+		}
 		return acc
 	}
-	if i := sameBits(run(false), run(true)); i >= 0 {
-		t.Fatalf("processor %d consumed differently on the guarded path", i)
+	if i := sameBits(run(true), run(false)); i >= 0 {
+		t.Fatalf("processor %d consumed differently through the block form", i)
 	}
 }
 
@@ -189,29 +226,6 @@ func TestCheckTargetsTruncatedTargets(t *testing.T) {
 	err = n.Run(1)
 	if err == nil || !strings.Contains(err.Error(), "target check") {
 		t.Fatalf("err = %v, want a target check violation", err)
-	}
-}
-
-// TestDirtyScheduleSkipsOnlyTheBadAccess: the guarded loop a dirty
-// schedule falls back to loses the offending access and nothing else.
-func TestDirtyScheduleSkipsOnlyTheBadAccess(t *testing.T) {
-	rng := rand.New(rand.NewSource(45))
-	l := randLoop(rng, 4, 2, 300, 64, 2, inspector.Cyclic, 1)
-	n, err := NewNative(l)
-	if err != nil {
-		t.Fatal(err)
-	}
-	corruptScheduleTarget(t, n.Scheds, -3)
-	n.Contribs = func(_, _ int, out []float64) { out[0], out[1] = 1, 1 }
-	if err := n.Run(1); err == nil {
-		t.Fatal("dirty schedule ran without a recorded violation")
-	}
-	var total float64
-	for _, v := range n.X {
-		total += v
-	}
-	if want := float64(2*l.Cfg.NumIters - 1); total != want {
-		t.Fatalf("total = %v, want %v (every access but the corrupted one)", total, want)
 	}
 }
 
@@ -341,67 +355,6 @@ func TestRunAllocatesNothingPerSweep(t *testing.T) {
 		// now and then; a per-sweep allocation would add 56 or more.
 		if short, long := run(8), run(64); long > short+2 {
 			t.Fatalf("update=%v: Run(8) allocates %v, Run(64) %v", update, short, long)
-		}
-	}
-}
-
-// TestGatherGuardedViolations: on a dirty schedule, a kernel-supplied
-// ConsumeBlock and the adapter over a per-iteration Consume record the
-// same violation, word for word, and are handed the same iterations in
-// phase order: every one but the skipped access.
-func TestGatherGuardedViolations(t *testing.T) {
-	rng := rand.New(rand.NewSource(47))
-	l := randLoop(rng, 3, 2, 400, 60, 1, inspector.Cyclic, 1)
-	l.Mode = Gather
-	scheds, err := l.Schedules()
-	if err != nil {
-		t.Fatal(err)
-	}
-	prog := &scheds[1].Phases[1]
-	j := len(prog.Iters) / 2
-	it := prog.Iters[j]
-	prog.Ind[0][j] = int32(l.Cfg.NumElems + 5)
-	want := fmt.Sprintf("rts: target check: proc 1 phase 1: iteration %d gathers %d outside the rotated array [0,%d)",
-		it, l.Cfg.NumElems+5, l.Cfg.NumElems)
-	// order[p] is p's schedule order, the frame of a block's position.
-	expect, order := make([][]int32, l.Cfg.P), make([][]int32, l.Cfg.P)
-	for p, s := range scheds {
-		for ph := range s.Phases {
-			for _, i := range s.Phases[ph].Iters {
-				order[p] = append(order[p], i)
-				if i != it {
-					expect[p] = append(expect[p], i)
-				}
-			}
-		}
-	}
-
-	for _, block := range []bool{false, true} {
-		n, err := NewNativeFrom(l, scheds)
-		if err != nil {
-			t.Fatal(err)
-		}
-		seen := make([][]int32, l.Cfg.P)
-		if block {
-			n.ConsumeBlock = func(p, pos int, iters, targets []int32) {
-				if len(targets) != len(iters) {
-					t.Errorf("block of %d iterations with %d targets", len(iters), len(targets))
-				}
-				if want := order[p][pos : pos+len(iters)]; fmt.Sprint(iters) != fmt.Sprint(want) {
-					t.Errorf("processor %d: block at schedule position %d is %v, the schedule has %v there", p, pos, iters, want)
-				}
-				seen[p] = append(seen[p], iters...)
-			}
-		} else {
-			n.Consume = func(p, i int, _ []float64) { seen[p] = append(seen[p], int32(i)) }
-		}
-		if err := n.Run(1); err == nil || err.Error() != want {
-			t.Fatalf("block=%v: err = %v, want %s", block, err, want)
-		}
-		for p := range expect {
-			if fmt.Sprint(seen[p]) != fmt.Sprint(expect[p]) {
-				t.Fatalf("block=%v: processor %d consumed %v, want %v", block, p, seen[p], expect[p])
-			}
 		}
 	}
 }
