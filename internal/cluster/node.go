@@ -382,7 +382,8 @@ func (n *Node) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		n.serveLocal(w, r, spec)
 		return
 	}
-	key := spec.RoutingKey()
+	// Kept in the spec: a job that stays here is not hashed again.
+	key := spec.KeepRoutingKey()
 	order := n.ring().Order(key)
 	if len(order) == 0 || order[0] == n.cfg.Self {
 		n.serveLocal(w, r, spec)

@@ -4,6 +4,8 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
+	"hash"
+	"unsafe"
 )
 
 // ScheduleKey returns a stable content hash identifying the LightInspector
@@ -17,6 +19,10 @@ import (
 // programs do depend on indirection contents — hence the content hash. The
 // values flowing through the reduction never enter the key, so one cached
 // schedule set serves any data run through the same indirection arrays.
+//
+// The hashed bytes are the header words and every array value, all little
+// endian. On a little-endian host that is how the arrays already lie in
+// memory, so they are hashed in place; elsewhere they are re-encoded.
 func ScheduleKey(cfg Config, ind ...[]int32) string {
 	h := sha256.New()
 	var hdr [8]byte
@@ -30,20 +36,40 @@ func ScheduleKey(cfg Config, ind ...[]int32) string {
 	put(uint64(cfg.NumElems))
 	put(uint64(cfg.Dist))
 	put(uint64(len(ind)))
-	// Hash array contents in batches to keep the pass cheap on the
-	// multi-million-entry class B arrays.
-	buf := make([]byte, 0, 4096)
+	var buf []byte
 	for _, a := range ind {
 		put(uint64(len(a)))
-		for len(a) > 0 {
-			n := min(len(a), 1024)
-			buf = buf[:0]
-			for _, v := range a[:n] {
-				buf = binary.LittleEndian.AppendUint32(buf, uint32(v))
-			}
-			h.Write(buf)
-			a = a[n:]
+		if littleEndian {
+			hashInPlace(h, a)
+		} else {
+			buf = hashEncoded(h, a, buf)
 		}
 	}
 	return hex.EncodeToString(h.Sum(nil))
+}
+
+// littleEndian reports whether an int32 lies in memory as its
+// little-endian bytes.
+var littleEndian = binary.NativeEndian.Uint16([]byte{1, 0}) == 1
+
+// hashInPlace writes a's memory to h: a's little-endian bytes on a
+// little-endian host.
+func hashInPlace(h hash.Hash, a []int32) {
+	h.Write(unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(a))), 4*len(a)))
+}
+
+// hashEncoded writes a's little-endian bytes to h through buf, in batches
+// so the copy stays small on the multi-million-entry class B arrays, and
+// returns buf for the next array.
+func hashEncoded(h hash.Hash, a []int32, buf []byte) []byte {
+	for len(a) > 0 {
+		n := min(len(a), 1024)
+		buf = buf[:0]
+		for _, v := range a[:n] {
+			buf = binary.LittleEndian.AppendUint32(buf, uint32(v))
+		}
+		h.Write(buf)
+		a = a[n:]
+	}
+	return buf
 }

@@ -125,6 +125,17 @@ type JobSpec struct {
 	// and seeds replayed jobs from the uid's replicated IRCJ checkpoint
 	// when the cluster layer holds one. Empty outside cluster mode.
 	ClusterUID string `json:"cluster_uid,omitempty"`
+
+	// keptKey is the base arrays' content key as KeepRoutingKey hashed it,
+	// under the configuration keptCfg; the service reads it through
+	// baseKey, so that the node that runs a job hashes its arrays once. It
+	// is never encoded: a key from another node is not trusted. A kept key
+	// goes stale when the configuration or the arrays change after it is
+	// hashed. baseKey hashes again when the configuration differs (Auto
+	// replaces the strategy at admission); the arrays are edited in place
+	// only by a session, whose spec never keeps a key.
+	keptKey string
+	keptCfg inspector.Config
 }
 
 // workload maps a spec onto the BENCH trajectory's (kernel, class)
@@ -164,6 +175,27 @@ func (sp *JobSpec) RoutingKey() string {
 			sp.Kernel, sp.Dataset, sp.Seed, sp.P, sp.K, strings.ToLower(sp.Dist))
 	}
 	return inspector.ScheduleKey(sp.config(), sp.Ind...)
+}
+
+// KeepRoutingKey returns RoutingKey and, for a raw job, keeps it in the
+// spec: it is also the schedule cache key of every loop on the base
+// arrays, so the service does not hash them again. It writes the spec:
+// call it before the spec is shared with another goroutine.
+func (sp *JobSpec) KeepRoutingKey() string {
+	if !sp.IsRaw() {
+		return sp.RoutingKey()
+	}
+	return sp.baseKey()
+}
+
+// baseKey is a raw job's routing key, the content key of its base arrays:
+// the kept key while it still names this configuration, else a fresh hash,
+// which it keeps.
+func (sp *JobSpec) baseKey() string {
+	if cfg := sp.config(); sp.keptKey == "" || sp.keptCfg != cfg {
+		sp.keptKey, sp.keptCfg = inspector.ScheduleKey(cfg, sp.Ind...), cfg
+	}
+	return sp.keptKey
 }
 
 // config is the inspector configuration every loop of a raw job shares. A

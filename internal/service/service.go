@@ -553,18 +553,18 @@ func (s *Service) execute(j *Job) (result []float64, hit bool, key string, err e
 // distinct traversal, not per loop. A hit on any loop makes the job a hit,
 // and the job's key is its first loop's.
 func (s *Service) executeRaw(j *Job) (result []float64, hit bool, key string, err error) {
-	spec := &j.Spec
+	spec := j.Spec // the worker's own copy, free to keep the base key
 	cfg := spec.config()
 	sets := make([][]*inspector.Schedule, spec.numLoops())
 	slots := make(map[string][]*inspector.Schedule, len(sets))
-	var baseKey string // loops inheriting the base arrays share one key, hashed once
 	for li := range sets {
-		k := baseKey
-		if own := len(spec.Loops) > 0 && spec.Loops[li].Ind != nil; own || k == "" {
-			k = inspector.ScheduleKey(cfg, spec.loopInd(li)...)
-			if !own {
-				baseKey = k
-			}
+		var k string
+		if len(spec.Loops) > 0 && spec.Loops[li].Ind != nil {
+			k = inspector.ScheduleKey(cfg, spec.Loops[li].Ind...)
+		} else {
+			// Kept by the ingress, or hashed here once for every loop
+			// on the base arrays and the checkpoint replicas.
+			k = spec.baseKey()
 		}
 		if key == "" {
 			key = k
@@ -583,7 +583,7 @@ func (s *Service) executeRaw(j *Job) (result []float64, hit bool, key string, er
 		}
 		sets[li] = scheds
 	}
-	result, err = s.runRaw(j.ctx, spec, sets, j)
+	result, err = s.runRaw(j.ctx, &spec, sets, j)
 	return result, hit, key, err
 }
 
@@ -626,7 +626,7 @@ func (s *Service) runRaw(ctx context.Context, spec *JobSpec, sets [][]*inspector
 			every = 0
 		}
 		if every > 0 && spec.ClusterUID != "" && s.opt.Replicate != nil {
-			routeKey = spec.RoutingKey()
+			routeKey = spec.baseKey()
 		}
 		// Resume state installed by submitJob for checkpointed jobs.
 		j.mu.Lock()

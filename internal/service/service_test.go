@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -196,6 +197,93 @@ func TestScheduleCacheReuseAcrossJobs(t *testing.T) {
 	}
 	if st := waitJob(t, third); st.CacheHit {
 		t.Fatal("different strategy must not hit the cache")
+	}
+}
+
+// TestKeptKeyIsTheOnlyHash: the content key a node keeps at ingress is
+// the only hash of a job's base arrays on that node. The kept key is
+// replaced by a planted one, so any second hash would show: the job's
+// schedule key, every loop on the base arrays (one cache miss, not two)
+// and the checkpoint replicas' placement must all read the planted key.
+// A job that arrives with no key is hashed once by its worker, which keeps
+// the key for the later loops and the replicas. An Auto job's strategy is
+// replaced at admission, so it is hashed again under the one it runs,
+// never served the schedules cached under the old one.
+func TestKeptKeyIsTheOnlyHash(t *testing.T) {
+	var mu sync.Mutex
+	placed := map[string]string{} // uid → the key its replicas were placed by
+	s := newTestService(t, Options{
+		Workers:  1,
+		CacheDir: t.TempDir(),
+		Replicate: func(uid, key string, _ []byte) {
+			mu.Lock()
+			defer mu.Unlock()
+			placed[uid] = key
+		},
+	})
+	placedBy := func(uid string) string {
+		mu.Lock()
+		defer mu.Unlock()
+		return placed[uid]
+	}
+	const planted = "b1a2c3d4e5f60718293a4b5c6d7e8f90a1b2c3d4e5f60718293a4b5c6d7e8f9"
+	plant := func(spec JobSpec) JobSpec {
+		spec.KeepRoutingKey()
+		spec.keptKey = planted
+		return spec
+	}
+	run := func(spec JobSpec) JobStatus {
+		t.Helper()
+		j, err := s.Submit(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		st := waitJob(t, j)
+		if st.State != StateDone {
+			t.Fatalf("job %s: %s", st.State, st.Error)
+		}
+		return st
+	}
+
+	loops := rawSpec(42, 2, 2, 600, 97, 2)
+	loops.Loops = []LoopSpec{{}, {Contrib: &ContribSpec{Kind: "ones"}}}
+	if st, cs := run(plant(loops)), s.Cache().Stats(); st.ScheduleKey != planted || cs.Misses != 1 {
+		t.Fatalf("two loops: keyed %s with %d cache misses; want %s and 1", st.ScheduleKey, cs.Misses, planted)
+	}
+
+	replica := rawSpec(43, 2, 2, 600, 97, 3)
+	replica.CheckpointEvery, replica.ClusterUID = 1, "uid-43"
+	if st, key := run(plant(replica)), placedBy("uid-43"); st.ScheduleKey != planted || key != planted {
+		t.Fatalf("replicated: keyed %s, replicas placed by %s; want %s", st.ScheduleKey, key, planted)
+	}
+	replica.ClusterUID = "uid-44"
+	if st, key := run(replica), placedBy("uid-44"); st.ScheduleKey != replica.RoutingKey() || key != st.ScheduleKey {
+		t.Fatalf("no kept key: keyed %s, replicas placed by %s; want %s", st.ScheduleKey, key, replica.RoutingKey())
+	}
+	// What the worker hashes it keeps: a second read is the first hash,
+	// even of arrays edited since (only a session edits them, and a
+	// session's spec never keeps a key).
+	fresh := rawSpec(45, 2, 2, 600, 97, 1)
+	first := fresh.baseKey()
+	fresh.Ind[0][0] ^= 1
+	if fresh.baseKey() != first {
+		t.Fatal("baseKey hashed the arrays again instead of keeping its key")
+	}
+
+	auto := rawSpec(4, 3, 3, 800, 101, 1)
+	auto.Dist, auto.Auto = "block", true
+	j, err := s.Submit(plant(auto))
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := waitJob(t, j)
+	ran := j.Spec // the strategy it ran; its arrays are released
+	ran.Ind = auto.Ind
+	if ran.config() == auto.config() {
+		t.Fatal("the tuner kept the strategy the key was kept for")
+	}
+	if want := ran.RoutingKey(); st.State != StateDone || st.ScheduleKey != want {
+		t.Fatalf("auto job %s keyed %s; want %s, the key of the strategy it ran", st.State, st.ScheduleKey, want)
 	}
 }
 

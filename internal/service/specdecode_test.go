@@ -263,6 +263,96 @@ func TestJobSpecDecodeHostileSize(t *testing.T) {
 	}
 }
 
+// wordPathBodies sit at the edges of the eight-byte path: numbers in the
+// last 8 bytes of the body, 7 and 8 digits and the int32 limits, zeros,
+// leading zeros and signs, a space or a fraction after the digits, a
+// weight closed by '}', and whitespace everywhere. Each decodes as
+// encoding/json says; each is also a FuzzJobSpecDecode seed.
+var wordPathBodies = []string{
+	`{"ind":[[12345]]}`,                  // the element and its tail are exactly 8 bytes
+	`{"ind":[[1234]]}`,                   // 7 bytes left
+	`{"ind":[[123456]]}`,                 // 9 bytes left
+	`{"ind":[[1,22,333]]}`,               // the last element in the final 8 bytes
+	`{"contrib":{"weights":[1,22,333]}}`, // the same for weights
+	`{"contrib":{"weights":[4444444]}} `, // 7 digits, then the end
+	`{"ind":[[1234567,12345678,1234567]],"p":1}`,
+	`{"ind":[[9999999,99999999,100000000]],"p":1}`,
+	`{"ind":[[2147483647,1,2,3]],"p":1}`,
+	`{"ind":[[2147483648,1,2,3]],"p":1}`,
+	`{"contrib":{"weights":[1234567,12345678,2147483648,9007199254740993]},"p":1}`,
+	`{"ind":[[0,0,10,100,0]],"p":1}`,
+	`{"ind":[[01,2,3]],"p":1}`,
+	`{"ind":[[1,02,3]],"p":1}`,
+	`{"ind":[[-0,1,2,3]],"p":1}`,
+	`{"ind":[[-7,1,2,3]],"p":1}`,
+	`{"ind":[[1,-7,2,3]],"p":1}`,
+	`{"contrib":{"weights":[0,-0,01,-7,7]},"p":1}`,
+	`{"ind":[[1 ,2,3,4]],"p":1}`,
+	`{"ind":[[1, 2,3,4]],"p":1}`,
+	`{"ind":[[1.5,2,3,4]],"p":1}`,
+	`{"ind":[[1e3,2,3,4]],"p":1}`,
+	`{"ind":[[2,1.5,3,4]],"p":1}`,
+	`{"ind":[[2,1e3,3,4]],"p":1}`,
+	`{"ind":[[1,2},"p":1,"k":1}`,
+	`{"contrib":{"kind":"ones","weights":[1,2}},"p":1,"k":1}`,
+	`{"contrib":{"weights":[1.5,2e3,3,4]},"p":1}`,
+	`{"ind":[[1,2,],[3]],"p":1}`,
+	"{\n  \"p\": 2,\n  \"ind\": [\n    [\n      1,\n      22\n    ],\n    [ 333 , 4 ]\n  ],\n  \"contrib\": { \"weights\": [ 5 ,\t6\r\n] }\n}\n",
+}
+
+// TestJobSpecDecodeWordPath: every edge of the eight-byte path decodes as
+// encoding/json does, and the canonical bodies among them stay on the
+// hand-written path.
+func TestJobSpecDecodeWordPath(t *testing.T) {
+	for _, body := range wordPathBodies {
+		checkSpecDecode(t, []byte(body))
+	}
+	indented, err := json.MarshalIndent(rawSpec(2, 2, 2, 50, 3000000, 1), "", "\t")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, body := range []string{wordPathBodies[0], wordPathBodies[6], wordPathBodies[11], string(indented)} {
+		var sp JobSpec
+		if _, ok := fastDecodeSpec([]byte(body), &sp); !ok {
+			t.Errorf("left the fast path: %s", body)
+		}
+		checkSpecDecode(t, []byte(body))
+	}
+}
+
+// TestWordsTakesOnlyShortUnsignedLiterals: which elements the eight-byte
+// path takes, and where it leaves the cursor for the per-byte path.
+func TestWordsTakesOnlyShortUnsignedLiterals(t *testing.T) {
+	for _, c := range []struct {
+		in     string
+		took   []int32
+		closed bool
+		rest   string
+	}{
+		{"1,22,333]    ", []int32{1, 22, 333}, true, "    "},
+		{"1234567,0]      ", []int32{1234567, 0}, true, "      "},
+		{"1234567,0]     ", []int32{1234567}, false, "0]     "},
+		{"12345678,1]    ", nil, false, "12345678,1]    "},
+		{"7,12345678,1]  ", []int32{7}, false, "12345678,1]  "},
+		{"1 ,2]          ", nil, false, "1 ,2]          "},
+		{"3, 4]          ", []int32{3}, false, " 4]          "},
+		{"01,2]          ", nil, false, "01,2]          "},
+		{"0,-7]          ", []int32{0}, false, "-7]          "},
+		{"1.5,2]         ", nil, false, "1.5,2]         "},
+		{"5,1e3]         ", []int32{5}, false, "1e3]         "},
+		{"1,2}           ", []int32{1}, false, "2}           "},
+		{"1,2,3]", nil, false, "1,2,3]"},
+		{"1]}", nil, false, "1]}"},
+	} {
+		p := specParser{b: []byte(c.in)}
+		got, closed := words(&p, []int32(nil))
+		if !reflect.DeepEqual(got, c.took) || closed != c.closed || string(p.b[p.i:]) != c.rest {
+			t.Errorf("words(%q) = %v, closed %v, rest %q; want %v, %v, %q",
+				c.in, got, closed, p.b[p.i:], c.took, c.closed, c.rest)
+		}
+	}
+}
+
 // FuzzJobSpecDecode: for every input, the JobSpec Unmarshaler and strict
 // encoding/json into the method-less twin agree — the same error, or equal
 // values bit for bit — and DecodeJobSpec and json.Decoder agree on value,
@@ -288,6 +378,9 @@ func FuzzJobSpecDecode(f *testing.F) {
 	} {
 		f.Add([]byte(body))
 	}
+	for _, body := range wordPathBodies {
+		f.Add([]byte(body))
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		checkSpecDecode(t, data)
 	})
@@ -298,29 +391,45 @@ func FuzzJobSpecDecode(f *testing.F) {
 // hand-written decoder alone, the reference it falls back to, the
 // hand-written decoder reached the way the service handlers reach it,
 // through encoding/json's own two scanner passes (via-json), and reached
-// the way the cluster router does, through DecodeJobSpec (one-pass).
+// the way the cluster router does, through DecodeJobSpec (one-pass). The
+// last two rows are one-pass on bodies the eight-byte path does not take:
+// weights with a fraction (1.25 to 8.75 in quarter steps), and the
+// benchmark's body indented by json.MarshalIndent.
 func BenchmarkJobSpecDecode(b *testing.B) {
 	spec := rawSpec(1, 2, 2, 32768, 4096, 4)
 	spec.Contrib.Kind = "pair"
 	body := mustMarshal(b, spec)
-	run := func(name string, decode func(*JobSpec) error) {
+	run := func(name string, body []byte, decode func(*JobSpec, []byte) error) {
 		b.Run(name, func(b *testing.B) {
 			b.SetBytes(int64(len(body)))
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				var sp JobSpec
-				if err := decode(&sp); err != nil || len(sp.Ind) != 2 || len(sp.Contrib.Weights) != 32768 {
+				if err := decode(&sp, body); err != nil || len(sp.Ind) != 2 || len(sp.Contrib.Weights) != 32768 {
 					b.Fatalf("decode: %v", err)
 				}
 			}
 		})
 	}
-	run("fast", func(sp *JobSpec) error { return sp.UnmarshalJSON(body) })
-	run("alias-fallback", func(sp *JobSpec) error { return decodeSpecStd(body, sp) })
-	run("via-json", func(sp *JobSpec) error { return json.Unmarshal(body, sp) })
-	run("one-pass", func(sp *JobSpec) error {
+	onePass := func(sp *JobSpec, body []byte) error {
 		var err error
 		*sp, _, err = DecodeJobSpec(body)
 		return err
-	})
+	}
+	run("fast", body, (*JobSpec).UnmarshalJSON)
+	run("alias-fallback", body, func(sp *JobSpec, body []byte) error { return decodeSpecStd(body, sp) })
+	run("via-json", body, func(sp *JobSpec, body []byte) error { return json.Unmarshal(body, sp) })
+	run("one-pass", body, onePass)
+
+	frac := spec
+	frac.Contrib = &ContribSpec{Kind: "weights", Weights: make([]float64, len(spec.Contrib.Weights))}
+	for i, w := range spec.Contrib.Weights {
+		frac.Contrib.Weights[i] = w + 0.25 + float64(i%3)/4
+	}
+	run("fractional-weights", mustMarshal(b, frac), onePass)
+	indented, err := json.MarshalIndent(spec, "", "\t")
+	if err != nil {
+		b.Fatal(err)
+	}
+	run("indented", indented, onePass)
 }
