@@ -11,12 +11,6 @@
 //
 //	irredd -addr :8321 -workers 4 -queue 64 -cache-entries 128 -cache-dir /var/cache/irredd
 //
-// With -bench <dir> the daemon loads the latest BENCH_*.json trajectory
-// (written by irredsweep) and jobs submitted with "auto":true get their
-// (engine, P, k, dist) from the measured-fastest cell for their workload
-// instead of choosing blindly; the backing cell ID is reported as
-// tuned_from in the job status.
-//
 // Streaming sessions extend the amortization further: a client POSTs its
 // base job to /v1/session once, then streams sparse indirection deltas to
 // /v1/session/{id}/delta. The daemon keeps the session's schedules
@@ -43,9 +37,8 @@
 // -suspect-after consecutive missed probes, dead after -dead-after; dead
 // peers leave the ring), replicates job checkpoints to the key's ring
 // successor, and fails jobs over — with the client seeing only a slower
-// answer — when a peer dies mid-job. -cluster-url overrides the base URL
-// advertised for redirects; -tenant-rate/-tenant-burst add per-tenant
-// token-bucket admission keyed on the X-Irred-Tenant header;
+// answer — when a peer dies mid-job. -tenant-rate/-tenant-burst add
+// per-tenant token-bucket admission keyed on the X-Irred-Tenant header;
 // -cluster-chaos installs a deterministic network fault spec (net_drop,
 // net_delay, partition=a~b) on inter-node hops for soak testing.
 //
@@ -80,7 +73,6 @@ import (
 	"irred/internal/buildinfo"
 	"irred/internal/cluster"
 	"irred/internal/fault"
-	"irred/internal/rts"
 	"irred/internal/service"
 )
 
@@ -116,11 +108,8 @@ func main() {
 	sessionFallback := flag.Float64("session-fallback", 0, "delta fraction beyond which a session re-inspects instead of updating incrementally (0 = default 0.25)")
 	checkpointEvery := flag.Int("checkpoint-every", 0, "checkpoint raw multi-sweep jobs every N sweeps (0 = only when the job asks; needs -cache-dir)")
 	drainGrace := flag.Duration("drain-grace", 500*time.Millisecond, "on SIGTERM, keep serving with /readyz=503 this long before closing the listener")
-	benchDir := flag.String("bench", "", `BENCH trajectory directory: jobs submitted with "auto":true are tuned from the latest BENCH_*.json here`)
 	clusterNode := flag.String("cluster-node", "", "this node's name in a cluster (empty = single-node mode)")
 	clusterPeers := flag.String("cluster-peers", "", "comma-separated name=url peer list (cluster mode)")
-	clusterURL := flag.String("cluster-url", "", "base URL to advertise for redirects (default http://<resolved addr>)")
-	clusterRedirect := flag.Bool("cluster-redirect", false, "answer 307 redirects to the owner instead of proxying")
 	gossipEvery := flag.Duration("gossip-every", time.Second, "health gossip probe period (cluster mode)")
 	suspectAfter := flag.Int("suspect-after", 2, "consecutive missed probes before a peer is suspect")
 	deadAfter := flag.Int("dead-after", 4, "consecutive missed probes before a peer is dead and leaves the ring")
@@ -135,24 +124,6 @@ func main() {
 		return
 	}
 
-	// The serving path executes native only, so the tuner is built with
-	// that allowlist: picks measured on any other engine never reach the
-	// pool.
-	var tuner *rts.Tuner
-	if *benchDir != "" {
-		tn, path, err := rts.NewTunerFromDir(*benchDir, rts.TunerOptions{
-			Engines: []string{"native"},
-		})
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "irredd: -bench %s: %v\n", *benchDir, err)
-			os.Exit(1)
-		}
-		tuner = tn
-		log.Printf("irredd: auto-tuning from %s (%d measured workloads)", path, len(tn.Workloads()))
-	}
-
-	// The listener comes first in cluster mode: the advertised URL defaults
-	// to the resolved address, which only exists once the port is bound.
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "irredd: %v\n", err)
@@ -167,7 +138,6 @@ func main() {
 		TraceSpans:      *traceSpans,
 		AllowChaos:      *chaos,
 		CheckpointEvery: *checkpointEvery,
-		Tuner:           tuner,
 
 		MaxSessions:         *maxSessions,
 		SessionFallbackFrac: *sessionFallback,
@@ -183,10 +153,6 @@ func main() {
 			fmt.Fprintf(os.Stderr, "irredd: -cluster-peers: %v\n", err)
 			os.Exit(1)
 		}
-		selfURL := *clusterURL
-		if selfURL == "" {
-			selfURL = "http://" + ln.Addr().String()
-		}
 		var inj *fault.Injector
 		if *clusterChaos != "" {
 			spec, err := fault.ParseSpec(*clusterChaos)
@@ -199,12 +165,10 @@ func main() {
 		}
 		node, err = cluster.New(cluster.Config{
 			Self:         *clusterNode,
-			SelfURL:      selfURL,
 			Peers:        peers,
 			GossipEvery:  *gossipEvery,
 			SuspectAfter: *suspectAfter,
 			DeadAfter:    *deadAfter,
-			Redirect:     *clusterRedirect,
 			Chaos:        inj,
 			TenantRate:   *tenantRate,
 			TenantBurst:  *tenantBurst,

@@ -3,24 +3,13 @@
 //
 // Usage:
 //
-//	irredlint [-format text|json] [-codes] [-prove] [-fix] [file.irl ...]
+//	irredlint [-format text|json] [-codes] [-fix] [file.irl ...]
 //
 // With no files, source is read from standard input. -format selects the
 // output encoding: "text" (default) renders human-readable findings,
 // "json" emits them as a JSON array for tooling (-json is a legacy alias
 // for -format json). -codes prints the catalogue of diagnostic codes
-// (source analyzers and schedule-checker invariants) and exits. -prove
-// first model-checks the systolic ownership protocol over every (P <= 8,
-// k <= 4) strategy — exhaustively verifying the rotation, single-writer
-// and bijection invariants the runtime relies on — and additionally
-// proves the fold-schedule equivalence W6: for every builtin reduction
-// operator, the rotation-order fold is bitwise-equal to the sequential
-// fold over the same strategy space. It also discharges
-// the reuse soundness check W8: every inter-loop schedule-reuse grant of
-// a scenario family is compared against brute-force per-loop inspection
-// for every strategy, and every stale refusal is confirmed to actually
-// change the schedule. It fails the run if any strategy violates an
-// invariant, before linting the files as usual.
+// (source analyzers and schedule-checker invariants) and exits.
 // -fix removes dataflow-dead statements (IRL007/IRL009/IRL014) from the
 // named files in place (or from stdin to stdout) instead of reporting.
 // The exit status is 1 when any file fails to parse or any finding is
@@ -34,7 +23,6 @@ import (
 	"os"
 
 	"irred/internal/buildinfo"
-	"irred/internal/dataflow"
 	"irred/internal/inspector"
 	"irred/internal/lint"
 )
@@ -43,7 +31,6 @@ func main() {
 	asJSON := flag.Bool("json", false, "emit findings as a JSON array (alias for -format json)")
 	format := flag.String("format", "", "output format: text or json")
 	codes := flag.Bool("codes", false, "list all diagnostic codes and exit")
-	prove := flag.Bool("prove", false, "model-check the ownership protocol, fold equivalence and reuse soundness for all P <= 8, k <= 4 before linting")
 	fix := flag.Bool("fix", false, "remove dataflow-dead statements in place instead of reporting")
 	version := flag.Bool("version", false, "print build information and exit")
 	flag.Parse()
@@ -67,24 +54,6 @@ func main() {
 	if *codes {
 		printCodes()
 		return
-	}
-
-	if *prove {
-		checked, violations := dataflow.ProveAll(8, 4)
-		foldChecked, foldViolations := dataflow.ProveAllFold(8, 4)
-		violations = append(violations, foldViolations...)
-		reuseChecked, reuseViolations := dataflow.ProveAllReuse(8, 4)
-		violations = append(violations, reuseViolations...)
-		if len(violations) > 0 {
-			for _, v := range violations {
-				fmt.Fprintln(os.Stderr, "irredlint: prove:", v.Error())
-			}
-			fmt.Fprintf(os.Stderr, "irredlint: prove: %d invariant violation(s) across %d strategies\n", len(violations), checked)
-			os.Exit(1)
-		}
-		fmt.Printf("prove: %d ownership strategies (P <= 8, k <= 4) satisfy the systolic invariants\n", checked)
-		fmt.Printf("prove: %d (strategy, operator) fold schedules are bitwise-equal to the sequential fold (W6)\n", foldChecked)
-		fmt.Printf("prove: %d (strategy, scenario) reuse grants match brute-force per-loop inspection (W8)\n", reuseChecked)
 	}
 
 	if *fix {

@@ -475,53 +475,6 @@ func TestClusterTenantAdmission(t *testing.T) {
 	}
 }
 
-// TestClusterRedirectMode: in redirect mode a non-owner answers 307 with
-// the owner's Location and X-Irred-Node; Go's http.Client re-POSTs there
-// transparently and the job completes on the owner.
-func TestClusterRedirectMode(t *testing.T) {
-	fleet := startFleet(t, []string{"n1", "n2"}, func(name string, cfg *Config) {
-		cfg.Redirect = true
-	}, nil)
-	var spec service.JobSpec
-	var owner string
-	for seed := int64(1); ; seed++ {
-		spec = clusterRawSpec(seed, 1200, 199, 2)
-		_, owner, _ = routeFor(t, fleet["n1"].url, spec)
-		if owner == "n2" {
-			break
-		}
-	}
-	// First, observe the bare 307 without following it.
-	body, _ := json.Marshal(spec)
-	noFollow := &http.Client{CheckRedirect: func(*http.Request, []*http.Request) error { return http.ErrUseLastResponse }}
-	req, _ := http.NewRequest(http.MethodPost, fleet["n1"].url+"/v1/jobs?wait=1", bytes.NewReader(body))
-	req.Header.Set("Content-Type", "application/json")
-	resp, err := noFollow.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusTemporaryRedirect {
-		t.Fatalf("redirect mode answered HTTP %d, want 307", resp.StatusCode)
-	}
-	if got := resp.Header.Get("X-Irred-Node"); got != owner {
-		t.Fatalf("redirect X-Irred-Node = %q, want %q", got, owner)
-	}
-	if loc := resp.Header.Get("Location"); loc == "" {
-		t.Fatal("redirect missing Location")
-	}
-	// Then let the default client follow it end to end.
-	st, final := submitWait(t, fleet["n1"].url, spec, nil)
-	checkResult(t, spec, st)
-	if got := final.Header.Get("X-Irred-Node"); got != owner {
-		t.Fatalf("followed redirect served by %q, want %q", got, owner)
-	}
-	if snap := fleet["n1"].node.ClusterSnapshot(); snap.Redirects < 2 {
-		t.Fatalf("redirects = %d, want >= 2", snap.Redirects)
-	}
-}
-
 // TestClusterMetricsShape: /metrics keeps the flat service fields (jq
 // paths in CI and dashboards must not break) and adds the cluster
 // section.

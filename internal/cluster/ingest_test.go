@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"io"
 	"net/http"
+	"net/http/httptest"
 	"reflect"
 	"strings"
 	"testing"
@@ -109,11 +110,21 @@ func TestClusterBadSpecAnswersJSON(t *testing.T) {
 // endpoint reads it. The routing debug endpoint used to decode laxly, so a
 // typo'd spec routed and then failed to submit. The node is its keys'
 // owner, so /v1/jobs runs it locally, and the forwarded post is what an
-// owner gets from another node; each endpoint decodes on its own path.
-// A refusal carries the same message after the endpoint's own prefix.
+// owner gets from another node; a bare daemon's POST /v1/jobs decodes
+// through json.Decoder. Each endpoint decodes on its own path. A refusal
+// carries the same message after the endpoint's own prefix. "auto" is not
+// a JobSpec field, since a served job runs the strategy its client sent,
+// and every endpoint refuses it by name.
 func TestSpecEndpointsAgree(t *testing.T) {
 	fleet := startFleet(t, []string{"n1"}, nil, nil)
 	url := fleet["n1"].url
+	svc, err := service.New(service.Options{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(svc.Close)
+	bare := httptest.NewServer(svc.Handler())
+	t.Cleanup(bare.Close)
 	good := string(mustJSON(t, clusterRawSpec(5, 60, 11, 2)))
 	field := func(from, to string) string {
 		if !strings.Contains(good, from) {
@@ -145,19 +156,29 @@ func TestSpecEndpointsAgree(t *testing.T) {
 			`engine \"distributed\" was removed; jobs run on the native engine`},
 		{"removed chaos key", field(`"p":4`, `"p":4,"chaos":{"seed":1,"drop":0.5}`), false,
 			`unknown field \"drop\"`},
+		{"removed auto", field(`"p":4`, `"p":4,"auto":true`), false, `unknown field \"auto\"`},
 	} {
 		first := ""
-		for i, path := range []string{"/v1/jobs", "forwarded /v1/jobs", "/v1/cluster/route", "/v1/session?result=0"} {
-			req, err := http.NewRequest(http.MethodPost, url+strings.TrimPrefix(path, "forwarded "), strings.NewReader(tc.body))
+		for i, ep := range []struct {
+			path, url string
+			forward   bool
+		}{
+			{"/v1/jobs", url + "/v1/jobs", false},
+			{"forwarded /v1/jobs", url + "/v1/jobs", true},
+			{"/v1/cluster/route", url + "/v1/cluster/route", false},
+			{"/v1/session", url + "/v1/session?result=0", false},
+			{"a bare daemon's /v1/jobs", bare.URL + "/v1/jobs", false},
+		} {
+			req, err := http.NewRequest(http.MethodPost, ep.url, strings.NewReader(tc.body))
 			if err != nil {
 				t.Fatal(err)
 			}
-			if strings.HasPrefix(path, "forwarded ") {
+			if ep.forward {
 				req.Header.Set("X-Irred-Forward", "1")
 			}
 			code, raw := do(t, req)
 			if ok := code < 300; ok != tc.ok || (!ok && code != http.StatusBadRequest) || !bytes.Contains(raw, []byte(tc.why)) {
-				t.Errorf("%s: POST %s answered %d: %s", tc.name, path, code, raw)
+				t.Errorf("%s: POST %s answered %d: %s", tc.name, ep.path, code, raw)
 			}
 			if tc.ok {
 				continue
@@ -166,7 +187,7 @@ func TestSpecEndpointsAgree(t *testing.T) {
 				Error string `json:"error"`
 			}
 			if err := json.Unmarshal(raw, &refusal); err != nil {
-				t.Fatalf("%s: POST %s: 400 body is not JSON: %s", tc.name, path, raw)
+				t.Fatalf("%s: POST %s: 400 body is not JSON: %s", tc.name, ep.path, raw)
 			}
 			msg := refusal.Error
 			for _, prefix := range []string{"decoding job spec: ", "decoding session spec: ", "service: invalid job: ", "invalid job: "} {
@@ -175,7 +196,7 @@ func TestSpecEndpointsAgree(t *testing.T) {
 			if i == 0 {
 				first = msg
 			} else if msg != first {
-				t.Errorf("%s: POST %s refused with %q, POST /v1/jobs with %q", tc.name, path, msg, first)
+				t.Errorf("%s: POST %s refused with %q, POST /v1/jobs with %q", tc.name, ep.path, msg, first)
 			}
 		}
 	}

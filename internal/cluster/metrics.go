@@ -11,7 +11,6 @@ type counters struct {
 	forwards       atomic.Int64 // jobs proxied to a remote owner
 	forwardRetries atomic.Int64 // per-hop retries during forwards
 	failovers      atomic.Int64 // forwards that abandoned a target for its successor
-	redirects      atomic.Int64 // 307 answers in redirect mode
 	localServes    atomic.Int64 // jobs this node owned and ran itself
 	replays        atomic.Int64 // jobs resubmitted after an owner died mid-job
 	replicasSent   atomic.Int64 // checkpoint frames shipped to successors
@@ -29,7 +28,6 @@ type Snapshot struct {
 	Forwards       int64            `json:"forwards"`
 	ForwardRetries int64            `json:"forward_retries"`
 	Failovers      int64            `json:"failovers"`
-	Redirects      int64            `json:"redirects"`
 	LocalServes    int64            `json:"local_serves"`
 	Replays        int64            `json:"replays"`
 	ReplicasSent   int64            `json:"replicas_sent"`

@@ -27,12 +27,14 @@ const (
 
 // Config shapes one cluster node.
 type Config struct {
-	// Self is this node's name; SelfURL its advertised base URL (used in
-	// redirect Locations). Peers maps every *other* node's name to its
-	// base URL — the static seed set shared by the whole fleet.
-	Self    string
+	// Self is this node's name. Peers maps every *other* node's name to
+	// its base URL — the static seed set shared by the whole fleet.
+	Self  string
+	Peers map[string]string
+
+	// SelfURL is not read: a node forwards to its peers' URLs and never
+	// names its own. It stays because the benchmark's fleet sets it.
 	SelfURL string
-	Peers   map[string]string
 
 	// VNodes is the consistent-hash virtual-node count (DefaultVNodes
 	// when 0).
@@ -50,10 +52,6 @@ type Config struct {
 	HopTimeout     time.Duration
 	WaitHopTimeout time.Duration
 	HopRetries     int
-
-	// Redirect switches the router from proxying to answering 307 with
-	// the owner's URL in Location and X-Irred-Node.
-	Redirect bool
 
 	// Chaos, when non-nil, runs every inter-node hop through the fault
 	// injector's network model (drops, delays, partitions). Nil means a
@@ -389,15 +387,6 @@ func (n *Node) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		n.serveLocal(w, r, spec)
 		return
 	}
-	if n.cfg.Redirect {
-		// Redirect mode: tell the client who owns the key and let it
-		// re-POST there (Go's http.Client follows 307 with GetBody).
-		n.ctrs.redirects.Add(1)
-		w.Header().Set("Location", n.table.url(order[0])+r.URL.RequestURI())
-		w.Header().Set("X-Irred-Node", order[0])
-		w.WriteHeader(http.StatusTemporaryRedirect)
-		return
-	}
 	// Stamp the idempotency UID before the first hop so every retry and
 	// every failover of this submission, the last-resort local run
 	// included, dedupes on the owner side.
@@ -441,8 +430,7 @@ func (n *Node) serveLocal(w http.ResponseWriter, r *http.Request, spec service.J
 // handleRoute is the routing debug endpoint: POST a JobSpec, get back the
 // routing key, the owner, and the full failover order under the current
 // membership view. CI uses it to find which node to kill. A spec that
-// POST /v1/jobs would refuse is refused here too; an Auto spec is checked
-// only for decoding, because its strategy is filled in at submission.
+// POST /v1/jobs would refuse is refused here too.
 func (n *Node) handleRoute(w http.ResponseWriter, r *http.Request) {
 	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, service.MaxJobBody))
 	if err != nil {
@@ -454,11 +442,9 @@ func (n *Node) handleRoute(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "decoding job spec: "+err.Error())
 		return
 	}
-	if !spec.Auto {
-		if err := spec.Validate(); err != nil {
-			writeError(w, http.StatusBadRequest, "invalid job: "+err.Error())
-			return
-		}
+	if err := spec.Validate(); err != nil {
+		writeError(w, http.StatusBadRequest, "invalid job: "+err.Error())
+		return
 	}
 	key := spec.RoutingKey()
 	ring := n.ring()
@@ -480,7 +466,6 @@ func (n *Node) ClusterSnapshot() Snapshot {
 		Forwards:       n.ctrs.forwards.Load(),
 		ForwardRetries: n.ctrs.forwardRetries.Load(),
 		Failovers:      n.ctrs.failovers.Load(),
-		Redirects:      n.ctrs.redirects.Load(),
 		LocalServes:    n.ctrs.localServes.Load(),
 		Replays:        n.ctrs.replays.Load(),
 		ReplicasSent:   n.ctrs.replicasSent.Load(),

@@ -13,7 +13,7 @@
 //	gossip.go  peer health state machine + probe loop + wire format
 //	tenant.go  per-tenant token-bucket admission
 //	replica.go bounded checkpoint-frame replica store
-//	router.go  proxy/redirect routing with retry, backoff and failover
+//	router.go  proxy routing with retry, backoff and failover
 //	node.go    ties the above around a service.Service's HTTP handler
 package cluster
 

@@ -117,8 +117,8 @@ func (n *Node) forward(w http.ResponseWriter, r *http.Request, order []string, b
 	for ti, target := range order {
 		if target == n.cfg.Self {
 			// Self as last resort: everything remote is unreachable, so
-			// run the job here rather than fail the client.
-			n.serveLocal(w, r, spec)
+			// run the job here rather than fail the client. Counted
+			// before the answer, like a relayed one.
 			if failedOver {
 				n.ctrs.failovers.Add(1)
 				if anyAccepted {
@@ -126,6 +126,7 @@ func (n *Node) forward(w http.ResponseWriter, r *http.Request, order []string, b
 					tr.Event(spanFailover, -1, -1, -1, -1)
 				}
 			}
+			n.serveLocal(w, r, spec)
 			tr.End(spanForward, -1, -1, -1, -1, start)
 			return
 		}
@@ -170,16 +171,8 @@ func (n *Node) forward(w http.ResponseWriter, r *http.Request, order []string, b
 				anyAccepted = true
 				continue
 			}
-			// Terminal answer: relay it. reqSent errors *during* the body
-			// copy mean the target died mid-response — fall through to
-			// the next target with the same UID.
-			if err := relayResponse(w, hr.resp, target); err != nil {
-				anyAccepted = true
-				// Headers already went out; nothing more we can do for
-				// this client on a broken relay.
-				tr.End(spanForward, -1, -1, -1, -1, start)
-				return
-			}
+			// Terminal answer: count it, then relay it. Counted first, so
+			// a client that has read the answer sees it in /metrics too.
 			n.ctrs.forwards.Add(1)
 			if failedOver {
 				n.ctrs.failovers.Add(1)
@@ -188,6 +181,7 @@ func (n *Node) forward(w http.ResponseWriter, r *http.Request, order []string, b
 					tr.Event(spanFailover, -1, -1, -1, -1)
 				}
 			}
+			relayResponse(w, hr.resp, target)
 			tr.End(spanForward, -1, -1, -1, -1, start)
 			return
 		}
@@ -200,8 +194,9 @@ func (n *Node) forward(w http.ResponseWriter, r *http.Request, order []string, b
 }
 
 // relayResponse copies the target's answer to the client, stamping the
-// serving node. Returns an error only when the copy broke mid-body.
-func relayResponse(w http.ResponseWriter, resp *http.Response, target string) error {
+// serving node. A copy that breaks mid-body leaves the client a truncated
+// answer; the headers already went out, so there is no one to report to.
+func relayResponse(w http.ResponseWriter, resp *http.Response, target string) {
 	defer resp.Body.Close()
 	for k, vs := range resp.Header {
 		for _, v := range vs {
@@ -210,8 +205,7 @@ func relayResponse(w http.ResponseWriter, resp *http.Response, target string) er
 	}
 	w.Header().Set("X-Irred-Node", target)
 	w.WriteHeader(resp.StatusCode)
-	_, err := io.Copy(w, resp.Body)
-	return err
+	_, _ = io.Copy(w, resp.Body)
 }
 
 func writeGatewayError(w http.ResponseWriter, msg string) {

@@ -36,10 +36,9 @@ type TunerOptions struct {
 	// host's NumCPU.
 	MaxP int
 	// Engines, when non-empty, restricts picks to engines the consumer
-	// can execute (the irredd serving path runs native only; irredrun
-	// -auto can execute every engine the sweep harness knows). A cell
-	// naming an engine outside the list — one since removed, say — never
-	// backs a pick.
+	// can execute (irredrun -auto passes every engine the sweep harness
+	// knows). A cell naming an engine outside the list — one since
+	// removed, say — never backs a pick.
 	Engines []string
 }
 

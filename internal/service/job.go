@@ -110,13 +110,6 @@ type JobSpec struct {
 	// from its last checkpoint instead of recomputing from sweep 0.
 	CheckpointEvery int `json:"checkpoint_every,omitempty"`
 
-	// Auto asks the service to pick the execution strategy from its BENCH
-	// trajectory tuner: (engine, P, k, dist) are overwritten by the
-	// measured-fastest usable cell for this workload (or the paper's
-	// heuristic defaults when the daemon has no trajectory). The spec's own
-	// P/K/Dist/Engine values are ignored and may be zero.
-	Auto bool `json:"auto,omitempty"`
-
 	// ClusterUID identifies one logical job across the fleet: the routing
 	// node stamps it before forwarding, and every replay of the job — on
 	// the same node after a retry, or on the ring successor after the
@@ -126,36 +119,14 @@ type JobSpec struct {
 	// when the cluster layer holds one. Empty outside cluster mode.
 	ClusterUID string `json:"cluster_uid,omitempty"`
 
-	// keptKey is the base arrays' content key as KeepRoutingKey hashed it,
-	// under the configuration keptCfg; the service reads it through
-	// baseKey, so that the node that runs a job hashes its arrays once. It
-	// is never encoded: a key from another node is not trusted. A kept key
-	// goes stale when the configuration or the arrays change after it is
-	// hashed. baseKey hashes again when the configuration differs (Auto
-	// replaces the strategy at admission); the arrays are edited in place
-	// only by a session, whose spec never keeps a key.
+	// keptKey is the base arrays' content key as KeepRoutingKey hashed it;
+	// the service reads it through baseKey, so that the node that runs a
+	// job hashes its arrays once. It is never encoded: a key from another
+	// node is not trusted. A kept key goes stale when the strategy, the
+	// extents or the arrays change after it is hashed. Nothing changes the
+	// first two after ingress, and the arrays are edited in place only by a
+	// session, whose spec never keeps a key.
 	keptKey string
-	keptCfg inspector.Config
-}
-
-// workload maps a spec onto the BENCH trajectory's (kernel, class)
-// vocabulary. Named kernels map directly (with the dataset name's
-// canonical case); raw jobs bucket by iteration count onto the sweep
-// harness's raw classes, so a raw job is tuned from the measurements of
-// the nearest-sized synthetic workload.
-func (sp *JobSpec) workload() (kernel, class string) {
-	if !sp.IsRaw() {
-		class, _ := kernels.Dataset(sp.Kernel, sp.Dataset)
-		return sp.Kernel, class
-	}
-	switch {
-	case sp.NumIters <= 1024:
-		return "raw", "tiny"
-	case sp.NumIters <= 8192:
-		return "raw", "small"
-	default:
-		return "raw", "large"
-	}
 }
 
 // IsRaw reports whether the spec is a raw reduction (no named kernel).
@@ -189,11 +160,10 @@ func (sp *JobSpec) KeepRoutingKey() string {
 }
 
 // baseKey is a raw job's routing key, the content key of its base arrays:
-// the kept key while it still names this configuration, else a fresh hash,
-// which it keeps.
+// the kept key, else a fresh hash, which it keeps.
 func (sp *JobSpec) baseKey() string {
-	if cfg := sp.config(); sp.keptKey == "" || sp.keptCfg != cfg {
-		sp.keptKey, sp.keptCfg = inspector.ScheduleKey(cfg, sp.Ind...), cfg
+	if sp.keptKey == "" {
+		sp.keptKey = inspector.ScheduleKey(sp.config(), sp.Ind...)
 	}
 	return sp.keptKey
 }
@@ -511,10 +481,6 @@ type JobStatus struct {
 	CheckpointSweep int `json:"checkpoint_sweep,omitempty"`
 	// Resumed marks a job reconstructed from a checkpoint at daemon start.
 	Resumed bool `json:"resumed,omitempty"`
-	// TunedFrom is the BENCH cell ID that backed an auto-tuned job's
-	// strategy ("heuristic" when the tuner fell back); empty for jobs that
-	// chose their own strategy.
-	TunedFrom string `json:"tuned_from,omitempty"`
 	// Result is the final reduction/state vector: x for mvm, the node state
 	// q for euler, positions for moldyn, the reduction array for raw jobs.
 	Result []float64 `json:"result,omitempty"`
@@ -536,7 +502,6 @@ type Job struct {
 	stack     []byte // recovered panic stack, failed jobs only
 	cacheHit  bool
 	key       string
-	tuned     string // BENCH cell ID behind an auto-tuned strategy
 	result    []float64
 	resultSum string
 	ckSweep   int  // last checkpointed sweep
@@ -579,7 +544,6 @@ func (j *Job) Status(includeResult bool) JobStatus {
 		Stack:           string(j.stack),
 		CheckpointSweep: j.ckSweep,
 		Resumed:         j.resumed,
-		TunedFrom:       j.tuned,
 	}
 	if !j.started.IsZero() {
 		st.QueuedMS = float64(j.started.Sub(j.created)) / float64(time.Millisecond)

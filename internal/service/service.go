@@ -70,12 +70,6 @@ type Options struct {
 	// multi-sweep jobs that do not set their own; 0 disables checkpointing
 	// for jobs that do not ask for it. Checkpoints need CacheDir.
 	CheckpointEvery int
-	// Tuner resolves jobs submitted with Auto: their (P, k, dist) come
-	// from the measured-fastest usable cell of a persisted BENCH
-	// trajectory. Build it with the engine allowlist {"native"}, the one
-	// engine this serving path runs, so only native cells back a pick. Nil
-	// still accepts Auto jobs — they get the paper's heuristic defaults.
-	Tuner *rts.Tuner
 	// MaxSessions bounds the resident streaming sessions (each keeps a
 	// cloned schedule set and its indirection arrays in memory). Beyond it
 	// the least recently used session is evicted; its next request answers
@@ -210,10 +204,6 @@ func (s *Service) Submit(spec JobSpec) (*Job, error) {
 
 // submitJob admits a job, optionally seeded from a checkpoint (resume).
 func (s *Service) submitJob(spec JobSpec, ck *jobCheckpoint) (*Job, error) {
-	var tunedFrom string
-	if spec.Auto {
-		spec, tunedFrom = s.applyAuto(spec)
-	}
 	if err := spec.Validate(); err != nil {
 		return nil, fmt.Errorf("service: invalid job: %w", err)
 	}
@@ -270,7 +260,6 @@ func (s *Service) submitJob(spec JobSpec, ck *jobCheckpoint) (*Job, error) {
 		state:   StateQueued,
 		created: time.Now(),
 	}
-	j.tuned = tunedFrom
 	if ck != nil {
 		j.resumed = true
 		j.resumeAt = ck.Sweep
@@ -303,22 +292,6 @@ func (s *Service) submitJob(spec JobSpec, ck *jobCheckpoint) (*Job, error) {
 	}
 	s.met.submittedJob()
 	return j, nil
-}
-
-// applyAuto resolves an Auto spec against the configured tuner: the
-// measured-fastest usable strategy for the job's workload overwrites the
-// spec's (P, k, dist), and the job runs native: a pick measured on another
-// engine lends only its shape.
-func (s *Service) applyAuto(spec JobSpec) (JobSpec, string) {
-	tn := s.opt.Tuner
-	if tn == nil {
-		tn = rts.NewTuner(nil, rts.TunerOptions{})
-	}
-	kernel, class := spec.workload()
-	pick := tn.Pick(kernel, class)
-	spec.P, spec.K, spec.Dist = pick.P, pick.K, pick.Dist
-	spec.Engine = ""
-	return spec, pick.Source
 }
 
 // Job looks up a job by id.

@@ -206,9 +206,7 @@ func TestScheduleCacheReuseAcrossJobs(t *testing.T) {
 // schedule key, every loop on the base arrays (one cache miss, not two)
 // and the checkpoint replicas' placement must all read the planted key.
 // A job that arrives with no key is hashed once by its worker, which keeps
-// the key for the later loops and the replicas. An Auto job's strategy is
-// replaced at admission, so it is hashed again under the one it runs,
-// never served the schedules cached under the old one.
+// the key for the later loops and the replicas.
 func TestKeptKeyIsTheOnlyHash(t *testing.T) {
 	var mu sync.Mutex
 	placed := map[string]string{} // uid → the key its replicas were placed by
@@ -268,22 +266,6 @@ func TestKeptKeyIsTheOnlyHash(t *testing.T) {
 	fresh.Ind[0][0] ^= 1
 	if fresh.baseKey() != first {
 		t.Fatal("baseKey hashed the arrays again instead of keeping its key")
-	}
-
-	auto := rawSpec(4, 3, 3, 800, 101, 1)
-	auto.Dist, auto.Auto = "block", true
-	j, err := s.Submit(plant(auto))
-	if err != nil {
-		t.Fatal(err)
-	}
-	st := waitJob(t, j)
-	ran := j.Spec // the strategy it ran; its arrays are released
-	ran.Ind = auto.Ind
-	if ran.config() == auto.config() {
-		t.Fatal("the tuner kept the strategy the key was kept for")
-	}
-	if want := ran.RoutingKey(); st.State != StateDone || st.ScheduleKey != want {
-		t.Fatalf("auto job %s keyed %s; want %s, the key of the strategy it ran", st.State, st.ScheduleKey, want)
 	}
 }
 

@@ -283,9 +283,6 @@ func validateSessionSpec(spec *JobSpec) error {
 	if spec.Chaos != nil {
 		return fmt.Errorf("service: sessions do not accept chaos specs")
 	}
-	if spec.Auto {
-		return fmt.Errorf("service: sessions choose their own strategy (auto is job-only)")
-	}
 	// Multi-loop sessions exist to amortize one resident schedule clone
 	// across every loop of a sweep, so each loop must traverse the
 	// session's base indirection: a loop with private arrays would need

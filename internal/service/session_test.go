@@ -5,6 +5,7 @@ import (
 	"errors"
 	"math/rand"
 	"sort"
+	"strings"
 	"testing"
 
 	"irred/internal/fault"
@@ -215,7 +216,9 @@ func TestSessionBusy(t *testing.T) {
 	}
 }
 
-// TestSessionSpecValidation enumerates the shapes sessions refuse.
+// TestSessionSpecValidation enumerates the shapes sessions refuse. Each
+// body goes the way POST /v1/session takes it, decode then open, so a field
+// JobSpec does not have is refused by name before any session opens.
 func TestSessionSpecValidation(t *testing.T) {
 	s := newTestService(t, Options{Workers: 1, AllowChaos: true})
 	named := JobSpec{Kernel: "mvm", Dataset: "S", P: 2, K: 1, Steps: 1}
@@ -224,16 +227,23 @@ func TestSessionSpecValidation(t *testing.T) {
 	chaotic.Chaos = &fault.Spec{Seed: 1, DiskRate: 0.1}
 	dist := raw
 	dist.Engine = "distributed"
-	auto := raw
-	auto.Auto = true
-	for name, spec := range map[string]JobSpec{
-		"named kernel": named,
-		"chaos":        chaotic,
-		"distributed":  dist,
-		"auto":         auto,
+	auto := mustMarshal(t, raw)
+	auto = append(auto[:len(auto)-1], `,"auto":true}`...)
+	for name, tc := range map[string]struct {
+		body []byte
+		why  string // substring the refusal must carry
+	}{
+		"named kernel": {mustMarshal(t, named), ""},
+		"chaos":        {mustMarshal(t, chaotic), ""},
+		"distributed":  {mustMarshal(t, dist), ""},
+		"auto":         {auto, `unknown field "auto"`},
 	} {
-		if _, err := s.OpenSession(context.Background(), spec); err == nil {
-			t.Fatalf("%s spec accepted as a session", name)
+		spec, _, err := DecodeJobSpec(tc.body)
+		if err == nil {
+			_, err = s.OpenSession(context.Background(), spec)
+		}
+		if err == nil || !strings.Contains(err.Error(), tc.why) {
+			t.Fatalf("%s spec as a session: %v", name, err)
 		}
 	}
 }

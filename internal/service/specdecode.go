@@ -25,7 +25,7 @@ import (
 //
 // The fast grammar: objects with exact lower-case keys, each at most once;
 // strings of printable ASCII without escapes; integers as plain decimal
-// literals; true/false; ind as arrays of arrays of integers in int32 range;
+// literals; ind as arrays of arrays of integers in int32 range;
 // weights as an array of JSON numbers. Everything else — duplicate or
 // case-variant keys, null, escapes, a fraction or exponent in an integer
 // position, overflow, chaos, unknown keys, malformed JSON — makes the fast
@@ -206,10 +206,8 @@ func (p *specParser) jobSpec(sp *JobSpec) bool {
 			return once(13) && p.str(&sp.Engine)
 		case "checkpoint_every":
 			return once(14) && p.int(&sp.CheckpointEvery)
-		case "auto":
-			return once(15) && p.bool(&sp.Auto)
 		case "cluster_uid":
-			return once(16) && p.str(&sp.ClusterUID)
+			return once(15) && p.str(&sp.ClusterUID)
 		}
 		return false // chaos, a key in another case, an unknown key
 	})
@@ -306,20 +304,6 @@ func (p *specParser) str(out *string) bool {
 	s, ok := p.rawString()
 	*out = string(s)
 	return ok
-}
-
-func (p *specParser) bool(out *bool) bool {
-	rest := p.b[p.i:]
-	switch {
-	case bytes.HasPrefix(rest, []byte("true")):
-		*out = true
-		p.i += 4
-	case bytes.HasPrefix(rest, []byte("false")):
-		p.i += 5
-	default:
-		return false
-	}
-	return true
 }
 
 // digits consumes a run of decimal digits, at most 18 of them so that the

@@ -105,10 +105,10 @@ func TestJobSpecDecodeFastPath(t *testing.T) {
 		"multi-loop": mustMarshal(t, own),
 		"scalars":    mustMarshal(t, scalars),
 		"fractional": mustMarshal(t, fractional),
-		"named":      mustMarshal(t, JobSpec{Kernel: "euler", Dataset: "2k", Seed: 7, P: 2, K: 2, Auto: true}),
+		"named":      mustMarshal(t, JobSpec{Kernel: "euler", Dataset: "2k", Seed: 7, P: 2, K: 2}),
 		"empty":      mustMarshal(t, empty),
 		"zero":       []byte(`{}`),
-		"spaced":     []byte(" {\n\t\"p\" : 2 ,\r\n \"ind\" : [ [ 1 , -0 ] , [ ] ] , \"auto\" : false } \n"),
+		"spaced":     []byte(" {\n\t\"p\" : 2 ,\r\n \"ind\" : [ [ 1 , -0 ] , [ ] ] , \"dist\" : \"block\" } \n"),
 	}
 	indented, err := json.MarshalIndent(own, "", "  ")
 	if err != nil {
@@ -132,7 +132,12 @@ const removedChaosBody = `{"chaos":{"seed":1,"drop":0.5}}`
 // offGrammar is one body per way of leaving the fast grammar. Each must
 // fall back, and the fallback is the reference, so each decodes — or fails
 // — exactly as encoding/json says. Also FuzzJobSpecDecode's seed corpus.
+// The rows with "auto" carry a field JobSpec does not have, since a served
+// job runs the strategy its client sent; TestJobSpecDecodeStrict holds each
+// refused by name.
 var offGrammar = []string{
+	`{"kernel":"euler","dataset":"2k","seed":7,"p":2,"k":2,"auto":true}`,
+	" {\n\t\"p\" : 2 ,\r\n \"ind\" : [ [ 1 , -0 ] , [ ] ] , \"auto\" : false } \n",
 	`{"p":1,"p":2}`,
 	`{"contrib":{"kind":"pair"},"contrib":{"weights":[1,2]}}`,
 	`{"contrib":{"kind":"pair","kind":"ones"}}`,
@@ -230,6 +235,23 @@ func TestJobSpecDecodeStrict(t *testing.T) {
 	err = json.Unmarshal([]byte(`{"p":"two"}`), &sp)
 	if err == nil || !strings.Contains(err.Error(), "Go struct field JobSpec.p of type int") {
 		t.Fatalf("type error text: %v", err)
+	}
+	refused := 0
+	for _, body := range offGrammar {
+		if !strings.Contains(body, `"auto"`) {
+			continue
+		}
+		refused++
+		const want = `json: unknown field "auto"`
+		if err := json.Unmarshal([]byte(body), &JobSpec{}); err == nil || err.Error() != want {
+			t.Errorf("%s through JobSpec: %v, want %s", body, err, want)
+		}
+		if _, _, err := DecodeJobSpec([]byte(body)); err == nil || err.Error() != want {
+			t.Errorf("%s through DecodeJobSpec: %v, want %s", body, err, want)
+		}
+	}
+	if refused != 4 {
+		t.Fatalf("%d bodies carry auto, want 4", refused)
 	}
 }
 
