@@ -15,10 +15,11 @@
 // base job to /v1/session once, then streams sparse indirection deltas to
 // /v1/session/{id}/delta. The daemon keeps the session's schedules
 // resident and revises them incrementally (Schedule.Update) instead of
-// re-inspecting; deltas touching more than -session-fallback of the
-// iteration space fall back to a full re-inspection. Sessions are LRU
-// evicted past -max-sessions and fail closed across restarts — a lost
-// session id answers 410 Gone, never a silently stale schedule.
+// re-inspecting; deltas touching more than a quarter of the iteration
+// space (service.DefaultFallbackFrac) fall back to a full re-inspection.
+// Sessions are LRU evicted past -max-sessions and fail closed across
+// restarts — a lost session id answers 410 Gone, never a silently stale
+// schedule.
 //
 // Robustness controls: -chaos opts the daemon into accepting jobs that
 // carry fault-injection specs (off by default), -checkpoint-every N makes
@@ -105,7 +106,6 @@ func main() {
 	traceSpans := flag.Int("trace-spans", 0, "phase-trace ring capacity in spans (0 = default, <0 = disable tracing)")
 	chaos := flag.Bool("chaos", false, "accept jobs carrying chaos (fault-injection) specs; off by default — chaos is a test instrument")
 	maxSessions := flag.Int("max-sessions", 0, "resident streaming sessions before LRU eviction (0 = default 64)")
-	sessionFallback := flag.Float64("session-fallback", 0, "delta fraction beyond which a session re-inspects instead of updating incrementally (0 = default 0.25)")
 	checkpointEvery := flag.Int("checkpoint-every", 0, "checkpoint raw multi-sweep jobs every N sweeps (0 = only when the job asks; needs -cache-dir)")
 	drainGrace := flag.Duration("drain-grace", 500*time.Millisecond, "on SIGTERM, keep serving with /readyz=503 this long before closing the listener")
 	clusterNode := flag.String("cluster-node", "", "this node's name in a cluster (empty = single-node mode)")
@@ -138,9 +138,7 @@ func main() {
 		TraceSpans:      *traceSpans,
 		AllowChaos:      *chaos,
 		CheckpointEvery: *checkpointEvery,
-
-		MaxSessions:         *maxSessions,
-		SessionFallbackFrac: *sessionFallback,
+		MaxSessions:     *maxSessions,
 	}
 
 	// Cluster mode wraps the service handler with the routing/gossip node.

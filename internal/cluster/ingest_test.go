@@ -157,6 +157,7 @@ func TestSpecEndpointsAgree(t *testing.T) {
 		{"removed chaos key", field(`"p":4`, `"p":4,"chaos":{"seed":1,"drop":0.5}`), false,
 			`unknown field \"drop\"`},
 		{"removed auto", field(`"p":4`, `"p":4,"auto":true`), false, `unknown field \"auto\"`},
+		{"removed loops", field(`"p":4`, `"p":4,"loops":[{},{}]`), false, `unknown field \"loops\"`},
 	} {
 		first := ""
 		for i, ep := range []struct {

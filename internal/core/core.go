@@ -21,14 +21,11 @@ package core
 import (
 	"context"
 	"fmt"
-	"net"
-	"net/http"
 
 	"irred/internal/codegen"
 	"irred/internal/inspector"
 	"irred/internal/machine"
 	"irred/internal/rts"
-	"irred/internal/service"
 	"irred/internal/sim"
 )
 
@@ -218,48 +215,6 @@ func Machine() (machine.CostModel, machine.Network) {
 // and plan generation.
 func CompileIRL(src string) (*codegen.Unit, error) {
 	return codegen.Compile(src)
-}
-
-// Serving layer: reduction-as-a-service re-exports. The service turns the
-// paper's amortization (inspector once, executor ~100 times) into a
-// long-running daemon with a cross-request schedule cache; see
-// internal/service and cmd/irredd.
-type (
-	// Job describes one reduction job submitted to the service: a named
-	// kernel over a generated dataset, or raw indirection arrays plus a
-	// contribution spec.
-	Job = service.JobSpec
-	// JobResult is a job's wire status, including its result when done.
-	JobResult = service.JobStatus
-	// ServeOptions configures the serving layer (workers, queue bound,
-	// schedule-cache size and persistence directory).
-	ServeOptions = service.Options
-)
-
-// Serve runs the reduction service's HTTP daemon on addr until ctx is
-// cancelled, with graceful drain of in-flight jobs. It is the library
-// entry point behind cmd/irredd.
-func Serve(ctx context.Context, addr string, opt ServeOptions) error {
-	svc, err := service.New(opt)
-	if err != nil {
-		return err
-	}
-	defer svc.Close()
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return err
-	}
-	srv := &http.Server{Handler: svc.Handler()}
-	errc := make(chan error, 1)
-	go func() { errc <- srv.Serve(ln) }()
-	select {
-	case <-ctx.Done():
-		shCtx, cancel := context.WithTimeout(context.Background(), service.ShutdownGrace)
-		defer cancel()
-		return srv.Shutdown(shCtx)
-	case err := <-errc:
-		return err
-	}
 }
 
 // UpdateSchedules incrementally revises previously built schedules after

@@ -41,19 +41,6 @@ type ContribSpec struct {
 	Weights []float64 `json:"weights,omitempty"`
 }
 
-// LoopSpec is one loop of a raw multi-loop program. A nil Ind inherits
-// the spec's base indirection arrays — the declarative way to say "this
-// loop traverses the same connectivity as the program's base loop", which
-// is exactly the shape whose inspection the service amortizes: loops with
-// identical indirection contents share one schedule set (content-addressed
-// by inspector.ScheduleKey, the serving-side analogue of the compiler's
-// schedule-reuse license) instead of each paying the LightInspector. A nil
-// Contrib inherits the base contribution spec.
-type LoopSpec struct {
-	Ind     [][]int32    `json:"ind,omitempty"`
-	Contrib *ContribSpec `json:"contrib,omitempty"`
-}
-
 // JobSpec describes one reduction job: either a named kernel over a
 // generated dataset (mvm | euler | moldyn, regenerated deterministically
 // from Dataset+Seed so results are bit-reproducible across processes), or a
@@ -71,18 +58,6 @@ type JobSpec struct {
 	NumElems int          `json:"num_elems,omitempty"`
 	Ind      [][]int32    `json:"ind,omitempty"`
 	Contrib  *ContribSpec `json:"contrib,omitempty"`
-
-	// Loops, when non-empty, turns a raw job into a multi-loop program:
-	// each sweep runs the loops in order against one shared reduction
-	// array (loop l+1 sees loop l's contributions of the same sweep, the
-	// way consecutive fissioned loops chain in a compiled program). All
-	// loops share the spec's iteration/element extents and strategy; each
-	// loop inherits Ind/Contrib unless it carries its own. Loops whose
-	// effective indirection contents coincide execute against one shared
-	// schedule set — inspected once per distinct content, not once per
-	// loop. Multi-loop jobs run native-only, with no chaos and no
-	// checkpointing.
-	Loops []LoopSpec `json:"loops,omitempty"`
 
 	// Strategy and run length.
 	P     int    `json:"p"`
@@ -119,7 +94,7 @@ type JobSpec struct {
 	// when the cluster layer holds one. Empty outside cluster mode.
 	ClusterUID string `json:"cluster_uid,omitempty"`
 
-	// keptKey is the base arrays' content key as KeepRoutingKey hashed it;
+	// keptKey is the arrays' content key as KeepRoutingKey hashed it;
 	// the service reads it through baseKey, so that the node that runs a
 	// job hashes its arrays once. It is never encoded: a key from another
 	// node is not trusted. A kept key goes stale when the strategy, the
@@ -133,7 +108,7 @@ type JobSpec struct {
 func (sp *JobSpec) IsRaw() bool { return sp.Kernel == "" }
 
 // RoutingKey returns the content key the cluster routes this job by. Raw
-// jobs key on inspector.ScheduleKey over the base loop — the exact key of
+// jobs key on inspector.ScheduleKey over their arrays — the exact key of
 // the schedule-cache entry the job will populate or hit — so consistent
 // hashing shards the warm cache naturally: every job with the same
 // traversal and strategy lands on the node already holding its schedules.
@@ -149,9 +124,9 @@ func (sp *JobSpec) RoutingKey() string {
 }
 
 // KeepRoutingKey returns RoutingKey and, for a raw job, keeps it in the
-// spec: it is also the schedule cache key of every loop on the base
-// arrays, so the service does not hash them again. It writes the spec:
-// call it before the spec is shared with another goroutine.
+// spec: it is also the job's schedule cache key, so the service does not
+// hash the arrays again. It writes the spec: call it before the spec is
+// shared with another goroutine.
 func (sp *JobSpec) KeepRoutingKey() string {
 	if !sp.IsRaw() {
 		return sp.RoutingKey()
@@ -159,8 +134,8 @@ func (sp *JobSpec) KeepRoutingKey() string {
 	return sp.baseKey()
 }
 
-// baseKey is a raw job's routing key, the content key of its base arrays:
-// the kept key, else a fresh hash, which it keeps.
+// baseKey is a raw job's routing key, the content key of its arrays: the
+// kept key, else a fresh hash, which it keeps.
 func (sp *JobSpec) baseKey() string {
 	if sp.keptKey == "" {
 		sp.keptKey = inspector.ScheduleKey(sp.config(), sp.Ind...)
@@ -168,8 +143,7 @@ func (sp *JobSpec) baseKey() string {
 	return sp.keptKey
 }
 
-// config is the inspector configuration every loop of a raw job shares. A
-// bad dist falls back to cyclic: only RoutingKey sees unvalidated specs.
+// config is a raw job's inspector configuration. A bad dist falls back to cyclic: only RoutingKey sees unvalidated specs.
 func (sp *JobSpec) config() inspector.Config {
 	dist, err := sp.dist()
 	if err != nil {
@@ -185,51 +159,12 @@ func (sp *JobSpec) config() inspector.Config {
 
 // releaseArrays drops the indirection and weight arrays and keeps every
 // scalar. The spec was handed over by value, so the caller still shares the
-// ContribSpec pointers and the Loops backing array: they are replaced, not
-// written through.
+// ContribSpec pointer: it is replaced, not written through.
 func (sp *JobSpec) releaseArrays() {
-	kindOnly := func(c *ContribSpec) *ContribSpec {
-		if c == nil {
-			return nil
-		}
-		return &ContribSpec{Kind: c.Kind}
-	}
 	sp.Ind = nil
-	sp.Contrib = kindOnly(sp.Contrib)
-	if sp.Loops != nil {
-		loops := make([]LoopSpec, len(sp.Loops))
-		for l := range loops {
-			loops[l].Contrib = kindOnly(sp.Loops[l].Contrib)
-		}
-		sp.Loops = loops
+	if sp.Contrib != nil {
+		sp.Contrib = &ContribSpec{Kind: sp.Contrib.Kind}
 	}
-}
-
-// numLoops returns how many loops a raw job runs per sweep (at least 1:
-// a spec without Loops is the single-loop program it always was).
-func (sp *JobSpec) numLoops() int {
-	if len(sp.Loops) == 0 {
-		return 1
-	}
-	return len(sp.Loops)
-}
-
-// loopInd returns loop l's effective indirection arrays: its own when it
-// carries some, the spec's base arrays otherwise.
-func (sp *JobSpec) loopInd(l int) [][]int32 {
-	if len(sp.Loops) > 0 && sp.Loops[l].Ind != nil {
-		return sp.Loops[l].Ind
-	}
-	return sp.Ind
-}
-
-// loopContrib returns loop l's effective contribution spec (own or
-// inherited).
-func (sp *JobSpec) loopContrib(l int) *ContribSpec {
-	if len(sp.Loops) > 0 && sp.Loops[l].Contrib != nil {
-		return sp.Loops[l].Contrib
-	}
-	return sp.Contrib
 }
 
 // dist parses the distribution name (default cyclic).
@@ -299,39 +234,13 @@ func (sp *JobSpec) Validate() error {
 	if sp.NumIters < 0 {
 		return fmt.Errorf("num_iters = %d", sp.NumIters)
 	}
-	if len(sp.Loops) == 0 {
-		return sp.validateLoop(sp.Ind, sp.Contrib)
-	}
-	// Multi-loop program: shared extents and strategy, per-loop traversal
-	// and contribution. Chained loops run in one pass — no per-loop sweep
-	// counter a checkpoint could name.
-	if len(sp.Loops) > 8 {
-		return fmt.Errorf("multi-loop job has %d loops, max 8", len(sp.Loops))
-	}
-	if sp.Chaos != nil {
-		return fmt.Errorf("multi-loop jobs do not accept chaos specs")
-	}
-	if sp.CheckpointEvery > 0 {
-		return fmt.Errorf("multi-loop jobs do not checkpoint")
-	}
-	for l := range sp.Loops {
-		if err := sp.validateLoop(sp.loopInd(l), sp.loopContrib(l)); err != nil {
-			return fmt.Errorf("loop %d: %w", l, err)
-		}
-	}
-	return nil
-}
-
-// validateLoop checks one loop's effective indirection arrays and
-// contribution spec against the spec's shared extents.
-func (sp *JobSpec) validateLoop(ind [][]int32, contrib *ContribSpec) error {
-	if len(ind) == 0 {
+	if len(sp.Ind) == 0 {
 		return fmt.Errorf("raw job needs at least one indirection array")
 	}
-	if len(ind) > 16 {
-		return fmt.Errorf("raw job has %d indirection arrays, max 16", len(ind))
+	if len(sp.Ind) > 16 {
+		return fmt.Errorf("raw job has %d indirection arrays, max 16", len(sp.Ind))
 	}
-	for r, a := range ind {
+	for r, a := range sp.Ind {
 		if len(a) != sp.NumIters {
 			return fmt.Errorf("ind[%d] has %d entries, want num_iters = %d", r, len(a), sp.NumIters)
 		}
@@ -341,37 +250,37 @@ func (sp *JobSpec) validateLoop(ind [][]int32, contrib *ContribSpec) error {
 			}
 		}
 	}
-	if contrib == nil {
+	if sp.Contrib == nil {
 		return fmt.Errorf("raw job needs a contribution spec")
 	}
-	switch contrib.Kind {
+	switch sp.Contrib.Kind {
 	case "ones":
-		if len(contrib.Weights) != 0 {
+		if len(sp.Contrib.Weights) != 0 {
 			return fmt.Errorf(`contrib "ones" takes no weights`)
 		}
 	case "weights":
-		if len(contrib.Weights) != sp.NumIters {
-			return fmt.Errorf("contrib weights has %d entries, want %d", len(contrib.Weights), sp.NumIters)
+		if len(sp.Contrib.Weights) != sp.NumIters {
+			return fmt.Errorf("contrib weights has %d entries, want %d", len(sp.Contrib.Weights), sp.NumIters)
 		}
 	case "pair":
-		if len(ind) != 2 {
-			return fmt.Errorf(`contrib "pair" needs exactly 2 indirection arrays, got %d`, len(ind))
+		if len(sp.Ind) != 2 {
+			return fmt.Errorf(`contrib "pair" needs exactly 2 indirection arrays, got %d`, len(sp.Ind))
 		}
-		if len(contrib.Weights) != sp.NumIters {
-			return fmt.Errorf("contrib weights has %d entries, want %d", len(contrib.Weights), sp.NumIters)
+		if len(sp.Contrib.Weights) != sp.NumIters {
+			return fmt.Errorf("contrib weights has %d entries, want %d", len(sp.Contrib.Weights), sp.NumIters)
 		}
 	default:
-		return fmt.Errorf("unknown contrib kind %q (ones | weights | pair)", contrib.Kind)
+		return fmt.Errorf("unknown contrib kind %q (ones | weights | pair)", sp.Contrib.Kind)
 	}
 	return nil
 }
 
-// contribFor builds loop l's contribution one iteration at a time: the
+// contribFor builds the contribution one iteration at a time: the
 // independent reference form SequentialRaw runs, sharing no code with the
 // data form the executor drives.
-func (sp *JobSpec) contribFor(l int) func(p, i int, out []float64) {
-	numRef := len(sp.loopInd(l))
-	c := sp.loopContrib(l)
+func (sp *JobSpec) contribFor() func(p, i int, out []float64) {
+	numRef := len(sp.Ind)
+	c := sp.Contrib
 	switch c.Kind {
 	case "ones":
 		return func(_, _ int, out []float64) {
@@ -395,12 +304,12 @@ func (sp *JobSpec) contribFor(l int) func(p, i int, out []float64) {
 	}
 }
 
-// linearFor is loop l's contribution in the data form the native engine
-// folds: iteration it adds coef[r]·weights[it] at reference r, nil weights
+// linearFor is the contribution in the data form the native engine folds:
+// iteration it adds coef[r]·weights[it] at reference r, nil weights
 // meaning 1 ("ones"), coefficients {1, -1} for "pair" and 1 otherwise.
-func (sp *JobSpec) linearFor(l int) (weights, coef []float64) {
-	c := sp.loopContrib(l)
-	coef = make([]float64, len(sp.loopInd(l)))
+func (sp *JobSpec) linearFor() (weights, coef []float64) {
+	c := sp.Contrib
+	coef = make([]float64, len(sp.Ind))
 	for r := range coef {
 		coef[r] = 1
 	}
@@ -426,15 +335,12 @@ func (sp *JobSpec) SequentialRaw() ([]float64, error) {
 		return nil, err
 	}
 	x := make([]float64, sp.NumElems)
+	fn, scratch := sp.contribFor(), make([]float64, len(sp.Ind))
 	for step := 0; step < sp.steps(); step++ {
-		for l := 0; l < sp.numLoops(); l++ {
-			ind, fn := sp.loopInd(l), sp.contribFor(l)
-			scratch := make([]float64, len(ind))
-			for i := 0; i < sp.NumIters; i++ {
-				fn(0, i, scratch)
-				for r := range ind {
-					x[ind[r][i]] += scratch[r]
-				}
+		for i := 0; i < sp.NumIters; i++ {
+			fn(0, i, scratch)
+			for r, a := range sp.Ind {
+				x[a[i]] += scratch[r]
 			}
 		}
 	}

@@ -38,8 +38,8 @@ import (
 // service was not started with chaos enabled.
 var ErrChaosDisabled = errors.New("service: chaos injection disabled (start the daemon with -chaos)")
 
-// ShutdownGrace is how long graceful HTTP shutdown waits for in-flight
-// requests before giving up (daemon and core.Serve both honour it).
+// ShutdownGrace is how long irredd's graceful HTTP shutdown waits for
+// in-flight requests before giving up.
 const ShutdownGrace = 10 * time.Second
 
 // Options configures a Service. Zero values pick serving-friendly defaults.
@@ -75,10 +75,6 @@ type Options struct {
 	// the least recently used session is evicted; its next request answers
 	// 410 Gone. Default 64.
 	MaxSessions int
-	// SessionFallbackFrac is the delta fraction (changed iterations /
-	// total) above which a session re-inspects from scratch instead of
-	// updating incrementally. Default DefaultFallbackFrac.
-	SessionFallbackFrac float64
 
 	// Replicate, when set, receives every IRCJ checkpoint frame written
 	// for a job carrying a ClusterUID, along with the job's routing key.
@@ -149,7 +145,7 @@ func New(opt Options) (*Service, error) {
 		opt:      opt,
 		cache:    cache,
 		met:      newMetrics(),
-		sessions: newSessionStore(opt.MaxSessions, opt.SessionFallbackFrac),
+		sessions: newSessionStore(opt.MaxSessions),
 		start:    time.Now(),
 		jobs:     make(map[string]*Job),
 		byUID:    make(map[string]*Job),
@@ -518,71 +514,35 @@ func (s *Service) execute(j *Job) (result []float64, hit bool, key string, err e
 	return s.executeNamed(j)
 }
 
-// executeRaw serves every loop of a raw job its schedule set and runs the
-// program through runRaw. Schedule sets are content-addressed: loops whose
-// effective indirection contents coincide share one set, inspected once and
-// found again in the job-local slot map or the service cache. That is the
-// serving side of the paper's amortization argument: inspection is paid per
-// distinct traversal, not per loop. A hit on any loop makes the job a hit,
-// and the job's key is its first loop's.
+// executeRaw serves a raw job its schedule set through the cache and runs
+// it through runRaw. The job's key is its routing key: kept by the ingress,
+// or hashed here once for the cache and the checkpoint replicas.
 func (s *Service) executeRaw(j *Job) (result []float64, hit bool, key string, err error) {
-	spec := j.Spec // the worker's own copy, free to keep the base key
-	cfg := spec.config()
-	sets := make([][]*inspector.Schedule, spec.numLoops())
-	slots := make(map[string][]*inspector.Schedule, len(sets))
-	for li := range sets {
-		var k string
-		if len(spec.Loops) > 0 && spec.Loops[li].Ind != nil {
-			k = inspector.ScheduleKey(cfg, spec.Loops[li].Ind...)
-		} else {
-			// Kept by the ingress, or hashed here once for every loop
-			// on the base arrays and the checkpoint replicas.
-			k = spec.baseKey()
-		}
-		if key == "" {
-			key = k
-		}
-		scheds, ok := slots[k]
-		if ok {
-			s.trace.Event("job/reuse", -1, -1, li, -1)
-		} else {
-			var h bool
-			scheds, h, err = s.schedules(&rts.Loop{Cfg: cfg, Mode: rts.Reduce, Ind: spec.loopInd(li)}, k)
-			if err != nil {
-				return nil, hit, key, err
-			}
-			hit = hit || h
-			slots[k] = scheds
-		}
-		sets[li] = scheds
+	spec := j.Spec // the worker's own copy, free to keep the key
+	key = spec.baseKey()
+	scheds, hit, err := s.schedules(&rts.Loop{Cfg: spec.config(), Mode: rts.Reduce, Ind: spec.Ind}, key)
+	if err != nil {
+		return nil, hit, key, err
 	}
-	result, err = s.runRaw(j.ctx, &spec, sets, j)
+	result, err = s.runRaw(j.ctx, &spec, scheds, j)
 	return result, hit, key, err
 }
 
-// runRaw is the one place a raw program becomes running engines: one
-// Native per loop over that loop's schedule set, all sharing one reduction
-// array and the service tracer. Each sweep runs the loops in order, so loop
-// l+1 sees loop l's contributions of the same sweep, the way consecutive
-// fissioned loops chain in a compiled program; a single loop runs each
-// checkpoint chunk as one RunContext call.
+// runRaw is the one place a raw job or session becomes a running engine:
+// one Native over the schedule set, with the spec's contribution as data
+// and the service tracer. Each checkpoint chunk is one RunContext call.
 //
 // j is the job being run, nil for a session. A job brings its resume point,
-// its checkpoints and its chaos injector; validation keeps all three to
-// single-loop jobs.
-func (s *Service) runRaw(ctx context.Context, spec *JobSpec, sets [][]*inspector.Schedule, j *Job) ([]float64, error) {
+// its checkpoints and its chaos injector.
+func (s *Service) runRaw(ctx context.Context, spec *JobSpec, scheds []*inspector.Schedule, j *Job) ([]float64, error) {
 	cfg := spec.config()
-	x := make([]float64, cfg.NumElems)
-	natives := make([]*rts.Native, len(sets))
-	for li, scheds := range sets {
-		n, err := rts.NewNativeFrom(&rts.Loop{Cfg: cfg, Mode: rts.Reduce, Ind: spec.loopInd(li), Trace: s.trace}, scheds)
-		if err != nil {
-			return nil, err
-		}
-		n.Weights, n.Coef = spec.linearFor(li)
-		n.X = x
-		natives[li] = n
+	n, err := rts.NewNativeFrom(&rts.Loop{Cfg: cfg, Mode: rts.Reduce, Ind: spec.Ind, Trace: s.trace}, scheds)
+	if err != nil {
+		return nil, err
 	}
+	n.Weights, n.Coef = spec.linearFor()
+	x := make([]float64, cfg.NumElems)
+	n.X = x
 
 	steps := spec.steps()
 	done, every := 0, 0 // sweeps already run; checkpoint interval, 0 for none
@@ -595,7 +555,7 @@ func (s *Service) runRaw(ctx context.Context, spec *JobSpec, sets [][]*inspector
 		if every = spec.CheckpointEvery; every <= 0 {
 			every = s.opt.CheckpointEvery
 		}
-		if s.jobsDir == "" || steps <= 1 || len(natives) > 1 {
+		if s.jobsDir == "" || steps <= 1 {
 			every = 0
 		}
 		if every > 0 && spec.ClusterUID != "" && s.opt.Replicate != nil {
@@ -624,25 +584,23 @@ func (s *Service) runRaw(ctx context.Context, spec *JobSpec, sets [][]*inspector
 		var cancel context.CancelFunc
 		runCtx, cancel = context.WithCancel(ctx)
 		defer cancel()
-		for _, n := range natives {
-			base := rts.LinearBlock(n.Weights, n.Coef)
-			n.ContribBlock = func(p int, iters []int32, out []float64) {
-				defer func() {
-					if r := recover(); r != nil {
-						pmu.Lock()
-						if panicVal == nil {
-							panicVal, panicStack = r, debug.Stack()
-							cancel()
-						}
-						pmu.Unlock()
-						clear(out)
+		base := rts.LinearBlock(n.Weights, n.Coef)
+		n.ContribBlock = func(p int, iters []int32, out []float64) {
+			defer func() {
+				if r := recover(); r != nil {
+					pmu.Lock()
+					if panicVal == nil {
+						panicVal, panicStack = r, debug.Stack()
+						cancel()
 					}
-				}()
-				for _, it := range iters {
-					inj.KernelPanic(p, int(it))
+					pmu.Unlock()
+					clear(out)
 				}
-				base(p, iters, out)
+			}()
+			for _, it := range iters {
+				inj.KernelPanic(p, int(it))
 			}
+			base(p, iters, out)
 		}
 	}
 
@@ -651,18 +609,7 @@ func (s *Service) runRaw(ctx context.Context, spec *JobSpec, sets [][]*inspector
 		if every > 0 && chunk > every {
 			chunk = every
 		}
-		var err error
-		if len(natives) == 1 {
-			err = natives[0].RunContext(runCtx, chunk)
-		} else {
-			for step := 0; step < chunk && err == nil; step++ {
-				for _, n := range natives {
-					if err = n.RunContext(runCtx, 1); err != nil {
-						break
-					}
-				}
-			}
-		}
+		err := n.RunContext(runCtx, chunk)
 		pmu.Lock()
 		pv, ps := panicVal, panicStack
 		pmu.Unlock()

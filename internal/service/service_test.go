@@ -1,7 +1,9 @@
 package service
 
 import (
+	"context"
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"strings"
@@ -201,12 +203,12 @@ func TestScheduleCacheReuseAcrossJobs(t *testing.T) {
 }
 
 // TestKeptKeyIsTheOnlyHash: the content key a node keeps at ingress is
-// the only hash of a job's base arrays on that node. The kept key is
-// replaced by a planted one, so any second hash would show: the job's
-// schedule key, every loop on the base arrays (one cache miss, not two)
-// and the checkpoint replicas' placement must all read the planted key.
-// A job that arrives with no key is hashed once by its worker, which keeps
-// the key for the later loops and the replicas.
+// the only hash of a job's arrays on that node. The kept key is replaced
+// by a planted one, so any second hash would show: the job's schedule key,
+// its cache lookup (one miss, under the planted key) and the checkpoint
+// replicas' placement must all read the planted key. A job that arrives
+// with no key is hashed once by its worker, which keeps the key for the
+// replicas.
 func TestKeptKeyIsTheOnlyHash(t *testing.T) {
 	var mu sync.Mutex
 	placed := map[string]string{} // uid → the key its replicas were placed by
@@ -243,10 +245,8 @@ func TestKeptKeyIsTheOnlyHash(t *testing.T) {
 		return st
 	}
 
-	loops := rawSpec(42, 2, 2, 600, 97, 2)
-	loops.Loops = []LoopSpec{{}, {Contrib: &ContribSpec{Kind: "ones"}}}
-	if st, cs := run(plant(loops)), s.Cache().Stats(); st.ScheduleKey != planted || cs.Misses != 1 {
-		t.Fatalf("two loops: keyed %s with %d cache misses; want %s and 1", st.ScheduleKey, cs.Misses, planted)
+	if st, cs := run(plant(rawSpec(42, 2, 2, 600, 97, 2))), s.Cache().Stats(); st.ScheduleKey != planted || cs.Misses != 1 {
+		t.Fatalf("kept key: keyed %s with %d cache misses; want %s and 1", st.ScheduleKey, cs.Misses, planted)
 	}
 
 	replica := rawSpec(43, 2, 2, 600, 97, 3)
@@ -434,46 +434,103 @@ func TestFinishedJobPruning(t *testing.T) {
 // TestLinearFormMatchesContrib: every built-in contribution kind, over two
 // references and over three where the kind allows them, gives the same
 // values in the engine's data form as in the per-iteration form the
-// oracle runs, and the executor — which drives the data form —
-// reproduces the sequential oracle.
+// oracle runs. At P = 1 and P = 3 the executor — which drives the data
+// form — reproduces the sequential oracle bit for bit, as a job and as a
+// session: open, one incremental delta and one that falls back to full
+// re-inspection.
 func TestLinearFormMatchesContrib(t *testing.T) {
 	s := newTestService(t, Options{Workers: 2})
-	for _, tc := range []struct {
-		kind string
-		refs int
-	}{{"ones", 2}, {"ones", 3}, {"weights", 2}, {"weights", 3}, {"pair", 2}} {
-		spec := rawSpec(21, 3, 2, 700, 50, 2)
-		spec.Ind = append(spec.Ind, rawSpec(22, 3, 2, 700, 50, 2).Ind...)[:tc.refs]
-		spec.Contrib = &ContribSpec{Kind: tc.kind, Weights: spec.Contrib.Weights}
-		if tc.kind == "ones" {
-			spec.Contrib.Weights = nil
-		}
-		weights, coef := spec.linearFor(0)
-		per, want := spec.contribFor(0), make([]float64, tc.refs)
-		for it := 0; it < spec.NumIters; it++ {
-			w := 1.0
-			if weights != nil {
-				w = weights[it]
-			}
-			per(0, it, want)
-			for r, c := range coef {
-				if c*w != want[r] {
-					t.Fatalf("%s/%d iteration %d reference %d: data form %v, per-iteration %v", tc.kind, tc.refs, it, r, c*w, want[r])
+	for _, p := range []int{1, 3} {
+		for _, tc := range []struct {
+			kind string
+			refs int
+		}{{"ones", 2}, {"ones", 3}, {"weights", 2}, {"weights", 3}, {"pair", 2}} {
+			t.Run(fmt.Sprintf("p%d/%s/refs%d", p, tc.kind, tc.refs), func(t *testing.T) {
+				spec := rawSpec(21, p, 2, 700, 50, 2)
+				spec.Ind = append(spec.Ind, rawSpec(22, p, 2, 700, 50, 2).Ind...)[:tc.refs]
+				spec.Contrib = &ContribSpec{Kind: tc.kind, Weights: spec.Contrib.Weights}
+				if tc.kind == "ones" {
+					spec.Contrib.Weights = nil
 				}
-			}
-		}
+				weights, coef := spec.linearFor()
+				per, want := spec.contribFor(), make([]float64, tc.refs)
+				for it := 0; it < spec.NumIters; it++ {
+					w := 1.0
+					if weights != nil {
+						w = weights[it]
+					}
+					per(0, it, want)
+					for r, c := range coef {
+						if c*w != want[r] {
+							t.Fatalf("iteration %d reference %d: data form %v, per-iteration %v", it, r, c*w, want[r])
+						}
+					}
+				}
 
-		oracle, err := spec.SequentialRaw()
-		if err != nil {
+				j, err := s.Submit(spec)
+				if err != nil {
+					t.Fatal(err)
+				}
+				st := waitJob(t, j)
+				if st.State != StateDone {
+					t.Fatalf("job %s: %s", st.State, st.Error)
+				}
+				matchesOracle(t, &spec, st.Result)
+				sessionMatchesOracle(t, s, spec)
+			})
+		}
+	}
+}
+
+// matchesOracle fails unless got is bitwise equal to spec's sequential
+// oracle.
+func matchesOracle(t *testing.T, spec *JobSpec, got []float64) {
+	t.Helper()
+	want, err := spec.SequentialRaw()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != len(want) {
+		t.Fatalf("result has %d elements, want %d", len(got), len(want))
+	}
+	for e := range want {
+		if got[e] != want[e] {
+			t.Fatalf("result[%d] = %g, want %g", e, got[e], want[e])
+		}
+	}
+}
+
+// sessionMatchesOracle opens spec as a session and applies a sparse delta
+// (the incremental path) and a dense one (the full re-inspection path),
+// checking every result against the oracle of a local mirror and the
+// threshold the status reports.
+func sessionMatchesOracle(t *testing.T, s *Service, spec JobSpec) {
+	t.Helper()
+	rng := rand.New(rand.NewSource(21))
+	mirror := spec
+	mirror.Ind = make([][]int32, len(spec.Ind))
+	for r := range spec.Ind {
+		mirror.Ind[r] = append([]int32(nil), spec.Ind[r]...)
+	}
+	st, err := s.OpenSession(context.Background(), spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	matchesOracle(t, &mirror, st.Result)
+	for _, n := range []int{9, spec.NumIters / 2} {
+		d := mkDelta(rng, &mirror, n)
+		applyLocal(&mirror, d)
+		if st, err = s.ApplyDelta(context.Background(), st.ID, d, true); err != nil {
 			t.Fatal(err)
 		}
-		j, err := s.Submit(spec)
-		if err != nil {
-			t.Fatal(err)
+		if incremental := n == 9; st.LastIncremental != incremental {
+			t.Fatalf("delta of %d iterations: incremental = %v, want %v", n, st.LastIncremental, incremental)
 		}
-		if st := waitJob(t, j); st.State != StateDone || st.ResultSHA256 != HashResult(oracle) {
-			t.Fatalf("%s/%d: job %s (%s), sha %s, oracle %s", tc.kind, tc.refs, st.State, st.Error, st.ResultSHA256, HashResult(oracle))
-		}
+		matchesOracle(t, &mirror, st.Result)
+	}
+	if st.Incremental != 1 || st.Full != 1 || st.FallbackFrac != DefaultFallbackFrac {
+		t.Fatalf("session took %d incremental and %d full revisions at threshold %g, want 1 and 1 at %g",
+			st.Incremental, st.Full, st.FallbackFrac, DefaultFallbackFrac)
 	}
 }
 
@@ -483,8 +540,7 @@ func TestLinearFormMatchesContrib(t *testing.T) {
 // must still hold.
 func TestFinishedJobReleasesSpecArrays(t *testing.T) {
 	s := newTestService(t, Options{Workers: 1})
-	spec := multiLoopSpec(21, 2, 2, 500, 61, 2)
-	spec.Loops = append(spec.Loops, LoopSpec{Ind: rawSpec(22, 2, 2, 500, 61, 1).Ind})
+	spec := rawSpec(21, 2, 2, 500, 61, 2)
 	spec.ClusterUID = "uid-release"
 	want, err := spec.SequentialRaw()
 	if err != nil {
@@ -500,15 +556,12 @@ func TestFinishedJobReleasesSpecArrays(t *testing.T) {
 	}
 	js := &j.Spec
 	if js.Ind != nil || js.Contrib.Weights != nil || js.Contrib.Kind != "weights" {
-		t.Fatalf("finished job still holds base arrays: ind %d, contrib %+v", len(js.Ind), js.Contrib)
-	}
-	if len(js.Loops) != 3 || js.Loops[2].Ind != nil || js.Loops[1].Contrib.Kind != "ones" {
-		t.Fatalf("finished job's loops: %+v", js.Loops)
+		t.Fatalf("finished job still holds its arrays: ind %d, contrib %+v", len(js.Ind), js.Contrib)
 	}
 	if js.NumIters != 500 || js.P != 2 || js.Steps != 2 || js.ClusterUID != "uid-release" {
 		t.Fatalf("finished job lost scalars: %+v", js)
 	}
-	if len(spec.Ind) != 2 || len(spec.Contrib.Weights) != 500 || len(spec.Loops[2].Ind) != 2 {
+	if len(spec.Ind) != 2 || len(spec.Contrib.Weights) != 500 {
 		t.Fatal("release reached into the caller's spec")
 	}
 	again, err := s.Submit(spec)
@@ -524,20 +577,16 @@ func TestFinishedJobReleasesSpecArrays(t *testing.T) {
 // workloads' shape — 32,768 iterations × 2 references over 4,096 elements,
 // pair contributions with integral weights, P = 2, k = 2, cyclic, 4 sweeps
 // — against a warm schedule cache, so each job costs admission plus the
-// executor and no inspection. two-loop runs the program as two loops over
-// the base arrays, both served by the one cached schedule set. ones and
-// weights are one-loop with the other two contribution kinds, so the
-// three rows run the engine's data form with each kind's weights and
-// coefficients.
+// executor and no inspection. ones and weights use the other two
+// contribution kinds, so the three rows run the engine's data form with
+// each kind's weights and coefficients.
 func BenchmarkExecuteRaw(b *testing.B) {
 	for _, bc := range []struct {
 		name, kind string
-		loops      []LoopSpec
 	}{
-		{"one-loop", "pair", nil},
-		{"two-loop", "pair", []LoopSpec{{}, {}}},
-		{"ones", "ones", nil},
-		{"weights", "weights", nil},
+		{"one-loop", "pair"},
+		{"ones", "ones"},
+		{"weights", "weights"},
 	} {
 		b.Run(bc.name, func(b *testing.B) {
 			spec := rawSpec(1, 2, 2, 32768, 4096, 4)
@@ -546,7 +595,6 @@ func BenchmarkExecuteRaw(b *testing.B) {
 				spec.Contrib.Weights = nil
 			}
 			spec.Dist = "cyclic"
-			spec.Loops = bc.loops
 			want, err := spec.SequentialRaw()
 			if err != nil {
 				b.Fatal(err)

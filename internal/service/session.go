@@ -85,9 +85,9 @@ type SessionStatus struct {
 	Deltas      int64 `json:"deltas"`
 	Incremental int64 `json:"incremental"`
 	Full        int64 `json:"full"`
-	// FallbackFrac is the configured threshold; LastFrac the fraction of
-	// iterations the most recent delta changed; LastIncremental whether it
-	// stayed on the incremental path.
+	// FallbackFrac is the threshold, DefaultFallbackFrac; LastFrac the
+	// fraction of iterations the most recent delta changed; LastIncremental
+	// whether it stayed on the incremental path.
 	FallbackFrac    float64 `json:"fallback_frac"`
 	LastFrac        float64 `json:"last_frac,omitempty"`
 	LastIncremental bool    `json:"last_incremental,omitempty"`
@@ -106,7 +106,7 @@ type SessionStatus struct {
 
 // status snapshots the session; includeResult attaches the (possibly
 // large) result vector.
-func (sess *Session) status(includeResult bool, fallback float64) *SessionStatus {
+func (sess *Session) status(includeResult bool) *SessionStatus {
 	sess.mu.Lock()
 	defer sess.mu.Unlock()
 	st := &SessionStatus{
@@ -114,7 +114,7 @@ func (sess *Session) status(includeResult bool, fallback float64) *SessionStatus
 		Deltas:          sess.deltas,
 		Incremental:     sess.incr,
 		Full:            sess.full,
-		FallbackFrac:    fallback,
+		FallbackFrac:    DefaultFallbackFrac,
 		LastFrac:        sess.lastFrac,
 		LastIncremental: sess.lastIncr,
 		CacheHit:        sess.cacheHit,
@@ -133,26 +133,22 @@ func (sess *Session) status(includeResult bool, fallback float64) *SessionStatus
 // sessionStore holds the resident sessions with LRU eviction and the
 // cumulative counters surfaced at /metrics.
 type sessionStore struct {
-	mu       sync.Mutex
-	max      int
-	fallback float64
-	byID     map[string]*Session
-	lru      *list.List // front = most recently used
-	nextID   int64
+	mu     sync.Mutex
+	max    int
+	byID   map[string]*Session
+	lru    *list.List // front = most recently used
+	nextID int64
 
 	opened, closed, evicted int64
 	deltas, incrN, fullN    int64
 }
 
-func newSessionStore(max int, fallback float64) *sessionStore {
+func newSessionStore(max int) *sessionStore {
 	if max < 1 {
 		max = 64
 	}
-	if fallback <= 0 || fallback > 1 {
-		fallback = DefaultFallbackFrac
-	}
 	return &sessionStore{
-		max: max, fallback: fallback,
+		max:  max,
 		byID: make(map[string]*Session),
 		lru:  list.New(),
 	}
@@ -283,16 +279,6 @@ func validateSessionSpec(spec *JobSpec) error {
 	if spec.Chaos != nil {
 		return fmt.Errorf("service: sessions do not accept chaos specs")
 	}
-	// Multi-loop sessions exist to amortize one resident schedule clone
-	// across every loop of a sweep, so each loop must traverse the
-	// session's base indirection: a loop with private arrays would need
-	// its own resident clone and its own delta stream, which is the
-	// one-shot job path's shape, not a session's.
-	for l, lp := range spec.Loops {
-		if lp.Ind != nil {
-			return fmt.Errorf("service: session loop %d carries its own indirection arrays; session loops inherit the resident arrays (per-loop ind is job-only)", l)
-		}
-	}
 	return spec.Validate()
 }
 
@@ -350,7 +336,7 @@ func (s *Service) OpenSession(ctx context.Context, spec JobSpec) (*SessionStatus
 		s.trace.Event("session/evict", -1, -1, -1, -1)
 	}
 	s.trace.Event("session/open", -1, -1, -1, -1)
-	return sess.status(true, s.sessions.fallback), nil
+	return sess.status(true), nil
 }
 
 // GetSession returns a session's status; ErrSessionGone for unknown ids.
@@ -359,7 +345,7 @@ func (s *Service) GetSession(id string, includeResult bool) (*SessionStatus, err
 	if !ok {
 		return nil, ErrSessionGone
 	}
-	return sess.status(includeResult, s.sessions.fallback), nil
+	return sess.status(includeResult), nil
 }
 
 // CloseSession removes a session explicitly.
@@ -429,7 +415,7 @@ func (s *Service) ApplyDelta(ctx context.Context, id string, d *Delta, includeRe
 	if spec.NumIters > 0 {
 		frac = float64(len(d.Changed)) / float64(spec.NumIters)
 	}
-	incremental := frac <= s.sessions.fallback
+	incremental := frac <= DefaultFallbackFrac
 	t0 := time.Now()
 	if incremental {
 		for _, sc := range sess.scheds {
@@ -475,27 +461,20 @@ func (s *Service) ApplyDelta(ctx context.Context, id string, d *Delta, includeRe
 		sess.markClosed()
 		return nil, err
 	}
-	return sess.status(includeResult, s.sessions.fallback), nil
+	return sess.status(includeResult), nil
 }
 
-// reduceSession runs the session's program through runRaw and records the
-// result. Every loop of a multi-loop session traverses the session's base
-// indirection (validateSessionSpec enforces it), so each runs against the
-// one resident schedule clone: a delta pays schedule maintenance once, and
-// every loop of every later sweep rides on it. The caller must hold the
-// session gate (or own the session exclusively, as OpenSession does), which
-// keeps the resident arrays and schedules still during the run.
+// reduceSession runs the session's loop through runRaw on the resident
+// schedule clone and records the result. The caller must hold the session
+// gate (or own the session exclusively, as OpenSession does), which keeps
+// the resident arrays and schedules still during the run.
 func (s *Service) reduceSession(ctx context.Context, sess *Session) error {
 	sess.mu.Lock()
-	spec := sess.spec
-	sets := make([][]*inspector.Schedule, spec.numLoops())
-	for li := range sets {
-		sets[li] = sess.scheds
-	}
+	spec, scheds := sess.spec, sess.scheds
 	sess.mu.Unlock()
 
 	t0 := time.Now()
-	x, err := s.runRaw(ctx, &spec, sets, nil)
+	x, err := s.runRaw(ctx, &spec, scheds, nil)
 	if err != nil {
 		return err
 	}

@@ -138,28 +138,6 @@ func TestSessionOracle(t *testing.T) {
 	}
 }
 
-// TestSessionFallbackConfig checks the configured threshold is honoured:
-// with SessionFallbackFrac 0.5 a 40% delta stays incremental.
-func TestSessionFallbackConfig(t *testing.T) {
-	s := newTestService(t, Options{Workers: 1, SessionFallbackFrac: 0.5})
-	rng := rand.New(rand.NewSource(5))
-	spec := rawSpec(5, 2, 1, 500, 64, 1)
-	st, err := s.OpenSession(context.Background(), spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	d := mkDelta(rng, &spec, 200) // 40%
-	if st, err = s.ApplyDelta(context.Background(), st.ID, d, false); err != nil {
-		t.Fatal(err)
-	}
-	if !st.LastIncremental {
-		t.Fatalf("40%% delta with threshold 0.5 took the full path (last_frac %g)", st.LastFrac)
-	}
-	if st.FallbackFrac != 0.5 {
-		t.Fatalf("status reports threshold %g, want 0.5", st.FallbackFrac)
-	}
-}
-
 // TestSessionEviction opens more sessions than the store holds and checks
 // the evicted one is gone for every verb — fail closed, never stale.
 func TestSessionEviction(t *testing.T) {

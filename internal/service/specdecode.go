@@ -190,24 +190,22 @@ func (p *specParser) jobSpec(sp *JobSpec) bool {
 		case "contrib":
 			sp.Contrib = new(ContribSpec)
 			return once(6) && p.contrib(sp.Contrib)
-		case "loops":
-			return once(7) && p.loops(&sp.Loops)
 		case "p":
-			return once(8) && p.int(&sp.P)
+			return once(7) && p.int(&sp.P)
 		case "k":
-			return once(9) && p.int(&sp.K)
+			return once(8) && p.int(&sp.K)
 		case "dist":
-			return once(10) && p.str(&sp.Dist)
+			return once(9) && p.str(&sp.Dist)
 		case "steps":
-			return once(11) && p.int(&sp.Steps)
+			return once(10) && p.int(&sp.Steps)
 		case "timeout_ms":
-			return once(12) && p.int64(&sp.TimeoutMS)
+			return once(11) && p.int64(&sp.TimeoutMS)
 		case "engine":
-			return once(13) && p.str(&sp.Engine)
+			return once(12) && p.str(&sp.Engine)
 		case "checkpoint_every":
-			return once(14) && p.int(&sp.CheckpointEvery)
+			return once(13) && p.int(&sp.CheckpointEvery)
 		case "cluster_uid":
-			return once(15) && p.str(&sp.ClusterUID)
+			return once(14) && p.str(&sp.ClusterUID)
 		}
 		return false // chaos, a key in another case, an unknown key
 	})
@@ -223,23 +221,6 @@ func (p *specParser) contrib(c *ContribSpec) bool {
 		}
 		return false
 	})
-}
-
-func (p *specParser) loops(out *[]LoopSpec) bool {
-	return p.array(func() bool {
-		*out = append(*out, LoopSpec{})
-		l := &(*out)[len(*out)-1]
-		return p.object(func(key []byte, once func(uint) bool) bool {
-			switch string(key) {
-			case "ind":
-				return once(0) && p.ind(&l.Ind)
-			case "contrib":
-				l.Contrib = new(ContribSpec)
-				return once(1) && p.contrib(l.Contrib)
-			}
-			return false
-		})
-	}) && nonNil(out)
 }
 
 func (p *specParser) ind(out *[][]int32) bool {

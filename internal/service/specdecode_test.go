@@ -11,20 +11,14 @@ import (
 	"irred/internal/fault"
 )
 
-// weightBits flattens every weights array of a spec to its float bits:
+// weightBits flattens a spec's weights to their float bits:
 // reflect.DeepEqual holds -0 and +0 equal, the decode contract does not.
 func weightBits(sp *JobSpec) []uint64 {
 	var bits []uint64
-	add := func(c *ContribSpec) {
-		if c != nil {
-			for _, w := range c.Weights {
-				bits = append(bits, math.Float64bits(w))
-			}
+	if sp.Contrib != nil {
+		for _, w := range sp.Contrib.Weights {
+			bits = append(bits, math.Float64bits(w))
 		}
-	}
-	add(sp.Contrib)
-	for _, l := range sp.Loops {
-		add(l.Contrib)
 	}
 	return bits
 }
@@ -91,18 +85,15 @@ func mustMarshal(t testing.TB, v any) []byte {
 // body every client here sends — stays on the hand-written path and
 // decodes to the reference value.
 func TestJobSpecDecodeFastPath(t *testing.T) {
-	own := multiLoopSpec(3, 2, 2, 64, 16, 2)
-	own.Loops = append(own.Loops, LoopSpec{Ind: rawSpec(4, 2, 2, 64, 16, 1).Ind})
 	scalars := rawSpec(5, 4, 1, 8, 4, 7)
 	scalars.Dist, scalars.Engine, scalars.TimeoutMS = "block", "native", 1500
 	scalars.CheckpointEvery, scalars.ClusterUID, scalars.Seed = 3, "00ff17", -9
 	fractional := rawSpec(6, 2, 2, 5, 4, 1)
 	fractional.Contrib.Weights = []float64{0.1, -2.5e-7, 1e21, 12345678901234567, math.Copysign(0, -1)}
-	empty := JobSpec{Ind: [][]int32{{}}, Contrib: &ContribSpec{Kind: "ones"}, Loops: []LoopSpec{{}}}
+	empty := JobSpec{Ind: [][]int32{{}}, Contrib: &ContribSpec{Kind: "ones"}}
 
 	bodies := map[string][]byte{
 		"raw":        mustMarshal(t, rawSpec(1, 2, 2, 300, 40, 4)),
-		"multi-loop": mustMarshal(t, own),
 		"scalars":    mustMarshal(t, scalars),
 		"fractional": mustMarshal(t, fractional),
 		"named":      mustMarshal(t, JobSpec{Kernel: "euler", Dataset: "2k", Seed: 7, P: 2, K: 2}),
@@ -110,7 +101,7 @@ func TestJobSpecDecodeFastPath(t *testing.T) {
 		"zero":       []byte(`{}`),
 		"spaced":     []byte(" {\n\t\"p\" : 2 ,\r\n \"ind\" : [ [ 1 , -0 ] , [ ] ] , \"dist\" : \"block\" } \n"),
 	}
-	indented, err := json.MarshalIndent(own, "", "  ")
+	indented, err := json.MarshalIndent(rawSpec(3, 2, 2, 64, 16, 2), "", "  ")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,7 +125,7 @@ const removedChaosBody = `{"chaos":{"seed":1,"drop":0.5}}`
 // — exactly as encoding/json says. Also FuzzJobSpecDecode's seed corpus.
 // The rows with "auto" carry a field JobSpec does not have, since a served
 // job runs the strategy its client sent; TestJobSpecDecodeStrict holds each
-// refused by name.
+// refused by name. So do the rows with "loops": a served job is one loop.
 var offGrammar = []string{
 	`{"kernel":"euler","dataset":"2k","seed":7,"p":2,"k":2,"auto":true}`,
 	" {\n\t\"p\" : 2 ,\r\n \"ind\" : [ [ 1 , -0 ] , [ ] ] , \"auto\" : false } \n",
@@ -385,7 +376,10 @@ func FuzzJobSpecDecode(f *testing.F) {
 		f.Add([]byte(body))
 	}
 	f.Add(mustMarshal(f, rawSpec(1, 2, 2, 40, 9, 2)))
-	f.Add(mustMarshal(f, multiLoopSpec(2, 2, 2, 20, 5, 2)))
+	// The removed multi-loop form where json.Marshal used to put it, after
+	// the arrays: both decoders refuse it, the fast one only at the end.
+	f.Add(bytes.Replace(mustMarshal(f, rawSpec(2, 2, 2, 20, 5, 2)),
+		[]byte(`,"p":`), []byte(`,"loops":[{},{"contrib":{"kind":"ones"}}],"p":`), 1))
 	f.Add(mustMarshal(f, JobSpec{Kernel: "mvm", Dataset: "S", Seed: 3, P: 2, K: 1, ClusterUID: "ab12"}))
 	for _, body := range []string{
 		`{"ind":[[-0,0,1,-1,2147483647,-2147483648]]}`,
