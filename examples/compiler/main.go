@@ -11,7 +11,7 @@ import (
 	"math"
 	"math/rand"
 
-	"irred/internal/core"
+	"irred/internal/codegen"
 	"irred/internal/inspector"
 	"irred/internal/interp"
 	"irred/internal/lang"
@@ -57,7 +57,7 @@ func main() {
 		log.Fatal("lint found errors; refusing to compile")
 	}
 
-	unit, err := core.CompileIRL(src)
+	unit, err := codegen.Compile(src)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -70,7 +70,7 @@ func main() {
 
 	fmt.Println("\n=== generated Threaded-C (first irregular plan) ===")
 	for _, p := range unit.Plans {
-		if p.Kind == 0 { // codegen.Irregular
+		if p.Kind == codegen.Irregular {
 			fmt.Print(p.ThreadedC())
 			break
 		}

@@ -1,5 +1,6 @@
 // Quickstart: the paper's worked example shape (Figure 3) through the
-// public API — a 20-edge, 8-node mesh reduced on 2 processors with k = 2.
+// packages that implement it — a 20-edge, 8-node mesh reduced on 2
+// processors with k = 2.
 //
 // It shows the three things the library does:
 //  1. LightInspector: partition each processor's iterations into k*P
@@ -15,7 +16,8 @@ import (
 	"log"
 	"math"
 
-	"irred/internal/core"
+	"irred/internal/inspector"
+	"irred/internal/rts"
 )
 
 func main() {
@@ -25,11 +27,17 @@ func main() {
 	ia2 := []int32{1, 2, 3, 4, 5, 6, 7, 4, 2, 4, 6, 0, 3, 5, 7, 4, 6, 1, 7, 2}
 	edgeWeight := func(i int) float64 { return float64(i%5) + 1 }
 
-	red := core.NewReduction(len(ia1), 8, ia1, ia2)
-	strat := core.Strategy2C(2) // the paper's best: k=2, cyclic
+	loop := &rts.Loop{
+		// The paper's best strategy, 2c: k=2, cyclic.
+		Cfg:  inspector.Config{P: 2, K: 2, NumIters: len(ia1), NumElems: 8, Dist: inspector.Cyclic},
+		Mode: rts.Reduce,
+		Ind:  [][]int32{ia1, ia2},
+		// Per-iteration work, for the simulator.
+		Cost: rts.KernelCost{Flops: 10, IntOps: 4, IterArrays: 1},
+	}
 
 	// 1. Inspect: the per-processor phase programs.
-	scheds, err := red.Schedules(strat)
+	scheds, err := loop.Schedules()
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -47,13 +55,18 @@ func main() {
 	}
 
 	// 2. Run natively: each edge adds its weight to both endpoints.
-	x, err := red.RunNative(strat, func(_, i int, out []float64) {
-		out[0] = edgeWeight(i)
-		out[1] = edgeWeight(i)
-	}, nil, 1)
+	nat, err := rts.NewNativeFrom(loop, scheds)
 	if err != nil {
 		log.Fatal(err)
 	}
+	nat.Contribs = func(_, i int, out []float64) {
+		out[0] = edgeWeight(i) // through ia1[i]
+		out[1] = edgeWeight(i) // through ia2[i]
+	}
+	if err := nat.Run(1); err != nil {
+		log.Fatal(err)
+	}
+	x := nat.X
 
 	// Verify against the sequential loop of Figure 1.
 	want := make([]float64, 8)
@@ -68,13 +81,15 @@ func main() {
 	}
 	fmt.Printf("\nnative result matches the sequential reduction: %v\n", x)
 
-	// 3. Simulate on the modelled EARTH machine.
-	rep, err := red.Simulate(strat, 100)
+	// 3. Simulate on the modelled EARTH machine, against one processor.
+	opt := rts.SimOptions{Steps: 100}
+	rep, err := rts.RunSim(loop, opt)
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("\nsimulated on EARTH (%s): %.6fs for %d steps, speedup %.2fx, %.0f msgs/step\n",
-		rep.Strategy, rep.Seconds, rep.Steps, rep.Speedup, rep.MsgsPerStep)
+	seq, _ := rts.RunSequentialSim(loop, opt)
+	fmt.Printf("\nsimulated on EARTH (%dc@%d): %.6fs for %d steps, speedup %.2fx, %.0f msgs/step\n",
+		rep.K, rep.P, rep.Seconds, opt.Steps, float64(seq)/float64(rep.Cycles), rep.MsgsPerStep)
 	fmt.Println("(a 20-edge toy is all overhead — phase and message costs dwarf 20 additions;")
 	fmt.Println(" see examples/cfd and examples/moldyn for the paper-sized runs)")
 	fmt.Println("communication volume is independent of the indirection contents —")

@@ -114,7 +114,8 @@ func TestClusterBadSpecAnswersJSON(t *testing.T) {
 // through json.Decoder. Each endpoint decodes on its own path. A refusal
 // carries the same message after the endpoint's own prefix. "auto" is not
 // a JobSpec field, since a served job runs the strategy its client sent,
-// and every endpoint refuses it by name.
+// and every endpoint refuses it by name. Nor is "engine", whatever it
+// names: every job runs on the native engine.
 func TestSpecEndpointsAgree(t *testing.T) {
 	fleet := startFleet(t, []string{"n1"}, nil, nil)
 	url := fleet["n1"].url
@@ -152,8 +153,8 @@ func TestSpecEndpointsAgree(t *testing.T) {
 		{"fraction in ind", field(`"ind":[[`, `"ind":[[0.5,`), false, ""},
 		{"int32 overflow in ind", field(`"ind":[[`, `"ind":[[2147483648,`), false, ""},
 		{"truncated", good[:len(good)/2], false, ""},
-		{"removed engine", field(`"p":4`, `"p":4,"engine":"distributed"`), false,
-			`engine \"distributed\" was removed; jobs run on the native engine`},
+		{"removed engine", field(`"p":4`, `"p":4,"engine":"distributed"`), false, `unknown field \"engine\"`},
+		{"native engine", field(`"p":4`, `"p":4,"engine":"native"`), false, `unknown field \"engine\"`},
 		{"removed chaos key", field(`"p":4`, `"p":4,"chaos":{"seed":1,"drop":0.5}`), false,
 			`unknown field \"drop\"`},
 		{"removed auto", field(`"p":4`, `"p":4,"auto":true`), false, `unknown field \"auto\"`},

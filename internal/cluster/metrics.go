@@ -14,7 +14,7 @@ type counters struct {
 	localServes    atomic.Int64 // jobs this node owned and ran itself
 	replays        atomic.Int64 // jobs resubmitted after an owner died mid-job
 	replicasSent   atomic.Int64 // checkpoint frames shipped to successors
-	replicaSeeds   atomic.Int64 // replica GETs served to a failing-over peer
+	replicaSeeds   atomic.Int64 // FetchReplica hits: replays seeded from the local store
 	gossipOK       atomic.Int64
 	gossipFail     atomic.Int64
 	tenantSheds    atomic.Int64 // admissions refused by the tenant limiter

@@ -315,21 +315,6 @@ func (n *Node) handleReplicaPut(w http.ResponseWriter, r *http.Request) {
 	w.WriteHeader(http.StatusNoContent)
 }
 
-func (n *Node) handleReplicaGet(w http.ResponseWriter, r *http.Request) {
-	frame := n.reps.get(r.PathValue("uid"))
-	if frame == nil {
-		http.Error(w, "no replica", http.StatusNotFound)
-		return
-	}
-	w.Header().Set("Content-Type", "application/octet-stream")
-	w.Write(frame)
-}
-
-func (n *Node) handleReplicaDelete(w http.ResponseWriter, r *http.Request) {
-	n.reps.drop(r.PathValue("uid"))
-	w.WriteHeader(http.StatusNoContent)
-}
-
 // --- routing ----------------------------------------------------------
 
 // Handler returns the node's HTTP surface: the full service API with
@@ -337,16 +322,12 @@ func (n *Node) handleReplicaDelete(w http.ResponseWriter, r *http.Request) {
 //
 //	POST /v1/cluster/gossip        health exchange (internal)
 //	POST /v1/cluster/replica/{uid} store a checkpoint replica (internal)
-//	GET  /v1/cluster/replica/{uid} fetch a replica
-//	DELETE /v1/cluster/replica/{uid}
 //	POST /v1/cluster/route         debug: spec -> {key, owner, order}
 //	GET  /metrics                  service counters + "cluster" section
 func (n *Node) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/cluster/gossip", n.handleGossip)
 	mux.HandleFunc("POST /v1/cluster/replica/{uid}", n.handleReplicaPut)
-	mux.HandleFunc("GET /v1/cluster/replica/{uid}", n.handleReplicaGet)
-	mux.HandleFunc("DELETE /v1/cluster/replica/{uid}", n.handleReplicaDelete)
 	mux.HandleFunc("POST /v1/cluster/route", n.handleRoute)
 	mux.HandleFunc("GET /metrics", n.handleMetrics)
 	mux.HandleFunc("POST /v1/jobs", n.handleSubmit)

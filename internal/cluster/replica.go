@@ -17,8 +17,9 @@ import (
 // never a correctness dependency.
 //
 // Frames are whole-checkpoint snapshots, so the newest frame per job
-// simply replaces the previous one. Eviction is LRU over jobs, bounded by
-// both job count and total bytes.
+// simply replaces the previous one. A frame leaves only by eviction, LRU
+// over jobs and bounded by both job count and total bytes; a finished
+// job's replica stays until newer frames push it out.
 type replicaStore struct {
 	maxJobs  int
 	maxBytes int64
@@ -90,19 +91,6 @@ func (s *replicaStore) get(uid string) []byte {
 		return el.Value.(*replicaEntry).frame
 	}
 	return nil
-}
-
-// drop removes uid (called when a job finishes: the replica is dead
-// weight once a result exists).
-func (s *replicaStore) drop(uid string) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if el, ok := s.items[uid]; ok {
-		e := el.Value.(*replicaEntry)
-		s.ll.Remove(el)
-		delete(s.items, e.uid)
-		s.bytes -= int64(len(e.frame))
-	}
 }
 
 // stats returns (resident jobs, resident bytes, frames ever stored,

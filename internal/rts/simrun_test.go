@@ -92,6 +92,30 @@ func TestRunSimParallelBeatsSerial(t *testing.T) {
 	}
 }
 
+// TestRunSimChargesTheInspectorOnce: the LightInspector's cost is in the
+// total once, whatever the run length, so ten more steps cost ten more
+// steady-state steps and nothing else.
+func TestRunSimChargesTheInspectorOnce(t *testing.T) {
+	l := eulerLikeLoop(rand.New(rand.NewSource(3)), 4, 2, 5000, 800, inspector.Cyclic)
+	short, err := RunSim(l, SimOptions{Steps: 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	long, err := RunSim(l, SimOptions{Steps: 20})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if short.InspectorCycles <= 0 || short.InspectorCycles != long.InspectorCycles {
+		t.Fatalf("inspector cycles %d at 10 steps, %d at 20", short.InspectorCycles, long.InspectorCycles)
+	}
+	if short.Cycles <= short.InspectorCycles {
+		t.Fatalf("total %d cycles is not above the inspector's %d", short.Cycles, short.InspectorCycles)
+	}
+	if d := long.Cycles - short.Cycles; d != 10*short.PerStep {
+		t.Fatalf("ten more steps cost %d cycles, want 10 x %d", d, short.PerStep)
+	}
+}
+
 // The paper's central claim: message count and volume depend only on the
 // machine shape, never on the indirection contents.
 func TestCommunicationContentIndependent(t *testing.T) {

@@ -68,10 +68,6 @@ type JobSpec struct {
 	// TimeoutMS bounds the job's wall-clock run; 0 means no deadline.
 	TimeoutMS int64 `json:"timeout_ms,omitempty"`
 
-	// Engine names the executor. Every job runs on the native rotation
-	// engine, so only "" and "native" validate.
-	Engine string `json:"engine,omitempty"`
-
 	// Chaos, when non-nil, runs the job under the deterministic fault
 	// injector: kernel panics in the contribution function and failed
 	// checkpoint writes. The server rejects it unless started with chaos
@@ -201,13 +197,6 @@ func (sp *JobSpec) Validate() error {
 	}
 	if _, err := sp.dist(); err != nil {
 		return err
-	}
-	switch strings.ToLower(sp.Engine) {
-	case "", "native":
-	case "distributed":
-		return fmt.Errorf("engine %q was removed; jobs run on the native engine", sp.Engine)
-	default:
-		return fmt.Errorf("unknown engine %q (native)", sp.Engine)
 	}
 	if sp.Chaos != nil {
 		if err := sp.Chaos.Validate(); err != nil {

@@ -203,8 +203,8 @@ func TestSessionSpecValidation(t *testing.T) {
 	raw := rawSpec(1, 2, 1, 100, 16, 1)
 	chaotic := raw
 	chaotic.Chaos = &fault.Spec{Seed: 1, DiskRate: 0.1}
-	dist := raw
-	dist.Engine = "distributed"
+	dist := mustMarshal(t, raw)
+	dist = append(dist[:len(dist)-1], `,"engine":"distributed"}`...)
 	auto := mustMarshal(t, raw)
 	auto = append(auto[:len(auto)-1], `,"auto":true}`...)
 	for name, tc := range map[string]struct {
@@ -213,7 +213,7 @@ func TestSessionSpecValidation(t *testing.T) {
 	}{
 		"named kernel": {mustMarshal(t, named), ""},
 		"chaos":        {mustMarshal(t, chaotic), ""},
-		"distributed":  {mustMarshal(t, dist), ""},
+		"distributed":  {dist, `unknown field "engine"`},
 		"auto":         {auto, `unknown field "auto"`},
 	} {
 		spec, _, err := DecodeJobSpec(tc.body)

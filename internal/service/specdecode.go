@@ -200,12 +200,10 @@ func (p *specParser) jobSpec(sp *JobSpec) bool {
 			return once(10) && p.int(&sp.Steps)
 		case "timeout_ms":
 			return once(11) && p.int64(&sp.TimeoutMS)
-		case "engine":
-			return once(12) && p.str(&sp.Engine)
 		case "checkpoint_every":
-			return once(13) && p.int(&sp.CheckpointEvery)
+			return once(12) && p.int(&sp.CheckpointEvery)
 		case "cluster_uid":
-			return once(14) && p.str(&sp.ClusterUID)
+			return once(13) && p.str(&sp.ClusterUID)
 		}
 		return false // chaos, a key in another case, an unknown key
 	})

@@ -86,7 +86,7 @@ func mustMarshal(t testing.TB, v any) []byte {
 // decodes to the reference value.
 func TestJobSpecDecodeFastPath(t *testing.T) {
 	scalars := rawSpec(5, 4, 1, 8, 4, 7)
-	scalars.Dist, scalars.Engine, scalars.TimeoutMS = "block", "native", 1500
+	scalars.Dist, scalars.TimeoutMS = "block", 1500
 	scalars.CheckpointEvery, scalars.ClusterUID, scalars.Seed = 3, "00ff17", -9
 	fractional := rawSpec(6, 2, 2, 5, 4, 1)
 	fractional.Contrib.Weights = []float64{0.1, -2.5e-7, 1e21, 12345678901234567, math.Copysign(0, -1)}
