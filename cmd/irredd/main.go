@@ -21,11 +21,10 @@
 // restarts — a lost session id answers 410 Gone, never a silently stale
 // schedule.
 //
-// Robustness controls: -chaos opts the daemon into accepting jobs that
-// carry fault-injection specs (off by default), -checkpoint-every N makes
-// raw multi-sweep jobs checkpoint their reduction array to -cache-dir so a
-// restarted daemon resumes them, and SIGTERM drains gracefully — /readyz
-// flips to 503 for -drain-grace before the listener closes.
+// Robustness controls: -checkpoint-every N makes raw multi-sweep jobs
+// checkpoint their reduction array to -cache-dir so a restarted daemon
+// resumes them, and SIGTERM drains gracefully — /readyz flips to 503 for
+// -drain-grace before the listener closes.
 //
 // Cluster mode turns a set of irredds into a coordinator-light fleet:
 //
@@ -38,10 +37,9 @@
 // -suspect-after consecutive missed probes, dead after -dead-after; dead
 // peers leave the ring), replicates job checkpoints to the key's ring
 // successor, and fails jobs over — with the client seeing only a slower
-// answer — when a peer dies mid-job. -tenant-rate/-tenant-burst add
-// per-tenant token-bucket admission keyed on the X-Irred-Tenant header;
-// -cluster-chaos installs a deterministic network fault spec (net_drop,
-// net_delay, partition=a~b) on inter-node hops for soak testing.
+// answer — when a peer dies mid-job. -cluster-chaos installs a
+// deterministic network fault spec (net_drop, net_delay, partition=a~b) on
+// inter-node hops for soak testing.
 //
 // With -debug-addr a second loopback listener serves pprof, expvar, and the
 // phase-level span trace:
@@ -104,7 +102,6 @@ func main() {
 	cacheDir := flag.String("cache-dir", "", "persist cached schedules here and warm from it on start")
 	debugAddr := flag.String("debug-addr", "", "serve pprof, expvar, and /debug/trace on this extra listener (empty = off)")
 	traceSpans := flag.Int("trace-spans", 0, "phase-trace ring capacity in spans (0 = default, <0 = disable tracing)")
-	chaos := flag.Bool("chaos", false, "accept jobs carrying chaos (fault-injection) specs; off by default — chaos is a test instrument")
 	maxSessions := flag.Int("max-sessions", 0, "resident streaming sessions before LRU eviction (0 = default 64)")
 	checkpointEvery := flag.Int("checkpoint-every", 0, "checkpoint raw multi-sweep jobs every N sweeps (0 = only when the job asks; needs -cache-dir)")
 	drainGrace := flag.Duration("drain-grace", 500*time.Millisecond, "on SIGTERM, keep serving with /readyz=503 this long before closing the listener")
@@ -114,8 +111,6 @@ func main() {
 	suspectAfter := flag.Int("suspect-after", 2, "consecutive missed probes before a peer is suspect")
 	deadAfter := flag.Int("dead-after", 4, "consecutive missed probes before a peer is dead and leaves the ring")
 	clusterChaos := flag.String("cluster-chaos", "", "deterministic network fault spec for inter-node hops, e.g. 'seed=7,net_drop=0.05,partition=n1~n2'")
-	tenantRate := flag.Float64("tenant-rate", 0, "per-tenant admission tokens per second (0 = unlimited)")
-	tenantBurst := flag.Int("tenant-burst", 8, "per-tenant admission burst")
 	version := flag.Bool("version", false, "print build information and exit")
 	flag.Parse()
 
@@ -136,7 +131,6 @@ func main() {
 		CacheEntries:    *cacheEntries,
 		CacheDir:        *cacheDir,
 		TraceSpans:      *traceSpans,
-		AllowChaos:      *chaos,
 		CheckpointEvery: *checkpointEvery,
 		MaxSessions:     *maxSessions,
 	}
@@ -168,8 +162,6 @@ func main() {
 			SuspectAfter: *suspectAfter,
 			DeadAfter:    *deadAfter,
 			Chaos:        inj,
-			TenantRate:   *tenantRate,
-			TenantBurst:  *tenantBurst,
 		})
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "irredd: %v\n", err)
@@ -201,9 +193,6 @@ func main() {
 	log.Printf("irredd: listening on http://%s", ln.Addr())
 	if st := svc.Cache().Stats(); st.Entries > 0 {
 		log.Printf("irredd: schedule cache warmed with %d entries from %s", st.Entries, *cacheDir)
-	}
-	if *chaos {
-		log.Printf("irredd: chaos injection ENABLED (jobs may carry fault specs)")
 	}
 
 	srv := &http.Server{Handler: handler}

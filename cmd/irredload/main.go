@@ -26,13 +26,6 @@
 // corrupts a job under failover fails the run exactly like a single node
 // would.
 //
-// With -chaos it becomes the chaos soak: workers submit checkpointed raw
-// reduction jobs whose checkpoint writes fail at -chaos-rate (deterministic
-// disk faults), and every result SHA is checked against the sequential
-// reduction computed locally — a lost resume point must never cost the
-// bitwise-exact answer. The daemon must be started with -chaos to accept
-// these jobs, and with -cache-dir for them to checkpoint.
-//
 // With -deltas it becomes the streaming soak: each worker opens one
 // session, keeps a local mirror of its indirection arrays, and streams
 // sparse deltas rewiring -delta-frac of the iterations per round. After
@@ -60,7 +53,6 @@ import (
 	"time"
 
 	"irred/internal/buildinfo"
-	"irred/internal/fault"
 	"irred/internal/kernels"
 	"irred/internal/obs"
 	"irred/internal/service"
@@ -87,13 +79,13 @@ func (k jobKey) spec() service.JobSpec {
 	}
 }
 
-// rawChaosSpec draws a deterministic raw reduction of iters iterations
-// over elems elements from seed: integral weights keep every partial sum
+// rawSpec draws a deterministic raw reduction of iters iterations over
+// elems elements from seed: integral weights keep every partial sum
 // exactly representable, so the expected result (and its SHA) is
-// computable locally with SequentialRaw and any fault-recovery divergence
-// shows up as a hash mismatch, not a tolerance question. Strategy, steps,
-// and the chaos spec are filled in by the caller.
-func rawChaosSpec(seed int64, iters, elems int) service.JobSpec {
+// computable locally with SequentialRaw and any divergence shows up as a
+// hash mismatch, not a tolerance question. Strategy and steps are filled
+// in by the caller.
+func rawSpec(seed int64, iters, elems int) service.JobSpec {
 	rng := rand.New(rand.NewSource(seed*2654435761 + 97))
 	ind := make([][]int32, 2)
 	for r := range ind {
@@ -112,7 +104,7 @@ func rawChaosSpec(seed int64, iters, elems int) service.JobSpec {
 	}
 }
 
-// Shape of the -emit-chaos-job spec. Its run time is iterations × steps,
+// Shape of the -emit-long-job spec. Its run time is iterations × steps,
 // so -steps sizes it; at these extents the JSON stays near 100 KB, and a
 // checkpoint every longJobCkEvery sweeps lands several times a second.
 const (
@@ -120,14 +112,12 @@ const (
 	longJobCkEvery             = 10
 )
 
-// longChaosJob is the job the CI TERM/resume and owner-kill checks submit:
-// a checkpointed native raw reduction whose checkpoint writes fail at
-// diskRate.
-func longChaosJob(steps int, diskRate float64) service.JobSpec {
-	spec := rawChaosSpec(0, longJobIters, longJobElems)
+// longJob is the job the CI TERM/resume and owner-kill checks submit: a
+// checkpointed native raw reduction.
+func longJob(steps int) service.JobSpec {
+	spec := rawSpec(0, longJobIters, longJobElems)
 	spec.P, spec.K, spec.Steps = 3, 2, steps
 	spec.CheckpointEvery = longJobCkEvery
-	spec.Chaos = &fault.Spec{Seed: 42, DiskRate: diskRate}
 	return spec
 }
 
@@ -275,10 +265,8 @@ func main() {
 	jsonOut := flag.Bool("json", false, "print the summary as JSON (for CI assertions)")
 	deltasMode := flag.Bool("deltas", false, "drive streaming sessions: one session per worker, sparse indirection deltas verified against the local sequential oracle every round")
 	deltaFrac := flag.Float64("delta-frac", 0.05, "fraction of iterations each -deltas round rewires")
-	chaosMode := flag.Bool("chaos", false, "drive checkpointed raw chaos jobs (server must run with -chaos and -cache-dir); results are verified against the locally computed sequential SHA")
-	chaosRate := flag.Float64("chaos-rate", 0.05, "per-write checkpoint disk failure probability for -chaos jobs and -emit-chaos-job")
-	emitChaosJob := flag.Bool("emit-chaos-job", false, "print a long checkpointed chaos job spec as JSON and exit (for the CI TERM/resume check); -steps sizes its run time")
-	emitChaosSHA := flag.Bool("emit-chaos-sha", false, "print the sequential-oracle SHA for the -emit-chaos-job spec and exit")
+	emitLongJob := flag.Bool("emit-long-job", false, "print a long checkpointed raw job spec as JSON and exit (for the CI TERM/resume check); -steps sizes its run time")
+	emitLongSHA := flag.Bool("emit-long-sha", false, "print the sequential-oracle SHA for the -emit-long-job spec and exit")
 	emitSessionJob := flag.Bool("emit-session-job", false, "print a session-openable raw job spec as JSON and exit (for the CI restart/410 check)")
 	version := flag.Bool("version", false, "print build information and exit")
 	flag.Parse()
@@ -293,14 +281,14 @@ func main() {
 	// a server, so CI can submit with curl, kill the daemon mid-run, and
 	// compare the resumed result against ground truth.
 	if *emitSessionJob {
-		spec := rawChaosSpec(0, 240, 64)
+		spec := rawSpec(0, 240, 64)
 		spec.P, spec.K, spec.Steps = 3, 2, *steps
 		json.NewEncoder(os.Stdout).Encode(spec)
 		return
 	}
-	if *emitChaosJob || *emitChaosSHA {
-		spec := longChaosJob(*steps, *chaosRate)
-		if *emitChaosSHA {
+	if *emitLongJob || *emitLongSHA {
+		spec := longJob(*steps)
+		if *emitLongSHA {
 			x, err := spec.SequentialRaw()
 			if err != nil {
 				fmt.Fprintf(os.Stderr, "irredload: oracle: %v\n", err)
@@ -438,24 +426,6 @@ func main() {
 		return nil, 0, start, len(clients) - 1, lastErr
 	}
 
-	// Chaos mode verifies against an oracle, not against "first answer
-	// seen": the expected SHA per seed is the sequential reduction computed
-	// right here, so a fault-recovery bug on the server cannot hide behind
-	// being consistently wrong.
-	chaosWant := map[int64]string{}
-	if *chaosMode {
-		for s := 0; s < *seeds; s++ {
-			spec := rawChaosSpec(int64(s), 240, 64)
-			spec.P, spec.K, spec.Steps = 2, 1, *steps // strategy doesn't affect the oracle
-			x, err := spec.SequentialRaw()
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "irredload: chaos oracle: %v\n", err)
-				os.Exit(2)
-			}
-			chaosWant[int64(s)] = service.HashResult(x)
-		}
-	}
-
 	// Pacing: a shared ticker-fed token channel. Unpaced runs use a nil
 	// channel (never selected) and each worker loops as fast as the server
 	// answers — the classic closed loop.
@@ -474,7 +444,7 @@ func main() {
 		// Sessions are node-resident: each delta worker pins one node
 		// (spread across the fleet in cluster mode) instead of round-robin.
 		c := clients[w%len(clients)]
-		spec := rawChaosSpec(int64(w), 240, 64)
+		spec := rawSpec(int64(w), 240, 64)
 		spec.P = 1 + rng.Intn(*maxP)
 		spec.K = 1 + rng.Intn(*maxK)
 		spec.Steps = *steps
@@ -591,32 +561,16 @@ func main() {
 				} else if ctx.Err() != nil {
 					return
 				}
-				var (
-					spec    service.JobSpec
-					key     jobKey
-					wantSHA string
-				)
-				if *chaosMode {
-					seed := int64(rng.Intn(*seeds))
-					spec = rawChaosSpec(seed, 240, 64)
-					spec.P = 1 + rng.Intn(*maxP)
-					spec.K = 1 + rng.Intn(*maxK)
-					spec.Steps = *steps
-					spec.CheckpointEvery = 1
-					spec.Chaos = &fault.Spec{Seed: seed + int64(w+1)*1000003, DiskRate: *chaosRate}
-					wantSHA = chaosWant[seed]
-				} else {
-					m := pick(mix, rng)
-					key = jobKey{
-						Kernel:  m.kernel,
-						Dataset: m.dataset,
-						Seed:    int64(rng.Intn(*seeds)),
-						P:       1 + rng.Intn(*maxP),
-						K:       1 + rng.Intn(*maxK),
-						Steps:   *steps,
-					}
-					spec = key.spec()
+				m := pick(mix, rng)
+				key := jobKey{
+					Kernel:  m.kernel,
+					Dataset: m.dataset,
+					Seed:    int64(rng.Intn(*seeds)),
+					P:       1 + rng.Intn(*maxP),
+					K:       1 + rng.Intn(*maxK),
+					Steps:   *steps,
 				}
+				spec := key.spec()
 				t0 := time.Now()
 				st, sheds, nodeIdx, hops, err := submit(ctx, spec)
 				lat := time.Since(t0)
@@ -644,13 +598,6 @@ func main() {
 					failures++
 					if st.Error != "" {
 						fmt.Fprintf(os.Stderr, "irredload: job %s %s: %s\n", st.ID, st.State, st.Error)
-					}
-				} else if wantSHA != "" {
-					// Chaos jobs: the recovered result must hash to the
-					// locally computed sequential oracle.
-					if st.ResultSHA256 != wantSHA {
-						mismatch++
-						fmt.Fprintf(os.Stderr, "irredload: CHAOS MISMATCH job %s: %s != %s\n", st.ID, st.ResultSHA256, wantSHA)
 					}
 				} else if prev, ok := firstSHA[key]; !ok {
 					firstSHA[key] = st.ResultSHA256

@@ -109,11 +109,10 @@ func (s Stats) Score() float64 {
 
 // Cell is one measured grid point of the sweep.
 type Cell struct {
-	// ID is the canonical cell key: kernel/class/engine/P/K/dist/checked
-	// (plus /chaos=<spec> when fault injection was on). Matched cells in
-	// two BENCH files describe the same workload and strategy. The last
-	// segment is the literal "checked", kept so that IDs match older
-	// files; trajectories from before it was fixed also hold
+	// ID is the canonical cell key: kernel/class/engine/P/K/dist/checked.
+	// Matched cells in two BENCH files describe the same workload and
+	// strategy. The last segment is the literal "checked", kept so that IDs
+	// match older files; trajectories from before it was fixed also hold
 	// ".../unchecked" cells.
 	ID     string `json:"id"`
 	Kernel string `json:"kernel"`
@@ -122,7 +121,6 @@ type Cell struct {
 	P      int    `json:"p"`
 	K      int    `json:"k"`
 	Dist   string `json:"dist"`
-	Chaos  string `json:"chaos,omitempty"`
 
 	// DeltaFrac and Adapt describe adaptive streaming cells: the fraction
 	// of iterations each adaptation step rewires, and the schedule

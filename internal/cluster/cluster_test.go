@@ -79,7 +79,6 @@ func startFleet(t *testing.T, names []string, mkCfg func(name string, cfg *Confi
 		opt := service.Options{
 			Workers:      2,
 			CacheDir:     t.TempDir(),
-			AllowChaos:   true,
 			Replicate:    n.Replicate,
 			FetchReplica: n.FetchReplica,
 		}
@@ -419,59 +418,6 @@ func TestClusterDrainRouteAround(t *testing.T) {
 	}
 	if serves := fleet[owner].node.ClusterSnapshot().LocalServes; serves != 0 {
 		t.Fatalf("draining owner ran %d jobs, want 0", serves)
-	}
-}
-
-// TestClusterTenantAdmission: the per-tenant token bucket sheds the
-// over-budget tenant with 429 + Retry-After, leaves other tenants alone,
-// and never applies to forwarded (already-admitted) requests.
-func TestClusterTenantAdmission(t *testing.T) {
-	fleet := startFleet(t, []string{"solo"}, func(name string, cfg *Config) {
-		cfg.TenantRate = 0.5
-		cfg.TenantBurst = 2
-	}, nil)
-	url := fleet["solo"].url
-	spec := clusterRawSpec(3, 800, 101, 1)
-	body, _ := json.Marshal(spec)
-
-	post := func(hdr map[string]string) *http.Response {
-		req, _ := http.NewRequest(http.MethodPost, url+"/v1/jobs", bytes.NewReader(body))
-		req.Header.Set("Content-Type", "application/json")
-		for k, v := range hdr {
-			req.Header.Set(k, v)
-		}
-		resp, err := http.DefaultClient.Do(req)
-		if err != nil {
-			t.Fatal(err)
-		}
-		io.Copy(io.Discard, resp.Body)
-		resp.Body.Close()
-		return resp
-	}
-
-	for i := 0; i < 2; i++ {
-		if resp := post(map[string]string{"X-Irred-Tenant": "acme"}); resp.StatusCode != http.StatusAccepted {
-			t.Fatalf("request %d: HTTP %d, want 202", i, resp.StatusCode)
-		}
-	}
-	shed := post(map[string]string{"X-Irred-Tenant": "acme"})
-	if shed.StatusCode != http.StatusTooManyRequests {
-		t.Fatalf("over-budget request: HTTP %d, want 429", shed.StatusCode)
-	}
-	if shed.Header.Get("Retry-After") == "" {
-		t.Fatal("tenant shed missing Retry-After")
-	}
-	// Another tenant is unaffected.
-	if resp := post(map[string]string{"X-Irred-Tenant": "other"}); resp.StatusCode != http.StatusAccepted {
-		t.Fatalf("fresh tenant: HTTP %d, want 202", resp.StatusCode)
-	}
-	// Forwarded requests bypass admission (the first hop already paid).
-	if resp := post(map[string]string{"X-Irred-Tenant": "acme", "X-Irred-Forward": "1"}); resp.StatusCode != http.StatusAccepted {
-		t.Fatalf("forwarded request: HTTP %d, want 202 (admission must not double-charge)", resp.StatusCode)
-	}
-	snap := fleet["solo"].node.ClusterSnapshot()
-	if snap.TenantSheds != 1 || snap.TenantShedsBy["acme"] != 1 {
-		t.Fatalf("tenant sheds = %d (%v), want 1 for acme", snap.TenantSheds, snap.TenantShedsBy)
 	}
 }
 

@@ -115,7 +115,8 @@ func TestClusterBadSpecAnswersJSON(t *testing.T) {
 // carries the same message after the endpoint's own prefix. "auto" is not
 // a JobSpec field, since a served job runs the strategy its client sent,
 // and every endpoint refuses it by name. Nor is "engine", whatever it
-// names: every job runs on the native engine.
+// names: every job runs on the native engine. Nor is "chaos": faults are
+// injected by tests, never by a job.
 func TestSpecEndpointsAgree(t *testing.T) {
 	fleet := startFleet(t, []string{"n1"}, nil, nil)
 	url := fleet["n1"].url
@@ -155,8 +156,8 @@ func TestSpecEndpointsAgree(t *testing.T) {
 		{"truncated", good[:len(good)/2], false, ""},
 		{"removed engine", field(`"p":4`, `"p":4,"engine":"distributed"`), false, `unknown field \"engine\"`},
 		{"native engine", field(`"p":4`, `"p":4,"engine":"native"`), false, `unknown field \"engine\"`},
-		{"removed chaos key", field(`"p":4`, `"p":4,"chaos":{"seed":1,"drop":0.5}`), false,
-			`unknown field \"drop\"`},
+		{"chaos", field(`"p":4`, `"p":4,"chaos":{"seed":1,"disk":0.5}`), false, `unknown field \"chaos\"`},
+		{"removed chaos key", field(`"p":4`, `"p":4,"chaos":{"seed":1,"drop":0.5}`), false, `unknown field \"chaos\"`},
 		{"removed auto", field(`"p":4`, `"p":4,"auto":true`), false, `unknown field \"auto\"`},
 		{"removed loops", field(`"p":4`, `"p":4,"loops":[{},{}]`), false, `unknown field \"loops\"`},
 	} {

@@ -8,7 +8,6 @@ import (
 	"io"
 	"net/http"
 	"net/url"
-	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -58,11 +57,6 @@ type Config struct {
 	// clean network.
 	Chaos *fault.Injector
 
-	// TenantRate/TenantBurst configure per-tenant token-bucket admission
-	// (tenant = X-Irred-Tenant header). Rate 0 disables the limiter.
-	TenantRate  float64
-	TenantBurst int
-
 	// ReplicaJobs/ReplicaBytes bound the checkpoint replica store.
 	ReplicaJobs  int
 	ReplicaBytes int64
@@ -99,17 +93,16 @@ func (c *Config) applyDefaults() {
 
 // Node is one member of a coordinator-light irredd fleet: it wraps a
 // service.Service's HTTP handler with sharded routing, health gossip,
-// checkpoint replication and tenant admission. Build with New, hand the
+// and checkpoint replication. Build with New, hand the
 // Replicate/FetchReplica methods to service.Options, then Attach the
 // service and Start the gossip loop.
 type Node struct {
-	cfg     Config
-	table   *peerTable
-	reps    *replicaStore
-	tenants *TenantLimiter
-	ctrs    counters
-	trace   *obs.Tracer
-	client  *http.Client
+	cfg    Config
+	table  *peerTable
+	reps   *replicaStore
+	ctrs   counters
+	trace  *obs.Tracer
+	client *http.Client
 
 	svc *service.Service
 
@@ -142,13 +135,12 @@ func New(cfg Config) (*Node, error) {
 		return nil, errors.New("cluster: Peers must not contain Self")
 	}
 	return &Node{
-		cfg:     cfg,
-		table:   newPeerTable(cfg.Peers, cfg.SuspectAfter, cfg.DeadAfter),
-		reps:    newReplicaStore(cfg.ReplicaJobs, cfg.ReplicaBytes),
-		tenants: NewTenantLimiter(cfg.TenantRate, cfg.TenantBurst),
-		trace:   cfg.Trace,
-		client:  &http.Client{Transport: &http.Transport{MaxIdleConnsPerHost: 4}},
-		stop:    make(chan struct{}),
+		cfg:    cfg,
+		table:  newPeerTable(cfg.Peers, cfg.SuspectAfter, cfg.DeadAfter),
+		reps:   newReplicaStore(cfg.ReplicaJobs, cfg.ReplicaBytes),
+		trace:  cfg.Trace,
+		client: &http.Client{Transport: &http.Transport{MaxIdleConnsPerHost: 4}},
+		stop:   make(chan struct{}),
 	}, nil
 }
 
@@ -336,17 +328,9 @@ func (n *Node) Handler() http.Handler {
 }
 
 func (n *Node) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	// Forwarded requests are already routed and already admitted by the
-	// node the client spoke to: serve locally, never re-route (no loops).
+	// Forwarded requests are already routed by the node the client spoke
+	// to: serve locally, never re-route (no loops).
 	forwarded := r.Header.Get("X-Irred-Forward") == "1"
-	if !forwarded {
-		if ok, retry := n.tenants.Allow(r.Header.Get("X-Irred-Tenant")); !ok {
-			n.ctrs.tenantSheds.Add(1)
-			w.Header().Set("Retry-After", strconv.Itoa(retry))
-			writeError(w, http.StatusTooManyRequests, "tenant rate limit")
-			return
-		}
-	}
 	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, service.MaxJobBody))
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "reading job spec: "+err.Error())
@@ -457,8 +441,6 @@ func (n *Node) ClusterSnapshot() Snapshot {
 		ReplicaEvicted: evicted,
 		GossipOK:       n.ctrs.gossipOK.Load(),
 		GossipFail:     n.ctrs.gossipFail.Load(),
-		TenantSheds:    n.ctrs.tenantSheds.Load(),
-		TenantShedsBy:  n.tenants.Sheds(),
 	}
 }
 

@@ -11,7 +11,6 @@
 //
 //	ring.go    consistent-hash ring (vnodes, deterministic ownership)
 //	gossip.go  peer health state machine + probe loop + wire format
-//	tenant.go  per-tenant token-bucket admission
 //	replica.go bounded checkpoint-frame replica store
 //	router.go  proxy routing with retry, backoff and failover
 //	node.go    ties the above around a service.Service's HTTP handler

@@ -1,9 +1,8 @@
 // Package fault is the runtime's deterministic chaos injector. It supplies
-// the faults the serving stack must detect and survive: kernel panics in a
-// job's contribution function (the service fails the job with its stack),
-// failed checkpoint and cache writes (a lost resume point, never a lost
-// job), and dropped, delayed or partitioned inter-node hops (the cluster's
-// retry, failover and gossip paths).
+// the faults the serving stack must detect and survive: failed checkpoint
+// writes (a lost resume point, never a lost job) and dropped, delayed or
+// partitioned inter-node hops (the cluster's retry, failover and gossip
+// paths).
 //
 // Every decision is a pure function of (seed, fault class, coordinates):
 // an injected run is bit-reproducible regardless of goroutine
@@ -24,13 +23,12 @@ import (
 )
 
 // Class enumerates the injectable fault classes. The values are written
-// out because Target.Class travels as an integer in job specs and IRCJ
-// checkpoints; a class number is never reused.
+// out because Target.Class is an integer that older job specs and IRCJ
+// checkpoints carried; a class number is never reused (5 was the kernel
+// panic).
 type Class int
 
 const (
-	// Panic makes a kernel contribution panic (a poisoned iteration).
-	Panic Class = 5
 	// DiskFail makes a cache/checkpoint disk write fail.
 	DiskFail Class = 7
 	// NetDrop loses an inter-node cluster hop (forward, gossip, replica
@@ -47,7 +45,7 @@ const (
 )
 
 var classNames = map[Class]string{
-	Panic: "panic", DiskFail: "disk", NetDrop: "net_drop", NetDelay: "net_delay", Partition: "partition",
+	DiskFail: "disk", NetDrop: "net_drop", NetDelay: "net_delay", Partition: "partition",
 }
 
 func (c Class) String() string {
@@ -66,7 +64,6 @@ type Target struct {
 	Proc  int   `json:"proc"`
 	Phase int   `json:"phase"` // -1 matches any phase
 	Sweep int   `json:"sweep"` // -1 matches any sweep
-	Iter  int   `json:"iter"`  // Panic only: global iteration, -1 matches any
 }
 
 // Spec configures an Injector. Rates are per-decision probabilities in
@@ -74,9 +71,6 @@ type Target struct {
 // nothing.
 type Spec struct {
 	Seed int64 `json:"seed"`
-
-	// Per-iteration kernel panic probability.
-	PanicRate float64 `json:"panic,omitempty"`
 
 	// Per-write disk failure probability.
 	DiskRate float64 `json:"disk,omitempty"`
@@ -105,7 +99,7 @@ type PartitionPair struct {
 
 // Enabled reports whether the spec injects anything at all.
 func (s Spec) Enabled() bool {
-	return s.PanicRate > 0 || s.DiskRate > 0 || s.NetDropRate > 0 ||
+	return s.DiskRate > 0 || s.NetDropRate > 0 ||
 		s.NetDelayRate > 0 || len(s.Partitions) > 0 || len(s.Targets) > 0
 }
 
@@ -116,7 +110,7 @@ func (s Spec) Validate() error {
 		name string
 		v    float64
 	}{
-		{"panic", s.PanicRate}, {"disk", s.DiskRate},
+		{"disk", s.DiskRate},
 		{"net_drop", s.NetDropRate}, {"net_delay", s.NetDelayRate},
 	} {
 		if r.v < 0 || r.v > 1 || math.IsNaN(r.v) {
@@ -148,7 +142,6 @@ func (s Spec) String() string {
 			parts = append(parts, fmt.Sprintf("%s=%g", k, v))
 		}
 	}
-	add("panic", s.PanicRate)
 	add("disk", s.DiskRate)
 	add("net_drop", s.NetDropRate)
 	add("net_delay", s.NetDelayRate)
@@ -162,17 +155,12 @@ func (s Spec) String() string {
 }
 
 // ParseSpec parses the -chaos flag syntax: comma-separated key=value
-// pairs, e.g. "seed=7,panic=0.005,disk=0.05,net_drop=0.02". The bare word
-// "all" expands to a moderate dose of every job-level fault class.
+// pairs, e.g. "seed=7,disk=0.05,net_drop=0.02".
 func ParseSpec(s string) (Spec, error) {
 	var spec Spec
 	for _, part := range strings.Split(s, ",") {
 		part = strings.TrimSpace(part)
 		if part == "" {
-			continue
-		}
-		if part == "all" {
-			spec.PanicRate, spec.DiskRate = 0.002, 0.05
 			continue
 		}
 		key, val, found := strings.Cut(part, "=")
@@ -202,8 +190,6 @@ func ParseSpec(s string) (Spec, error) {
 				return Spec{}, fmt.Errorf("fault: bad rate %q for %s", val, key)
 			}
 			switch key {
-			case "panic":
-				spec.PanicRate = f
 			case "disk":
 				spec.DiskRate = f
 			case "net_drop":
@@ -223,7 +209,6 @@ func ParseSpec(s string) (Spec, error) {
 
 // Counters is a snapshot of how many faults of each class actually fired.
 type Counters struct {
-	Panics     int64 `json:"panics"`
 	DiskFails  int64 `json:"disk_fails"`
 	NetDrops   int64 `json:"net_drops"`
 	NetDelays  int64 `json:"net_delays"`
@@ -232,7 +217,7 @@ type Counters struct {
 
 // Total sums the injected-fault counters.
 func (c Counters) Total() int64 {
-	return c.Panics + c.DiskFails + c.NetDrops + c.NetDelays + c.Partitions
+	return c.DiskFails + c.NetDrops + c.NetDelays + c.Partitions
 }
 
 // Injector makes deterministic fault decisions. All methods are safe on a
@@ -299,9 +284,9 @@ func (in *Injector) roll(class Class, rate float64, a, b, c, d int) bool {
 	return float64(h>>11)/float64(1<<53) < rate
 }
 
-// target fires a matching one-shot target at most once. Phase/Sweep/Iter
+// target fires a matching one-shot target at most once. Phase/Sweep
 // wildcards (-1) match anything.
-func (in *Injector) target(class Class, proc, phase, sweep, iter int) bool {
+func (in *Injector) target(class Class, proc, phase, sweep int) bool {
 	if len(in.spec.Targets) == 0 {
 		return false
 	}
@@ -312,8 +297,7 @@ func (in *Injector) target(class Class, proc, phase, sweep, iter int) bool {
 			continue
 		}
 		if (t.Phase >= 0 && t.Phase != phase) ||
-			(t.Sweep >= 0 && t.Sweep != sweep) ||
-			(t.Iter >= 0 && iter >= 0 && t.Iter != iter) {
+			(t.Sweep >= 0 && t.Sweep != sweep) {
 			continue
 		}
 		in.fired[i] = true
@@ -324,26 +308,6 @@ func (in *Injector) target(class Class, proc, phase, sweep, iter int) bool {
 
 func (in *Injector) count(class Class) {
 	in.counts[class].Add(1)
-}
-
-// PanicErr is the value an injected kernel panic carries, so supervisors
-// can tell an injected panic from an organic one in logs.
-type PanicErr struct{ Proc, Iter int }
-
-func (e PanicErr) Error() string {
-	return fmt.Sprintf("fault: injected kernel panic (proc %d, iteration %d)", e.Proc, e.Iter)
-}
-
-// KernelPanic panics with a PanicErr when the injector poisons iteration
-// iter on processor proc. Call it at the top of a contribution function.
-func (in *Injector) KernelPanic(proc, iter int) {
-	if in == nil {
-		return
-	}
-	if in.target(Panic, proc, -1, -1, iter) || in.roll(Panic, in.spec.PanicRate, proc, iter, 0, 1) {
-		in.count(Panic)
-		panic(PanicErr{Proc: proc, Iter: iter})
-	}
 }
 
 // DiskWrite returns an injected error for a disk write of name, or nil.
@@ -357,7 +321,7 @@ func (in *Injector) DiskWrite(name string, attempt int) error {
 	for _, b := range []byte(name) {
 		h = h*131 + int(b)
 	}
-	if in.target(DiskFail, attempt, -1, -1, -1) || in.roll(DiskFail, in.spec.DiskRate, h, attempt, 0, 2) {
+	if in.target(DiskFail, attempt, -1, -1) || in.roll(DiskFail, in.spec.DiskRate, h, attempt, 0, 2) {
 		in.count(DiskFail)
 		return fmt.Errorf("fault: injected disk write failure (%s, attempt %d)", name, attempt)
 	}
@@ -425,7 +389,7 @@ func strHash(s string) int {
 // `from` to node `to`. A live partition between the pair always drops
 // (counted separately from rolled drops); otherwise NetDropRate and
 // NetDelayRate are rolled on (from, to, attempt, seq) coordinates, where
-// seq is a per-process hop counter: unlike the job-level faults, the
+// seq is a per-process hop counter: unlike a disk write's file name, the
 // node-pair coordinates alone are nearly constant in a small fleet, so
 // without seq a 10% drop rate would either always or never fire for a
 // given pair. With seq the rate holds per hop; a run is still
@@ -462,7 +426,6 @@ func (in *Injector) Counters() Counters {
 		return Counters{}
 	}
 	return Counters{
-		Panics:     in.counts[Panic].Load(),
 		DiskFails:  in.counts[DiskFail].Load(),
 		NetDrops:   in.counts[NetDrop].Load(),
 		NetDelays:  in.counts[NetDelay].Load(),

@@ -5,26 +5,10 @@ import (
 	"time"
 )
 
-// panics reports whether the injector poisons iteration iter on proc.
-func panics(t *testing.T, in *Injector, proc, iter int) (fired bool) {
-	t.Helper()
-	defer func() {
-		if r := recover(); r != nil {
-			if _, ok := r.(PanicErr); !ok {
-				t.Fatalf("panic carried %T, want PanicErr", r)
-			}
-			fired = true
-		}
-	}()
-	in.KernelPanic(proc, iter)
-	return false
-}
-
 // TestNilInjectorIsInert pins the zero-cost-when-disabled contract: every
 // method on a nil *Injector returns the no-fault answer.
 func TestNilInjectorIsInert(t *testing.T) {
 	var in *Injector
-	in.KernelPanic(0, 0) // must not panic
 	if err := in.DiskWrite("x", 0); err != nil {
 		t.Fatalf("nil injector failed a write: %v", err)
 	}
@@ -50,22 +34,19 @@ func TestNewDisabledSpecReturnsNil(t *testing.T) {
 // TestDeterminism: the same seed and coordinates yield the same decisions
 // across injector instances; a different seed yields a different stream.
 func TestDeterminism(t *testing.T) {
-	spec := Spec{Seed: 7, PanicRate: 0.3, DiskRate: 0.3}
+	spec := Spec{Seed: 7, DiskRate: 0.3}
 	a, b := New(spec), New(spec)
-	other := New(Spec{Seed: 8, PanicRate: 0.3, DiskRate: 0.3})
+	other := New(Spec{Seed: 8, DiskRate: 0.3})
 	diff := 0
 	for proc := 0; proc < 4; proc++ {
 		for iter := 0; iter < 64; iter++ {
-			pa := panics(t, a, proc, iter)
-			if pa != panics(t, b, proc, iter) {
-				t.Fatalf("same seed diverged at (%d,%d)", proc, iter)
-			}
-			if pa != panics(t, other, proc, iter) {
-				diff++
-			}
 			name := string(rune('a' + proc))
-			if (a.DiskWrite(name, iter) == nil) != (b.DiskWrite(name, iter) == nil) {
+			fa := a.DiskWrite(name, iter) == nil
+			if fa != (b.DiskWrite(name, iter) == nil) {
 				t.Fatalf("disk decisions diverged at (%s,%d)", name, iter)
+			}
+			if fa != (other.DiskWrite(name, iter) == nil) {
+				diff++
 			}
 		}
 	}
@@ -94,8 +75,8 @@ func TestRatesApproximatelyHold(t *testing.T) {
 // once and never again, wildcards included.
 func TestTargetsFireExactlyOnce(t *testing.T) {
 	in := New(Spec{Targets: []Target{
-		{Class: DiskFail, Proc: 2, Phase: -1, Sweep: -1, Iter: -1},
-		{Class: Panic, Proc: 0, Phase: -1, Sweep: -1, Iter: 5},
+		{Class: DiskFail, Proc: 2, Phase: -1, Sweep: -1},
+		{Class: DiskFail, Proc: 4, Phase: -1, Sweep: -1},
 	}})
 	if in.DiskWrite("x", 1) != nil {
 		t.Fatal("disk target fired at the wrong attempt")
@@ -106,30 +87,25 @@ func TestTargetsFireExactlyOnce(t *testing.T) {
 	if in.DiskWrite("x", 2) != nil {
 		t.Fatal("disk target fired twice")
 	}
-	if panics(t, in, 0, 4) {
-		t.Fatal("panic target fired at the wrong iteration")
-	}
-	if !panics(t, in, 0, 5) {
-		t.Fatal("panic target did not fire")
-	}
-	if panics(t, in, 0, 5) {
-		t.Fatal("panic target fired twice")
+	if in.DiskWrite("y", 4) == nil {
+		t.Fatal("second disk target did not fire at its attempt")
 	}
 	c := in.Counters()
-	if c.DiskFails != 1 || c.Panics != 1 || c.Total() != 2 {
-		t.Fatalf("counters %+v, want exactly one disk failure and one panic", c)
+	if c.DiskFails != 2 || c.Total() != 2 {
+		t.Fatalf("counters %+v, want exactly two disk failures", c)
 	}
 }
 
 // TestTargetClassValues pins the wire values of the classes: Target.Class
-// is an integer in job specs and checkpoints, so a class keeps its number.
+// is an integer, so a class keeps its number and a removed one (the kernel
+// panic was 5) is never reused.
 func TestTargetClassValues(t *testing.T) {
-	for c, want := range map[Class]int{Panic: 5, DiskFail: 7, NetDrop: 8, NetDelay: 9, Partition: 10} {
+	for c, want := range map[Class]int{DiskFail: 7, NetDrop: 8, NetDelay: 9, Partition: 10} {
 		if int(c) != want {
 			t.Fatalf("%s = %d, want %d", c, int(c), want)
 		}
 	}
-	for _, gone := range []Class{0, 1, 2, 3, 4, 6} {
+	for _, gone := range []Class{0, 1, 2, 3, 4, 5, 6} {
 		spec := Spec{Targets: []Target{{Class: gone}}}
 		if err := spec.Validate(); err == nil {
 			t.Fatalf("target class %d accepted", int(gone))
@@ -139,7 +115,7 @@ func TestTargetClassValues(t *testing.T) {
 
 // TestParseSpecRoundTrip: flag syntax -> Spec -> String -> Spec is stable.
 func TestParseSpecRoundTrip(t *testing.T) {
-	spec, err := ParseSpec("seed=9,panic=0.001,disk=0.5,net_drop=0.02,net_delay=0.03,net_delay_ms=7")
+	spec, err := ParseSpec("seed=9,disk=0.5,net_drop=0.02,net_delay=0.03,net_delay_ms=7")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,14 +131,14 @@ func TestParseSpecRoundTrip(t *testing.T) {
 	}
 }
 
-// TestParseSpecAll: the "all" shorthand enables every job-level class.
+// TestParseSpecAll: "all" once expanded to a dose of every job-level
+// class; with the kernel panic gone it is a bare word like any other and
+// is refused, as is the panic key.
 func TestParseSpecAll(t *testing.T) {
-	spec, err := ParseSpec("seed=4,all")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !spec.Enabled() || spec.PanicRate == 0 || spec.DiskRate == 0 {
-		t.Fatalf("all expanded to %+v", spec)
+	for _, bad := range []string{"seed=4,all", "all", "seed=4,panic=0.002"} {
+		if spec, err := ParseSpec(bad); err == nil {
+			t.Fatalf("ParseSpec(%q) = %+v, want an error", bad, spec)
+		}
 	}
 }
 

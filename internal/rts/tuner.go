@@ -44,9 +44,8 @@ type TunerOptions struct {
 
 // Tuner picks execution strategies from a persisted BENCH trajectory —
 // the measured complement to the paper's analytic engine selection. It
-// never consults modeled (sim) or fault-injected (chaos) cells: picks
-// come from clean wall-clock measurements or from the fallback
-// heuristic, nothing in between.
+// never consults modeled (sim) cells: picks come from clean wall-clock
+// measurements or from the fallback heuristic, nothing in between.
 type Tuner struct {
 	summary *benchfmt.Summary
 	opt     TunerOptions
@@ -104,7 +103,7 @@ func (t *Tuner) Summary() *benchfmt.Summary { return t.summary }
 
 // usable reports whether a measured cell may back a pick for this consumer.
 func (t *Tuner) usable(c *benchfmt.Cell) bool {
-	if c.Error != "" || c.Chaos != "" {
+	if c.Error != "" {
 		return false
 	}
 	// Sim cells time the simulator, not the workload; their wall stats
@@ -191,7 +190,7 @@ func (t *Tuner) Workloads() [][2]string {
 	seen := map[[2]string]bool{}
 	for i := range t.summary.Cells {
 		c := &t.summary.Cells[i]
-		if c.Error == "" && c.Chaos == "" && c.Engine != "sim" && c.Wall.Score() > 0 {
+		if c.Error == "" && c.Engine != "sim" && c.Wall.Score() > 0 {
 			seen[[2]string{c.Kernel, c.Class}] = true
 		}
 	}

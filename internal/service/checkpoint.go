@@ -45,7 +45,8 @@ func ckPath(dir, id string) string {
 
 // writeJobCheckpoint persists ck atomically (tmp + rename). The fault
 // injector, when live, may fail the write — the caller treats that as a
-// lost resume point, never as a job failure.
+// lost resume point, never as a job failure. Its decision is keyed on the
+// file's name and the sweep, not on the directory.
 func writeJobCheckpoint(path string, ck *jobCheckpoint, inj *fault.Injector) error {
 	_, err := saveJobCheckpoint(path, ck, inj)
 	return err
@@ -54,7 +55,7 @@ func writeJobCheckpoint(path string, ck *jobCheckpoint, inj *fault.Injector) err
 // saveJobCheckpoint is writeJobCheckpoint returning the IRCJ frame it
 // wrote, for a caller that ships the same bytes on.
 func saveJobCheckpoint(path string, ck *jobCheckpoint, inj *fault.Injector) ([]byte, error) {
-	if err := inj.DiskWrite(path, ck.Sweep); err != nil {
+	if err := inj.DiskWrite(filepath.Base(path), ck.Sweep); err != nil {
 		return nil, err
 	}
 	specJSON, err := json.Marshal(ck.Spec)
@@ -117,7 +118,7 @@ func decodeJobCheckpoint(raw []byte, path string) (*jobCheckpoint, error) {
 		return nil, fmt.Errorf("service: checkpoint %s: unsupported version %d", path, body[0])
 	}
 	// Every length is bounded by the bytes left in the frame before anything
-	// is allocated for it: a peer can PUT any frame it likes.
+	// is allocated for it: a peer can POST any frame it likes.
 	rest := body[1:]
 	specLen, k := binary.Varint(rest)
 	if k <= 0 || specLen < 2 || specLen > int64(len(rest)-k) {

@@ -11,7 +11,6 @@ import (
 	"sync"
 	"time"
 
-	"irred/internal/fault"
 	"irred/internal/inspector"
 	"irred/internal/kernels"
 )
@@ -67,13 +66,6 @@ type JobSpec struct {
 
 	// TimeoutMS bounds the job's wall-clock run; 0 means no deadline.
 	TimeoutMS int64 `json:"timeout_ms,omitempty"`
-
-	// Chaos, when non-nil, runs the job under the deterministic fault
-	// injector: kernel panics in the contribution function and failed
-	// checkpoint writes. The server rejects it unless started with chaos
-	// enabled — fault injection is a test instrument, not a tenant-facing
-	// feature.
-	Chaos *fault.Spec `json:"chaos,omitempty"`
 
 	// CheckpointEvery persists the reduction array and sweep counter every
 	// this many sweeps (raw multi-sweep jobs only, and only when the
@@ -197,14 +189,6 @@ func (sp *JobSpec) Validate() error {
 	}
 	if _, err := sp.dist(); err != nil {
 		return err
-	}
-	if sp.Chaos != nil {
-		if err := sp.Chaos.Validate(); err != nil {
-			return err
-		}
-		if !sp.IsRaw() {
-			return fmt.Errorf("chaos injection supports raw reduction jobs only")
-		}
 	}
 	if sp.CheckpointEvery < 0 {
 		return fmt.Errorf("checkpoint_every = %d", sp.CheckpointEvery)

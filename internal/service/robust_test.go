@@ -5,7 +5,6 @@ import (
 	"encoding/binary"
 	"encoding/json"
 	"errors"
-	"fmt"
 	"hash/fnv"
 	"math"
 	"math/rand"
@@ -14,6 +13,7 @@ import (
 	"reflect"
 	"runtime"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -45,15 +45,14 @@ func robustSpec(seed int64, steps int) JobSpec {
 
 // TestCheckpointRoundTrip pins the IRCJ file format: write, read back,
 // verify every field survives bit-exactly. The stored spec is JSON and is
-// read back by JobSpec's own decoder: a plain spec on its hand-written
-// path, one carrying a chaos spec through the encoding/json fallback.
+// read back by JobSpec's own decoder: a plain spec, and one carrying every
+// scalar a cluster job's checkpoint holds.
 func TestCheckpointRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	plain := robustSpec(1, 6)
-	chaotic := robustSpec(3, 6)
-	chaotic.ClusterUID, chaotic.CheckpointEvery = "00c0ffee", 2
-	chaotic.Chaos = &fault.Spec{Seed: 5, DiskRate: 0.25}
-	for _, spec := range []JobSpec{plain, chaotic} {
+	cluster := robustSpec(3, 6)
+	cluster.ClusterUID, cluster.CheckpointEvery, cluster.Dist, cluster.TimeoutMS = "00c0ffee", 2, "block", 60000
+	for _, spec := range []JobSpec{plain, cluster} {
 		want, err := spec.SequentialRaw()
 		if err != nil {
 			t.Fatal(err)
@@ -111,7 +110,7 @@ func TestCheckpointRejectsCorruption(t *testing.T) {
 }
 
 // TestCheckpointClaimedSizes: an IRCJ frame reaches the decoder from any
-// cluster peer (PUT /v1/cluster/replica/{uid}), checksum and all, so a
+// cluster peer (POST /v1/cluster/replica/{uid}), checksum and all, so a
 // length it claims is only believed as far as the frame's own bytes back
 // it. Each frame here is refused with a labelled error and allocates next
 // to nothing, whatever it claims.
@@ -326,33 +325,17 @@ func TestShutdownPreemptionKeepsCheckpoint(t *testing.T) {
 	}
 }
 
-// TestChaosRequiresOptIn: a chaos-carrying spec is rejected unless the
-// service was started with AllowChaos.
-func TestChaosRequiresOptIn(t *testing.T) {
-	s, err := New(Options{Workers: 1, TraceSpans: -1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	spec := robustSpec(5, 2)
-	spec.Chaos = &fault.Spec{Seed: 1, DiskRate: 0.1}
-	if _, err := s.Submit(spec); !errors.Is(err, ErrChaosDisabled) {
-		t.Fatalf("err = %v, want ErrChaosDisabled", err)
-	}
-}
-
 // TestChaosDiskFaultsLoseOnlyResumePoints: a native job whose checkpoint
 // writes fail half the time still finishes with the bitwise-sequential
 // result — an injected disk fault costs a resume point, never the job.
 func TestChaosDiskFaultsLoseOnlyResumePoints(t *testing.T) {
-	s, err := New(Options{Workers: 1, CacheDir: t.TempDir(), AllowChaos: true})
+	s, err := newService(Options{Workers: 1, CacheDir: t.TempDir()}, fault.New(fault.Spec{Seed: 3, DiskRate: 0.5}))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer s.Close()
 	spec := robustSpec(6, 12)
 	spec.CheckpointEvery = 1
-	spec.Chaos = &fault.Spec{Seed: 3, DiskRate: 0.5}
 	want, err := spec.SequentialRaw()
 	if err != nil {
 		t.Fatal(err)
@@ -363,11 +346,11 @@ func TestChaosDiskFaultsLoseOnlyResumePoints(t *testing.T) {
 	}
 	st := waitJob(t, j)
 	if st.State != StateDone {
-		t.Fatalf("chaos job: %+v", st)
+		t.Fatalf("job under disk faults: %+v", st)
 	}
 	for i := range want {
 		if st.Result[i] != want[i] {
-			t.Fatalf("chaos result[%d] = %v, want %v", i, st.Result[i], want[i])
+			t.Fatalf("result[%d] = %v, want %v", i, st.Result[i], want[i])
 		}
 	}
 	var failed int
@@ -382,8 +365,9 @@ func TestChaosDiskFaultsLoseOnlyResumePoints(t *testing.T) {
 	}
 }
 
-// TestCheckpointWithRemovedChaosKeyIsDropped: an IRCJ file whose stored
-// spec carries a fault class the injector no longer has fails the strict
+// TestCheckpointWithRemovedChaosKeyIsDropped: a job spec has no "chaos"
+// key any more, but a daemon before its removal wrote one into the IRCJ
+// checkpoints of the jobs that carried it. Such a file fails the strict
 // spec decode, so a starting service deletes it instead of resuming it.
 func TestCheckpointWithRemovedChaosKeyIsDropped(t *testing.T) {
 	dir := t.TempDir()
@@ -393,31 +377,28 @@ func TestCheckpointWithRemovedChaosKeyIsDropped(t *testing.T) {
 	}
 	spec := robustSpec(10, 4)
 	spec.CheckpointEvery = 1
-	spec.Chaos = &fault.Spec{Seed: 5, DiskRate: 0.25}
 	half := spec
 	half.Steps = 2
 	x, err := half.SequentialRaw()
 	if err != nil {
 		t.Fatal(err)
 	}
-	path := ckPath(jobsDir, "j000007")
-	if err := writeJobCheckpoint(path, &jobCheckpoint{Spec: spec, Sweep: 2, X: x}, nil); err != nil {
-		t.Fatal(err)
+	// The frame as that daemon sealed it: the key sat between timeout_ms
+	// and checkpoint_every, in the struct's field order.
+	specJSON := bytes.Replace(mustMarshal(t, spec), []byte(`"checkpoint_every":`),
+		[]byte(`"chaos":{"seed":5,"disk":0.25},"checkpoint_every":`), 1)
+	frame := append([]byte(ckFileMagic), ckFileVersion)
+	frame = binary.AppendVarint(frame, int64(len(specJSON)))
+	frame = append(frame, specJSON...)
+	frame = binary.AppendVarint(frame, 2)
+	frame = binary.AppendVarint(frame, int64(len(x)))
+	for _, v := range x {
+		frame = binary.LittleEndian.AppendUint64(frame, math.Float64bits(v))
 	}
-	// Rename the key in place ("disk" and "drop" have one length, so the
-	// spec's length prefix holds) and re-seal the frame's checksum.
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	body := raw[:len(raw)-8]
-	if bytes.Count(body, []byte(`"disk":`)) != 1 {
-		t.Fatalf("checkpoint spec has no single disk key: %s", body)
-	}
-	body = bytes.Replace(body, []byte(`"disk":`), []byte(`"drop":`), 1)
 	sum := fnv.New64a()
-	sum.Write(body)
-	if err := os.WriteFile(path, binary.LittleEndian.AppendUint64(body, sum.Sum64()), 0o644); err != nil {
+	sum.Write(frame)
+	path := ckPath(jobsDir, "j000007")
+	if err := os.WriteFile(path, binary.LittleEndian.AppendUint64(frame, sum.Sum64()), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	// Backdate it, so the scan does not take it for a concurrent write.
@@ -425,37 +406,46 @@ func TestCheckpointWithRemovedChaosKeyIsDropped(t *testing.T) {
 	if err := os.Chtimes(path, old, old); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := readJobCheckpoint(path); err == nil || !strings.Contains(err.Error(), `unknown field "drop"`) {
+	if _, err := readJobCheckpoint(path); err == nil || !strings.Contains(err.Error(), `unknown field "chaos"`) {
 		t.Fatalf("read = %v, want an unknown-field error", err)
 	}
 
-	s, err := New(Options{Workers: 1, CacheDir: dir, TraceSpans: -1, AllowChaos: true})
+	s, err := New(Options{Workers: 1, CacheDir: dir, TraceSpans: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer s.Close()
 	if _, ok := s.Job("j000001"); ok {
-		t.Fatal("restart resumed a checkpoint with a removed chaos key")
+		t.Fatal("restart resumed a checkpoint whose spec carries chaos")
 	}
 	if _, err := os.Stat(path); !errors.Is(err, os.ErrNotExist) {
 		t.Fatal("the undecodable checkpoint was left on disk")
 	}
 }
 
-// TestChaosKernelPanicFailsJobWithStack: an injected kernel panic on the
-// native engine fails exactly that job, attaches the recovered stack to
-// its status, and leaves the worker serving later jobs.
-func TestChaosKernelPanicFailsJobWithStack(t *testing.T) {
-	s, err := New(Options{Workers: 1, TraceSpans: -1, AllowChaos: true})
+// TestPanickingJobFailsWithStack: a panic that escapes a job's run reaches
+// the service's supervisor through the pool, fails exactly that job with
+// the recovered stack in its status, and leaves the worker serving later
+// jobs.
+func TestPanickingJobFailsWithStack(t *testing.T) {
+	s, err := New(Options{Workers: 1, TraceSpans: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	spec := robustSpec(7, 2)
-	spec.Chaos = &fault.Spec{
-		Targets: []fault.Target{{Class: fault.Panic, Proc: 0, Phase: -1, Sweep: -1, Iter: -1}},
-	}
-	j, err := s.Submit(spec)
+	// The same service behind a one-worker pool whose first run panics
+	// inside the worker, where a poisoned kernel would.
+	s.pool.close()
+	var poisoned atomic.Bool
+	poisoned.Store(true)
+	s.pool = newPool(1, 4, func(j *Job) {
+		if poisoned.Swap(false) {
+			panic("poisoned kernel in " + j.ID)
+		}
+		s.runJob(j)
+	}, s.jobPanicked)
+
+	j, err := s.Submit(robustSpec(7, 2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -463,38 +453,124 @@ func TestChaosKernelPanicFailsJobWithStack(t *testing.T) {
 	if st.State != StateFailed {
 		t.Fatalf("state %s, want failed (%+v)", st.State, st)
 	}
-	if !strings.Contains(st.Error, "panic") {
-		t.Fatalf("error %q does not mention the panic", st.Error)
+	if !strings.Contains(st.Error, "panicked: poisoned kernel in "+j.ID) {
+		t.Fatalf("error %q does not name the panic", st.Error)
 	}
 	if st.Stack == "" {
 		t.Fatal("failed job carries no stack")
 	}
 
-	// The worker survives: a clean job still runs.
-	ok, err := s.Submit(robustSpec(8, 1))
+	// The pool's one worker survives: a clean job still runs.
+	spec := robustSpec(8, 1)
+	want, err := spec.SequentialRaw()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st := waitJob(t, ok); st.State != StateDone {
-		t.Fatalf("post-panic job: %+v", st)
-	}
-
-	// The block wrapper rolls every iteration by its real number. With one
-	// processor and one phase the iterations run in order, so iteration 300
-	// sits 44 entries into the engine's second 256-iteration block: a
-	// wrapper that rolled the block offset would never reach it. (A
-	// target's Proc has no wildcard; at P = 1, processor 0 runs them all.)
-	const iter = 300
-	spec = rawSpec(3, 1, 1, 1000, 64, 1)
-	spec.Chaos = &fault.Spec{
-		Targets: []fault.Target{{Class: fault.Panic, Proc: 0, Phase: -1, Sweep: -1, Iter: iter}},
-	}
-	if j, err = s.Submit(spec); err != nil {
+	ok, err := s.Submit(spec)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if st := waitJob(t, j); st.State != StateFailed || !strings.Contains(st.Error, fmt.Sprintf("iteration %d)", iter)) {
-		t.Fatalf("state %s, error %q, want a failure naming iteration %d", st.State, st.Error, iter)
+	if st := waitJob(t, ok); st.State != StateDone || st.ResultSHA256 != HashResult(want) {
+		t.Fatalf("post-panic job: %+v", st)
 	}
+}
+
+// TestCheckpointedJobsUnderDiskFaults is the disk-fault soak as a seed
+// table. Every job checkpoints after every sweep while the injector fails
+// writes at rate 0.05, and each must finish with the sequential oracle's
+// SHA: a failed write costs a resume point, never the job or its answer.
+// A write's fate is a function of the seed, the job id and the sweep, so
+// a failing row replays. The restart leg closes a service mid-job and
+// resumes the job on a new service over the same directory, under the
+// same rate of faults.
+func TestCheckpointedJobsUnderDiskFaults(t *testing.T) {
+	const diskRate = 0.05
+	shapes := []struct {
+		p, k int
+		dist string
+	}{{1, 1, "block"}, {2, 1, "cyclic"}, {3, 2, "cyclic"}, {4, 2, "block"}}
+	var fails int64
+	for _, seed := range []int64{1, 2, 3} {
+		inj := fault.New(fault.Spec{Seed: seed, DiskRate: diskRate})
+		s, err := newService(Options{Workers: 2, CacheDir: t.TempDir(), TraceSpans: -1}, inj)
+		if err != nil {
+			t.Fatal(err)
+		}
+		jobs, wants := make([]*Job, len(shapes)), make([]string, len(shapes))
+		for i, sh := range shapes {
+			spec := robustSpec(seed*100+int64(i), 40)
+			spec.P, spec.K, spec.Dist, spec.CheckpointEvery = sh.p, sh.k, sh.dist, 1
+			wants[i] = oracleSHA(t, spec)
+			if jobs[i], err = s.Submit(spec); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for i, j := range jobs {
+			if st := waitJob(t, j); st.State != StateDone || st.ResultSHA256 != wants[i] {
+				t.Errorf("seed %d, P=%d k=%d %s: state %s, error %q, sha %s, want %s",
+					seed, shapes[i].p, shapes[i].k, shapes[i].dist, st.State, st.Error, st.ResultSHA256, wants[i])
+			}
+		}
+		s.Close()
+		fails += inj.Counters().DiskFails
+	}
+	if fails == 0 {
+		t.Fatal("no checkpoint write failed: the table injects nothing")
+	}
+	t.Logf("%d checkpoint writes failed", fails)
+
+	for _, seed := range []int64{4, 5} {
+		dir := t.TempDir()
+		spec := robustSpec(seed, 2000)
+		spec.P, spec.K, spec.CheckpointEvery = 3, 2, 1
+		want := oracleSHA(t, spec)
+		s1, err := newService(Options{Workers: 1, CacheDir: dir, TraceSpans: -1}, fault.New(fault.Spec{Seed: seed, DiskRate: diskRate}))
+		if err != nil {
+			t.Fatal(err)
+		}
+		j1, err := s1.Submit(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		deadline := time.Now().Add(10 * time.Second)
+		for j1.Status(false).CheckpointSweep < 5 {
+			if j1.State() != StateRunning && j1.State() != StateQueued {
+				t.Fatalf("seed %d: job reached %s before the close", seed, j1.State())
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("seed %d: no checkpoint before the deadline", seed)
+			}
+			time.Sleep(100 * time.Microsecond)
+		}
+		s1.Close()
+		if st := j1.State(); st != StateCancelled {
+			t.Fatalf("seed %d: closed mid-job, the job is %s", seed, st)
+		}
+
+		s2, err := newService(Options{Workers: 1, CacheDir: dir, TraceSpans: -1}, fault.New(fault.Spec{Seed: seed + 1000, DiskRate: diskRate}))
+		if err != nil {
+			t.Fatal(err)
+		}
+		j2, ok := s2.Job("j000001")
+		if !ok {
+			t.Fatalf("seed %d: the new service did not resume the job", seed)
+		}
+		if st := waitJob(t, j2); st.State != StateDone || !st.Resumed || st.ResultSHA256 != want {
+			t.Errorf("seed %d resumed: state %s, resumed %v, error %q, sha %s, want %s",
+				seed, st.State, st.Resumed, st.Error, st.ResultSHA256, want)
+		}
+		s2.Close()
+	}
+}
+
+// oracleSHA is the SHA of a raw spec's sequential reduction.
+func oracleSHA(t *testing.T, spec JobSpec) string {
+	t.Helper()
+	x, err := spec.SequentialRaw()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return HashResult(x)
 }
 
 // TestReadyzFlipsOnDrain: Ready is true for a live service, false after

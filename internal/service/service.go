@@ -17,12 +17,10 @@ package service
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
 	"runtime"
-	"runtime/debug"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -33,10 +31,6 @@ import (
 	"irred/internal/obs"
 	"irred/internal/rts"
 )
-
-// ErrChaosDisabled is returned for jobs carrying a chaos spec when the
-// service was not started with chaos enabled.
-var ErrChaosDisabled = errors.New("service: chaos injection disabled (start the daemon with -chaos)")
 
 // ShutdownGrace is how long irredd's graceful HTTP shutdown waits for
 // in-flight requests before giving up.
@@ -62,10 +56,6 @@ type Options struct {
 	// (oldest spans are overwritten). 0 picks obs.DefaultCapacity; a
 	// negative value disables tracing entirely.
 	TraceSpans int
-	// AllowChaos accepts job specs carrying a fault.Spec. Off by default:
-	// fault injection is a test instrument, and a tenant must not be able
-	// to panic a shared daemon's jobs unless it was started for that.
-	AllowChaos bool
 	// CheckpointEvery is the default checkpoint interval (sweeps) for raw
 	// multi-sweep jobs that do not set their own; 0 disables checkpointing
 	// for jobs that do not ask for it. Checkpoints need CacheDir.
@@ -121,6 +111,10 @@ type Service struct {
 	start    time.Time
 	jobsDir  string // job checkpoint directory, "" when persistence is off
 
+	// diskChaos fails job checkpoint writes. It is nil outside tests,
+	// which build the service with newService.
+	diskChaos *fault.Injector
+
 	draining atomic.Bool // flips /readyz during graceful shutdown
 
 	mu       sync.Mutex
@@ -136,6 +130,12 @@ type Service struct {
 // so work interrupted by a crash or SIGTERM resumes from its last
 // checkpointed sweep instead of being lost.
 func New(opt Options) (*Service, error) {
+	return newService(opt, nil)
+}
+
+// newService is New with a checkpoint disk-fault injector installed before
+// any job, resumed ones included, can run.
+func newService(opt Options, diskChaos *fault.Injector) (*Service, error) {
 	opt = opt.withDefaults()
 	cache, err := NewCache(opt.CacheEntries, opt.CacheDir)
 	if err != nil {
@@ -149,6 +149,8 @@ func New(opt Options) (*Service, error) {
 		start:    time.Now(),
 		jobs:     make(map[string]*Job),
 		byUID:    make(map[string]*Job),
+
+		diskChaos: diskChaos,
 	}
 	if opt.TraceSpans >= 0 {
 		s.trace = obs.New(opt.TraceSpans)
@@ -202,9 +204,6 @@ func (s *Service) Submit(spec JobSpec) (*Job, error) {
 func (s *Service) submitJob(spec JobSpec, ck *jobCheckpoint) (*Job, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, fmt.Errorf("service: invalid job: %w", err)
-	}
-	if spec.Chaos != nil && !s.opt.AllowChaos {
-		return nil, ErrChaosDisabled
 	}
 	// A replayed cluster job may already hold a replicated mid-run
 	// checkpoint here (pushed by the now-dead owner): seed from it so the
@@ -532,8 +531,8 @@ func (s *Service) executeRaw(j *Job) (result []float64, hit bool, key string, er
 // one Native over the schedule set, with the spec's contribution as data
 // and the service tracer. Each checkpoint chunk is one RunContext call.
 //
-// j is the job being run, nil for a session. A job brings its resume point,
-// its checkpoints and its chaos injector.
+// j is the job being run, nil for a session. A job brings its resume point
+// and its checkpoints.
 func (s *Service) runRaw(ctx context.Context, spec *JobSpec, scheds []*inspector.Schedule, j *Job) ([]float64, error) {
 	cfg := spec.config()
 	n, err := rts.NewNativeFrom(&rts.Loop{Cfg: cfg, Mode: rts.Reduce, Ind: spec.Ind, Trace: s.trace}, scheds)
@@ -546,12 +545,8 @@ func (s *Service) runRaw(ctx context.Context, spec *JobSpec, scheds []*inspector
 
 	steps := spec.steps()
 	done, every := 0, 0 // sweeps already run; checkpoint interval, 0 for none
-	var inj *fault.Injector
 	var routeKey string
 	if j != nil {
-		if spec.Chaos != nil {
-			inj = fault.New(*spec.Chaos)
-		}
 		if every = spec.CheckpointEvery; every <= 0 {
 			every = s.opt.CheckpointEvery
 		}
@@ -571,60 +566,17 @@ func (s *Service) runRaw(ctx context.Context, spec *JobSpec, scheds []*inspector
 		}
 	}
 
-	// Chaos jobs run the data form as a contribution block, so that kernel
-	// panics are caught in the block itself (a panic on an engine goroutine
-	// would crash the process) and become a cancelled run plus a job
-	// failure with the stack. The injector rolls per (processor,
-	// iteration), so the block asks once per iteration.
-	runCtx := ctx
-	var pmu sync.Mutex
-	var panicVal any
-	var panicStack []byte
-	if inj != nil {
-		var cancel context.CancelFunc
-		runCtx, cancel = context.WithCancel(ctx)
-		defer cancel()
-		base := rts.LinearBlock(n.Weights, n.Coef)
-		n.ContribBlock = func(p int, iters []int32, out []float64) {
-			defer func() {
-				if r := recover(); r != nil {
-					pmu.Lock()
-					if panicVal == nil {
-						panicVal, panicStack = r, debug.Stack()
-						cancel()
-					}
-					pmu.Unlock()
-					clear(out)
-				}
-			}()
-			for _, it := range iters {
-				inj.KernelPanic(p, int(it))
-			}
-			base(p, iters, out)
-		}
-	}
-
 	for done < steps {
 		chunk := steps - done
 		if every > 0 && chunk > every {
 			chunk = every
 		}
-		err := n.RunContext(runCtx, chunk)
-		pmu.Lock()
-		pv, ps := panicVal, panicStack
-		pmu.Unlock()
-		if pv != nil {
-			j.mu.Lock()
-			j.stack = ps
-			j.mu.Unlock()
-			return nil, fmt.Errorf("service: kernel panicked: %v", pv)
-		}
-		if err != nil {
+		if err := n.RunContext(ctx, chunk); err != nil {
 			return nil, err
 		}
 		done += chunk
 		if every > 0 && done < steps {
-			s.checkpoint(j, routeKey, done, x, inj)
+			s.checkpoint(j, routeKey, done, x)
 		}
 	}
 	return x, nil
@@ -634,9 +586,9 @@ func (s *Service) runRaw(ctx context.Context, spec *JobSpec, scheds []*inspector
 // (routeKey set) also ships the frame through the Replicate hook to the
 // key's ring successor, so a failover resumes mid-job although this node's
 // disk dies with it. A failed write loses a resume point, never the job.
-func (s *Service) checkpoint(j *Job, routeKey string, sweep int, x []float64, inj *fault.Injector) {
+func (s *Service) checkpoint(j *Job, routeKey string, sweep int, x []float64) {
 	cs := s.trace.Begin()
-	frame, err := saveJobCheckpoint(ckPath(s.jobsDir, j.ID), &jobCheckpoint{Spec: j.Spec, Sweep: sweep, X: x}, inj)
+	frame, err := saveJobCheckpoint(ckPath(s.jobsDir, j.ID), &jobCheckpoint{Spec: j.Spec, Sweep: sweep, X: x}, s.diskChaos)
 	s.trace.End(obs.SpanCheckpoint, -1, -1, sweep, -1, cs)
 	if err != nil {
 		s.trace.Event("checkpoint/fail", -1, -1, sweep, -1)

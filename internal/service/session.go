@@ -271,13 +271,10 @@ func (sess *Session) markClosed() {
 }
 
 // validateSessionSpec restricts sessions to the shapes the incremental
-// path supports: raw reductions on the native engine, no chaos.
+// path supports: raw reductions on the native engine.
 func validateSessionSpec(spec *JobSpec) error {
 	if !spec.IsRaw() {
 		return fmt.Errorf("service: sessions accept raw reduction jobs only (named kernels regenerate their data per job)")
-	}
-	if spec.Chaos != nil {
-		return fmt.Errorf("service: sessions do not accept chaos specs")
 	}
 	return spec.Validate()
 }

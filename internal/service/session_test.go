@@ -7,8 +7,6 @@ import (
 	"sort"
 	"strings"
 	"testing"
-
-	"irred/internal/fault"
 )
 
 // mkDelta draws n distinct iterations and fresh indirection values: a
@@ -198,11 +196,11 @@ func TestSessionBusy(t *testing.T) {
 // body goes the way POST /v1/session takes it, decode then open, so a field
 // JobSpec does not have is refused by name before any session opens.
 func TestSessionSpecValidation(t *testing.T) {
-	s := newTestService(t, Options{Workers: 1, AllowChaos: true})
+	s := newTestService(t, Options{Workers: 1})
 	named := JobSpec{Kernel: "mvm", Dataset: "S", P: 2, K: 1, Steps: 1}
 	raw := rawSpec(1, 2, 1, 100, 16, 1)
-	chaotic := raw
-	chaotic.Chaos = &fault.Spec{Seed: 1, DiskRate: 0.1}
+	chaos := mustMarshal(t, raw)
+	chaos = append(chaos[:len(chaos)-1], `,"chaos":{"seed":1,"disk":0.1}}`...)
 	dist := mustMarshal(t, raw)
 	dist = append(dist[:len(dist)-1], `,"engine":"distributed"}`...)
 	auto := mustMarshal(t, raw)
@@ -212,7 +210,7 @@ func TestSessionSpecValidation(t *testing.T) {
 		why  string // substring the refusal must carry
 	}{
 		"named kernel": {mustMarshal(t, named), ""},
-		"chaos":        {mustMarshal(t, chaotic), ""},
+		"chaos":        {chaos, `unknown field "chaos"`},
 		"distributed":  {dist, `unknown field "engine"`},
 		"auto":         {auto, `unknown field "auto"`},
 	} {

@@ -28,7 +28,7 @@ import (
 // literals; ind as arrays of arrays of integers in int32 range;
 // weights as an array of JSON numbers. Everything else — duplicate or
 // case-variant keys, null, escapes, a fraction or exponent in an integer
-// position, overflow, chaos, unknown keys, malformed JSON — makes the fast
+// position, overflow, unknown keys, malformed JSON — makes the fast
 // path give up and the whole body is decoded again by decodeSpecStd, so the
 // accepted language, the decoded value and the error text are
 // encoding/json's by construction. FuzzJobSpecDecode holds the two equal.
@@ -205,7 +205,7 @@ func (p *specParser) jobSpec(sp *JobSpec) bool {
 		case "cluster_uid":
 			return once(13) && p.str(&sp.ClusterUID)
 		}
-		return false // chaos, a key in another case, an unknown key
+		return false // a key in another case, an unknown key
 	})
 }
 

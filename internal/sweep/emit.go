@@ -16,7 +16,7 @@ import (
 // cover the span names the engines record; engines that record no spans
 // leave them zero.
 var csvHeader = []string{
-	"id", "kernel", "class", "engine", "p", "k", "dist", "chaos",
+	"id", "kernel", "class", "engine", "p", "k", "dist",
 	"delta_frac", "adapt",
 	"steps", "warmup", "repeats",
 	"mean_ms", "trimmed_mean_ms", "min_ms", "max_ms", "stddev_ms",
@@ -46,7 +46,7 @@ func WriteCSV(path string, s *benchfmt.Summary) error {
 		c := &s.Cells[i]
 		row := []string{
 			c.ID, c.Kernel, c.Class, c.Engine,
-			strconv.Itoa(c.P), strconv.Itoa(c.K), c.Dist, c.Chaos,
+			strconv.Itoa(c.P), strconv.Itoa(c.K), c.Dist,
 			ff(c.DeltaFrac), c.Adapt,
 			strconv.Itoa(c.Steps), strconv.Itoa(c.Warmup), strconv.Itoa(c.Repeats),
 			ff(c.Wall.MeanMS), ff(c.Wall.TrimmedMS), ff(c.Wall.MinMS), ff(c.Wall.MaxMS), ff(c.Wall.StdDevMS),
